@@ -92,14 +92,19 @@ def _load_cohort(json_path, patients, objects, cv_description):
     return ingest_cohort(objects, patients, cv_description)
 
 
+def _parse_floats(spec: str, what: str) -> list[float]:
+    """Comma-separated numbers, e.g. '50,200,1000'."""
+    try:
+        return [float(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError:
+        raise InputError(f"could not parse {what} {spec!r}") from None
+
+
 def _parse_bins(spec: str):
     """Comma-separated interior bin edges, e.g. '50,200,1000'."""
-    try:
-        edges = [float(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError:
-        raise InputError(f"could not parse bin edges {spec!r}")
-    if edges != sorted(edges) or any(e <= 0 for e in edges):
-        raise InputError("bin edges must be positive and ascending")
+    edges = _parse_floats(spec, "bin edges")
+    if any(not 0.0 < e < float("inf") for e in edges) or edges != sorted(set(edges)):
+        raise InputError("bin edges must be finite, positive and strictly ascending")
     bounds = [0.0] + edges + [float("inf")]
     return tuple(zip(bounds, bounds[1:]))
 
@@ -273,9 +278,7 @@ def tune(train_pos, val_neg, val_pos, spec_target, c_grid, calib_method, out_pat
             "operating-point tuning requires a validation set of negative patients"
         )
     positives = ingest_cohort_json(val_pos) if val_pos else None
-    grid = (
-        [float(tok) for tok in c_grid.split(",")] if c_grid else default_c_grid(train)
-    )
+    grid = _parse_floats(c_grid, "C grid") if c_grid else default_c_grid(train)
     cfg = CalibrationConfig(K=spec_target, method=_parse_method(calib_method))
     best, table = tune_operating_point(train, negatives, positives, spec_target, grid, cfg)
     with open(out_path, "w", encoding="utf-8") as fh:

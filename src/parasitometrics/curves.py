@@ -15,15 +15,19 @@ imbalance, so alongside the standard constructions this module provides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .datamodel import CohortDataset, TrueLabel, patient_counts
+from .datamodel import CohortDataset, ObjectRecord, TrueLabel, patient_counts
 from .errors import DegenerateClasses, InvalidInput, InvalidRatio, NoDetections
 from .metrics import patient_level_sens_spec
+
+# FROC counts are a (threshold x patient) matrix, built this many thresholds
+# at a time so that memory stays bounded when every object has its own score.
+_FROC_BLOCK = 4096
 
 PRECISION_WARNING = (
     "object-level precision and F1 are misleading metrics for reporting "
@@ -62,12 +66,10 @@ class CurvePoints:
 
 
 def _pooled_scores(patients):
-    scores, is_parasite = [], []
-    for p in patients:
-        for o in p.objects:
-            scores.append(o.score)
-            is_parasite.append(o.true_label is TrueLabel.PARASITE)
-    return np.asarray(scores, dtype=float), np.asarray(is_parasite, dtype=bool)
+    par = [p.parasite_scores for p in patients]
+    dis = [p.distractor_scores for p in patients]
+    is_parasite = np.repeat([True, False], [sum(map(len, par)), sum(map(len, dis))])
+    return np.concatenate(par + dis), is_parasite
 
 
 def rank_auc(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
@@ -156,6 +158,15 @@ def sliver_roc(roc: CurvePoints, D: float) -> CurvePoints:
     )
 
 
+def _passing(patients, thresholds: np.ndarray, attr: str) -> np.ndarray:
+    """(threshold x patient) counts of each patient's ``attr`` scores >= threshold."""
+    return np.stack(
+        [len(s) - np.searchsorted(s, thresholds, side="left")
+         for s in (getattr(p, attr) for p in patients)],
+        axis=1,
+    )
+
+
 def froc(
     cohort: CohortDataset,
     fp_grid=None,
@@ -178,30 +189,31 @@ def froc(
         fp_patients = cohort.patients
         notes = ("no negative patients: FP/cV computed over all patients",)
 
-    all_scores = sorted(
-        {o.score for p in cohort for o in p.objects}, reverse=True
-    )
-    thresholds = [math.inf] + all_scores
-    if not thresholds or thresholds[-1] > 0.0:
-        thresholds.append(0.0)
+    # distinct scores, descending, then 0.0 (accept-all) unless already there
+    thresholds = np.unique(np.concatenate(
+        [s for p in cohort for s in (p.parasite_scores, p.distractor_scores)]
+    ))[::-1]
+    if not len(thresholds) or thresholds[-1] > 0.0:
+        thresholds = np.append(thresholds, 0.0)
 
-    points = []
-    for thr in thresholds:
-        if math.isinf(thr):  # reject-all sentinel: nothing passes
-            points.append((0.0, 0.0, thr))
-            continue
-        c = min(max(thr, 0.0), 1.0)
-        fp_rate = float(np.mean([patient_counts(p, c).FP for p in fp_patients]))
+    volumes = np.array([p.examined_volume for p in fp_patients])
+    n_parasites = np.array([p.n_parasite_objects for p in positives])
+    fp_rates, sens = [], []
+    for lo in range(0, len(thresholds), _FROC_BLOCK):
+        block = thresholds[lo:lo + _FROC_BLOCK]
+        fp = _passing(fp_patients, block, "distractor_scores")
+        fp_rates.append(np.mean(fp / volumes, axis=1))
+        tp = _passing(positives, block, "parasite_scores")
         if pooled_sensitivity:
-            tp = sum(patient_counts(p, c).tp for p in positives)
-            total = sum(p.n_parasite_objects for p in positives)
-            sens = tp / total
+            sens.append(tp.sum(axis=1) / n_parasites.sum())
         else:
-            per = [
-                patient_counts(p, c).tp / p.n_parasite_objects for p in positives
-            ]
-            sens = float(np.mean(per))
-        points.append((fp_rate, sens, thr))
+            sens.append(np.mean(tp / n_parasites, axis=1))
+    points = [(0.0, 0.0, math.inf)]  # reject-all sentinel: nothing passes
+    points += zip(
+        np.concatenate(fp_rates).tolist(),
+        np.concatenate(sens).tolist(),
+        thresholds.tolist(),
+    )
 
     grid_points = None
     if fp_grid is not None:
@@ -249,36 +261,16 @@ def easy_distractor_experiment(
     aug_neg = np.concatenate([scores[~is_par], easy_scores])
     auc_after = rank_auc(scores[is_par], aug_neg)
 
-    # rebuild the cohort with the injected distractors to recompute the FROC
-    from .datamodel import CohortDataset as _CD, ObjectRecord, PatientRecord
-
-    new_patients = []
-    idx = 0
-    for p in cohort.patients:
-        injected = []
-        for k in range(n_easy):
-            injected.append(
-                ObjectRecord(
-                    object_id=f"{p.patient_id}-easy{k}",
-                    score=float(easy_scores[idx]),
-                    true_label=TrueLabel.DISTRACTOR,
-                )
-            )
-            idx += 1
-        new_patients.append(
-            PatientRecord(
-                patient_id=p.patient_id,
-                ground_truth=p.ground_truth,
-                species=p.species,
-                true_parasitemia=p.true_parasitemia,
-                examined_volume=p.examined_volume,
-                wbc_count=p.wbc_count,
-                objects=p.objects + tuple(injected),
-            )
-        )
-    augmented = _CD(
-        cv_description=cohort.cv_description,
-        patients=tuple(new_patients),
+    # the cohort with the injected distractors, to recompute the FROC
+    augmented = replace(
+        cohort,
+        patients=tuple(
+            replace(p, objects=p.objects + tuple(
+                ObjectRecord(f"{p.patient_id}-easy{k}", score, TrueLabel.DISTRACTOR)
+                for k, score in enumerate(row)
+            ))
+            for p, row in zip(cohort.patients, easy_scores.reshape(n_patients, n_easy).tolist())
+        ),
         provenance=cohort.provenance + f" +{n_easy} easy distractors/patient",
     )
     froc_after = froc(augmented, fp_grid=fp_grid).grid_points

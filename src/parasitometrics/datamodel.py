@@ -7,7 +7,10 @@ the clinically relevant unit of substrate ("cV", e.g. 1 uL of blood), and
 always ``count / examined_volume``.
 
 File formats (CSV pair or a single JSON document) are documented in the
-module-level ``ingest_cohort`` / ``export_cohort`` functions.
+module-level ``ingest_cohort`` / ``export_cohort`` functions. Both go through
+one row validator, which parses a JSON value as the CSV text it would be
+written as (``str`` of it, stripped); malformed input raises ``SchemaError``.
+Each patient keeps its scores sorted, so a count at a threshold is a search.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicatePatient,
@@ -82,6 +87,9 @@ class PatientRecord:
     examined_volume: float
     wbc_count: int | None = None
     objects: tuple[ObjectRecord, ...] = ()
+    # ascending scores of the parasite / distractor objects, read-only
+    parasite_scores: np.ndarray = field(init=False, repr=False, compare=False)
+    distractor_scores: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pid = self.patient_id
@@ -107,14 +115,21 @@ class PatientRecord:
                 raise SchemaError(f"patient {pid!r}: positive patient must have a species")
             if self.true_parasitemia <= 0:
                 raise SchemaError(f"patient {pid!r}: positive patient must have parasitemia > 0")
+        for name, label in (("parasite_scores", TrueLabel.PARASITE),
+                            ("distractor_scores", TrueLabel.DISTRACTOR)):
+            scores = np.sort(np.array(
+                [o.score for o in self.objects if o.true_label is label], dtype=float
+            ))
+            scores.flags.writeable = False
+            object.__setattr__(self, name, scores)
 
     @property
     def n_parasite_objects(self) -> int:
-        return sum(1 for o in self.objects if o.true_label is TrueLabel.PARASITE)
+        return len(self.parasite_scores)
 
     @property
     def n_distractor_objects(self) -> int:
-        return len(self.objects) - self.n_parasite_objects
+        return len(self.distractor_scores)
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,19 +195,11 @@ def patient_counts(patient: PatientRecord, C: float) -> PatientCounts:
     """Count objects at score threshold C (inclusive: an object passes at score >= C)."""
     if not (0.0 <= C <= 1.0):
         raise OutOfRange(f"score threshold C={C} outside [0, 1]")
-    tp = fp = fn = tn = 0
-    for obj in patient.objects:
-        passed = obj.score >= C
-        if obj.true_label is TrueLabel.PARASITE:
-            if passed:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if passed:
-                fp += 1
-            else:
-                tn += 1
+    # side="left" counts the scores below C, so a score equal to C passes
+    fn = int(np.searchsorted(patient.parasite_scores, C, side="left"))
+    tn = int(np.searchsorted(patient.distractor_scores, C, side="left"))
+    tp = len(patient.parasite_scores) - fn
+    fp = len(patient.distractor_scores) - tn
     v = patient.examined_volume
     return PatientCounts(tp=tp, fp=fp, fn=fn, tn=tn, TP=tp / v, FP=fp / v)
 
@@ -212,154 +219,154 @@ PATIENT_COLUMNS = (
 OBJECT_COLUMNS = ("patient_id", "object_id", "score", "true_label")
 
 
-def _parse_enum(enum_cls, raw: str, what: str):
+def _text(value) -> str:
+    """A CSV cell or a JSON value as the stripped text that both formats parse."""
+    return "" if value is None else str(value).strip()
+
+
+def _parse_enum(enum_cls, row: dict, key: str, what: str):
+    raw = _text(row.get(key))
     try:
-        return enum_cls(raw.strip().lower())
+        return enum_cls(raw.lower())
     except ValueError:
         allowed = ", ".join(e.value for e in enum_cls)
-        raise SchemaError(f"{what}: {raw!r} not one of {{{allowed}}}") from None
+        raise SchemaError(f"{what}: {key} {raw!r} not one of {{{allowed}}}") from None
 
 
-def _parse_float(raw: str, what: str) -> float:
+def _parse_float(row: dict, key: str, what: str) -> float:
+    raw = row.get(key)
+    if type(raw) is float:  # a JSON number, which its text would parse back to
+        return raw
+    raw = _text(raw)
     try:
         return float(raw)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{what}: {raw!r} is not numeric") from None
+    except ValueError:
+        raise SchemaError(f"{what}: {key} {raw!r} is not numeric") from None
 
 
-def _check_header(reader: csv.DictReader, required: Sequence[str], what: str):
-    have = set(reader.fieldnames or ())
-    missing = [c for c in required if c not in have]
-    if missing:
-        raise SchemaError(f"{what} file missing column(s): {', '.join(missing)}")
+def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> CohortDataset:
+    """The row validator behind both file formats.
+
+    ``patient_rows`` are dicts keyed by PATIENT_COLUMNS; ``object_rows`` are
+    ``(patient_id, row)`` pairs, each row keyed by ``object_id``, ``score``
+    and ``true_label``. Every value is read through ``_text``.
+    """
+    rows: dict[str, dict] = {}
+    for row in patient_rows:
+        pid = _text(row.get("patient_id"))
+        if not pid:
+            raise SchemaError("patient with empty or missing patient_id")
+        if pid in rows:
+            raise DuplicatePatient(f"duplicate patient_id {pid!r}")
+        rows[pid] = row
+
+    objects: dict[str, list[ObjectRecord]] = {pid: [] for pid in rows}
+    for raw_pid, row in object_rows:
+        pid = _text(raw_pid)
+        if pid not in objects:
+            raise MissingPatient(f"object row references unknown patient_id {pid!r}")
+        oid = _text(row.get("object_id"))
+        if not oid:
+            raise SchemaError(f"patient {pid!r}: object with empty or missing object_id")
+        what = f"patient {pid!r} object {oid!r}"
+        objects[pid].append(ObjectRecord(
+            object_id=oid,
+            score=_parse_float(row, "score", what),
+            true_label=_parse_enum(TrueLabel, row, "true_label", what),
+        ))
+
+    patients = []
+    for pid, row in rows.items():
+        what = f"patient {pid!r}"
+        seen: set[str] = set()  # one patient's ids at a time keeps peak memory low
+        for obj in objects[pid]:
+            if obj.object_id in seen:
+                raise SchemaError(f"{what}: duplicate object_id {obj.object_id!r}")
+            seen.add(obj.object_id)
+        wbc = _text(row.get("wbc_count"))
+        try:
+            wbc_count = int(wbc) if wbc else None
+        except ValueError:
+            raise SchemaError(f"{what}: wbc_count {wbc!r} is not an integer") from None
+        patients.append(
+            PatientRecord(
+                patient_id=pid,
+                ground_truth=_parse_enum(GroundTruth, row, "ground_truth", what),
+                species=_parse_enum(Species, row, "species", what),
+                true_parasitemia=_parse_float(row, "true_parasitemia", what),
+                examined_volume=_parse_float(row, "examined_volume", what),
+                wbc_count=wbc_count,
+                objects=tuple(objects[pid]),
+            )
+        )
+    return CohortDataset(
+        cv_description=cv_description, patients=tuple(patients), provenance=provenance
+    )
+
+
+def _csv_rows(src, columns: Sequence[str], what: str):
+    """Dict rows of one CSV file, a path or an open text handle, header checked."""
+    fh = src if hasattr(src, "read") else open(src, newline="", encoding="utf-8")
+    try:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise SchemaError(f"{what} file missing column(s): {', '.join(missing)}")
+        yield from reader
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{what} file: {exc}") from None
+    finally:
+        if fh is not src:
+            fh.close()
 
 
 def ingest_cohort(objects_file, patients_file, cv_description: str) -> CohortDataset:
     """Ingest the CSV pair into a validated CohortDataset.
 
     ``objects_file`` / ``patients_file`` may be paths or open text handles.
-    Every object row must join to exactly one patient row; validation errors
-    raise the SchemaError family (MissingPatient, LabelContradiction,
+    Every object row must join to exactly one patient row, and object ids
+    must be non-empty and unique within a patient; validation errors raise
+    the SchemaError family (MissingPatient, LabelContradiction,
     DuplicatePatient, SchemaError).
     """
-
-    def _rows(src, columns, what):
-        if hasattr(src, "read"):
-            reader = csv.DictReader(src)
-            _check_header(reader, columns, what)
-            yield from reader
-        else:
-            with open(src, newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                _check_header(reader, columns, what)
-                yield from reader
-
-    patient_rows: dict[str, dict] = {}
-    for row in _rows(patients_file, PATIENT_COLUMNS, "patients"):
-        pid = (row["patient_id"] or "").strip()
-        if not pid:
-            raise SchemaError("patients file: empty patient_id")
-        if pid in patient_rows:
-            raise DuplicatePatient(f"duplicate patient_id {pid!r}")
-        patient_rows[pid] = row
-
-    objects_by_patient: dict[str, list[ObjectRecord]] = {pid: [] for pid in patient_rows}
-    for row in _rows(objects_file, OBJECT_COLUMNS, "objects"):
-        pid = (row["patient_id"] or "").strip()
-        if pid not in patient_rows:
-            raise MissingPatient(f"object row references unknown patient_id {pid!r}")
-        objects_by_patient[pid].append(
-            ObjectRecord(
-                object_id=(row["object_id"] or "").strip(),
-                score=_parse_float(row["score"], f"object in patient {pid!r}: score"),
-                true_label=_parse_enum(TrueLabel, row["true_label"], "true_label"),
-            )
-        )
-
-    patients = []
-    for pid, row in patient_rows.items():
-        wbc_raw = (row.get("wbc_count") or "").strip()
-        wbc = None
-        if wbc_raw:
-            try:
-                wbc = int(wbc_raw)
-            except ValueError:
-                raise SchemaError(f"patient {pid!r}: wbc_count {wbc_raw!r} is not an integer")
-        patients.append(
-            PatientRecord(
-                patient_id=pid,
-                ground_truth=_parse_enum(GroundTruth, row["ground_truth"], "ground_truth"),
-                species=_parse_enum(Species, row["species"], "species"),
-                true_parasitemia=_parse_float(
-                    row["true_parasitemia"], f"patient {pid!r}: true_parasitemia"
-                ),
-                examined_volume=_parse_float(
-                    row["examined_volume"], f"patient {pid!r}: examined_volume"
-                ),
-                wbc_count=wbc,
-                objects=tuple(objects_by_patient[pid]),
-            )
-        )
-
     provenance = patients_file if isinstance(patients_file, (str, os.PathLike)) else ""
-    return CohortDataset(
-        cv_description=cv_description,
-        patients=tuple(patients),
-        provenance=str(provenance),
+    object_rows = _csv_rows(objects_file, OBJECT_COLUMNS, "objects")
+    return _cohort_from_rows(
+        _csv_rows(patients_file, PATIENT_COLUMNS, "patients"),
+        ((row.get("patient_id"), row) for row in object_rows),
+        cv_description,
+        str(provenance),
     )
 
 
 def ingest_cohort_json(source) -> CohortDataset:
-    """Ingest the single-document JSON mirror of the CSV schema."""
-    if hasattr(source, "read"):
-        doc = json.load(source)
-        provenance = ""
-    else:
-        with open(source, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        provenance = str(source)
+    """Ingest the single-document JSON mirror of the CSV schema.
+
+    ``{"cv_description", "provenance" (optional), "patients": [...]}``; each
+    patient holds the PATIENT_COLUMNS keys and a list of ``objects``.
+    """
+    is_handle = hasattr(source, "read")
     try:
-        cv_description = doc["cv_description"]
-        patient_docs = doc["patients"]
-    except (KeyError, TypeError):
+        if is_handle:
+            doc = json.load(source)
+        else:
+            with open(source, encoding="utf-8") as fh:
+                doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        name = "JSON input" if is_handle else source
+        raise SchemaError(f"{name}: not valid JSON: {exc}") from None
+    patient_docs = doc.get("patients") if isinstance(doc, dict) else None
+    if not isinstance(patient_docs, list) or "cv_description" not in doc:
         raise SchemaError("JSON cohort must have keys 'cv_description' and 'patients'")
-    patients = []
-    seen: set[str] = set()
     for pd in patient_docs:
-        try:
-            pid = str(pd["patient_id"])
-        except (KeyError, TypeError):
-            raise SchemaError("patient document missing 'patient_id'")
-        if pid in seen:
-            raise DuplicatePatient(f"duplicate patient_id {pid!r}")
-        seen.add(pid)
-        for key in ("ground_truth", "species", "true_parasitemia", "examined_volume"):
-            if key not in pd:
-                raise SchemaError(f"patient {pid!r}: missing field {key!r}")
-        objects = tuple(
-            ObjectRecord(
-                object_id=str(od["object_id"]),
-                score=float(od["score"]),
-                true_label=_parse_enum(TrueLabel, str(od["true_label"]), "true_label"),
-            )
-            for od in pd.get("objects", ())
-        )
-        wbc = pd.get("wbc_count")
-        patients.append(
-            PatientRecord(
-                patient_id=pid,
-                ground_truth=_parse_enum(GroundTruth, str(pd["ground_truth"]), "ground_truth"),
-                species=_parse_enum(Species, str(pd["species"]), "species"),
-                true_parasitemia=float(pd["true_parasitemia"]),
-                examined_volume=float(pd["examined_volume"]),
-                wbc_count=None if wbc is None else int(wbc),
-                objects=objects,
-            )
-        )
-    return CohortDataset(
-        cv_description=str(cv_description),
-        patients=tuple(patients),
-        provenance=provenance or doc.get("provenance", ""),
+        objects = pd.get("objects", []) if isinstance(pd, dict) else None
+        if not isinstance(objects, list) or not all(isinstance(od, dict) for od in objects):
+            raise SchemaError("each patient must be a JSON object with a list of objects")
+    return _cohort_from_rows(
+        patient_docs,
+        ((pd.get("patient_id"), od) for pd in patient_docs for od in pd.get("objects", [])),
+        str(doc["cv_description"]),
+        str(doc.get("provenance") or "") if is_handle else str(source),
     )
 
 

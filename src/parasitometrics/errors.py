@@ -93,10 +93,6 @@ class NoParasiteObjects(DegenerateDataError):
     pass
 
 
-class NoNegativePatients(DegenerateDataError):
-    pass
-
-
 class DegenerateClasses(DegenerateDataError):
     pass
 

@@ -27,8 +27,8 @@ from .datamodel import (
     patient_counts,
 )
 from .errors import (
+    InvalidInput,
     NoEligiblePatients,
-    NoNegativePatients,
     NoParasiteObjects,
     UnknownPatient,
 )
@@ -241,9 +241,9 @@ def patient_level_sens_spec(
     bins = tuple(parasitemia_bins)
     for (lo1, hi1), (lo2, hi2) in zip(bins, bins[1:]):
         if hi1 != lo2:
-            raise ValueError("parasitemia bins must tile (0, inf) without gaps/overlap")
+            raise InvalidInput("parasitemia bins must tile (0, inf) without gaps/overlap")
     if bins and (bins[0][0] != 0.0 or bins[-1][1] != float("inf")):
-        raise ValueError("parasitemia bins must start at 0 and end at inf")
+        raise InvalidInput("parasitemia bins must start at 0 and end at inf")
 
     diag = patient_diagnoses(cohort, op)
 

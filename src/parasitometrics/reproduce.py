@@ -26,6 +26,7 @@ from .curves import (
     precision_f1_with_reexpression,
     sliver_roc,
 )
+from .datamodel import patient_counts
 from .metrics import (
     MetricDistribution,
     MetricKind,
@@ -100,12 +101,7 @@ def run_all() -> list[CheckResult]:
     cohort = ex["cohort"]
     thr = ex["full_sensitivity_threshold"]
     n_par = sum(p.n_parasite_objects for p in cohort)
-    fp = sum(
-        1
-        for p in cohort
-        for o in p.objects
-        if o.true_label.value == "distractor" and o.score >= thr
-    )
+    fp = sum(patient_counts(p, thr).fp for p in cohort)
     fp_per_parasite = fp / n_par
     checks.append(
         _check(

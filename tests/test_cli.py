@@ -95,6 +95,42 @@ class TestEvaluate:
         ])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["patients"][0]["objects"][0].update(score="abc"),
+        lambda doc: doc["patients"][0]["objects"][0].pop("object_id"),
+        lambda doc: doc["patients"][0].update(wbc_count="x"),
+        None,  # truncated document
+    ], ids=["score-abc", "no-object-id", "wbc-x", "truncated"])
+    def test_malformed_json_is_one_line_input_error(self, runner, tmp_path, edit):
+        cohort = generate_cohort(SimConfig(seed=5, n_negative=2, n_positive=2))
+        path = tmp_path / "cohort.json"
+        export_cohort_json(cohort, path)
+        text = path.read_text()
+        if edit is None:
+            text = text[: len(text) // 2]
+        else:
+            doc = json.loads(text)
+            edit(doc)
+            text = json.dumps(doc)
+        path.write_text(text)
+        result = runner.invoke(main, [
+            "evaluate", "--json", str(path),
+            "--C", "0.5", "--T", "1.0", "--out", str(tmp_path / "r"),
+        ])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: ")
+
+    def test_repeated_bin_edge_is_input_error(self, runner, tmp_path):
+        patients, objects = _write_mixed_cohort_csvs(tmp_path)
+        result = runner.invoke(main, [
+            "evaluate", "--patients", str(patients), "--objects", str(objects),
+            "--C", "0.5", "--T", "1.0", "--bins", "50,50", "--out", str(tmp_path / "r"),
+        ])
+        assert result.exit_code == 2
+        assert "strictly ascending" in result.stderr
+        assert not (tmp_path / "r").exists()
+
 
 class TestCalibrateAndLod:
     def test_calibrate_prints_threshold(self, runner, tmp_path):
@@ -168,6 +204,17 @@ class TestTune:
         lines = table.read_text().strip().splitlines()
         assert lines[0] == "C,T,LoD,mu_F,sigma_F,sigma_L,sigma_R,mu_S"
         assert len(lines) >= 2
+
+    def test_unparseable_c_grid_is_input_error(self, runner, tmp_path):
+        cohort = generate_cohort(SimConfig(seed=13, n_negative=5, n_positive=5))
+        p = tmp_path / "cohort.json"
+        export_cohort_json(cohort, p)
+        result = runner.invoke(main, [
+            "tune", "--train-positives", str(p), "--validation-negatives", str(p),
+            "--c-grid", "0.5,x", "--out", str(tmp_path / "t.csv"),
+        ])
+        assert result.exit_code == 2
+        assert result.stderr == "error: could not parse C grid '0.5,x'\n"
 
     def test_tune_rejects_positive_only_validation(self, runner, tmp_path):
         pos = generate_cohort(SimConfig(seed=13, n_negative=0, n_positive=5))

@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +24,7 @@ from parasitometrics.errors import (
     OutOfRange,
     SchemaError,
 )
+from parasitometrics.simulator import SimConfig, generate_cohort
 
 from conftest import make_patient
 
@@ -98,6 +100,18 @@ class TestIngestion:
         with pytest.raises(SchemaError):
             _ingest(objects=objects)
 
+    @pytest.mark.parametrize("row", ["p1,,0.5,parasite", "p1, ,0.5,parasite",
+                                     "p1,o2,0.5,parasite", "p1, o2 ,0.5,parasite"])
+    def test_empty_or_duplicate_object_id_rejected(self, row):
+        with pytest.raises(SchemaError, match="object_id"):
+            _ingest(objects=OBJECTS_CSV + row + "\n")
+
+    def test_non_utf8_file_rejected(self):
+        with pytest.raises(SchemaError):
+            ingest_cohort(io.StringIO(OBJECTS_CSV),
+                          io.TextIOWrapper(io.BytesIO(b"\xff\xfe\x00"), encoding="utf-8"),
+                          "1 uL blood")
+
     def test_nonpositive_volume_rejected(self):
         patients = PATIENTS_CSV.replace("0.5,400", "0,400")
         with pytest.raises(SchemaError):
@@ -129,6 +143,107 @@ class TestIngestion:
     def test_empty_cohort_rejected(self):
         with pytest.raises(SchemaError):
             CohortDataset(cv_description="x", patients=())
+
+
+def _json_doc():
+    buf = io.StringIO()
+    export_cohort_json(_ingest(), buf)
+    return json.loads(buf.getvalue())
+
+
+def _ingest_json(doc):
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    return ingest_cohort_json(io.StringIO(text))
+
+
+def _set(path, value=KeyError):
+    """An edit of a JSON document: set the value at ``path``, or delete it."""
+    def edit(doc):
+        *head, last = path
+        target = doc
+        for key in head:
+            target = target[key]
+        if value is KeyError:
+            del target[last]
+        else:
+            target[last] = value
+    return edit
+
+
+class TestJsonIngestion:
+    @pytest.mark.parametrize("edit", [
+        _set(("patients", 0, "objects", 0, "score"), "abc"),
+        _set(("patients", 0, "objects", 0, "object_id"), ""),
+        _set(("patients", 0, "objects", 0, "object_id"), None),
+        _set(("patients", 0, "objects", 0, "object_id")),
+        _set(("patients", 0, "ground_truth")),
+        _set(("patients", 0, "objects", 1, "object_id"), "o1"),
+        _set(("patients", 0, "wbc_count"), "x"),
+        _set(("patients", 0, "wbc_count"), 400.5),
+        _set(("patients", 0, "true_parasitemia"), [1]),
+        _set(("patients", 0, "objects"), None),
+        _set(("patients", 0, "objects", 0), "o1"),
+        _set(("patients", 1), []),
+        _set(("patients",), {}),
+        _set(("patients", 1, "patient_id"), " p1 "),
+        _set(("patients", 1, "patient_id"), None),
+    ], ids=["score-abc", "object-id-empty", "object-id-null", "object-id-missing",
+            "ground-truth-missing", "object-id-duplicate", "wbc-x", "wbc-fraction",
+            "parasitemia-list", "objects-null", "object-not-mapping", "patient-not-mapping",
+            "patients-not-list", "patient-id-duplicate-once-stripped", "patient-id-null"])
+    def test_malformed_document_rejected(self, edit):
+        doc = _json_doc()
+        edit(doc)
+        with pytest.raises(SchemaError):
+            _ingest_json(doc)
+
+    @pytest.mark.parametrize("text", ['{"cv_description": "x", "patients": [', "[]", "3",
+                                      '{"patients": []}'])
+    def test_bad_json_text_rejected(self, text):
+        with pytest.raises(SchemaError):
+            _ingest_json(text)
+
+    def test_values_parse_like_csv_text(self):
+        doc = _json_doc()
+        doc["patients"][0].update(patient_id=" p1 ", wbc_count="400", true_parasitemia="500")
+        doc["patients"][0]["objects"][0]["score"] = " 0.9"
+        assert _ingest_json(doc).patients == _ingest().patients
+
+    def test_csv_and_json_exports_ingest_equal(self, tmp_path):
+        cohort = generate_cohort(SimConfig(seed=4, n_negative=3, n_positive=3))
+        export_cohort(cohort, tmp_path / "o.csv", tmp_path / "p.csv")
+        export_cohort_json(cohort, tmp_path / "c.json")
+        from_csv = ingest_cohort(tmp_path / "o.csv", tmp_path / "p.csv", cohort.cv_description)
+        from_json = ingest_cohort_json(tmp_path / "c.json")
+        assert from_csv.patients == from_json.patients == cohort.patients
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+PATIENT_KEYS = ("patient_id", "ground_truth", "species", "true_parasitemia",
+                "examined_volume", "wbc_count", "objects")
+OBJECT_KEYS = ("object_id", "score", "true_label")
+
+
+@given(
+    patient=st.integers(0, 1),
+    obj=st.one_of(st.none(), st.integers(0, 1)),
+    key=st.data(),
+    value=st.one_of(JSON_VALUES, st.just(KeyError)),
+)
+def test_any_json_edit_gives_cohort_or_schema_error(patient, obj, key, value):
+    path = ("patients", patient) + (() if obj is None else ("objects", obj))
+    name = key.draw(st.sampled_from(PATIENT_KEYS if obj is None else OBJECT_KEYS))
+    doc = _json_doc()
+    _set(path + (name,), value)(doc)
+    try:
+        _ingest_json(doc)
+    except SchemaError:
+        pass
 
 
 class TestPatientCounts:

@@ -3,7 +3,12 @@ import pytest
 
 from parasitometrics.calibration import OperatingPoint
 from parasitometrics.datamodel import GroundTruth, Species
-from parasitometrics.errors import NoEligiblePatients, NoParasiteObjects, UnknownPatient
+from parasitometrics.errors import (
+    InvalidInput,
+    NoEligiblePatients,
+    NoParasiteObjects,
+    UnknownPatient,
+)
 from parasitometrics.metrics import (
     fpr_distribution,
     patient_diagnoses,
@@ -194,6 +199,15 @@ class TestPatientLevelSensSpec:
         by_label = {s.label: s for s in strat.parasitemia_strata}
         assert by_label["(0, 200]"].value == 1.0
         assert by_label["(200, inf]"].value == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("bins", [
+        ((0.0, 50.0), (60.0, float("inf"))),   # gap
+        ((10.0, 50.0), (50.0, float("inf"))),  # does not start at 0
+        ((0.0, 50.0), (50.0, 200.0)),          # does not end at inf
+    ])
+    def test_bins_must_tile(self, mixed_cohort, bins):
+        with pytest.raises(InvalidInput):
+            patient_level_sens_spec(mixed_cohort, OperatingPoint(C=0.5, T=1.0), bins)
 
     def test_sens_spec_move_oppositely_in_T(self, mixed_cohort):
         prev_sens, prev_spec = None, None
