@@ -25,10 +25,12 @@ A pessimistic variant replaces the denominator with mean(S) - beta * std(S).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
-from .datamodel import CohortDataset
+import numpy as np
+
+from .datamodel import CohortDataset, pooled_scores
 from .errors import (
     AllCandidatesDegenerate,
     DegenerateDataError,
@@ -193,10 +195,35 @@ def default_c_grid(cohort: CohortDataset | None = None) -> list[float]:
     """101 evenly spaced thresholds, plus observed scores when few enough."""
     grid = {round(i / 100.0, 2) for i in range(101)}
     if cohort is not None:
-        observed = {o.score for p in cohort for o in p.objects}
+        observed = np.unique(pooled_scores(cohort.patients)[0])
         if len(observed) < 512:
-            grid |= observed
+            grid |= set(observed.tolist())
     return sorted(grid)
+
+
+def tuning_row(
+    train_positives: CohortDataset,
+    validation_negatives: CohortDataset,
+    validation_positives: CohortDataset | None,
+    C: float,
+    cfg: CalibrationConfig,
+) -> TuningRow:
+    """The tuner's row at one C; raises DegenerateDataError where T or the LoD is undefined."""
+    s_cohort = validation_positives if validation_positives is not None else train_positives
+    F = fpr_distribution(validation_negatives, C, negatives_only=True)
+    S = sensitivity_distribution(s_cohort, C)
+    T = calibrate_threshold(F, cfg)
+    lod = estimate_lod(F, S, cfg)
+    return TuningRow(
+        C=C,
+        T=T,
+        lod=lod.L,
+        mu_F=F.summary.mean,
+        sigma_F=F.summary.std,
+        sigma_left_F=F.summary.sigma_left,
+        sigma_right_F=F.summary.sigma_right,
+        mu_S=lod.mu_S,
+    )
 
 
 def tune_operating_point(
@@ -211,39 +238,23 @@ def tune_operating_point(
 
     S is computed over validation positives when given, else (less ideal but
     workable) over the training positives. Ties in LoD break toward larger C.
+    A C where T or the LoD is undefined has no row in the table.
     """
-    cfg = cfg or CalibrationConfig()
-    cfg = CalibrationConfig(
-        K=K, method=cfg.method, beta=cfg.beta, plus_one=cfg.plus_one,
-        manual_T=cfg.manual_T,
-    )
+    cfg = replace(cfg or CalibrationConfig(), K=K)
     grid = sorted(set(float(c) for c in C_grid))
     if not grid:
         raise OutOfRange("C_grid must be non-empty")
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise OutOfRange("C_grid values must lie in [0, 1]")
-    s_cohort = validation_positives if validation_positives is not None else train_positives
 
     table: list[TuningRow] = []
     best: TuningRow | None = None
     for c in grid:
         try:
-            F = fpr_distribution(validation_negatives, c, negatives_only=True)
-            S = sensitivity_distribution(s_cohort, c)
-            T = calibrate_threshold(F, cfg)
-            lod = estimate_lod(F, S, cfg)
+            row = tuning_row(train_positives, validation_negatives, validation_positives,
+                             c, cfg)
         except DegenerateDataError:
             continue
-        row = TuningRow(
-            C=c,
-            T=T,
-            lod=lod.L,
-            mu_F=F.summary.mean,
-            sigma_F=F.summary.std,
-            sigma_left_F=F.summary.sigma_left,
-            sigma_right_F=F.summary.sigma_right,
-            mu_S=lod.mu_S,
-        )
         table.append(row)
         if best is None or row.lod < best.lod or (row.lod == best.lod and row.C > best.C):
             best = row

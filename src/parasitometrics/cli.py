@@ -27,6 +27,7 @@ from .calibration import (
     estimate_lod,
     fp_scatter,
     tune_operating_point,
+    tuning_row,
 )
 from .curves import froc, object_roc, patient_roc
 from .datamodel import export_cohort, export_cohort_json, ingest_cohort, ingest_cohort_json
@@ -290,6 +291,11 @@ def tune(train_pos, val_neg, val_pos, spec_target, c_grid, calib_method, out_pat
             )
     click.echo(out_path)
     click.echo(f"best C = {best.C!r}, T = {best.T!r}")
+    for c in sorted(set(grid) - {row.C for row in table}):
+        try:
+            tuning_row(train, negatives, positives, c, cfg)
+        except DegenerateDataError as exc:
+            click.echo(f"warning: C={c!r} skipped: {exc}", err=True)
 
 
 @main.command()

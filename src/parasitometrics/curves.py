@@ -10,6 +10,11 @@ imbalance, so alongside the standard constructions this module provides:
 * ``precision_f1_with_reexpression`` — re-expresses a pooled precision at a
   stated limit-of-detection parasitemia, where it is usually far less
   attractive.
+
+An object ROC comes from one stable sort of the scores, and its AUC from the
+ROC's own integer TP/FP counts: the trapezoid area over them is the
+Mann-Whitney U statistic (Hanley & McNeil 1982), the rank AUC with midranks
+for ties, exactly.
 """
 
 from __future__ import annotations
@@ -19,9 +24,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .datamodel import CohortDataset, ObjectRecord, TrueLabel, patient_counts
+from .datamodel import CohortDataset, ObjectRecord, TrueLabel, patient_counts, pooled_scores
 from .errors import DegenerateClasses, InvalidInput, InvalidRatio, NoDetections
 from .metrics import patient_level_sens_spec
 
@@ -65,45 +69,31 @@ class CurvePoints:
             yield (repr(thr), repr(x), repr(y))
 
 
-def _pooled_scores(patients):
-    par = [p.parasite_scores for p in patients]
-    dis = [p.distractor_scores for p in patients]
-    is_parasite = np.repeat([True, False], [sum(map(len, par)), sum(map(len, dis))])
-    return np.concatenate(par + dis), is_parasite
-
-
-def rank_auc(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
-    """AUC via the Mann-Whitney rank statistic (ties handled by midranks)."""
-    n_pos, n_neg = len(pos_scores), len(neg_scores)
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateClasses("AUC needs at least one object of each class")
-    ranks = rankdata(np.concatenate([pos_scores, neg_scores]))
-    pos_rank_sum = ranks[:n_pos].sum()
-    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def _roc_points(scores: np.ndarray, is_parasite: np.ndarray):
+def _roc(scores: np.ndarray, is_parasite: np.ndarray) -> CurvePoints:
+    """Object ROC at every distinct score, between the sentinels, with its AUC."""
     n_pos = int(is_parasite.sum())
-    n_neg = int((~is_parasite).sum())
+    n_neg = len(scores) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateClasses(
             "ROC needs at least one parasite and one distractor object"
         )
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_pos = is_parasite[order]
-    tps = np.cumsum(sorted_pos)
-    fps = np.cumsum(~sorted_pos)
     # thresholds at distinct scores only: tied objects change state together
     distinct = np.r_[np.nonzero(np.diff(sorted_scores))[0], len(sorted_scores) - 1]
+    tps = np.cumsum(is_parasite[order])[distinct]
+    fps = distinct + 1 - tps
+    # twice the trapezoid area in count units, i.e. 2U: an exact integer, so
+    # the AUC is one correctly rounded division
+    two_u = int(np.dot(np.diff(fps, prepend=0), tps + np.r_[0, tps[:-1]]))
     points = [(0.0, 0.0, math.inf)]  # reject-all sentinel
-    for i in distinct:
-        points.append(
-            (float(fps[i]) / n_neg, float(tps[i]) / n_pos, float(sorted_scores[i]))
-        )
+    points += zip((fps / n_neg).tolist(), (tps / n_pos).tolist(),
+                  sorted_scores[distinct].tolist())
     if points[-1][2] > 0.0:
         points.append((1.0, 1.0, 0.0))  # accept-all sentinel (score >= 0 always)
-    return tuple(points)
+    return CurvePoints(
+        kind=CurveKind.OBJECT_ROC, points=tuple(points), auc=two_u / (2 * n_pos * n_neg)
+    )
 
 
 def object_roc(cohort: CohortDataset, pooled: bool = True):
@@ -113,21 +103,12 @@ def object_roc(cohort: CohortDataset, pooled: bool = True):
     dict patient_id -> CurvePoints, one curve per patient with both classes.
     """
     if pooled:
-        scores, is_par = _pooled_scores(cohort.patients)
-        return CurvePoints(
-            kind=CurveKind.OBJECT_ROC,
-            points=_roc_points(scores, is_par),
-            auc=rank_auc(scores[is_par], scores[~is_par]),
-        )
-    out = {}
-    for p in cohort:
-        scores, is_par = _pooled_scores([p])
-        if is_par.any() and (~is_par).any():
-            out[p.patient_id] = CurvePoints(
-                kind=CurveKind.OBJECT_ROC,
-                points=_roc_points(scores, is_par),
-                auc=rank_auc(scores[is_par], scores[~is_par]),
-            )
+        return _roc(*pooled_scores(cohort.patients))
+    out = {
+        p.patient_id: _roc(*pooled_scores([p]))
+        for p in cohort
+        if p.n_parasite_objects and p.n_distractor_objects
+    }
     if not out:
         raise DegenerateClasses("no patient has both parasite and distractor objects")
     return out
@@ -190,9 +171,7 @@ def froc(
         notes = ("no negative patients: FP/cV computed over all patients",)
 
     # distinct scores, descending, then 0.0 (accept-all) unless already there
-    thresholds = np.unique(np.concatenate(
-        [s for p in cohort for s in (p.parasite_scores, p.distractor_scores)]
-    ))[::-1]
+    thresholds = np.unique(pooled_scores(cohort.patients)[0])[::-1]
     if not len(thresholds) or thresholds[-1] > 0.0:
         thresholds = np.append(thresholds, 0.0)
 
@@ -249,32 +228,24 @@ def easy_distractor_experiment(
     if not (0.0 < easy_score_max <= 1.0):
         raise InvalidInput("easy_score_max must be in (0, 1]")
 
-    scores, is_par = _pooled_scores(cohort.patients)
-    auc_before = rank_auc(scores[is_par], scores[~is_par])
+    auc_before = object_roc(cohort).auc
     froc_before = froc(cohort, fp_grid=fp_grid).grid_points
 
-    n_patients = len(cohort.patients)
-    total_easy = n_easy * n_patients
-    easy_scores = np.array(
-        [easy_score_max * (k + 1) / (total_easy + 1) for k in range(total_easy)]
-    )
-    aug_neg = np.concatenate([scores[~is_par], easy_scores])
-    auc_after = rank_auc(scores[is_par], aug_neg)
-
-    # the cohort with the injected distractors, to recompute the FROC
+    total_easy = n_easy * len(cohort.patients)
+    easy = [easy_score_max * (k + 1) / (total_easy + 1) for k in range(total_easy)]
     augmented = replace(
         cohort,
         patients=tuple(
             replace(p, objects=p.objects + tuple(
                 ObjectRecord(f"{p.patient_id}-easy{k}", score, TrueLabel.DISTRACTOR)
-                for k, score in enumerate(row)
+                for k, score in enumerate(easy[i * n_easy:(i + 1) * n_easy])
             ))
-            for p, row in zip(cohort.patients, easy_scores.reshape(n_patients, n_easy).tolist())
+            for i, p in enumerate(cohort.patients)
         ),
         provenance=cohort.provenance + f" +{n_easy} easy distractors/patient",
     )
-    froc_after = froc(augmented, fp_grid=fp_grid).grid_points
-    froc_unchanged = froc_before == froc_after
+    auc_after = object_roc(augmented).auc
+    froc_unchanged = froc_before == froc(augmented, fp_grid=fp_grid).grid_points
     return auc_before, auc_after, froc_unchanged
 
 

@@ -204,6 +204,14 @@ def patient_counts(patient: PatientRecord, C: float) -> PatientCounts:
     return PatientCounts(tp=tp, fp=fp, fn=fn, tn=tn, TP=tp / v, FP=fp / v)
 
 
+def pooled_scores(patients) -> tuple[np.ndarray, np.ndarray]:
+    """All the patients' scores in one array (parasites first) and its is-parasite mask."""
+    par = [p.parasite_scores for p in patients]
+    dis = [p.distractor_scores for p in patients]
+    is_parasite = np.repeat([True, False], [sum(map(len, par)), sum(map(len, dis))])
+    return np.concatenate(par + dis), is_parasite
+
+
 # ---------------------------------------------------------------------------
 # Ingestion / export
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.stats import poisson as _poisson
+from scipy.special import pdtrc
 
 from .errors import InvalidInput
 
@@ -90,7 +90,7 @@ def min_volume_for_detection(P: float, k_min: int, confidence: float) -> float:
         raise InvalidInput(f"confidence={confidence} must be in (0, 1)")
 
     def attained(v: float) -> float:
-        return float(_poisson.sf(k_min - 1, P * v))
+        return float(pdtrc(k_min - 1, P * v))  # Pr[count > k_min - 1]
 
     lo, hi = 0.0, 1.0 / P
     while attained(hi) < confidence:

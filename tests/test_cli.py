@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import parasitometrics
 from parasitometrics.cli import main
-from parasitometrics.datamodel import export_cohort, export_cohort_json
+from parasitometrics.datamodel import export_cohort, export_cohort_json, pooled_scores
 from parasitometrics.simulator import SimConfig, generate_cohort
 
 from conftest import make_cohort, make_patient
@@ -216,6 +221,27 @@ class TestTune:
         assert result.exit_code == 2
         assert result.stderr == "error: could not parse C grid '0.5,x'\n"
 
+    def test_skipped_c_is_a_warning(self, runner, tmp_path):
+        train = generate_cohort(SimConfig(seed=11, n_negative=0, n_positive=10,
+                                          examined_volume=0.2))
+        val_neg = generate_cohort(SimConfig(seed=12, n_negative=10, n_positive=0,
+                                            examined_volume=0.2))
+        assert max(pooled_scores(train.patients)[0]) < 1.0  # nothing passes C = 1
+        export_cohort_json(train, tmp_path / "train.json")
+        export_cohort_json(val_neg, tmp_path / "neg.json")
+        table = tmp_path / "table.csv"
+        result = runner.invoke(main, [
+            "tune", "--train-positives", str(tmp_path / "train.json"),
+            "--validation-negatives", str(tmp_path / "neg.json"),
+            "--c-grid", "0.3,1.0,0.5", "--out", str(table),
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.splitlines()[0] == str(table)
+        assert result.stdout.splitlines()[1].startswith("best C = ")
+        assert result.stderr == "warning: C=1.0 skipped: LoD denominator 0.0 <= 0\n"
+        assert [line.split(",")[0] for line in table.read_text().splitlines()] == \
+            ["C", "0.3", "0.5"]
+
     def test_tune_rejects_positive_only_validation(self, runner, tmp_path):
         pos = generate_cohort(SimConfig(seed=13, n_negative=0, n_positive=5))
         p = tmp_path / "pos.json"
@@ -321,3 +347,14 @@ class TestReproducePaper:
         assert manifest and all(c["passed"] for c in manifest)
         pass_lines = [l for l in result.output.splitlines() if l.startswith("PASS")]
         assert len(pass_lines) == len(manifest)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats takes most of a second to import; nothing in the package needs it
+    src = Path(parasitometrics.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, parasitometrics.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "False\n"

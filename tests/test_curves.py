@@ -10,7 +10,6 @@ from parasitometrics.curves import (
     object_roc,
     patient_roc,
     precision_f1_with_reexpression,
-    rank_auc,
     sliver_roc,
 )
 from parasitometrics.errors import DegenerateClasses, InvalidRatio, NoDetections

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from parasitometrics.datamodel import (
+    OBJECT_COLUMNS,
+    PATIENT_COLUMNS,
     CohortDataset,
     GroundTruth,
     ObjectRecord,
@@ -242,6 +244,66 @@ def test_any_json_edit_gives_cohort_or_schema_error(patient, obj, key, value):
     _set(path + (name,), value)(doc)
     try:
         _ingest_json(doc)
+    except SchemaError:
+        pass
+
+
+# Other values for each column, valid or not, to put in place of a cell.
+CSV_VALUES = {
+    "patient_id": ["p0", "p1", " p1", ""],
+    "ground_truth": ["pos", "neg", "NEG", "x"],
+    "species": ["pf", "none", "PV", "x"],
+    "true_parasitemia": ["0", "500", "-1", "nan", "1e999"],
+    "examined_volume": ["0.5", "2", "0", "inf", "-1"],
+    "wbc_count": ["", "400", " 7", "400.5", "-3", "1_000"],
+    "object_id": ["o0", "o1", " o1", ""],
+    "score": ["0", "1", "0.25", "1.5", "-0.0", "nan", "1e-3", "0x1p-2"],
+    "true_label": ["parasite", "distractor", "Parasite", "x"],
+}
+
+
+def _mangled_csv(draw, columns, rows) -> str:
+    """CSV text of ``rows``, then now and then a header, cell or row replaced
+    and any text put anywhere (quotes, separators, newlines)."""
+    header = list(columns)
+    if draw(st.integers(0, 5)) == 0:
+        header = draw(st.permutations(columns)
+                      | st.lists(st.sampled_from(columns) | st.text(max_size=4), max_size=7))
+    lines = [header]
+    for row in rows:
+        row = [draw(st.sampled_from(CSV_VALUES[c]) | st.text(max_size=5))
+               if draw(st.integers(0, 9)) == 0 else value
+               for c, value in zip(columns, row)]
+        if draw(st.integers(0, 9)) == 0:
+            row = draw(st.sampled_from([row[:-1], row + ["extra"]]))
+        lines.append(row)
+    text = "\n".join(map(",".join, lines)) + draw(st.sampled_from(["\n", "", "\r\n"]))
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.text(max_size=4)) + text[at:]
+    return text
+
+
+@st.composite
+def csv_pairs(draw):
+    """(patients, objects) CSV text: a valid cohort, then mangled."""
+    positive = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    patients = [[f"p{i}", "pos", "pf", "500", "0.5", "400"] if pos else
+                [f"p{i}", "neg", "none", "0", "1.0", ""] for i, pos in enumerate(positive)]
+    objects = []
+    for j in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(positive) - 1))
+        label = "parasite" if positive[i] and draw(st.booleans()) else "distractor"
+        objects.append([f"p{i}", f"o{j}", draw(st.sampled_from(["0", "0.25", "0.9", "1"])),
+                        label])
+    return (_mangled_csv(draw, PATIENT_COLUMNS, patients),
+            _mangled_csv(draw, OBJECT_COLUMNS, objects))
+
+
+@given(texts=csv_pairs())
+def test_any_csv_text_gives_cohort_or_schema_error(texts):
+    try:
+        _ingest(*texts)
     except SchemaError:
         pass
 
