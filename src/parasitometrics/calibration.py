@@ -39,7 +39,7 @@ from .errors import (
     OutOfRange,
     ZeroSensitivity,
 )
-from .metrics import MetricDistribution, fpr_distribution, sensitivity_distribution
+from .metrics import MetricDistribution, fpr_distributions, sensitivity_distributions
 from .stats import alpha_for_specificity
 
 
@@ -125,43 +125,27 @@ def estimate_lod(
 ) -> LodEstimate:
     """Limit of detection (parasites per cV) from the F and S distributions."""
     fs, ss = F.summary, S.summary
-    if cfg.method is CalibrationMethod.ROBUST:
-        if fs.n < 2:
-            raise InsufficientPatients("robust LoD needs >= 2 negative patients")
-        denom = ss.median
-        if cfg.beta is not None:
-            denom = ss.median - cfg.beta * ss.std
-        if denom <= 0:
-            raise ZeroSensitivity(f"LoD denominator {denom} <= 0")
-        numer = 1.65 * (fs.sigma_left + fs.sigma_right)
-        if cfg.plus_one:
-            numer += 1.0
-        return LodEstimate(
-            L=numer / denom,
-            method=cfg.method,
-            mu_S=denom,
-            sigma_left_F=fs.sigma_left,
-            sigma_right_F=fs.sigma_right,
-            plus_one=cfg.plus_one,
-            beta=cfg.beta,
-        )
+    robust = cfg.method is CalibrationMethod.ROBUST
     if fs.n < 2:
-        raise InsufficientPatients("LoD needs >= 2 negative patients")
-    denom = ss.mean
+        raise InsufficientPatients(
+            f"{'robust ' if robust else ''}LoD needs >= 2 negative patients"
+        )
+    denom = ss.median if robust else ss.mean
     if cfg.beta is not None:
-        denom = ss.mean - cfg.beta * ss.std
+        denom = denom - cfg.beta * ss.std
     if denom <= 0:
         raise ZeroSensitivity(f"LoD denominator {denom} <= 0")
-    numer = 3.3 * fs.std
+    if robust:
+        numer = 1.65 * (fs.sigma_left + fs.sigma_right)
+        sigmas = {"sigma_left_F": fs.sigma_left, "sigma_right_F": fs.sigma_right}
+    else:
+        numer = 3.3 * fs.std
+        sigmas = {"sigma_F": fs.std}
     if cfg.plus_one:
         numer += 1.0
     return LodEstimate(
-        L=numer / denom,
-        method=cfg.method,
-        mu_S=denom,
-        sigma_F=fs.std,
-        plus_one=cfg.plus_one,
-        beta=cfg.beta,
+        L=numer / denom, method=cfg.method, mu_S=denom, plus_one=cfg.plus_one,
+        beta=cfg.beta, **sigmas,
     )
 
 
@@ -201,6 +185,22 @@ def default_c_grid(cohort: CohortDataset | None = None) -> list[float]:
     return sorted(grid)
 
 
+def _grid_distributions(train_positives, validation_negatives, validation_positives, grid):
+    """(C, F, S) for every C in the grid, each from one count matrix."""
+    s_cohort = validation_positives if validation_positives is not None else train_positives
+    return zip(grid, fpr_distributions(validation_negatives, grid, negatives_only=True),
+               sensitivity_distributions(s_cohort, grid))
+
+
+def _tuning_row(C: float, F: MetricDistribution, S: MetricDistribution,
+                cfg: CalibrationConfig) -> TuningRow:
+    T = calibrate_threshold(F, cfg)
+    lod = estimate_lod(F, S, cfg)
+    f = F.summary
+    return TuningRow(C=C, T=T, lod=lod.L, mu_F=f.mean, sigma_F=f.std,
+                     sigma_left_F=f.sigma_left, sigma_right_F=f.sigma_right, mu_S=lod.mu_S)
+
+
 def tuning_row(
     train_positives: CohortDataset,
     validation_negatives: CohortDataset,
@@ -209,21 +209,9 @@ def tuning_row(
     cfg: CalibrationConfig,
 ) -> TuningRow:
     """The tuner's row at one C; raises DegenerateDataError where T or the LoD is undefined."""
-    s_cohort = validation_positives if validation_positives is not None else train_positives
-    F = fpr_distribution(validation_negatives, C, negatives_only=True)
-    S = sensitivity_distribution(s_cohort, C)
-    T = calibrate_threshold(F, cfg)
-    lod = estimate_lod(F, S, cfg)
-    return TuningRow(
-        C=C,
-        T=T,
-        lod=lod.L,
-        mu_F=F.summary.mean,
-        sigma_F=F.summary.std,
-        sigma_left_F=F.summary.sigma_left,
-        sigma_right_F=F.summary.sigma_right,
-        mu_S=lod.mu_S,
-    )
+    [(_, F, S)] = _grid_distributions(train_positives, validation_negatives,
+                                      validation_positives, [C])
+    return _tuning_row(C, F, S, cfg)
 
 
 def tune_operating_point(
@@ -247,12 +235,16 @@ def tune_operating_point(
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise OutOfRange("C_grid values must lie in [0, 1]")
 
+    try:
+        cells = _grid_distributions(train_positives, validation_negatives,
+                                    validation_positives, grid)
+    except DegenerateDataError:
+        cells = ()
     table: list[TuningRow] = []
     best: TuningRow | None = None
-    for c in grid:
+    for c, F, S in cells:
         try:
-            row = tuning_row(train_positives, validation_negatives, validation_positives,
-                             c, cfg)
+            row = _tuning_row(c, F, S, cfg)
         except DegenerateDataError:
             continue
         table.append(row)

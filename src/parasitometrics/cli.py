@@ -45,11 +45,8 @@ from .metrics import (
     pooled_object_sensitivity,
     sensitivity_distribution,
 )
-from .poisson import min_volume_for_detection, poisson_curve
 from .quant import ExpectedRates, quant_report
 from .report import EvaluationReport, write_report
-from .reproduce import run_all
-from .simulator import SimConfig, generate_cohort, who56_preset
 
 
 def _handle_errors(fn):
@@ -348,6 +345,8 @@ def quant(json_path, patients, objects, cv_description, c_threshold, t_threshold
 @_handle_errors
 def poisson(parasitemia, volumes, k_min, confidence, out_path):
     """Poisson count pmfs per examined volume, or the minimum-volume solution."""
+    # imported here: scipy.special takes a quarter second that other commands skip
+    from .poisson import min_volume_for_detection, poisson_curve
     if k_min is not None or confidence is not None:
         if k_min is None or confidence is None:
             raise InputError("--k-min and --confidence must be given together")
@@ -383,6 +382,8 @@ def poisson(parasitemia, volumes, k_min, confidence, out_path):
 @_handle_errors
 def simulate(seed, preset, n_negative, n_positive, volume, out_dir, fmt):
     """Generate a synthetic cohort (deterministic for a fixed seed)."""
+    # imported here: the simulator's scipy.optimize and scipy.special load slowly
+    from .simulator import SimConfig, generate_cohort, who56_preset
     if seed is None:
         seed = int(os.environ.get("PARASITOMETRICS_SEED", "0"))
     if preset == "who56":
@@ -414,6 +415,8 @@ def simulate(seed, preset, n_negative, n_positive, volume, out_dir, fmt):
 @_handle_errors
 def reproduce_paper(out_dir):
     """Re-derive every headline number and write a pass/fail manifest."""
+    # imported here: reproduce loads scipy through the simulator and poisson
+    from .reproduce import run_all
     checks = run_all()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -25,9 +25,17 @@ from enum import Enum
 
 import numpy as np
 
-from .datamodel import CohortDataset, ObjectRecord, TrueLabel, patient_counts, pooled_scores
+from .calibration import OperatingPoint
+from .datamodel import (
+    CohortDataset,
+    ObjectRecord,
+    TrueLabel,
+    counts_at,
+    n_at_or_above,
+    patient_counts,
+    pooled_scores,
+)
 from .errors import DegenerateClasses, InvalidInput, InvalidRatio, NoDetections
-from .metrics import patient_level_sens_spec
 
 # FROC counts are a (threshold x patient) matrix, built this many thresholds
 # at a time so that memory stays bounded when every object has its own score.
@@ -139,15 +147,6 @@ def sliver_roc(roc: CurvePoints, D: float) -> CurvePoints:
     )
 
 
-def _passing(patients, thresholds: np.ndarray, attr: str) -> np.ndarray:
-    """(threshold x patient) counts of each patient's ``attr`` scores >= threshold."""
-    return np.stack(
-        [len(s) - np.searchsorted(s, thresholds, side="left")
-         for s in (getattr(p, attr) for p in patients)],
-        axis=1,
-    )
-
-
 def froc(
     cohort: CohortDataset,
     fp_grid=None,
@@ -180,9 +179,9 @@ def froc(
     fp_rates, sens = [], []
     for lo in range(0, len(thresholds), _FROC_BLOCK):
         block = thresholds[lo:lo + _FROC_BLOCK]
-        fp = _passing(fp_patients, block, "distractor_scores")
+        fp = counts_at(fp_patients, block, "distractor_scores")
         fp_rates.append(np.mean(fp / volumes, axis=1))
-        tp = _passing(positives, block, "parasite_scores")
+        tp = counts_at(positives, block, "parasite_scores")
         if pooled_sensitivity:
             sens.append(tp.sum(axis=1) / n_parasites.sum())
         else:
@@ -252,29 +251,30 @@ def easy_distractor_experiment(
 def patient_roc(cohort: CohortDataset, C: float, T_grid) -> CurvePoints:
     """Patient-level ROC: (1 - specificity, patient sensitivity) swept over T.
 
-    Points with specificity >= 0.9 are flagged as the clinically salient
-    region, and the positive-parasitemia distribution is attached because the
-    curve depends on it.
+    Each patient's N at C is counted once; a patient is diagnosed positive at
+    every T <= N. Points with specificity >= 0.9 are flagged as the clinically
+    salient region, and the positive-parasitemia distribution is attached
+    because the curve depends on it.
     """
-    if not cohort.positives or not cohort.negatives:
+    positives, negatives = cohort.positives, cohort.negatives
+    if not positives or not negatives:
         raise DegenerateClasses("patient ROC needs both positive and negative patients")
-    from .calibration import OperatingPoint
-
     ts = sorted(set(float(t) for t in T_grid), reverse=True)
     if not ts:
         raise InvalidInput("T_grid must be non-empty")
-    points, salient = [], []
     for t in ts:
-        strat, spec = patient_level_sens_spec(cohort, OperatingPoint(C=C, T=t))
-        points.append((1.0 - spec, strat.overall, t))
-        salient.append(spec >= 0.9)
+        OperatingPoint(C=C, T=t)  # raises OutOfRange for a bad C or T
+
+    def n_diagnosed(patients):
+        return n_at_or_above(np.sort([patient_counts(p, C).N for p in patients]), ts)
+
+    sens = n_diagnosed(positives) / len(positives)
+    spec = (len(negatives) - n_diagnosed(negatives)) / len(negatives)
     return CurvePoints(
         kind=CurveKind.PATIENT_ROC,
-        points=tuple(points),
-        salient=tuple(salient),
-        parasitemia_distribution=tuple(
-            sorted(p.true_parasitemia for p in cohort.positives)
-        ),
+        points=tuple(zip((1.0 - spec).tolist(), sens.tolist(), ts)),
+        salient=tuple((spec >= 0.9).tolist()),
+        parasitemia_distribution=tuple(sorted(p.true_parasitemia for p in positives)),
         notes=(
             "only the region near clinically relevant operating points "
             "(e.g. specificity >= 0.9) is salient; the curve depends on the "

@@ -191,17 +191,31 @@ class PatientCounts:
         return self.TP + self.FP
 
 
+def n_at_or_above(ascending: np.ndarray, thresholds):
+    """How many of the ``ascending`` values are >= each threshold (inclusive)."""
+    # side="left" counts the values below a threshold, so a value equal to it passes
+    return len(ascending) - np.searchsorted(ascending, thresholds, side="left")
+
+
 def patient_counts(patient: PatientRecord, C: float) -> PatientCounts:
     """Count objects at score threshold C (inclusive: an object passes at score >= C)."""
     if not (0.0 <= C <= 1.0):
         raise OutOfRange(f"score threshold C={C} outside [0, 1]")
-    # side="left" counts the scores below C, so a score equal to C passes
-    fn = int(np.searchsorted(patient.parasite_scores, C, side="left"))
-    tn = int(np.searchsorted(patient.distractor_scores, C, side="left"))
-    tp = len(patient.parasite_scores) - fn
-    fp = len(patient.distractor_scores) - tn
+    tp = int(n_at_or_above(patient.parasite_scores, C))
+    fp = int(n_at_or_above(patient.distractor_scores, C))
+    fn = len(patient.parasite_scores) - tp
+    tn = len(patient.distractor_scores) - fp
     v = patient.examined_volume
     return PatientCounts(tp=tp, fp=fp, fn=fn, tn=tn, TP=tp / v, FP=fp / v)
+
+
+def counts_at(patients, thresholds, attr: str) -> np.ndarray:
+    """(threshold x patient) counts of each patient's ``attr`` scores >= each threshold."""
+    t = np.asarray(thresholds, dtype=float)
+    bad = np.flatnonzero(~((t >= 0.0) & (t <= 1.0)))
+    if len(bad):
+        raise OutOfRange(f"score threshold C={thresholds[bad[0]]} outside [0, 1]")
+    return np.stack([n_at_or_above(getattr(p, attr), t) for p in patients], axis=1)
 
 
 def pooled_scores(patients) -> tuple[np.ndarray, np.ndarray]:

@@ -18,12 +18,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .datamodel import (
     CohortDataset,
     GroundTruth,
     PatientRecord,
     Species,
-    TrueLabel,
+    counts_at,
     patient_counts,
 )
 from .errors import (
@@ -118,10 +120,17 @@ def _eligible(cohort: CohortDataset, negatives_only: bool) -> list[PatientRecord
     return list(cohort.patients)
 
 
-def fpr_distribution(
-    cohort: CohortDataset, C: float, negatives_only: bool = True
-) -> MetricDistribution:
-    """Per-patient false positives per cV at score threshold C."""
+def _distributions(kind, ids, values: np.ndarray, **extra) -> list[MetricDistribution]:
+    """One distribution per row of the (threshold x patient) ``values``."""
+    pers = [dict(zip(ids, row)) for row in values.tolist()]  # Python floats
+    return [MetricDistribution(kind=kind, per_patient=per, summary=summarize(per.values()),
+                               **extra) for per in pers]
+
+
+def fpr_distributions(
+    cohort: CohortDataset, C_grid, negatives_only: bool = True
+) -> list[MetricDistribution]:
+    """Per-patient false positives per cV at each score threshold in C_grid."""
     patients = _eligible(cohort, negatives_only)
     if not patients:
         raise NoEligiblePatients("no negative patients for FPR distribution")
@@ -133,38 +142,43 @@ def fpr_distribution(
             "FPR computed over positive patients; mis-/unannotated parasites "
             "can inflate these values",
         )
-    per = {p.patient_id: patient_counts(p, C).FP for p in patients}
-    return MetricDistribution(
-        kind=MetricKind.FPR,
-        per_patient=per,
-        summary=summarize(per.values()),
-        warnings=warnings,
-    )
+    fp = counts_at(patients, C_grid, "distractor_scores")
+    volumes = np.array([p.examined_volume for p in patients])
+    return _distributions(MetricKind.FPR, [p.patient_id for p in patients], fp / volumes,
+                          warnings=warnings)
 
 
-def sensitivity_distribution(cohort: CohortDataset, C: float) -> MetricDistribution:
-    """Per-patient object sensitivity tp/(tp+fn) over positive patients.
+def fpr_distribution(
+    cohort: CohortDataset, C: float, negatives_only: bool = True
+) -> MetricDistribution:
+    """Per-patient false positives per cV at score threshold C."""
+    return fpr_distributions(cohort, [C], negatives_only)[0]
+
+
+def sensitivity_distributions(cohort: CohortDataset, C_grid) -> list[MetricDistribution]:
+    """Per-patient object sensitivity tp/(tp+fn) over positive patients, at each C in C_grid.
 
     Positives whose examined volume sampled zero parasite objects cannot have
     a sensitivity; they are excluded and listed in ``excluded``.
     """
-    per: dict[str, float] = {}
-    excluded: list[str] = []
-    for p in cohort.positives:
-        counts = patient_counts(p, C)
-        n_parasites = counts.tp + counts.fn
-        if n_parasites == 0:
-            excluded.append(p.patient_id)
-        else:
-            per[p.patient_id] = counts.tp / n_parasites
-    if not per:
+    positives = cohort.positives
+    # with any positives, every C is range-checked, even if all are excluded
+    tp = counts_at(positives, C_grid, "parasite_scores") if positives else None
+    n_parasites = np.array([p.n_parasite_objects for p in positives], dtype=int)
+    kept = n_parasites > 0
+    if not kept.any():
         raise NoEligiblePatients("no positive patients with parasite objects")
-    return MetricDistribution(
-        kind=MetricKind.OBJECT_SENSITIVITY,
-        per_patient=per,
-        summary=summarize(per.values()),
-        excluded=tuple(excluded),
+    return _distributions(
+        MetricKind.OBJECT_SENSITIVITY,
+        [p.patient_id for p, k in zip(positives, kept) if k],
+        tp[:, kept] / n_parasites[kept],
+        excluded=tuple(p.patient_id for p, k in zip(positives, kept) if not k),
     )
+
+
+def sensitivity_distribution(cohort: CohortDataset, C: float) -> MetricDistribution:
+    """Per-patient object sensitivity tp/(tp+fn) at score threshold C."""
+    return sensitivity_distributions(cohort, [C])[0]
 
 
 @dataclass(frozen=True)
@@ -181,15 +195,9 @@ def pooled_object_sensitivity(cohort: CohortDataset, C: float) -> PooledSensitiv
     the parasite objects, since the pooled number then mostly reflects that
     one patient.
     """
-    tp_total = 0
-    parasites_total = 0
-    contrib: dict[str, int] = {}
-    for p in cohort.positives:
-        counts = patient_counts(p, C)
-        n = counts.tp + counts.fn
-        tp_total += counts.tp
-        parasites_total += n
-        contrib[p.patient_id] = n
+    tp_total = sum(patient_counts(p, C).tp for p in cohort.positives)
+    contrib = {p.patient_id: p.n_parasite_objects for p in cohort.positives}
+    parasites_total = sum(contrib.values())
     if parasites_total == 0:
         raise NoParasiteObjects("cohort contains no parasite objects")
     dominant = max(contrib, key=contrib.get)
@@ -225,6 +233,12 @@ def _bin_label(lo: float, hi: float) -> str:
     return f"({lo:g}, {hi_s}]"
 
 
+def _stratum(label: str, members: list[PatientRecord], detected: set[str]) -> Stratum:
+    hits = sum(1 for p in members if p.patient_id in detected)
+    return Stratum(label=label, n_patients=len(members), n_detected=hits,
+                   value=(hits / len(members)) if members else None)
+
+
 def patient_level_sens_spec(
     cohort: CohortDataset,
     op,
@@ -255,35 +269,16 @@ def patient_level_sens_spec(
         detected = set()
         overall = float("nan")
 
-    para_strata = []
-    for lo, hi in bins:
-        members = [p for p in positives if lo < p.true_parasitemia <= hi]
-        hits = sum(1 for p in members if p.patient_id in detected)
-        para_strata.append(
-            Stratum(
-                label=_bin_label(lo, hi),
-                n_patients=len(members),
-                n_detected=hits,
-                value=(hits / len(members)) if members else None,
-            )
-        )
-
-    species_strata = []
-    for sp in Species:
-        if sp is Species.NONE:
-            continue
-        members = [p for p in positives if p.species is sp]
-        if not members:
-            continue
-        hits = sum(1 for p in members if p.patient_id in detected)
-        species_strata.append(
-            Stratum(
-                label=sp.value,
-                n_patients=len(members),
-                n_detected=hits,
-                value=hits / len(members),
-            )
-        )
+    para_strata = [
+        _stratum(_bin_label(lo, hi),
+                 [p for p in positives if lo < p.true_parasitemia <= hi], detected)
+        for lo, hi in bins
+    ]
+    species_strata = [
+        _stratum(sp.value, members, detected)
+        for sp in Species
+        if (members := [p for p in positives if p.species is sp])
+    ]
 
     negatives = cohort.negatives
     specificity = None

@@ -57,28 +57,24 @@ def _summary_doc(md: MetricDistribution) -> dict:
     }
 
 
+def _strata_doc(strata) -> list[dict]:
+    return [
+        {
+            "label": st.label,
+            "n_patients": st.n_patients,
+            "n_detected": st.n_detected,
+            "sensitivity": st.value,
+        }
+        for st in strata
+    ]
+
+
 def _stratified_doc(sr: StratifiedResult) -> dict:
     return {
         "overall": sr.overall,
         "parasitemia_bins": [[lo, "inf" if hi == float("inf") else hi] for lo, hi in sr.bins],
-        "parasitemia_strata": [
-            {
-                "label": st.label,
-                "n_patients": st.n_patients,
-                "n_detected": st.n_detected,
-                "sensitivity": st.value,
-            }
-            for st in sr.parasitemia_strata
-        ],
-        "species_strata": [
-            {
-                "label": st.label,
-                "n_patients": st.n_patients,
-                "n_detected": st.n_detected,
-                "sensitivity": st.value,
-            }
-            for st in sr.species_strata
-        ],
+        "parasitemia_strata": _strata_doc(sr.parasitemia_strata),
+        "species_strata": _strata_doc(sr.species_strata),
     }
 
 
@@ -202,32 +198,23 @@ def write_report(report: EvaluationReport, out_dir, fmt: str = "json") -> list[s
     written.append(str(json_path))
 
     if fmt == "csv":
-        if report.fpr is not None:
-            path = out / "per_patient_fpr.csv"
-            _write_csv(
-                path,
-                ("patient_id", "fp_per_cv"),
-                [(k, repr(v)) for k, v in sorted(report.fpr.per_patient.items())],
-            )
-            written.append(str(path))
-        if report.sensitivity is not None:
-            path = out / "per_patient_sensitivity.csv"
-            _write_csv(
-                path,
-                ("patient_id", "object_sensitivity"),
-                [(k, repr(v)) for k, v in sorted(report.sensitivity.per_patient.items())],
-            )
-            written.append(str(path))
+        for md, name, column in ((report.fpr, "per_patient_fpr.csv", "fp_per_cv"),
+                                 (report.sensitivity, "per_patient_sensitivity.csv",
+                                  "object_sensitivity")):
+            if md is not None:
+                path = out / name
+                _write_csv(path, ("patient_id", column),
+                           [(k, repr(v)) for k, v in sorted(md.per_patient.items())])
+                written.append(str(path))
         if report.patient_sensitivity is not None:
             path = out / "stratified_sensitivity.csv"
+            sr = report.patient_sensitivity
             rows = [
-                ("parasitemia", st.label, st.n_patients, st.n_detected,
+                (kind, st.label, st.n_patients, st.n_detected,
                  "" if st.value is None else repr(st.value))
-                for st in report.patient_sensitivity.parasitemia_strata
-            ] + [
-                ("species", st.label, st.n_patients, st.n_detected,
-                 "" if st.value is None else repr(st.value))
-                for st in report.patient_sensitivity.species_strata
+                for kind, strata in (("parasitemia", sr.parasitemia_strata),
+                                     ("species", sr.species_strata))
+                for st in strata
             ]
             _write_csv(
                 path, ("stratum_type", "label", "n_patients", "n_detected", "sensitivity"), rows
