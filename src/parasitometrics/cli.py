@@ -178,8 +178,8 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
         for method in (CalibrationMethod.GAUSSIAN, CalibrationMethod.ROBUST):
             try:
                 lods.append(estimate_lod(fpr, sens, CalibrationConfig(method=method)))
-            except DegenerateDataError:
-                pass
+            except DegenerateDataError as exc:
+                click.echo(f"warning: LoD ({method.value}) skipped: {exc}", err=True)
 
     report = EvaluationReport(
         cv_description=cohort.cv_description,

@@ -28,8 +28,6 @@ import numpy as np
 from .calibration import OperatingPoint
 from .datamodel import (
     CohortDataset,
-    ObjectRecord,
-    TrueLabel,
     counts_at,
     n_at_or_above,
     patient_counts,
@@ -231,14 +229,17 @@ def easy_distractor_experiment(
     froc_before = froc(cohort, fp_grid=fp_grid).grid_points
 
     total_easy = n_easy * len(cohort.patients)
-    easy = [easy_score_max * (k + 1) / (total_easy + 1) for k in range(total_easy)]
+    easy = easy_score_max * np.arange(1, total_easy + 1) / (total_easy + 1)
     augmented = replace(
         cohort,
         patients=tuple(
-            replace(p, objects=p.objects + tuple(
-                ObjectRecord(f"{p.patient_id}-easy{k}", score, TrueLabel.DISTRACTOR)
-                for k, score in enumerate(easy[i * n_easy:(i + 1) * n_easy])
-            ))
+            replace(
+                p,
+                object_ids=p.object_ids + tuple(
+                    f"{p.patient_id}-easy{k}" for k in range(n_easy)),
+                scores=np.concatenate([p.scores, easy[i * n_easy:(i + 1) * n_easy]]),
+                is_parasite=np.concatenate([p.is_parasite, np.zeros(n_easy, dtype=bool)]),
+            )
             for i, p in enumerate(cohort.patients)
         ),
         provenance=cohort.provenance + f" +{n_easy} easy distractors/patient",

@@ -10,7 +10,8 @@ File formats (CSV pair or a single JSON document) are documented in the
 module-level ``ingest_cohort`` / ``export_cohort`` functions. Both go through
 one row validator, which parses a JSON value as the CSV text it would be
 written as (``str`` of it, stripped); malformed input raises ``SchemaError``.
-Each patient keeps its scores sorted, so a count at a threshold is a search.
+Each patient keeps its objects as columns (ids, scores, an is-parasite mask)
+and its scores sorted, so a count at a threshold is a search.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Sequence
 
@@ -71,13 +72,26 @@ class ObjectRecord:
             )
 
 
-@dataclass(frozen=True, slots=True)
+_LABELS = (TrueLabel.DISTRACTOR, TrueLabel.PARASITE)  # indexed by is_parasite
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class PatientRecord:
     """One patient's ground truth, sample metadata, and scored objects.
 
     ``true_parasitemia`` is parasites per cV; ``examined_volume`` is the
     examined sample volume expressed in cV units (so a thick-film exam of
     0.1 uL with cV = 1 uL blood has examined_volume = 0.1).
+
+    The objects are held as columns in input order: ``object_ids``, the
+    read-only ``scores`` and the ``is_parasite`` mask. Pass them as keywords,
+    or pass ``objects`` (ObjectRecord rows), which is reduced to the same
+    columns; reading ``objects`` builds the rows again.
     """
 
     patient_id: str
@@ -85,14 +99,44 @@ class PatientRecord:
     species: Species
     true_parasitemia: float
     examined_volume: float
-    wbc_count: int | None = None
-    objects: tuple[ObjectRecord, ...] = ()
+    wbc_count: int | None
+    object_ids: tuple[str, ...]
+    scores: np.ndarray = field(repr=False, compare=False)
+    is_parasite: np.ndarray = field(repr=False, compare=False)
     # ascending scores of the parasite / distractor objects, read-only
     parasite_scores: np.ndarray = field(init=False, repr=False, compare=False)
     distractor_scores: np.ndarray = field(init=False, repr=False, compare=False)
 
+    def __init__(self, patient_id, ground_truth, species, true_parasitemia,
+                 examined_volume, wbc_count=None, objects=None, *,
+                 object_ids=(), scores=(), is_parasite=()):
+        if objects is not None:
+            objects = tuple(objects)
+            object_ids = [o.object_id for o in objects]
+            scores = [o.score for o in objects]
+            is_parasite = [o.true_label is TrueLabel.PARASITE for o in objects]
+        for name, value in (
+            ("patient_id", patient_id), ("ground_truth", ground_truth),
+            ("species", species), ("true_parasitemia", true_parasitemia),
+            ("examined_volume", examined_volume), ("wbc_count", wbc_count),
+            ("object_ids", tuple(object_ids)),
+            ("scores", _read_only(np.array(scores, dtype=float))),
+            ("is_parasite", _read_only(np.array(is_parasite, dtype=bool))),
+        ):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
     def __post_init__(self):
         pid = self.patient_id
+        scores, is_parasite = self.scores, self.is_parasite
+        if not len(self.object_ids) == len(scores) == len(is_parasite):
+            raise ValueError(f"patient {pid!r}: object columns differ in length")
+        bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))  # NaN fails both
+        if len(bad):
+            oid, score = self.object_ids[bad[0]], float(scores[bad[0]])
+            if not math.isfinite(score):
+                raise SchemaError(f"object {oid!r}: score must be finite")
+            raise SchemaError(f"object {oid!r}: score {score} outside [0, 1]")
         if self.examined_volume <= 0 or not math.isfinite(self.examined_volume):
             raise SchemaError(f"patient {pid!r}: examined_volume must be > 0")
         if self.true_parasitemia < 0 or not math.isfinite(self.true_parasitemia):
@@ -104,24 +148,35 @@ class PatientRecord:
                 raise SchemaError(f"patient {pid!r}: negative patient must have species=none")
             if self.true_parasitemia != 0:
                 raise SchemaError(f"patient {pid!r}: negative patient must have parasitemia 0")
-            for obj in self.objects:
-                if obj.true_label is TrueLabel.PARASITE:
-                    raise LabelContradiction(
-                        f"patient {pid!r} is negative but owns parasite object "
-                        f"{obj.object_id!r}"
-                    )
+            if is_parasite.any():
+                raise LabelContradiction(
+                    f"patient {pid!r} is negative but owns parasite object "
+                    f"{self.object_ids[is_parasite.argmax()]!r}"
+                )
         else:
             if self.species is Species.NONE:
                 raise SchemaError(f"patient {pid!r}: positive patient must have a species")
             if self.true_parasitemia <= 0:
                 raise SchemaError(f"patient {pid!r}: positive patient must have parasitemia > 0")
-        for name, label in (("parasite_scores", TrueLabel.PARASITE),
-                            ("distractor_scores", TrueLabel.DISTRACTOR)):
-            scores = np.sort(np.array(
-                [o.score for o in self.objects if o.true_label is label], dtype=float
-            ))
-            scores.flags.writeable = False
-            object.__setattr__(self, name, scores)
+        object.__setattr__(self, "parasite_scores", _read_only(np.sort(scores[is_parasite])))
+        object.__setattr__(self, "distractor_scores", _read_only(np.sort(scores[~is_parasite])))
+
+    def __eq__(self, other):
+        """Field equality, with the array columns compared as whole arrays."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            all(getattr(self, f.name) == getattr(other, f.name)
+                for f in fields(self) if f.compare)
+            and np.array_equal(self.scores, other.scores)
+            and np.array_equal(self.is_parasite, other.is_parasite)
+        )
+
+    @property
+    def objects(self) -> tuple[ObjectRecord, ...]:
+        """The objects as ObjectRecord rows, built from the columns on each read."""
+        return tuple(ObjectRecord(oid, score, _LABELS[parasite])
+                     for oid, score, parasite in _object_columns(self))
 
     @property
     def n_parasite_objects(self) -> int:
@@ -130,6 +185,11 @@ class PatientRecord:
     @property
     def n_distractor_objects(self) -> int:
         return len(self.distractor_scores)
+
+
+def _object_columns(p: PatientRecord):
+    """(object_id, score, is_parasite) of each object, as Python values."""
+    return zip(p.object_ids, p.scores.tolist(), p.is_parasite.tolist())
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,24 +306,38 @@ def _text(value) -> str:
     return "" if value is None else str(value).strip()
 
 
-def _parse_enum(enum_cls, row: dict, key: str, what: str):
-    raw = _text(row.get(key))
+_GROUND_TRUTHS = {e.value: e for e in GroundTruth}
+_SPECIES = {e.value: e for e in Species}
+_IS_PARASITE = {TrueLabel.PARASITE.value: True, TrueLabel.DISTRACTOR.value: False}
+
+
+def _member(members: dict, row: dict, key: str, what: str):
+    """The member that the lower-cased text of ``row[key]`` names; SchemaError if none."""
+    text = _text(row.get(key))
     try:
-        return enum_cls(raw.lower())
-    except ValueError:
-        allowed = ", ".join(e.value for e in enum_cls)
-        raise SchemaError(f"{what}: {key} {raw!r} not one of {{{allowed}}}") from None
+        return members[text.lower()]
+    except KeyError:
+        allowed = ", ".join(members)
+        raise SchemaError(f"{what}: {key} {text!r} not one of {{{allowed}}}") from None
+
+
+def _float(raw) -> float:
+    """A JSON number, or the float that the text of ``raw`` spells; ValueError if none."""
+    if type(raw) is float:  # a JSON number, which its text would parse back to
+        return raw
+    if type(raw) is str:
+        try:
+            return float(raw)
+        except ValueError:  # float() strips less than str.strip() does
+            pass
+    return float(_text(raw))
 
 
 def _parse_float(row: dict, key: str, what: str) -> float:
-    raw = row.get(key)
-    if type(raw) is float:  # a JSON number, which its text would parse back to
-        return raw
-    raw = _text(raw)
     try:
-        return float(raw)
+        return _float(row.get(key))
     except ValueError:
-        raise SchemaError(f"{what}: {key} {raw!r} is not numeric") from None
+        raise SchemaError(f"{what}: {key} {_text(row.get(key))!r} is not numeric") from None
 
 
 def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> CohortDataset:
@@ -271,7 +345,8 @@ def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> 
 
     ``patient_rows`` are dicts keyed by PATIENT_COLUMNS; ``object_rows`` are
     ``(patient_id, row)`` pairs, each row keyed by ``object_id``, ``score``
-    and ``true_label``. Every value is read through ``_text``.
+    and ``true_label``. Every value is read as its ``_text``; a value that
+    already is that text skips the conversion.
     """
     rows: dict[str, dict] = {}
     for row in patient_rows:
@@ -282,29 +357,44 @@ def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> 
             raise DuplicatePatient(f"duplicate patient_id {pid!r}")
         rows[pid] = row
 
-    objects: dict[str, list[ObjectRecord]] = {pid: [] for pid in rows}
+    # per patient: object ids, scores and is-parasite flags, in input order
+    columns = {pid: ([], [], []) for pid in rows}
     for raw_pid, row in object_rows:
-        pid = _text(raw_pid)
-        if pid not in objects:
-            raise MissingPatient(f"object row references unknown patient_id {pid!r}")
-        oid = _text(row.get("object_id"))
+        try:
+            ids, scores, labels = columns[raw_pid]
+        except (KeyError, TypeError):
+            pid = _text(raw_pid)
+            if pid not in columns:
+                raise MissingPatient(f"object row references unknown patient_id {pid!r}")
+            ids, scores, labels = columns[pid]
+        oid = row.get("object_id")
+        oid = oid.strip() if type(oid) is str else _text(oid)
         if not oid:
-            raise SchemaError(f"patient {pid!r}: object with empty or missing object_id")
-        what = f"patient {pid!r} object {oid!r}"
-        objects[pid].append(ObjectRecord(
-            object_id=oid,
-            score=_parse_float(row, "score", what),
-            true_label=_parse_enum(TrueLabel, row, "true_label", what),
-        ))
+            raise SchemaError(
+                f"patient {_text(raw_pid)!r}: object with empty or missing object_id")
+        ids.append(oid)
+        raw = row.get("score")
+        try:
+            scores.append(_float(raw))
+        except ValueError:
+            raise SchemaError(f"patient {_text(raw_pid)!r} object {oid!r}: "
+                              f"score {_text(raw)!r} is not numeric") from None
+        try:
+            labels.append(_IS_PARASITE[row.get("true_label")])
+        except (KeyError, TypeError):
+            labels.append(_member(_IS_PARASITE, row, "true_label",
+                                  f"patient {_text(raw_pid)!r} object {oid!r}"))
 
     patients = []
     for pid, row in rows.items():
         what = f"patient {pid!r}"
-        seen: set[str] = set()  # one patient's ids at a time keeps peak memory low
-        for obj in objects[pid]:
-            if obj.object_id in seen:
-                raise SchemaError(f"{what}: duplicate object_id {obj.object_id!r}")
-            seen.add(obj.object_id)
+        ids, scores, labels = columns[pid]
+        if len(set(ids)) != len(ids):
+            seen: set[str] = set()
+            for oid in ids:
+                if oid in seen:
+                    raise SchemaError(f"{what}: duplicate object_id {oid!r}")
+                seen.add(oid)
         wbc = _text(row.get("wbc_count"))
         try:
             wbc_count = int(wbc) if wbc else None
@@ -313,12 +403,14 @@ def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> 
         patients.append(
             PatientRecord(
                 patient_id=pid,
-                ground_truth=_parse_enum(GroundTruth, row, "ground_truth", what),
-                species=_parse_enum(Species, row, "species", what),
+                ground_truth=_member(_GROUND_TRUTHS, row, "ground_truth", what),
+                species=_member(_SPECIES, row, "species", what),
                 true_parasitemia=_parse_float(row, "true_parasitemia", what),
                 examined_volume=_parse_float(row, "examined_volume", what),
                 wbc_count=wbc_count,
-                objects=tuple(objects[pid]),
+                object_ids=ids,
+                scores=scores,
+                is_parasite=labels,
             )
         )
     return CohortDataset(
@@ -405,12 +497,8 @@ def cohort_to_json_doc(cohort: CohortDataset) -> dict:
                 "examined_volume": p.examined_volume,
                 "wbc_count": p.wbc_count,
                 "objects": [
-                    {
-                        "object_id": o.object_id,
-                        "score": o.score,
-                        "true_label": o.true_label.value,
-                    }
-                    for o in p.objects
+                    {"object_id": oid, "score": score, "true_label": _LABELS[parasite].value}
+                    for oid, score, parasite in _object_columns(p)
                 ],
             }
             for p in cohort.patients
@@ -450,8 +538,8 @@ def export_cohort(cohort: CohortDataset, objects_file, patients_file) -> None:
         w = csv.writer(fh)
         w.writerow(OBJECT_COLUMNS)
         for p in cohort.patients:
-            for o in p.objects:
-                w.writerow([p.patient_id, o.object_id, repr(o.score), o.true_label.value])
+            w.writerows((p.patient_id, oid, repr(score), _LABELS[parasite].value)
+                        for oid, score, parasite in _object_columns(p))
     finally:
         if close_it:
             fh.close()

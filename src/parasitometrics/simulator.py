@@ -27,14 +27,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import betainc, betaincinv
 
-from .datamodel import (
-    CohortDataset,
-    GroundTruth,
-    ObjectRecord,
-    PatientRecord,
-    Species,
-    TrueLabel,
-)
+from .datamodel import CohortDataset, GroundTruth, PatientRecord, Species
 from .errors import InvalidConfig
 
 REFERENCE_THRESHOLD = 0.5
@@ -191,7 +184,8 @@ def _tail_scores(spec: Beta, n: int, rng: np.random.Generator, upper: bool) -> n
     return np.clip(betaincinv(spec.a, spec.b, u), 0.0, 1.0)
 
 
-def _distractors(cfg: SimConfig, patient_id: str, f: float, rng) -> list[ObjectRecord]:
+def _distractors(cfg: SimConfig, patient_id: str, f: float, rng):
+    """Ids and scores of one patient's high- then low-scoring distractors."""
     v = cfg.examined_volume
     n_high = int(rng.poisson(f * v))
     n_low = int(rng.poisson(cfg.background_distractor_rate * v))
@@ -201,14 +195,7 @@ def _distractors(cfg: SimConfig, patient_id: str, f: float, rng) -> list[ObjectR
             _tail_scores(cfg.distractor_score_dist, n_low, rng, upper=False),
         ]
     )
-    return [
-        ObjectRecord(
-            object_id=f"{patient_id}-d{i:05d}",
-            score=float(s),
-            true_label=TrueLabel.DISTRACTOR,
-        )
-        for i, s in enumerate(scores)
-    ]
+    return [f"{patient_id}-d{i:05d}" for i in range(len(scores))], scores
 
 
 def generate_cohort(cfg: SimConfig) -> CohortDataset:
@@ -222,6 +209,7 @@ def generate_cohort(cfg: SimConfig) -> CohortDataset:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
         pid = f"neg{i:04d}"
         f = _draw_positive_rate(cfg.fpr_dist, rng)
+        ids, scores = _distractors(cfg, pid, f, rng)
         patients.append(
             PatientRecord(
                 patient_id=pid,
@@ -229,7 +217,9 @@ def generate_cohort(cfg: SimConfig) -> CohortDataset:
                 species=Species.NONE,
                 true_parasitemia=0.0,
                 examined_volume=cfg.examined_volume,
-                objects=tuple(_distractors(cfg, pid, f, rng)),
+                object_ids=ids,
+                scores=scores,
+                is_parasite=np.zeros(len(scores), dtype=bool),
             )
         )
 
@@ -246,16 +236,8 @@ def generate_cohort(cfg: SimConfig) -> CohortDataset:
 
         n_parasites = int(rng.poisson(parasitemia * cfg.examined_volume))
         a = solve_beta_a(s, b_parasite)
-        parasite_scores = rng.beta(a, b_parasite, size=n_parasites)
-        objects = [
-            ObjectRecord(
-                object_id=f"{pid}-p{i:05d}",
-                score=float(np.clip(sc, 0.0, 1.0)),
-                true_label=TrueLabel.PARASITE,
-            )
-            for i, sc in enumerate(parasite_scores)
-        ]
-        objects.extend(_distractors(cfg, pid, f, rng))
+        parasite_scores = np.clip(rng.beta(a, b_parasite, size=n_parasites), 0.0, 1.0)
+        ids, scores = _distractors(cfg, pid, f, rng)
         patients.append(
             PatientRecord(
                 patient_id=pid,
@@ -263,7 +245,9 @@ def generate_cohort(cfg: SimConfig) -> CohortDataset:
                 species=sp,
                 true_parasitemia=parasitemia,
                 examined_volume=cfg.examined_volume,
-                objects=tuple(objects),
+                object_ids=[f"{pid}-p{i:05d}" for i in range(n_parasites)] + ids,
+                scores=np.concatenate([parasite_scores, scores]),
+                is_parasite=np.repeat([True, False], [n_parasites, len(scores)]),
             )
         )
 
@@ -290,28 +274,20 @@ def who56_preset(seed: int = 0) -> SimConfig:
     )
 
 
-def _uniform_patient(pid, gt, species, parasitemia, volume, objects):
+def _uniform_patient(pid, gt, species, parasitemia, volume, *groups):
+    """A patient whose objects come in ``(tag, n, score, is_parasite)`` groups,
+    each ``n`` objects of one score with ids ``{pid}-{tag}{i:06d}``."""
+    counts = [n for _, n, _, _ in groups]
     return PatientRecord(
         patient_id=pid,
         ground_truth=gt,
         species=species,
         true_parasitemia=parasitemia,
         examined_volume=volume,
-        objects=tuple(objects),
+        object_ids=[f"{pid}-{tag}{i:06d}" for tag, n, _, _ in groups for i in range(n)],
+        scores=np.repeat([score for _, _, score, _ in groups], counts),
+        is_parasite=np.repeat([parasite for _, _, _, parasite in groups], counts),
     )
-
-
-def _parasites(pid: str, n: int, score: float) -> list[ObjectRecord]:
-    return [
-        ObjectRecord(f"{pid}-p{i:06d}", score, TrueLabel.PARASITE) for i in range(n)
-    ]
-
-
-def _distractor_objects(pid: str, n: int, score: float, tag="d") -> list[ObjectRecord]:
-    return [
-        ObjectRecord(f"{pid}-{tag}{i:06d}", score, TrueLabel.DISTRACTOR)
-        for i in range(n)
-    ]
 
 
 def paper_worked_examples() -> list[dict]:
@@ -326,12 +302,12 @@ def paper_worked_examples() -> list[dict]:
     #    fully detected, three low-parasitemia patients fully missed.
     p1 = _uniform_patient(
         "pt1", GroundTruth.POSITIVE, Species.FALCIPARUM, 50_000.0, 1.0,
-        _parasites("pt1", 50_000, 0.9),
+        ("p", 50_000, 0.9, True),
     )
     rest = [
         _uniform_patient(
             f"pt{k}", GroundTruth.POSITIVE, Species.FALCIPARUM, 300.0, 1.0,
-            _parasites(f"pt{k}", 300, 0.1),
+            ("p", 300, 0.1, True),
         )
         for k in (2, 3, 4)
     ]
@@ -356,7 +332,7 @@ def paper_worked_examples() -> list[dict]:
     #    precision 0.99, but at LoD parasitemia 100 it is 0.5.
     quant_patient = _uniform_patient(
         "q1", GroundTruth.POSITIVE, Species.FALCIPARUM, 10_000.0, 1.0,
-        _parasites("q1", 10_000, 0.9) + _distractor_objects("q1", 100, 0.9),
+        ("p", 10_000, 0.9, True), ("d", 100, 0.9, False),
     )
     examples.append(
         {
@@ -380,9 +356,7 @@ def paper_worked_examples() -> list[dict]:
     #    AUC = 1 - 50/50,000 = 0.999.
     auc_patient = _uniform_patient(
         "a1", GroundTruth.POSITIVE, Species.FALCIPARUM, 1.0, 1.0,
-        _parasites("a1", 1, 0.9)
-        + _distractor_objects("a1", 50, 0.95, tag="hard")
-        + _distractor_objects("a1", 49_950, 0.1, tag="easy"),
+        ("p", 1, 0.9, True), ("hard", 50, 0.95, False), ("easy", 49_950, 0.1, False),
     )
     examples.append(
         {

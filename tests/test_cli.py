@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import parasitometrics
 from parasitometrics.cli import main
@@ -14,6 +16,14 @@ from parasitometrics.datamodel import export_cohort, export_cohort_json, pooled_
 from parasitometrics.simulator import SimConfig, generate_cohort
 
 from conftest import make_cohort, make_patient
+from test_datamodel import (
+    JSON_VALUES,
+    OBJECT_KEYS,
+    PATIENT_KEYS,
+    _json_doc,
+    _set,
+    csv_pairs,
+)
 
 
 @pytest.fixture
@@ -135,6 +145,27 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert "strictly ascending" in result.stderr
         assert not (tmp_path / "r").exists()
+
+    def test_skipped_lod_is_a_warning(self, runner, tmp_path):
+        # no parasite scores >= C, so mean and median S are 0 and neither LoD exists
+        cohort = make_cohort(
+            make_patient("neg1", distractor_scores=(0.8, 0.2)),
+            make_patient("neg2", distractor_scores=(0.6,)),
+            make_patient("pos1", positive=True, parasite_scores=(0.1, 0.2)),
+            make_patient("pos2", positive=True, parasite_scores=(0.3, 0.4)),
+        )
+        export_cohort_json(cohort, tmp_path / "c.json")
+        out = tmp_path / "r"
+        result = runner.invoke(main, [
+            "evaluate", "--json", str(tmp_path / "c.json"),
+            "--C", "0.5", "--T", "1.0", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.stderr.splitlines() == [
+            "warning: LoD (gaussian) skipped: LoD denominator 0.0 <= 0",
+            "warning: LoD (robust) skipped: LoD denominator 0.0 <= 0",
+        ]
+        assert json.loads((out / "report.json").read_text())["warnings"] == []
 
 
 class TestCalibrateAndLod:
@@ -360,3 +391,58 @@ def test_cli_import_leaves_out_scipy_stats():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+EVALUATE_ARGS = st.sampled_from([
+    ["--C", "0.5", "--T", "1.0"],
+    ["--C", "0.5", "--spec-target", "0.95", "--curves"],
+    ["--C", "0.0", "--T", "0.0", "--bins", "100", "--format", "csv"],
+])
+
+
+def _assert_clean_exit(result):
+    """Exit 0, 2 or 3 and never 1, no traceback, and one error line on exit 2."""
+    assert result.exit_code in (0, 2, 3), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    if result.exit_code == 2:
+        assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: ")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    patient=st.integers(0, 1),
+    obj=st.one_of(st.none(), st.integers(0, 1)),
+    key=st.data(),
+    value=st.one_of(JSON_VALUES, st.just(KeyError)),
+    args=EVALUATE_ARGS,
+)
+def test_cli_exit_codes_on_any_json_edit(patient, obj, key, value, args):
+    path = ("patients", patient) + (() if obj is None else ("objects", obj))
+    name = key.draw(st.sampled_from(PATIENT_KEYS if obj is None else OBJECT_KEYS))
+    doc = _json_doc()
+    _set(path + (name,), value)(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        cohort = os.path.join(tmp, "cohort.json")
+        with open(cohort, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        runner = CliRunner()
+        _assert_clean_exit(runner.invoke(main, [
+            "evaluate", "--json", cohort, "--out", os.path.join(tmp, "r"), *args]))
+        _assert_clean_exit(runner.invoke(main, [
+            "tune", "--train-positives", cohort, "--validation-negatives", cohort,
+            "--c-grid", "0.1,0.5,0.85", "--out", os.path.join(tmp, "t.csv")]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(texts=csv_pairs(), args=EVALUATE_ARGS)
+def test_cli_exit_codes_on_any_csv_text(texts, args):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("patients.csv", "objects.csv")]
+        for path, text in zip(paths, texts):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        result = CliRunner().invoke(main, [
+            "evaluate", "--patients", paths[0], "--objects", paths[1],
+            "--out", os.path.join(tmp, "r"), *args])
+        _assert_clean_exit(result)

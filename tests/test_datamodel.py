@@ -26,7 +26,8 @@ from parasitometrics.errors import (
     OutOfRange,
     SchemaError,
 )
-from parasitometrics.simulator import SimConfig, generate_cohort
+from parasitometrics.curves import easy_distractor_experiment
+from parasitometrics.simulator import SimConfig, generate_cohort, paper_worked_examples
 
 from conftest import make_patient
 
@@ -306,6 +307,21 @@ def test_any_csv_text_gives_cohort_or_schema_error(texts):
         _ingest(*texts)
     except SchemaError:
         pass
+
+
+def test_hot_paths_build_no_object_records(tmp_path, monkeypatch):
+    # patients keep their objects as columns; only reading .objects builds rows
+    built = []
+    monkeypatch.setattr(ObjectRecord, "__post_init__", lambda self: built.append(self))
+    cohort = generate_cohort(SimConfig(seed=3, n_negative=2, n_positive=2))
+    export_cohort(cohort, tmp_path / "o.csv", tmp_path / "p.csv")
+    export_cohort_json(cohort, tmp_path / "c.json")
+    ingest_cohort(tmp_path / "o.csv", tmp_path / "p.csv", cohort.cv_description)
+    ingest_cohort_json(tmp_path / "c.json")
+    examples = paper_worked_examples()
+    easy_distractor_experiment(examples[1]["cohort"], n_easy=10, easy_score_max=0.05)
+    assert built == []
+    assert len(cohort.patients[0].objects) == len(built) > 0
 
 
 class TestPatientCounts:

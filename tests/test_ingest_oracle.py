@@ -1,0 +1,299 @@
+"""Column ingest against the ObjectRecord row validator it replaced.
+
+``oracle_cohort_from_rows`` and ``oracle_patient`` are the row validator
+and the ``PatientRecord`` checks from before patients kept their objects as
+columns: one ObjectRecord per row, validated one object at a time. They stay
+here as the reference. On a valid cohort, or one with a single fault, the
+column ingest must give the same cohort (same patients, same ObjectRecord
+rows, same sorted score arrays) or the same exception with the same message.
+"""
+
+import csv
+import io
+import json
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from parasitometrics import datamodel
+from parasitometrics.datamodel import (
+    CohortDataset,
+    GroundTruth,
+    ObjectRecord,
+    PatientRecord,
+    Species,
+    TrueLabel,
+    ingest_cohort,
+    ingest_cohort_json,
+)
+from parasitometrics.errors import (
+    DuplicatePatient,
+    LabelContradiction,
+    MissingPatient,
+    SchemaError,
+)
+
+
+def _text(value) -> str:
+    return "" if value is None else str(value).strip()
+
+
+def _parse_enum(enum_cls, row, key, what):
+    raw = _text(row.get(key))
+    try:
+        return enum_cls(raw.lower())
+    except ValueError:
+        allowed = ", ".join(e.value for e in enum_cls)
+        raise SchemaError(f"{what}: {key} {raw!r} not one of {{{allowed}}}") from None
+
+
+def _parse_float(row, key, what):
+    raw = row.get(key)
+    if type(raw) is float:
+        return raw
+    raw = _text(raw)
+    try:
+        return float(raw)
+    except ValueError:
+        raise SchemaError(f"{what}: {key} {raw!r} is not numeric") from None
+
+
+def oracle_patient(patient_id, ground_truth, species, true_parasitemia, examined_volume,
+                   wbc_count, objects):
+    """The per-object PatientRecord checks; the patient, built from ``objects``."""
+    pid = patient_id
+    if examined_volume <= 0 or not math.isfinite(examined_volume):
+        raise SchemaError(f"patient {pid!r}: examined_volume must be > 0")
+    if true_parasitemia < 0 or not math.isfinite(true_parasitemia):
+        raise SchemaError(f"patient {pid!r}: true_parasitemia must be >= 0")
+    if wbc_count is not None and wbc_count < 0:
+        raise SchemaError(f"patient {pid!r}: wbc_count must be >= 0")
+    if ground_truth is GroundTruth.NEGATIVE:
+        if species is not Species.NONE:
+            raise SchemaError(f"patient {pid!r}: negative patient must have species=none")
+        if true_parasitemia != 0:
+            raise SchemaError(f"patient {pid!r}: negative patient must have parasitemia 0")
+        for obj in objects:
+            if obj.true_label is TrueLabel.PARASITE:
+                raise LabelContradiction(
+                    f"patient {pid!r} is negative but owns parasite object "
+                    f"{obj.object_id!r}"
+                )
+    else:
+        if species is Species.NONE:
+            raise SchemaError(f"patient {pid!r}: positive patient must have a species")
+        if true_parasitemia <= 0:
+            raise SchemaError(f"patient {pid!r}: positive patient must have parasitemia > 0")
+    return PatientRecord(pid, ground_truth, species, true_parasitemia, examined_volume,
+                         wbc_count, objects)
+
+
+def oracle_cohort_from_rows(patient_rows, object_rows, cv_description, provenance):
+    """(cohort, {patient_id: ObjectRecord rows}) by one ObjectRecord per row."""
+    rows = {}
+    for row in patient_rows:
+        pid = _text(row.get("patient_id"))
+        if not pid:
+            raise SchemaError("patient with empty or missing patient_id")
+        if pid in rows:
+            raise DuplicatePatient(f"duplicate patient_id {pid!r}")
+        rows[pid] = row
+
+    objects = {pid: [] for pid in rows}
+    for raw_pid, row in object_rows:
+        pid = _text(raw_pid)
+        if pid not in objects:
+            raise MissingPatient(f"object row references unknown patient_id {pid!r}")
+        oid = _text(row.get("object_id"))
+        if not oid:
+            raise SchemaError(f"patient {pid!r}: object with empty or missing object_id")
+        what = f"patient {pid!r} object {oid!r}"
+        objects[pid].append(ObjectRecord(
+            object_id=oid,
+            score=_parse_float(row, "score", what),
+            true_label=_parse_enum(TrueLabel, row, "true_label", what),
+        ))
+
+    patients = []
+    for pid, row in rows.items():
+        what = f"patient {pid!r}"
+        seen = set()
+        for obj in objects[pid]:
+            if obj.object_id in seen:
+                raise SchemaError(f"{what}: duplicate object_id {obj.object_id!r}")
+            seen.add(obj.object_id)
+        wbc = _text(row.get("wbc_count"))
+        try:
+            wbc_count = int(wbc) if wbc else None
+        except ValueError:
+            raise SchemaError(f"{what}: wbc_count {wbc!r} is not an integer") from None
+        patients.append(oracle_patient(
+            pid,
+            _parse_enum(GroundTruth, row, "ground_truth", what),
+            _parse_enum(Species, row, "species", what),
+            _parse_float(row, "true_parasitemia", what),
+            _parse_float(row, "examined_volume", what),
+            wbc_count,
+            tuple(objects[pid]),
+        ))
+    cohort = CohortDataset(cv_description=cv_description, patients=tuple(patients),
+                           provenance=provenance)
+    return cohort, {pid: tuple(objs) for pid, objs in objects.items()}
+
+
+def _outcome(ingest):
+    try:
+        return ingest()
+    except SchemaError as exc:
+        return exc
+
+
+def _oracle_outcome(ingest):
+    """The oracle's outcome through the same ingest entry point, and its object rows."""
+    rows = {}
+
+    def oracle(*args):
+        cohort, objects = oracle_cohort_from_rows(*args)
+        rows.update(objects)
+        return cohort
+
+    with mock.patch.object(datamodel, "_cohort_from_rows", oracle):
+        return _outcome(ingest), rows
+
+
+def _assert_same_outcome(ingest):
+    """``ingest()`` gives the oracle's cohort, or its exception and message."""
+    got = _outcome(ingest)
+    want, rows = _oracle_outcome(ingest)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert not isinstance(got, Exception), got
+    assert got == want
+    for p in got:
+        objects = rows[p.patient_id]
+        assert p.objects == objects
+        for attr, label in (("parasite_scores", TrueLabel.PARASITE),
+                            ("distractor_scores", TrueLabel.DISTRACTOR)):
+            expected = np.sort(np.array(
+                [o.score for o in objects if o.true_label is label], dtype=float))
+            assert getattr(p, attr).dtype == expected.dtype
+            assert np.array_equal(getattr(p, attr), expected)
+
+
+# --- cohorts: valid, then at most one fault --------------------------------
+
+FAULTS = (None, "score-text", "score-nan", "score-out-of-range", "bad-label",
+          "parasite-on-negative", "empty-id", "duplicate-id", "unknown-patient")
+
+# Valid spellings of a value that both formats parse, and some that fail.
+SCORE_TEXTS = st.sampled_from(["0", "1", "0.25", " 0.5", "-0.0", "1e-3", "\x1c0.75",
+                               "0.5\x1f", " 0.9"])
+LABEL_TEXTS = {True: st.sampled_from(["parasite", "Parasite", " PARASITE "]),
+               False: st.sampled_from(["distractor", "Distractor ", "\tdistractor"])}
+BAD_SCORES = {
+    "score-text": ["abc", "", "0.5.5", True, None, [0.5], {"a": 1}],
+    "score-nan": ["nan", " NaN", float("nan")],
+    "score-out-of-range": ["1.5", "-0.1", "1e999", "-inf", 2, 1.0000001, 10 ** 400],
+}
+BAD_LABELS = ["x", "", None, 1, ["parasite"], "parasites", "PARASİTE"]
+
+
+@st.composite
+def cohort_rows(draw, json_values):
+    """Patient dicts and (patient_id, object dict) rows, with at most one fault.
+
+    ``json_values`` also draws values a JSON document can hold but a CSV
+    cell cannot (numbers, null, lists, huge integers).
+    """
+    patients, objects = [], []
+    for i in range(draw(st.integers(1, 4))):
+        positive = draw(st.booleans())
+        pid = f"p{i}"
+        patients.append({
+            "patient_id": draw(st.sampled_from([pid, f" {pid}"])),
+            "ground_truth": draw(st.sampled_from(["pos", "POS"] if positive else ["neg", " neg"])),
+            "species": draw(st.sampled_from(["pf", "pv", "Mixed"])) if positive else "none",
+            "true_parasitemia": draw(st.sampled_from(["500", "0.5", "1e3"])) if positive else "0",
+            "examined_volume": draw(st.sampled_from(
+                ["0.5", "1", "2.5"] + ([0.5, 2] if json_values else []))),
+            "wbc_count": draw(st.sampled_from(
+                ["", "400", " 8"] + ([None, 400] if json_values else []))),
+        })
+        for j in range(draw(st.integers(0, 5))):
+            parasite = positive and draw(st.booleans())
+            score = draw(SCORE_TEXTS | st.floats(0, 1).map(repr))
+            if json_values:
+                score = draw(st.just(score) | st.floats(0, 1) | st.sampled_from([0, 1]))
+            objects.append([draw(st.sampled_from([pid, f"{pid} "])), {
+                "object_id": draw(st.sampled_from([f"o{j}", f" o{j}"])),
+                "score": score,
+                "true_label": draw(LABEL_TEXTS[parasite]),
+            }])
+
+    fault = draw(st.sampled_from(FAULTS))
+    if fault is None:
+        return patients, draw(st.permutations(objects))
+    if not objects:
+        objects.append(["p0", {"object_id": "o0", "score": "0.5", "true_label": "distractor"}])
+    # the fault hits one to three objects of one patient, so that the error
+    # must name the first of them
+    i = int(_text(draw(st.sampled_from(objects))[0])[1:])
+    mine = [row for pid, row in objects if _text(pid) == f"p{i}"]
+    hit = draw(st.lists(st.sampled_from(mine), min_size=1, max_size=3, unique_by=id))
+    usable = (lambda v: json_values or isinstance(v, str))
+    if fault == "parasite-on-negative":
+        patients[i].update(ground_truth="neg", species="none", true_parasitemia="0")
+        for row in mine:
+            row["true_label"] = "distractor"
+    for row in hit:
+        if fault in BAD_SCORES:
+            row["score"] = draw(st.sampled_from([v for v in BAD_SCORES[fault] if usable(v)]))
+        elif fault == "bad-label":
+            row["true_label"] = draw(st.sampled_from([v for v in BAD_LABELS if usable(v)]))
+        elif fault == "parasite-on-negative":
+            row["true_label"] = draw(LABEL_TEXTS[True])
+        elif fault == "empty-id":
+            row["object_id"] = draw(st.sampled_from(["", "  "] + ([None] * json_values)))
+        elif fault == "duplicate-id":
+            objects.append([f"p{i}", dict(row, object_id=f" {_text(row['object_id'])}")])
+        elif fault == "unknown-patient":
+            objects.append(["p9", row])
+            break
+    return patients, draw(st.permutations(objects))
+
+
+def _csv_text(columns, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows([row.get(c, "") for c in columns] for row in rows)
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cohort_rows(json_values=False))
+def test_csv_ingest_matches_object_oracle(rows):
+    patients, objects = rows
+    patients_csv = _csv_text(datamodel.PATIENT_COLUMNS, patients)
+    objects_csv = _csv_text(datamodel.OBJECT_COLUMNS,
+                            [dict(row, patient_id=pid) for pid, row in objects])
+    _assert_same_outcome(lambda: ingest_cohort(
+        io.StringIO(objects_csv), io.StringIO(patients_csv), "1 uL blood"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cohort_rows(json_values=True), st.booleans())
+def test_json_ingest_matches_object_oracle(rows, int_ids):
+    patients, objects = rows
+    docs = {_text(p["patient_id"]): dict(p, objects=[]) for p in patients}
+    for pid, row in objects:
+        if _text(pid) not in docs:  # a JSON object row sits inside its patient
+            continue
+        if int_ids and _text(row["object_id"]):
+            row = dict(row, object_id=int(_text(row["object_id"])[1:]))
+        docs[_text(pid)]["objects"].append(row)
+    text = json.dumps({"cv_description": "1 uL blood", "patients": list(docs.values())})
+    _assert_same_outcome(lambda: ingest_cohort_json(io.StringIO(text)))
