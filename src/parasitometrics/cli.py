@@ -382,7 +382,7 @@ def poisson(parasitemia, volumes, k_min, confidence, out_path):
 @_handle_errors
 def simulate(seed, preset, n_negative, n_positive, volume, out_dir, fmt):
     """Generate a synthetic cohort (deterministic for a fixed seed)."""
-    # imported here: the simulator's scipy.optimize and scipy.special load slowly
+    # imported here: the simulator loads scipy.special, which other commands skip
     from .simulator import SimConfig, generate_cohort, who56_preset
     if seed is None:
         seed = int(os.environ.get("PARASITOMETRICS_SEED", "0"))
@@ -415,7 +415,7 @@ def simulate(seed, preset, n_negative, n_positive, volume, out_dir, fmt):
 @_handle_errors
 def reproduce_paper(out_dir):
     """Re-derive every headline number and write a pass/fail manifest."""
-    # imported here: reproduce loads scipy through the simulator and poisson
+    # imported here: reproduce loads scipy.special through the simulator and poisson
     from .reproduce import run_all
     checks = run_all()
     out = Path(out_dir)

@@ -22,6 +22,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
@@ -484,28 +485,6 @@ def ingest_cohort_json(source) -> CohortDataset:
     )
 
 
-def cohort_to_json_doc(cohort: CohortDataset) -> dict:
-    return {
-        "cv_description": cohort.cv_description,
-        "provenance": cohort.provenance,
-        "patients": [
-            {
-                "patient_id": p.patient_id,
-                "ground_truth": p.ground_truth.value,
-                "species": p.species.value,
-                "true_parasitemia": p.true_parasitemia,
-                "examined_volume": p.examined_volume,
-                "wbc_count": p.wbc_count,
-                "objects": [
-                    {"object_id": oid, "score": score, "true_label": _LABELS[parasite].value}
-                    for oid, score, parasite in _object_columns(p)
-                ],
-            }
-            for p in cohort.patients
-        ],
-    }
-
-
 def export_cohort(cohort: CohortDataset, objects_file, patients_file) -> None:
     """Write the cohort back to the CSV pair (inverse of ingest_cohort)."""
 
@@ -545,10 +524,49 @@ def export_cohort(cohort: CohortDataset, objects_file, patients_file) -> None:
             fh.close()
 
 
+# The layout of json.dump(doc, fh, indent=2) for the cohort document, filled
+# in from the columns: strings go through the encoder's own
+# encode_basestring_ascii and scores through float.__repr__, as json does.
+_JSON_OBJECT = ('        {\n          "object_id": %s,\n          "score": %s,\n'
+                '          "true_label": %s\n        }')
+_JSON_LABELS = tuple(encode_basestring_ascii(label.value) for label in _LABELS)
+
+
+def _patient_json(p: PatientRecord) -> str:
+    """One patient's entry in the ``patients`` list, indented as json.dump writes it."""
+    objects = ",\n".join([
+        _JSON_OBJECT % (encode_basestring_ascii(oid), float.__repr__(score),
+                        _JSON_LABELS[parasite])
+        for oid, score, parasite in _object_columns(p)
+    ])
+    header = ",\n".join(
+        f'      "{key}": {json.dumps(value)}'
+        for key, value in (
+            ("patient_id", p.patient_id),
+            ("ground_truth", p.ground_truth.value),
+            ("species", p.species.value),
+            ("true_parasitemia", p.true_parasitemia),
+            ("examined_volume", p.examined_volume),
+            ("wbc_count", p.wbc_count),
+        )
+    )
+    objects = f"[\n{objects}\n      ]" if objects else "[]"
+    return f'    {{\n{header},\n      "objects": {objects}\n    }}'
+
+
 def export_cohort_json(cohort: CohortDataset, dest) -> None:
-    doc = cohort_to_json_doc(cohort)
-    if hasattr(dest, "write"):
-        json.dump(doc, dest, indent=2)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+    """Write the cohort as one JSON document (inverse of ingest_cohort_json).
+
+    The bytes are those of ``json.dump(doc, dest, indent=2)``, without
+    building ``doc``; one patient is formatted at a time.
+    """
+    fh = dest if hasattr(dest, "write") else open(dest, "w", encoding="utf-8")
+    try:
+        fh.write(f'{{\n  "cv_description": {json.dumps(cohort.cv_description)},\n'
+                 f'  "provenance": {json.dumps(cohort.provenance)},\n  "patients": [\n')
+        for i, p in enumerate(cohort.patients):
+            fh.write(f",\n{_patient_json(p)}" if i else _patient_json(p))
+        fh.write("\n  ]\n}")
+    finally:
+        if fh is not dest:
+            fh.close()

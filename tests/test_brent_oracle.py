@@ -1,0 +1,56 @@
+"""The simulator's Brent root finder against ``scipy.optimize.brentq``.
+
+``solve_beta_a`` solved for ``log a`` with ``brentq`` before the simulator
+carried its own Brent solver; ``oracle_solve_beta_a`` is that code and stays
+here as the reference. The two must return the same float, and where
+``brentq`` finds no sign change in the bracket, ``solve_beta_a`` must raise
+InvalidConfig. This is the only place the package's tests load
+``scipy.optimize``.
+"""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import brentq
+from scipy.special import betainc
+
+from parasitometrics.errors import InvalidConfig
+from parasitometrics.simulator import REFERENCE_THRESHOLD, solve_beta_a
+
+
+def oracle_solve_beta_a(target_tail: float, b: float) -> float:
+    t = min(max(target_tail, 1e-9), 1.0 - 1e-9)
+
+    def gap(log_a: float) -> float:
+        a = math.exp(log_a)
+        return (1.0 - betainc(a, b, REFERENCE_THRESHOLD)) - t
+
+    lo, hi = math.log(1e-8), math.log(1e8)
+    return math.exp(brentq(gap, lo, hi, xtol=1e-12, rtol=1e-12))
+
+
+TARGETS = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1e-15, max_value=1e-3),                 # near 0
+    st.floats(min_value=1e-15, max_value=1e-3).map(lambda e: 1.0 - e),  # near 1
+)
+SHAPES = st.floats(min_value=0.2, max_value=20.0)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(target=TARGETS, b=SHAPES)
+@example(target=0.0, b=2.0)
+@example(target=1e-12, b=2.0)
+@example(target=1.0, b=2.0)
+@example(target=0.5, b=0.2)
+@example(target=0.999999, b=20.0)
+def test_solve_beta_a_matches_brentq(target, b):
+    try:
+        expected = oracle_solve_beta_a(target, b)
+    except ValueError as exc:
+        assert "different signs" in str(exc)
+        with pytest.raises(InvalidConfig):
+            solve_beta_a(target, b)
+    else:
+        assert solve_beta_a(target, b) == expected

@@ -380,17 +380,28 @@ class TestReproducePaper:
         assert len(pass_lines) == len(manifest)
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy takes most of the CLI's import time; only simulate, poisson and
-    # reproduce-paper need it, and they import it when they run
+def _fresh_import(modules: str, package: str) -> list[str]:
+    """The modules of ``package`` that a fresh interpreter holds after ``import <modules>``."""
     src = Path(parasitometrics.__file__).resolve().parents[1]
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, parasitometrics.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = (f"import json, sys, {modules}; print(json.dumps(sorted(m for m in sys.modules "
+            f"if (m + '.').startswith({package!r} + '.'))))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout == "[]\n"
+    return json.loads(result.stdout)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy takes most of the CLI's import time; only simulate, poisson and
+    # reproduce-paper need it, and they import it when they run
+    assert _fresh_import("parasitometrics.cli", "scipy") == []
+
+
+def test_simulator_and_reproduce_leave_out_scipy_optimize():
+    # the simulator solves its beta shapes itself; scipy.optimize took 0.2 s to load
+    assert _fresh_import("parasitometrics.simulator, parasitometrics.reproduce",
+                         "scipy.optimize") == []
 
 
 EVALUATE_ARGS = st.sampled_from([

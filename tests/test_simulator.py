@@ -1,10 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.special import betainc
 
-from parasitometrics.datamodel import GroundTruth, Species, cohort_to_json_doc
+from parasitometrics import simulator
+from parasitometrics.datamodel import GroundTruth, Species
 from parasitometrics.errors import InvalidConfig
 from parasitometrics.metrics import (
     fpr_distribution,
@@ -23,6 +25,8 @@ from parasitometrics.simulator import (
     solve_beta_a,
     who56_preset,
 )
+
+from test_json_writer_oracle import cohort_to_json_doc
 
 
 class TestDeterminism:
@@ -104,6 +108,19 @@ class TestSolveBetaA:
         a_low = solve_beta_a(0.2, 2.0)
         a_high = solve_beta_a(0.9, 2.0)
         assert a_high > a_low
+
+    @pytest.mark.parametrize("s", [0.0, 1e-12])
+    def test_unreachable_target_is_invalid_config(self, s):
+        # no a in [1e-8, 1e8] puts a tail this small above 0.5 when b = 2
+        cfg = SimConfig(n_negative=0, n_positive=1, patient_sensitivity_dist=Fixed(s))
+        with pytest.raises(InvalidConfig, match=rf"b=2\.0\) for Pr\[score >= 0\.5\] = {s} "
+                                                r".*: no sign change"):
+            generate_cohort(cfg)
+
+    def test_no_convergence_is_invalid_config(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_brent", functools.partial(simulator._brent, maxiter=2))
+        with pytest.raises(InvalidConfig, match=r"= 0\.8 .*: no convergence after 2 iter"):
+            solve_beta_a(0.8, 2.0)
 
 
 class TestStatisticalOracles:
