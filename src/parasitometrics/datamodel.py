@@ -8,8 +8,10 @@ always ``count / examined_volume``.
 
 File formats (CSV pair or a single JSON document) are documented in the
 module-level ``ingest_cohort`` / ``export_cohort`` functions. Both go through
-one row validator, which parses a JSON value as the CSV text it would be
-written as (``str`` of it, stripped); malformed input raises ``SchemaError``.
+one column validator, fed one chunk of a patient's objects at a time (a run
+of CSV rows, or a JSON patient, reduced to columns as it is parsed). It
+parses a JSON value as the CSV text it would be written as (``str`` of it,
+stripped); malformed input raises ``SchemaError``.
 Each patient keeps its objects as columns (ids, scores, an is-parasite mask)
 and its scores sorted, so a count at a threshold is a search.
 """
@@ -22,7 +24,9 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -132,12 +136,7 @@ class PatientRecord:
         scores, is_parasite = self.scores, self.is_parasite
         if not len(self.object_ids) == len(scores) == len(is_parasite):
             raise ValueError(f"patient {pid!r}: object columns differ in length")
-        bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))  # NaN fails both
-        if len(bad):
-            oid, score = self.object_ids[bad[0]], float(scores[bad[0]])
-            if not math.isfinite(score):
-                raise SchemaError(f"object {oid!r}: score must be finite")
-            raise SchemaError(f"object {oid!r}: score {score} outside [0, 1]")
+        _check_scores(self.object_ids, scores)
         if self.examined_volume <= 0 or not math.isfinite(self.examined_volume):
             raise SchemaError(f"patient {pid!r}: examined_volume must be > 0")
         if self.true_parasitemia < 0 or not math.isfinite(self.true_parasitemia):
@@ -186,6 +185,17 @@ class PatientRecord:
     @property
     def n_distractor_objects(self) -> int:
         return len(self.distractor_scores)
+
+
+def _check_scores(object_ids, scores) -> None:
+    """SchemaError naming the first object whose score is not in [0, 1]."""
+    scores = np.asarray(scores, dtype=float)
+    bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))  # NaN fails both
+    if len(bad):
+        oid, score = object_ids[bad[0]], float(scores[bad[0]])
+        if not math.isfinite(score):
+            raise SchemaError(f"object {oid!r}: score must be finite")
+        raise SchemaError(f"object {oid!r}: score {score} outside [0, 1]")
 
 
 def _object_columns(p: PatientRecord):
@@ -312,9 +322,9 @@ _SPECIES = {e.value: e for e in Species}
 _IS_PARASITE = {TrueLabel.PARASITE.value: True, TrueLabel.DISTRACTOR.value: False}
 
 
-def _member(members: dict, row: dict, key: str, what: str):
-    """The member that the lower-cased text of ``row[key]`` names; SchemaError if none."""
-    text = _text(row.get(key))
+def _member(members: dict, value, key: str, what: str):
+    """The member that the lower-cased text of ``value`` names; SchemaError if none."""
+    text = _text(value)
     try:
         return members[text.lower()]
     except KeyError:
@@ -341,13 +351,58 @@ def _parse_float(row: dict, key: str, what: str) -> float:
         raise SchemaError(f"{what}: {key} {_text(row.get(key))!r} is not numeric") from None
 
 
-def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> CohortDataset:
-    """The row validator behind both file formats.
+def _object_columns_checked(pid: str, ids, scores, labels):
+    """One chunk's objects as stripped ids, float scores and is-parasite flags.
 
-    ``patient_rows`` are dicts keyed by PATIENT_COLUMNS; ``object_rows`` are
-    ``(patient_id, row)`` pairs, each row keyed by ``object_id``, ``score``
-    and ``true_label``. Every value is read as its ``_text``; a value that
-    already is that text skips the conversion.
+    A column that is already an array was converted by the JSON reader. The
+    others are converted in bulk; if that fails, the chunk is walked one
+    object at a time. Either way the error names the chunk's first bad
+    object, and a score outside [0, 1] is a fault of its object.
+    """
+    floats, flags = type(scores) is np.ndarray, type(labels) is np.ndarray
+    try:
+        checked = list(map(str.strip, ids))  # TypeError on a value that is not text
+        if all(checked):
+            # float() is _float on text that it parses and on floats
+            to_float = float if {str, float}.issuperset(map(type, scores)) else _float
+            columns = (checked,
+                       scores if floats else np.array(list(map(to_float, scores))),
+                       labels if flags else list(map(_IS_PARASITE.__getitem__, labels)))
+            _check_scores(*columns[:2])
+            return columns
+    except (TypeError, ValueError, KeyError):
+        pass
+    columns = ([], [], [])
+    try:
+        for oid, score, label in zip(ids, scores.tolist() if floats else scores,
+                                     labels.tolist() if flags else labels):
+            oid = oid.strip() if type(oid) is str else _text(oid)
+            if not oid:
+                raise SchemaError(f"patient {pid!r}: object with empty or missing object_id")
+            what = f"patient {pid!r} object {oid!r}"
+            if not floats:
+                try:
+                    score = _float(score)
+                except ValueError:
+                    raise SchemaError(f"{what}: score {_text(score)!r} is not numeric") from None
+            if not flags:
+                label = _member(_IS_PARASITE, label, "true_label", what)
+            for column, value in zip(columns, (oid, score, label)):
+                column.append(value)
+    finally:
+        # on a fault, an earlier object's score outside [0, 1] is reported instead
+        _check_scores(*columns[:2])
+    return columns
+
+
+def _cohort_from_rows(patient_rows, object_chunks, cv_description, provenance) -> CohortDataset:
+    """The column validator behind both file formats.
+
+    ``patient_rows`` are dicts keyed by PATIENT_COLUMNS. ``object_chunks``
+    are ``(patient_id, ids, scores, labels)`` columns of consecutive objects
+    of one patient, in input order. Every value is read as its ``_text``; a
+    value that already is that text skips the conversion. Every chunk is
+    converted before any patient is built, so an object fault comes first.
     """
     rows: dict[str, dict] = {}
     for row in patient_rows:
@@ -358,38 +413,18 @@ def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> 
             raise DuplicatePatient(f"duplicate patient_id {pid!r}")
         rows[pid] = row
 
-    # per patient: object ids, scores and is-parasite flags, in input order
-    columns = {pid: ([], [], []) for pid in rows}
-    for raw_pid, row in object_rows:
-        try:
-            ids, scores, labels = columns[raw_pid]
-        except (KeyError, TypeError):
-            pid = _text(raw_pid)
-            if pid not in columns:
-                raise MissingPatient(f"object row references unknown patient_id {pid!r}")
-            ids, scores, labels = columns[pid]
-        oid = row.get("object_id")
-        oid = oid.strip() if type(oid) is str else _text(oid)
-        if not oid:
-            raise SchemaError(
-                f"patient {_text(raw_pid)!r}: object with empty or missing object_id")
-        ids.append(oid)
-        raw = row.get("score")
-        try:
-            scores.append(_float(raw))
-        except ValueError:
-            raise SchemaError(f"patient {_text(raw_pid)!r} object {oid!r}: "
-                              f"score {_text(raw)!r} is not numeric") from None
-        try:
-            labels.append(_IS_PARASITE[row.get("true_label")])
-        except (KeyError, TypeError):
-            labels.append(_member(_IS_PARASITE, row, "true_label",
-                                  f"patient {_text(raw_pid)!r} object {oid!r}"))
+    chunks: dict[str, list] = {pid: [] for pid in rows}
+    for raw_pid, ids, scores, labels in object_chunks:
+        pid = _text(raw_pid)
+        if pid not in chunks:
+            raise MissingPatient(f"object row references unknown patient_id {pid!r}")
+        chunks[pid].append(_object_columns_checked(pid, ids, scores, labels))
 
     patients = []
     for pid, row in rows.items():
         what = f"patient {pid!r}"
-        ids, scores, labels = columns[pid]
+        parts = chunks[pid]
+        ids = list(chain.from_iterable(part[0] for part in parts))
         if len(set(ids)) != len(ids):
             seen: set[str] = set()
             for oid in ids:
@@ -404,14 +439,15 @@ def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> 
         patients.append(
             PatientRecord(
                 patient_id=pid,
-                ground_truth=_member(_GROUND_TRUTHS, row, "ground_truth", what),
-                species=_member(_SPECIES, row, "species", what),
+                ground_truth=_member(_GROUND_TRUTHS, row.get("ground_truth"),
+                                     "ground_truth", what),
+                species=_member(_SPECIES, row.get("species"), "species", what),
                 true_parasitemia=_parse_float(row, "true_parasitemia", what),
                 examined_volume=_parse_float(row, "examined_volume", what),
                 wbc_count=wbc_count,
                 object_ids=ids,
-                scores=scores,
-                is_parasite=labels,
+                scores=np.concatenate([part[1] for part in parts]) if parts else (),
+                is_parasite=np.concatenate([part[2] for part in parts]) if parts else (),
             )
         )
     return CohortDataset(
@@ -435,6 +471,22 @@ def _csv_rows(src, columns: Sequence[str], what: str):
             fh.close()
 
 
+_OBJECT_CELLS = itemgetter("object_id", "score", "true_label")
+
+
+def _csv_chunks(object_rows):
+    """``(patient_id, ids, scores, labels)`` of each run of rows with one patient_id."""
+    for raw_pid, run in groupby(object_rows, itemgetter("patient_id")):
+        cells = []
+        try:
+            cells.extend(map(_OBJECT_CELLS, run))
+        except SchemaError:  # a fault of the file: the rows before it are checked first
+            if cells:
+                yield (raw_pid, *zip(*cells))
+            raise
+        yield (raw_pid, *zip(*cells))
+
+
 def ingest_cohort(objects_file, patients_file, cv_description: str) -> CohortDataset:
     """Ingest the CSV pair into a validated CohortDataset.
 
@@ -448,10 +500,61 @@ def ingest_cohort(objects_file, patients_file, cv_description: str) -> CohortDat
     object_rows = _csv_rows(objects_file, OBJECT_COLUMNS, "objects")
     return _cohort_from_rows(
         _csv_rows(patients_file, PATIENT_COLUMNS, "patients"),
-        ((row.get("patient_id"), row) for row in object_rows),
+        _csv_chunks(object_rows),
         cv_description,
         str(provenance),
     )
+
+
+def _json_columns(objects: list) -> tuple:
+    """(ids, scores, labels) of a list of JSON objects; AttributeError if one is not.
+
+    The scores become a float64 array when every one is a JSON float, and
+    the labels a bool array when every one is an exact label; a column that
+    needs more than that stays the raw list, for the column validator.
+    """
+    ids = [od.get("object_id") for od in objects]
+    scores = [od.get("score") for od in objects]
+    labels = [od.get("true_label") for od in objects]
+    if {float}.issuperset(map(type, scores)):
+        scores = np.array(scores, dtype=float)
+    try:
+        labels = np.array(list(map(_IS_PARASITE.__getitem__, labels)), dtype=bool)
+    except (KeyError, TypeError):
+        pass
+    return ids, scores, labels
+
+
+def _load_cohort_json(text):
+    """``json.loads(text)``, with each patient's ``objects`` reduced to ``_json_columns``.
+
+    The reduction runs as each JSON object closes, so only one patient's
+    object dicts exist at a time. If it reduced a dict that is not an entry
+    of the final ``patients`` list (one nested in a value, or under a
+    duplicated key), the text is parsed again without it, so that every
+    other value stays as written.
+    """
+    reduced = 0
+
+    def to_columns(d: dict) -> dict:
+        nonlocal reduced
+        objects = d.get("objects")
+        if type(objects) is list:
+            try:
+                d["objects"] = _json_columns(objects)
+                reduced += 1
+            except AttributeError:
+                pass
+        return d
+
+    try:
+        doc = json.loads(text, object_hook=to_columns)
+    except RecursionError:  # the hook's own frames may be what ran out
+        return json.loads(text)
+    patients = doc.get("patients") if type(doc) is dict else None
+    kept = (sum(type(pd) is dict and type(pd.get("objects")) is tuple for pd in patients)
+            if type(patients) is list else 0)
+    return doc if kept == reduced else json.loads(text)
 
 
 def ingest_cohort_json(source) -> CohortDataset:
@@ -461,25 +564,34 @@ def ingest_cohort_json(source) -> CohortDataset:
     patient holds the PATIENT_COLUMNS keys and a list of ``objects``.
     """
     is_handle = hasattr(source, "read")
+    name = "JSON input" if is_handle else source
     try:
         if is_handle:
-            doc = json.load(source)
+            doc = _load_cohort_json(source.read())
         else:
             with open(source, encoding="utf-8") as fh:
-                doc = json.load(fh)
+                doc = _load_cohort_json(fh.read())
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        name = "JSON input" if is_handle else source
         raise SchemaError(f"{name}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"{name}: not valid JSON: nesting too deep") from None
     patient_docs = doc.get("patients") if isinstance(doc, dict) else None
     if not isinstance(patient_docs, list) or "cv_description" not in doc:
         raise SchemaError("JSON cohort must have keys 'cv_description' and 'patients'")
+    chunks = []
     for pd in patient_docs:
-        objects = pd.get("objects", []) if isinstance(pd, dict) else None
-        if not isinstance(objects, list) or not all(isinstance(od, dict) for od in objects):
+        columns = pd.get("objects", []) if isinstance(pd, dict) else None
+        if type(columns) is list:  # not reduced while parsing
+            try:
+                columns = _json_columns(columns)
+            except AttributeError:
+                pass
+        if type(columns) is not tuple:
             raise SchemaError("each patient must be a JSON object with a list of objects")
+        chunks.append((pd.get("patient_id"), *columns))
     return _cohort_from_rows(
         patient_docs,
-        ((pd.get("patient_id"), od) for pd in patient_docs for od in pd.get("objects", [])),
+        chunks,
         str(doc["cv_description"]),
         str(doc.get("provenance") or "") if is_handle else str(source),
     )

@@ -457,3 +457,17 @@ def test_cli_exit_codes_on_any_csv_text(texts, args):
             "evaluate", "--patients", paths[0], "--objects", paths[1],
             "--out", os.path.join(tmp, "r"), *args])
         _assert_clean_exit(result)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "tune"])
+def test_deeply_nested_json_is_one_line_input_error(runner, tmp_path, command):
+    # the JSON scanner raises RecursionError, not ValueError, past its depth limit
+    path = tmp_path / "cohort.json"
+    path.write_text('{"cv_description": "x", "patients": %s}' % ("[" * 10 ** 5 + "]" * 10 ** 5))
+    args = {"evaluate": ["evaluate", "--json", str(path), "--C", "0.5", "--T", "1.0",
+                         "--out", str(tmp_path / "r")],
+            "tune": ["tune", "--train-positives", str(path), "--validation-negatives",
+                     str(path), "--out", str(tmp_path / "t.csv")]}[command]
+    result = runner.invoke(main, args)
+    _assert_clean_exit(result)
+    assert result.stderr == f"error: {path}: not valid JSON: nesting too deep\n"

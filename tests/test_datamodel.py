@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -108,6 +109,18 @@ class TestIngestion:
     def test_empty_or_duplicate_object_id_rejected(self, row):
         with pytest.raises(SchemaError, match="object_id"):
             _ingest(objects=OBJECTS_CSV + row + "\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("p1,o6,abc,parasite", "score 'abc' is not numeric"),
+        ("ghost,o6,0.5,distractor", "unknown patient_id 'ghost'"),
+    ])
+    def test_row_fault_before_a_file_fault_comes_first(self, row, message):
+        # the next row is a CSV error (a field over csv's size limit)
+        objects = OBJECTS_CSV + row + "\np1,o7," + "9" * 200_000 + ",parasite\n"
+        with pytest.raises(SchemaError, match=message):
+            _ingest(objects=objects)
+        with pytest.raises(SchemaError, match="field larger than field limit"):
+            _ingest(objects=OBJECTS_CSV + "p1,o7," + "9" * 200_000 + ",parasite\n")
 
     def test_non_utf8_file_rejected(self):
         with pytest.raises(SchemaError):
@@ -219,6 +232,20 @@ class TestJsonIngestion:
         from_csv = ingest_cohort(tmp_path / "o.csv", tmp_path / "p.csv", cohort.cv_description)
         from_json = ingest_cohort_json(tmp_path / "c.json")
         assert from_csv.patients == from_json.patients == cohort.patients
+
+    def test_ingest_keeps_no_object_dicts(self, tmp_path):
+        # the text read and its decoded str take 2x the file; one dict per
+        # object for the whole document took 3.4x
+        path = tmp_path / "c.json"
+        export_cohort_json(generate_cohort(SimConfig(seed=0, n_negative=0, n_positive=50)),
+                           path)
+        tracemalloc.start()
+        try:
+            ingest_cohort_json(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * path.stat().st_size
 
 
 JSON_VALUES = st.recursive(

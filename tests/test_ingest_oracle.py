@@ -3,18 +3,20 @@
 ``oracle_cohort_from_rows`` and ``oracle_patient`` are the row validator
 and the ``PatientRecord`` checks from before patients kept their objects as
 columns: one ObjectRecord per row, validated one object at a time. They stay
-here as the reference. On a valid cohort, or one with a single fault, the
-column ingest must give the same cohort (same patients, same ObjectRecord
-rows, same sorted score arrays) or the same exception with the same message.
+here as the reference, fed by ``csv.DictReader`` or by a plain
+``json.loads`` of the whole document. On a valid cohort, or one with faults
+in up to two patients, the column ingest must give the same cohort (same
+patients, same ObjectRecord rows, same sorted score arrays) or the same
+exception with the same message, which names the first fault in input order.
 """
 
 import csv
 import io
 import json
 import math
-from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from parasitometrics import datamodel
@@ -143,6 +145,37 @@ def oracle_cohort_from_rows(patient_rows, object_rows, cv_description, provenanc
     return cohort, {pid: tuple(objs) for pid, objs in objects.items()}
 
 
+def oracle_ingest_csv(objects_csv, patients_csv, cv_description):
+    """The CSV pair read row by row into the oracle."""
+    object_rows = csv.DictReader(io.StringIO(objects_csv))
+    return oracle_cohort_from_rows(csv.DictReader(io.StringIO(patients_csv)),
+                                   ((row["patient_id"], row) for row in object_rows),
+                                   cv_description, "")
+
+
+def oracle_ingest_json(text):
+    """The JSON document read by plain ``json.loads`` into the oracle."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise SchemaError(f"JSON input: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("JSON input: not valid JSON: nesting too deep") from None
+    patient_docs = doc.get("patients") if isinstance(doc, dict) else None
+    if not isinstance(patient_docs, list) or "cv_description" not in doc:
+        raise SchemaError("JSON cohort must have keys 'cv_description' and 'patients'")
+    for pd in patient_docs:
+        objects = pd.get("objects", []) if isinstance(pd, dict) else None
+        if not isinstance(objects, list) or not all(isinstance(od, dict) for od in objects):
+            raise SchemaError("each patient must be a JSON object with a list of objects")
+    return oracle_cohort_from_rows(
+        patient_docs,
+        ((pd.get("patient_id"), od) for pd in patient_docs for od in pd.get("objects", [])),
+        str(doc["cv_description"]),
+        str(doc.get("provenance") or ""),
+    )
+
+
 def _outcome(ingest):
     try:
         return ingest()
@@ -150,26 +183,14 @@ def _outcome(ingest):
         return exc
 
 
-def _oracle_outcome(ingest):
-    """The oracle's outcome through the same ingest entry point, and its object rows."""
-    rows = {}
-
-    def oracle(*args):
-        cohort, objects = oracle_cohort_from_rows(*args)
-        rows.update(objects)
-        return cohort
-
-    with mock.patch.object(datamodel, "_cohort_from_rows", oracle):
-        return _outcome(ingest), rows
-
-
-def _assert_same_outcome(ingest):
+def _assert_same_outcome(ingest, oracle):
     """``ingest()`` gives the oracle's cohort, or its exception and message."""
     got = _outcome(ingest)
-    want, rows = _oracle_outcome(ingest)
+    want = _outcome(oracle)
     if isinstance(want, Exception):
         assert (type(got), str(got)) == (type(want), str(want))
         return
+    want, rows = want
     assert not isinstance(got, Exception), got
     assert got == want
     for p in got:
@@ -183,9 +204,9 @@ def _assert_same_outcome(ingest):
             assert np.array_equal(getattr(p, attr), expected)
 
 
-# --- cohorts: valid, then at most one fault --------------------------------
+# --- cohorts: valid, then faults in up to two patients ----------------------
 
-FAULTS = (None, "score-text", "score-nan", "score-out-of-range", "bad-label",
+FAULTS = ("score-text", "score-nan", "score-out-of-range", "bad-label",
           "parasite-on-negative", "empty-id", "duplicate-id", "unknown-patient")
 
 # Valid spellings of a value that both formats parse, and some that fail.
@@ -203,10 +224,11 @@ BAD_LABELS = ["x", "", None, 1, ["parasite"], "parasites", "PARASİTE"]
 
 @st.composite
 def cohort_rows(draw, json_values):
-    """Patient dicts and (patient_id, object dict) rows, with at most one fault.
+    """Patient dicts and (patient_id, object dict) rows, with faults in up to two patients.
 
     ``json_values`` also draws values a JSON document can hold but a CSV
-    cell cannot (numbers, null, lists, huge integers).
+    cell cannot (numbers, null, lists, huge integers). The object rows come
+    in any order, so a patient's CSV rows interleave with the others'.
     """
     patients, objects = [], []
     for i in range(draw(st.integers(1, 4))):
@@ -233,35 +255,36 @@ def cohort_rows(draw, json_values):
                 "true_label": draw(LABEL_TEXTS[parasite]),
             }])
 
-    fault = draw(st.sampled_from(FAULTS))
-    if fault is None:
-        return patients, draw(st.permutations(objects))
-    if not objects:
-        objects.append(["p0", {"object_id": "o0", "score": "0.5", "true_label": "distractor"}])
-    # the fault hits one to three objects of one patient, so that the error
-    # must name the first of them
-    i = int(_text(draw(st.sampled_from(objects))[0])[1:])
-    mine = [row for pid, row in objects if _text(pid) == f"p{i}"]
-    hit = draw(st.lists(st.sampled_from(mine), min_size=1, max_size=3, unique_by=id))
+    # each fault hits one to three objects of its patient, so that the error
+    # must name the first of them, and the two patients' faults compete
+    faults = draw(st.lists(st.tuples(st.sampled_from(FAULTS),
+                                     st.integers(0, len(patients) - 1)),
+                           max_size=2, unique_by=lambda fault: fault[1]))
     usable = (lambda v: json_values or isinstance(v, str))
-    if fault == "parasite-on-negative":
-        patients[i].update(ground_truth="neg", species="none", true_parasitemia="0")
-        for row in mine:
-            row["true_label"] = "distractor"
-    for row in hit:
-        if fault in BAD_SCORES:
-            row["score"] = draw(st.sampled_from([v for v in BAD_SCORES[fault] if usable(v)]))
-        elif fault == "bad-label":
-            row["true_label"] = draw(st.sampled_from([v for v in BAD_LABELS if usable(v)]))
-        elif fault == "parasite-on-negative":
-            row["true_label"] = draw(LABEL_TEXTS[True])
-        elif fault == "empty-id":
-            row["object_id"] = draw(st.sampled_from(["", "  "] + ([None] * json_values)))
-        elif fault == "duplicate-id":
-            objects.append([f"p{i}", dict(row, object_id=f" {_text(row['object_id'])}")])
-        elif fault == "unknown-patient":
-            objects.append(["p9", row])
-            break
+    for fault, i in faults:
+        mine = [row for pid, row in objects if _text(pid) == f"p{i}"]
+        if not mine:
+            mine = [{"object_id": "o9", "score": "0.5", "true_label": "distractor"}]
+            objects.append([f"p{i}", mine[0]])
+        hit = draw(st.lists(st.sampled_from(mine), min_size=1, max_size=3, unique_by=id))
+        if fault == "parasite-on-negative":
+            patients[i].update(ground_truth="neg", species="none", true_parasitemia="0")
+            for row in mine:
+                row["true_label"] = "distractor"
+        for row in hit:
+            if fault in BAD_SCORES:
+                row["score"] = draw(st.sampled_from([v for v in BAD_SCORES[fault] if usable(v)]))
+            elif fault == "bad-label":
+                row["true_label"] = draw(st.sampled_from([v for v in BAD_LABELS if usable(v)]))
+            elif fault == "parasite-on-negative":
+                row["true_label"] = draw(LABEL_TEXTS[True])
+            elif fault == "empty-id":
+                row["object_id"] = draw(st.sampled_from(["", "  "] + ([None] * json_values)))
+            elif fault == "duplicate-id":
+                objects.append([f"p{i}", dict(row, object_id=f" {_text(row['object_id'])}")])
+            elif fault == "unknown-patient":
+                objects.append(["p9", dict(row)])
+                break
     return patients, draw(st.permutations(objects))
 
 
@@ -280,8 +303,10 @@ def test_csv_ingest_matches_object_oracle(rows):
     patients_csv = _csv_text(datamodel.PATIENT_COLUMNS, patients)
     objects_csv = _csv_text(datamodel.OBJECT_COLUMNS,
                             [dict(row, patient_id=pid) for pid, row in objects])
-    _assert_same_outcome(lambda: ingest_cohort(
-        io.StringIO(objects_csv), io.StringIO(patients_csv), "1 uL blood"))
+    _assert_same_outcome(
+        lambda: ingest_cohort(io.StringIO(objects_csv), io.StringIO(patients_csv),
+                              "1 uL blood"),
+        lambda: oracle_ingest_csv(objects_csv, patients_csv, "1 uL blood"))
 
 
 @settings(max_examples=300, deadline=None)
@@ -296,4 +321,83 @@ def test_json_ingest_matches_object_oracle(rows, int_ids):
             row = dict(row, object_id=int(_text(row["object_id"])[1:]))
         docs[_text(pid)]["objects"].append(row)
     text = json.dumps({"cv_description": "1 uL blood", "patients": list(docs.values())})
-    _assert_same_outcome(lambda: ingest_cohort_json(io.StringIO(text)))
+    _assert_same_outcome(lambda: ingest_cohort_json(io.StringIO(text)),
+                         lambda: oracle_ingest_json(text))
+
+
+# --- the JSON reader against plain json.loads -------------------------------
+
+_OBJ = '{"object_id": %s, "score": %s, "true_label": %s}'
+_PATIENT = ('{"patient_id": %s, "ground_truth": "pos", "species": %s, '
+            '"true_parasitemia": 500, "examined_volume": 1.0, "wbc_count": null%s}')
+
+
+def _patient(pid='"p0"', species='"pf"', objects=None, extra=""):
+    body = "" if objects is None else ', "objects": [%s]' % ", ".join(objects)
+    return _PATIENT % (pid, species, extra + body)
+
+
+def _doc(*patients, head='"cv_description": "1 uL blood"'):
+    return '{%s, "patients": [%s]}' % (head, ", ".join(patients))
+
+
+_GOOD = [_OBJ % ('"o0"', "0.5", '"parasite"'), _OBJ % ('"o1"', "0.25", '"distractor"')]
+_NESTED = '{"objects": [{"object_id": "x", "score": 0.5, "true_label": "parasite"}]}'
+
+READER_CASES = {
+    "valid": _doc(_patient(objects=_GOOD), _patient('"p1"', objects=_GOOD[:1])),
+    "objects-dict-as-object-id": _doc(_patient(objects=[_OBJ % (_NESTED, "0.5", '"parasite"')])),
+    "objects-dict-as-score": _doc(_patient(objects=[_OBJ % ('"o0"', _NESTED, '"parasite"')])),
+    "objects-dict-as-label": _doc(_patient(objects=[_OBJ % ('"o0"', "0.5", _NESTED)])),
+    "objects-dict-as-species": _doc(_patient(species=_NESTED, objects=_GOOD)),
+    "objects-dict-as-patient-id": _doc(_patient(pid=_NESTED, objects=_GOOD)),
+    "objects-dict-in-extra-patient-field": _doc(
+        _patient(objects=_GOOD, extra=', "notes": [%s]' % _NESTED)),
+    "objects-key-on-an-object": _doc(_patient(objects=[
+        _OBJ[:-1] % ('"o0"', "0.5", '"parasite"') + ', "objects": []}'])),
+    "objects-dict-as-cv-description": _doc(
+        _patient(objects=_GOOD), head=f'"cv_description": {_NESTED}'),
+    "objects-dict-as-provenance": _doc(
+        _patient(objects=_GOOD), head=f'"cv_description": "x", "provenance": {_NESTED}'),
+    "objects-key-on-the-document": _doc(
+        _patient(objects=_GOOD), head='"cv_description": "x", "objects": [{}]'),
+    "duplicated-patients-key": _doc(
+        _patient(objects=_GOOD),
+        head='"cv_description": "x", "patients": [%s]' % _patient('"q0"', objects=_GOOD)),
+    "duplicated-patients-key-empty-first": _doc(
+        _patient(objects=_GOOD), head='"cv_description": "x", "patients": []'),
+    "escaped-patients-key": '{"cv_description": "x", "p\\u0061tients": [%s]}' % _patient(
+        objects=_GOOD),
+    "escaped-duplicated-patients-key": _doc(
+        _patient(objects=_GOOD), head='"cv_description": "x", "p\\u0061tients": [%s]'
+        % _patient('"q0"', objects=_GOOD)),
+    "escaped-objects-key": _doc(_patient(extra=', "obj\\u0065cts": [%s]' % _GOOD[0])),
+    "duplicated-objects-key": _doc(_patient(
+        objects=_GOOD, extra=', "objects": [%s]' % _GOOD[1])),
+    "no-objects-key": _doc(_patient(), _patient('"p1"', objects=_GOOD)),
+    "empty-objects": _doc(_patient(objects=[]), _patient('"p1"', objects=_GOOD)),
+    "objects-not-all-dicts": _doc(_patient(objects=_GOOD + ['"o2"'])),
+    "int-and-text-scores": _doc(_patient(objects=[
+        _OBJ % ('"o0"', "1", '"parasite"'), _OBJ % ('"o1"', "0", '"distractor"'),
+        _OBJ % ('"o2"', '" 0.5"', '"distractor"'), _OBJ % ('"o3"', '"\\u001c0.75"', '"parasite"'),
+    ])),
+    "labels-that-need-member": _doc(_patient(objects=[
+        _OBJ % ('"o0"', "0.5", '" Parasite "'), _OBJ % ('"o1"', "0.5", '"DISTRACTOR"'),
+    ])),
+    "bool-label": _doc(_patient(objects=[_OBJ % ('"o0"', "0.5", "true")])),
+    "int-object-ids": _doc(_patient(objects=[_OBJ % ("7", "0.5", '"parasite"')])),
+    "nan-score-then-bad-label": _doc(_patient(objects=[
+        _OBJ % ('"o0"', "NaN", '"parasite"'), _OBJ % ('"o1"', "0.5", '"x"')])),
+    "truncated": _doc(_patient(objects=_GOOD))[:-7],
+    "trailing-comma": _doc(_patient(objects=_GOOD + [""])),
+    "not-json": "cv_description: x",
+    "byte-order-mark": "\ufeff" + _doc(_patient(objects=_GOOD)),
+    "deeply-nested": _doc(_patient(objects=_GOOD), head='"cv_description": "x", "deep": %s'
+                          % ("[" * 10 ** 5 + "]" * 10 ** 5)),
+}
+
+
+@pytest.mark.parametrize("text", READER_CASES.values(), ids=READER_CASES)
+def test_json_reader_matches_plain_json_loads(text):
+    _assert_same_outcome(lambda: ingest_cohort_json(io.StringIO(text)),
+                         lambda: oracle_ingest_json(text))
