@@ -8,10 +8,11 @@ always ``count / examined_volume``.
 
 File formats (CSV pair or a single JSON document) are documented in the
 module-level ``ingest_cohort`` / ``export_cohort`` functions. Both go through
-one column validator, fed one chunk of a patient's objects at a time (a run
-of CSV rows, or a JSON patient, reduced to columns as it is parsed). It
-parses a JSON value as the CSV text it would be written as (``str`` of it,
-stripped); malformed input raises ``SchemaError``.
+one validator that appends each object to its patient's columns, fed the
+CSV rows as they are read, or the columns that each JSON patient's objects
+were reduced to as it was parsed. It parses a JSON value as the CSV text it
+would be written as (``str`` of it, stripped); malformed input raises
+``SchemaError``.
 Each patient keeps its objects as columns (ids, scores, an is-parasite mask)
 and its scores sorted, so a count at a threshold is a search.
 """
@@ -22,9 +23,10 @@ import csv
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import chain, groupby
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Sequence
@@ -351,58 +353,16 @@ def _parse_float(row: dict, key: str, what: str) -> float:
         raise SchemaError(f"{what}: {key} {_text(row.get(key))!r} is not numeric") from None
 
 
-def _object_columns_checked(pid: str, ids, scores, labels):
-    """One chunk's objects as stripped ids, float scores and is-parasite flags.
-
-    A column that is already an array was converted by the JSON reader. The
-    others are converted in bulk; if that fails, the chunk is walked one
-    object at a time. Either way the error names the chunk's first bad
-    object, and a score outside [0, 1] is a fault of its object.
-    """
-    floats, flags = type(scores) is np.ndarray, type(labels) is np.ndarray
-    try:
-        checked = list(map(str.strip, ids))  # TypeError on a value that is not text
-        if all(checked):
-            # float() is _float on text that it parses and on floats
-            to_float = float if {str, float}.issuperset(map(type, scores)) else _float
-            columns = (checked,
-                       scores if floats else np.array(list(map(to_float, scores))),
-                       labels if flags else list(map(_IS_PARASITE.__getitem__, labels)))
-            _check_scores(*columns[:2])
-            return columns
-    except (TypeError, ValueError, KeyError):
-        pass
-    columns = ([], [], [])
-    try:
-        for oid, score, label in zip(ids, scores.tolist() if floats else scores,
-                                     labels.tolist() if flags else labels):
-            oid = oid.strip() if type(oid) is str else _text(oid)
-            if not oid:
-                raise SchemaError(f"patient {pid!r}: object with empty or missing object_id")
-            what = f"patient {pid!r} object {oid!r}"
-            if not floats:
-                try:
-                    score = _float(score)
-                except ValueError:
-                    raise SchemaError(f"{what}: score {_text(score)!r} is not numeric") from None
-            if not flags:
-                label = _member(_IS_PARASITE, label, "true_label", what)
-            for column, value in zip(columns, (oid, score, label)):
-                column.append(value)
-    finally:
-        # on a fault, an earlier object's score outside [0, 1] is reported instead
-        _check_scores(*columns[:2])
-    return columns
-
-
-def _cohort_from_rows(patient_rows, object_chunks, cv_description, provenance) -> CohortDataset:
+def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> CohortDataset:
     """The column validator behind both file formats.
 
-    ``patient_rows`` are dicts keyed by PATIENT_COLUMNS. ``object_chunks``
-    are ``(patient_id, ids, scores, labels)`` columns of consecutive objects
-    of one patient, in input order. Every value is read as its ``_text``; a
-    value that already is that text skips the conversion. Every chunk is
-    converted before any patient is built, so an object fault comes first.
+    ``patient_rows`` are dicts keyed by PATIENT_COLUMNS; ``object_rows`` are
+    ``(patient_id, object_id, score, true_label)`` tuples in input order,
+    with patients' rows in any order. Every value is read as its ``_text``;
+    a value that already is that text, or a float score, skips the
+    conversion. Each object is checked as it joins its patient's columns,
+    so an error names the first bad object in input order, and comes before
+    any patient is built.
     """
     rows: dict[str, dict] = {}
     for row in patient_rows:
@@ -413,18 +373,41 @@ def _cohort_from_rows(patient_rows, object_chunks, cv_description, provenance) -
             raise DuplicatePatient(f"duplicate patient_id {pid!r}")
         rows[pid] = row
 
-    chunks: dict[str, list] = {pid: [] for pid in rows}
-    for raw_pid, ids, scores, labels in object_chunks:
-        pid = _text(raw_pid)
-        if pid not in chunks:
-            raise MissingPatient(f"object row references unknown patient_id {pid!r}")
-        chunks[pid].append(_object_columns_checked(pid, ids, scores, labels))
+    # per patient: object ids, scores and is-parasite flags, in input order
+    columns = {pid: ([], array("d"), bytearray()) for pid in rows}
+    for raw_pid, oid, score, label in object_rows:
+        try:
+            ids, scores, flags = columns[raw_pid]
+        except (KeyError, TypeError):
+            pid = _text(raw_pid)
+            if pid not in columns:
+                raise MissingPatient(f"object row references unknown patient_id {pid!r}")
+            ids, scores, flags = columns[pid]
+        oid = oid.strip() if type(oid) is str else _text(oid)
+        if not oid:
+            raise SchemaError(
+                f"patient {_text(raw_pid)!r}: object with empty or missing object_id")
+        if type(score) is not float:
+            try:
+                score = _float(score)
+            except ValueError:
+                raise SchemaError(f"patient {_text(raw_pid)!r} object {oid!r}: "
+                                  f"score {_text(score)!r} is not numeric") from None
+        try:
+            flag = _IS_PARASITE[label]
+        except (KeyError, TypeError):
+            flag = _member(_IS_PARASITE, label, "true_label",
+                           f"patient {_text(raw_pid)!r} object {oid!r}")
+        if not 0.0 <= score <= 1.0:  # NaN fails both
+            _check_scores((oid,), (score,))
+        ids.append(oid)
+        scores.append(score)
+        flags.append(flag)
 
     patients = []
     for pid, row in rows.items():
         what = f"patient {pid!r}"
-        parts = chunks[pid]
-        ids = list(chain.from_iterable(part[0] for part in parts))
+        ids, scores, flags = columns[pid]
         if len(set(ids)) != len(ids):
             seen: set[str] = set()
             for oid in ids:
@@ -446,8 +429,8 @@ def _cohort_from_rows(patient_rows, object_chunks, cv_description, provenance) -
                 examined_volume=_parse_float(row, "examined_volume", what),
                 wbc_count=wbc_count,
                 object_ids=ids,
-                scores=np.concatenate([part[1] for part in parts]) if parts else (),
-                is_parasite=np.concatenate([part[2] for part in parts]) if parts else (),
+                scores=scores,
+                is_parasite=flags,
             )
         )
     return CohortDataset(
@@ -471,20 +454,7 @@ def _csv_rows(src, columns: Sequence[str], what: str):
             fh.close()
 
 
-_OBJECT_CELLS = itemgetter("object_id", "score", "true_label")
-
-
-def _csv_chunks(object_rows):
-    """``(patient_id, ids, scores, labels)`` of each run of rows with one patient_id."""
-    for raw_pid, run in groupby(object_rows, itemgetter("patient_id")):
-        cells = []
-        try:
-            cells.extend(map(_OBJECT_CELLS, run))
-        except SchemaError:  # a fault of the file: the rows before it are checked first
-            if cells:
-                yield (raw_pid, *zip(*cells))
-            raise
-        yield (raw_pid, *zip(*cells))
+_OBJECT_CELLS = itemgetter(*OBJECT_COLUMNS)
 
 
 def ingest_cohort(objects_file, patients_file, cv_description: str) -> CohortDataset:
@@ -500,26 +470,28 @@ def ingest_cohort(objects_file, patients_file, cv_description: str) -> CohortDat
     object_rows = _csv_rows(objects_file, OBJECT_COLUMNS, "objects")
     return _cohort_from_rows(
         _csv_rows(patients_file, PATIENT_COLUMNS, "patients"),
-        _csv_chunks(object_rows),
+        map(_OBJECT_CELLS, object_rows),
         cv_description,
         str(provenance),
     )
 
 
+# each exact label as one shared string, so a parsed document keeps no copy per object
+_LABEL_TEXTS = {text: text for text in _IS_PARASITE}
+
+
 def _json_columns(objects: list) -> tuple:
     """(ids, scores, labels) of a list of JSON objects; AttributeError if one is not.
 
-    The scores become a float64 array when every one is a JSON float, and
-    the labels a bool array when every one is an exact label; a column that
-    needs more than that stays the raw list, for the column validator.
+    When every label is an exact label text, the labels become the shared
+    strings of ``_LABEL_TEXTS``; otherwise they stay as parsed, for the
+    column validator to check.
     """
     ids = [od.get("object_id") for od in objects]
     scores = [od.get("score") for od in objects]
     labels = [od.get("true_label") for od in objects]
-    if {float}.issuperset(map(type, scores)):
-        scores = np.array(scores, dtype=float)
     try:
-        labels = np.array(list(map(_IS_PARASITE.__getitem__, labels)), dtype=bool)
+        labels = list(map(_LABEL_TEXTS.__getitem__, labels))
     except (KeyError, TypeError):
         pass
     return ids, scores, labels
@@ -547,10 +519,7 @@ def _load_cohort_json(text):
                 pass
         return d
 
-    try:
-        doc = json.loads(text, object_hook=to_columns)
-    except RecursionError:  # the hook's own frames may be what ran out
-        return json.loads(text)
+    doc = json.loads(text, object_hook=to_columns)
     patients = doc.get("patients") if type(doc) is dict else None
     kept = (sum(type(pd) is dict and type(pd.get("objects")) is tuple for pd in patients)
             if type(patients) is list else 0)
@@ -573,12 +542,12 @@ def ingest_cohort_json(source) -> CohortDataset:
                 doc = _load_cohort_json(fh.read())
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise SchemaError(f"{name}: not valid JSON: {exc}") from None
-    except RecursionError:
+    except RecursionError:  # the scanner, or the object hook on top of it, ran out of depth
         raise SchemaError(f"{name}: not valid JSON: nesting too deep") from None
     patient_docs = doc.get("patients") if isinstance(doc, dict) else None
     if not isinstance(patient_docs, list) or "cv_description" not in doc:
         raise SchemaError("JSON cohort must have keys 'cv_description' and 'patients'")
-    chunks = []
+    patient_objects = []
     for pd in patient_docs:
         columns = pd.get("objects", []) if isinstance(pd, dict) else None
         if type(columns) is list:  # not reduced while parsing
@@ -588,10 +557,10 @@ def ingest_cohort_json(source) -> CohortDataset:
                 pass
         if type(columns) is not tuple:
             raise SchemaError("each patient must be a JSON object with a list of objects")
-        chunks.append((pd.get("patient_id"), *columns))
+        patient_objects.append((pd.get("patient_id"), columns))
     return _cohort_from_rows(
         patient_docs,
-        chunks,
+        chain.from_iterable(zip(repeat(pid), *columns) for pid, columns in patient_objects),
         str(doc["cv_description"]),
         str(doc.get("provenance") or "") if is_handle else str(source),
     )

@@ -388,6 +388,8 @@ READER_CASES = {
     "int-object-ids": _doc(_patient(objects=[_OBJ % ("7", "0.5", '"parasite"')])),
     "nan-score-then-bad-label": _doc(_patient(objects=[
         _OBJ % ('"o0"', "NaN", '"parasite"'), _OBJ % ('"o1"', "0.5", '"x"')])),
+    "out-of-range-score-and-bad-label": _doc(_patient(objects=[
+        _OBJ % ('"o0"', "1.5", '"x"')])),
     "truncated": _doc(_patient(objects=_GOOD))[:-7],
     "trailing-comma": _doc(_patient(objects=_GOOD + [""])),
     "not-json": "cv_description: x",
@@ -401,3 +403,14 @@ READER_CASES = {
 def test_json_reader_matches_plain_json_loads(text):
     _assert_same_outcome(lambda: ingest_cohort_json(io.StringIO(text)),
                          lambda: oracle_ingest_json(text))
+
+
+def test_csv_object_with_two_faults_reports_the_oracles_first():
+    # a score outside [0, 1] is found after the label is parsed, as in ObjectRecord
+    patients_csv = _csv_text(datamodel.PATIENT_COLUMNS, [{
+        "patient_id": "p0", "ground_truth": "pos", "species": "pf",
+        "true_parasitemia": "500", "examined_volume": "1", "wbc_count": ""}])
+    objects_csv = "patient_id,object_id,score,true_label\np0,o0,0.5,parasite\np0,o1,1.5,x\n"
+    _assert_same_outcome(
+        lambda: ingest_cohort(io.StringIO(objects_csv), io.StringIO(patients_csv), "1 uL"),
+        lambda: oracle_ingest_csv(objects_csv, patients_csv, "1 uL"))
