@@ -185,35 +185,6 @@ def default_c_grid(cohort: CohortDataset | None = None) -> list[float]:
     return sorted(grid)
 
 
-def _grid_distributions(train_positives, validation_negatives, validation_positives, grid):
-    """(C, F, S) for every C in the grid, each from one count matrix."""
-    s_cohort = validation_positives if validation_positives is not None else train_positives
-    return zip(grid, fpr_distributions(validation_negatives, grid, negatives_only=True),
-               sensitivity_distributions(s_cohort, grid))
-
-
-def _tuning_row(C: float, F: MetricDistribution, S: MetricDistribution,
-                cfg: CalibrationConfig) -> TuningRow:
-    T = calibrate_threshold(F, cfg)
-    lod = estimate_lod(F, S, cfg)
-    f = F.summary
-    return TuningRow(C=C, T=T, lod=lod.L, mu_F=f.mean, sigma_F=f.std,
-                     sigma_left_F=f.sigma_left, sigma_right_F=f.sigma_right, mu_S=lod.mu_S)
-
-
-def tuning_row(
-    train_positives: CohortDataset,
-    validation_negatives: CohortDataset,
-    validation_positives: CohortDataset | None,
-    C: float,
-    cfg: CalibrationConfig,
-) -> TuningRow:
-    """The tuner's row at one C; raises DegenerateDataError where T or the LoD is undefined."""
-    [(_, F, S)] = _grid_distributions(train_positives, validation_negatives,
-                                      validation_positives, [C])
-    return _tuning_row(C, F, S, cfg)
-
-
 def tune_operating_point(
     train_positives: CohortDataset,
     validation_negatives: CohortDataset,
@@ -221,12 +192,13 @@ def tune_operating_point(
     K: float,
     C_grid,
     cfg: CalibrationConfig | None = None,
-) -> tuple[OperatingPoint, list[TuningRow]]:
+) -> tuple[OperatingPoint, list[TuningRow], list[tuple[float, str]]]:
     """Exhaustive sweep over C: calibrate T for specificity K, pick lowest LoD.
 
     S is computed over validation positives when given, else (less ideal but
     workable) over the training positives. Ties in LoD break toward larger C.
-    A C where T or the LoD is undefined has no row in the table.
+    A C where T or the LoD is undefined has no row in the table; it is listed
+    in ``skipped`` as ``(C, reason)``, in ascending C.
     """
     cfg = replace(cfg or CalibrationConfig(), K=K)
     grid = sorted(set(float(c) for c in C_grid))
@@ -235,18 +207,25 @@ def tune_operating_point(
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise OutOfRange("C_grid values must lie in [0, 1]")
 
+    s_cohort = validation_positives if validation_positives is not None else train_positives
     try:
-        cells = _grid_distributions(train_positives, validation_negatives,
-                                    validation_positives, grid)
+        cells = zip(grid, fpr_distributions(validation_negatives, grid, negatives_only=True),
+                    sensitivity_distributions(s_cohort, grid))
     except DegenerateDataError:
         cells = ()
     table: list[TuningRow] = []
+    skipped: list[tuple[float, str]] = []
     best: TuningRow | None = None
     for c, F, S in cells:
         try:
-            row = _tuning_row(c, F, S, cfg)
-        except DegenerateDataError:
+            T = calibrate_threshold(F, cfg)
+            lod = estimate_lod(F, S, cfg)
+        except DegenerateDataError as exc:
+            skipped.append((c, str(exc)))
             continue
+        f = F.summary
+        row = TuningRow(C=c, T=T, lod=lod.L, mu_F=f.mean, sigma_F=f.std,
+                        sigma_left_F=f.sigma_left, sigma_right_F=f.sigma_right, mu_S=lod.mu_S)
         table.append(row)
         if best is None or row.lod < best.lod or (row.lod == best.lod and row.C > best.C):
             best = row
@@ -254,4 +233,4 @@ def tune_operating_point(
         raise AllCandidatesDegenerate(
             "no C in the grid produced a well-defined (T, LoD) pair"
         )
-    return OperatingPoint(C=best.C, T=best.T), table
+    return OperatingPoint(C=best.C, T=best.T), table, skipped

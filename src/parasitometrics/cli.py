@@ -9,6 +9,7 @@ Exit codes: 0 ok; 1 reproduction-check failure; 2 input/schema error;
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 import os
@@ -27,14 +28,12 @@ from .calibration import (
     estimate_lod,
     fp_scatter,
     tune_operating_point,
-    tuning_row,
 )
 from .curves import froc, object_roc, patient_roc
 from .datamodel import export_cohort, export_cohort_json, ingest_cohort, ingest_cohort_json
 from .errors import (
     DegenerateDataError,
     InputError,
-    ParasitometricsError,
     ReproductionFailure,
     SchemaError,
 )
@@ -227,10 +226,10 @@ def calibrate(json_path, patients, objects, cv_description, c_threshold, spec_ta
     cohort = _load_cohort(json_path, patients, objects, cv_description)
     fpr = fpr_distribution(cohort, c_threshold, negatives_only=True)
     if scatter_out:
-        with open(scatter_out, "w", encoding="utf-8") as fh:
-            fh.write("patient_id,fp_count_per_cv\n")
-            for pid, v in fp_scatter(fpr):
-                fh.write(f"{pid},{v!r}\n")
+        with open(scatter_out, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(("patient_id", "fp_count_per_cv"))
+            w.writerows((pid, repr(v)) for pid, v in fp_scatter(fpr))
         click.echo(scatter_out)
     cfg = CalibrationConfig(K=spec_target, method=_parse_method(method), manual_T=manual_t)
     t = calibrate_threshold(fpr, cfg)
@@ -278,7 +277,7 @@ def tune(train_pos, val_neg, val_pos, spec_target, c_grid, calib_method, out_pat
     positives = ingest_cohort_json(val_pos) if val_pos else None
     grid = _parse_floats(c_grid, "C grid") if c_grid else default_c_grid(train)
     cfg = CalibrationConfig(K=spec_target, method=_parse_method(calib_method))
-    best, table = tune_operating_point(train, negatives, positives, spec_target, grid, cfg)
+    best, table, skipped = tune_operating_point(train, negatives, positives, spec_target, grid, cfg)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("C,T,LoD,mu_F,sigma_F,sigma_L,sigma_R,mu_S\n")
         for row in table:
@@ -288,11 +287,8 @@ def tune(train_pos, val_neg, val_pos, spec_target, c_grid, calib_method, out_pat
             )
     click.echo(out_path)
     click.echo(f"best C = {best.C!r}, T = {best.T!r}")
-    for c in sorted(set(grid) - {row.C for row in table}):
-        try:
-            tuning_row(train, negatives, positives, c, cfg)
-        except DegenerateDataError as exc:
-            click.echo(f"warning: C={c!r} skipped: {exc}", err=True)
+    for c, reason in skipped:
+        click.echo(f"warning: C={c!r} skipped: {reason}", err=True)
 
 
 @main.command()

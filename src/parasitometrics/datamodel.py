@@ -24,6 +24,7 @@ import json
 import math
 import os
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import chain, repeat
@@ -438,20 +439,25 @@ def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> 
     )
 
 
+def _file(src, mode: str = "r", **kwargs):
+    """``src`` as a context manager: a path is opened and closed on exit; an
+    open handle is used as it is and left open."""
+    if hasattr(src, "read" if mode == "r" else "write"):
+        return nullcontext(src)
+    return open(src, mode, encoding="utf-8", **kwargs)
+
+
 def _csv_rows(src, columns: Sequence[str], what: str):
     """Dict rows of one CSV file, a path or an open text handle, header checked."""
-    fh = src if hasattr(src, "read") else open(src, newline="", encoding="utf-8")
-    try:
-        reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise SchemaError(f"{what} file missing column(s): {', '.join(missing)}")
-        yield from reader
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise SchemaError(f"{what} file: {exc}") from None
-    finally:
-        if fh is not src:
-            fh.close()
+    with _file(src, newline="") as fh:
+        try:
+            reader = csv.DictReader(fh)
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise SchemaError(f"{what} file missing column(s): {', '.join(missing)}")
+            yield from reader
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise SchemaError(f"{what} file: {exc}") from None
 
 
 _OBJECT_CELLS = itemgetter(*OBJECT_COLUMNS)
@@ -535,11 +541,8 @@ def ingest_cohort_json(source) -> CohortDataset:
     is_handle = hasattr(source, "read")
     name = "JSON input" if is_handle else source
     try:
-        if is_handle:
-            doc = _load_cohort_json(source.read())
-        else:
-            with open(source, encoding="utf-8") as fh:
-                doc = _load_cohort_json(fh.read())
+        with _file(source) as fh:
+            doc = _load_cohort_json(fh.read())
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise SchemaError(f"{name}: not valid JSON: {exc}") from None
     except RecursionError:  # the scanner, or the object hook on top of it, ran out of depth
@@ -568,14 +571,7 @@ def ingest_cohort_json(source) -> CohortDataset:
 
 def export_cohort(cohort: CohortDataset, objects_file, patients_file) -> None:
     """Write the cohort back to the CSV pair (inverse of ingest_cohort)."""
-
-    def _open(dst):
-        if hasattr(dst, "write"):
-            return dst, False
-        return open(dst, "w", newline="", encoding="utf-8"), True
-
-    fh, close_it = _open(patients_file)
-    try:
+    with _file(patients_file, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(PATIENT_COLUMNS)
         for p in cohort.patients:
@@ -589,20 +585,12 @@ def export_cohort(cohort: CohortDataset, objects_file, patients_file) -> None:
                     "" if p.wbc_count is None else p.wbc_count,
                 ]
             )
-    finally:
-        if close_it:
-            fh.close()
-
-    fh, close_it = _open(objects_file)
-    try:
+    with _file(objects_file, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(OBJECT_COLUMNS)
         for p in cohort.patients:
             w.writerows((p.patient_id, oid, repr(score), _LABELS[parasite].value)
                         for oid, score, parasite in _object_columns(p))
-    finally:
-        if close_it:
-            fh.close()
 
 
 # The layout of json.dump(doc, fh, indent=2) for the cohort document, filled
@@ -641,13 +629,9 @@ def export_cohort_json(cohort: CohortDataset, dest) -> None:
     The bytes are those of ``json.dump(doc, dest, indent=2)``, without
     building ``doc``; one patient is formatted at a time.
     """
-    fh = dest if hasattr(dest, "write") else open(dest, "w", encoding="utf-8")
-    try:
+    with _file(dest, "w") as fh:
         fh.write(f'{{\n  "cv_description": {json.dumps(cohort.cv_description)},\n'
                  f'  "provenance": {json.dumps(cohort.provenance)},\n  "patients": [\n')
         for i, p in enumerate(cohort.patients):
             fh.write(f",\n{_patient_json(p)}" if i else _patient_json(p))
         fh.write("\n  ]\n}")
-    finally:
-        if fh is not dest:
-            fh.close()

@@ -64,11 +64,6 @@ class MetricDistribution:
     excluded: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
 
-    @property
-    def values(self) -> list[float]:
-        # deterministic order regardless of construction order
-        return [self.per_patient[k] for k in sorted(self.per_patient)]
-
 
 @dataclass(frozen=True)
 class Stratum:

@@ -71,6 +71,7 @@ def run_all() -> list[CheckResult]:
 
     # pooled vs patient-level sensitivity worked example
     ex = examples["patient-level"]
+    want = ex["expected"]
     pooled = pooled_object_sensitivity(ex["cohort"], ex["C"]).value
     strat, _ = patient_level_sens_spec(
         ex["cohort"], OperatingPoint(C=ex["C"], T=ex["T"])
@@ -78,19 +79,21 @@ def run_all() -> list[CheckResult]:
     checks.append(
         _check(
             "pooled_vs_patient_sensitivity",
-            abs(pooled - 50_000 / 50_900) < 1e-9 and strat.overall == 0.25,
+            abs(pooled - want["pooled_sensitivity"]) < 1e-9
+            and strat.overall == want["patient_level_sensitivity"],
             f"pooled = {pooled:.5f} (expect 0.98232), patient-level = {strat.overall}",
         )
     )
 
     # precision re-expression at LoD parasitemia
     ex = examples["precision"]
+    want = ex["expected"]
     pr = precision_f1_with_reexpression(ex["cohort"], ex["C"], ex["lod_parasitemia"])
     checks.append(
         _check(
             "precision_reexpression",
-            abs(pr.precision - 10_000 / 10_100) < 1e-4
-            and abs(pr.precision_at_lod - 0.5) < 1e-9,
+            abs(pr.precision - want["precision"]) < 1e-4
+            and abs(pr.precision_at_lod - want["precision_at_lod"]) < 1e-9,
             f"precision = {pr.precision:.4f} -> at LoD 100: {pr.precision_at_lod:.4f}",
         )
     )
@@ -106,7 +109,8 @@ def run_all() -> list[CheckResult]:
     checks.append(
         _check(
             "auc_imbalance_coexistence",
-            roc.auc >= 0.999 and fp_per_parasite == 50,
+            roc.auc >= ex["expected"]["auc"]
+            and fp_per_parasite == ex["expected"]["fp_per_parasite"],
             f"AUC = {roc.auc:.6f}, FPs per parasite at full sensitivity = {fp_per_parasite}",
         )
     )

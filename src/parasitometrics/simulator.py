@@ -7,11 +7,11 @@ high-scoring distractors ~ Poisson(f*V), background low-scoring distractors
 ~ Poisson(bg*V)).
 
 Score model: scores live on [0, 1] and 0.5 is the reference threshold. Each
-parasite score is drawn from a beta(a, b) whose ``a`` is solved (Brent's
+parasite score is drawn from a beta(a, 2) whose ``a`` is solved (Brent's
 method on the regularized incomplete beta) so that Pr[score >= 0.5] = s; the
 realized per-patient sensitivity at C = 0.5 is then binomial around s.
-Distractor scores above/below 0.5 are drawn from the configured beta
-conditioned to the matching half, via inverse-CDF sampling in the tail.
+Distractor scores above/below 0.5 are drawn from Beta(2, 4) conditioned to
+the matching half, via inverse-CDF sampling in the tail.
 
 Determinism: each patient uses an independent substream derived from
 numpy's SeedSequence(seed, spawn_key=(patient_index,)), so output is
@@ -50,11 +50,6 @@ class LogUniform:
 
 
 @dataclass(frozen=True)
-class Choice:
-    values: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class TruncatedNormal:
     """Normal(mu, sigma) with draws resampled/clipped at 0."""
 
@@ -67,24 +62,6 @@ class TruncatedNormal:
 
 
 @dataclass(frozen=True)
-class LogNormal:
-    mu_log: float
-    sigma_log: float
-
-
-@dataclass(frozen=True)
-class Mixture:
-    components: tuple
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.components) != len(self.weights) or not self.components:
-            raise InvalidConfig("mixture needs matching components and weights")
-        if any(w < 0 for w in self.weights) or abs(sum(self.weights) - 1.0) > 1e-9:
-            raise InvalidConfig("mixture weights must be >= 0 and sum to 1")
-
-
-@dataclass(frozen=True)
 class Beta:
     a: float
     b: float
@@ -94,20 +71,17 @@ class Beta:
             raise InvalidConfig("beta parameters must be > 0")
 
 
+PARASITE_SCORE_B = 2.0                  # Beta(a, 2), a re-solved per patient
+DISTRACTOR_SCORE_DIST = Beta(2.0, 4.0)
+
+
 def _draw_positive_rate(spec, rng: np.random.Generator) -> float:
     if isinstance(spec, Fixed):
         return max(spec.value, 0.0)
     if isinstance(spec, TruncatedNormal):
         return max(float(rng.normal(spec.mu, spec.sigma)), 0.0)
-    if isinstance(spec, LogNormal):
-        return float(rng.lognormal(spec.mu_log, spec.sigma_log))
     if isinstance(spec, LogUniform):
         return float(np.exp(rng.uniform(math.log(spec.lo), math.log(spec.hi))))
-    if isinstance(spec, Choice):
-        return float(rng.choice(spec.values))
-    if isinstance(spec, Mixture):
-        idx = rng.choice(len(spec.components), p=spec.weights)
-        return _draw_positive_rate(spec.components[idx], rng)
     raise InvalidConfig(f"unsupported distribution spec {spec!r}")
 
 
@@ -141,8 +115,6 @@ class SimConfig:
     species_mix: dict = field(default_factory=lambda: dict(DEFAULT_SPECIES_MIX))
     fpr_dist: object = TruncatedNormal(50.0, 20.0)
     patient_sensitivity_dist: object = Beta(8.0, 2.0)
-    parasite_score_dist: object = Beta(4.0, 2.0)   # b is kept; a re-solved per patient
-    distractor_score_dist: object = Beta(2.0, 4.0)
     background_distractor_rate: float = 100.0      # low-score distractors per cV
 
     def __post_init__(self):
@@ -150,10 +122,13 @@ class SimConfig:
             raise InvalidConfig("patient counts must be >= 0")
         if self.n_negative + self.n_positive == 0:
             raise InvalidConfig("cohort must contain at least one patient")
-        if self.examined_volume <= 0:
-            raise InvalidConfig("examined_volume must be > 0")
-        if self.background_distractor_rate < 0:
-            raise InvalidConfig("background_distractor_rate must be >= 0")
+        if not (math.isfinite(self.examined_volume) and self.examined_volume > 0):
+            raise InvalidConfig(f"examined_volume must be finite and > 0, "
+                                f"got {self.examined_volume!r}")
+        if not (math.isfinite(self.background_distractor_rate)
+                and self.background_distractor_rate >= 0):
+            raise InvalidConfig(f"background_distractor_rate must be finite and >= 0, "
+                                f"got {self.background_distractor_rate!r}")
         weights = list(self.species_mix.values())
         if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
             raise InvalidConfig("species_mix weights must be >= 0 and sum to 1")
@@ -245,15 +220,22 @@ def _tail_scores(spec: Beta, n: int, rng: np.random.Generator, upper: bool) -> n
     return np.clip(betaincinv(spec.a, spec.b, u), 0.0, 1.0)
 
 
+def _poisson(rng: np.random.Generator, lam: float) -> int:
+    try:
+        return int(rng.poisson(lam))
+    except ValueError as exc:  # numpy rejects a NaN, negative or too large mean
+        raise InvalidConfig(f"cannot draw a Poisson count with mean {lam!r}: {exc}") from None
+
+
 def _distractors(cfg: SimConfig, patient_id: str, f: float, rng):
     """Ids and scores of one patient's high- then low-scoring distractors."""
     v = cfg.examined_volume
-    n_high = int(rng.poisson(f * v))
-    n_low = int(rng.poisson(cfg.background_distractor_rate * v))
+    n_high = _poisson(rng, f * v)
+    n_low = _poisson(rng, cfg.background_distractor_rate * v)
     scores = np.concatenate(
         [
-            _tail_scores(cfg.distractor_score_dist, n_high, rng, upper=True),
-            _tail_scores(cfg.distractor_score_dist, n_low, rng, upper=False),
+            _tail_scores(DISTRACTOR_SCORE_DIST, n_high, rng, upper=True),
+            _tail_scores(DISTRACTOR_SCORE_DIST, n_low, rng, upper=False),
         ]
     )
     return [f"{patient_id}-d{i:05d}" for i in range(len(scores))], scores
@@ -263,7 +245,6 @@ def generate_cohort(cfg: SimConfig) -> CohortDataset:
     """Generate a synthetic cohort; deterministic for a fixed config."""
     species_labels = list(cfg.species_mix.keys())
     species_weights = list(cfg.species_mix.values())
-    b_parasite = cfg.parasite_score_dist.b
 
     patients = []
     for i in range(cfg.n_negative):
@@ -295,9 +276,9 @@ def generate_cohort(cfg: SimConfig) -> CohortDataset:
         s = _draw_sensitivity(cfg.patient_sensitivity_dist, rng)
         f = _draw_positive_rate(cfg.fpr_dist, rng)
 
-        n_parasites = int(rng.poisson(parasitemia * cfg.examined_volume))
-        a = solve_beta_a(s, b_parasite)
-        parasite_scores = np.clip(rng.beta(a, b_parasite, size=n_parasites), 0.0, 1.0)
+        n_parasites = _poisson(rng, parasitemia * cfg.examined_volume)
+        a = solve_beta_a(s, PARASITE_SCORE_B)
+        parasite_scores = np.clip(rng.beta(a, PARASITE_SCORE_B, size=n_parasites), 0.0, 1.0)
         ids, scores = _distractors(cfg, pid, f, rng)
         patients.append(
             PatientRecord(

@@ -261,7 +261,7 @@ def test_criterion_08_tuner_matches_exhaustive_sweep():
     assert lods.count(min(lods)) == 1  # unique minimizer
     _, best_c, best_t = min(oracle)
 
-    op, _ = tune_operating_point(
+    op, _, _ = tune_operating_point(
         train, val_neg, None, 0.95, grid, CalibrationConfig(K=0.95)
     )
     assert op.C == best_c

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -190,6 +191,26 @@ class TestCalibrateAndLod:
         assert lines[0] == "patient_id,fp_count_per_cv"
         assert len(lines) == 3  # header + two negatives
 
+    def test_scatter_out_quotes_patient_ids(self, runner, tmp_path):
+        cohort = make_cohort(
+            make_patient("n,1", distractor_scores=(0.8, 0.6)),
+            make_patient('n"2', distractor_scores=(0.7,)),
+            make_patient("plain", distractor_scores=(0.9, 0.8, 0.7)),
+        )
+        patients, objects = tmp_path / "patients.csv", tmp_path / "objects.csv"
+        export_cohort(cohort, objects, patients)
+        scatter = tmp_path / "scatter.csv"
+        result = runner.invoke(main, [
+            "calibrate", "--patients", str(patients), "--objects", str(objects),
+            "--C", "0.5", "--scatter-out", str(scatter),
+        ])
+        assert result.exit_code == 0, result.output
+        with open(scatter, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["patient_id", "fp_count_per_cv"], ['n"2', "1.0"],
+                        ["n,1", "2.0"], ["plain", "3.0"]]
+        assert scatter.read_text().endswith("\nplain,3.0\n")
+
     def test_no_negatives_is_degenerate(self, runner, tmp_path):
         cohort = make_cohort(
             make_patient("pos1", positive=True, parasite_scores=(0.9, 0.8)),
@@ -297,6 +318,26 @@ class TestQuantCommand:
         assert "quantitation" in doc
         assert len(doc["quantitation"]["per_patient"]) == 2
 
+    def test_quant_rates_from_cohort_as_csv(self, runner, tmp_path):
+        patients, objects = _write_mixed_cohort_csvs(tmp_path)
+        out = tmp_path / "q"
+        result = runner.invoke(main, [
+            "quant", "--patients", str(patients), "--objects", str(objects),
+            "--C", "0.5", "--out", str(out), "--format", "csv",
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.splitlines() == [
+            str(out / name) for name in ("report.json", "quantitation.csv", "bland_altman.csv")
+        ]
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["quantitation"]["fom"] is not None
+        quant_rows = (out / "quantitation.csv").read_text().splitlines()
+        assert quant_rows[0] == "patient_id,P_true,P_hat,rel_error"
+        assert [row.split(",")[0] for row in quant_rows[1:]] == ["pos1", "pos2"]
+        ba_rows = (out / "bland_altman.csv").read_text().splitlines()
+        assert ba_rows[0] == "mean_log10,diff_log10"
+        assert len(ba_rows) == 3
+
 
 class TestPoissonCommand:
     def test_pmf_to_stdout(self, runner):
@@ -315,6 +356,17 @@ class TestPoissonCommand:
         assert result.exit_code == 0, result.output
         v = float(result.output.split("=")[1].split()[0])
         assert v == pytest.approx(0.01, abs=1e-6)
+
+    def test_pmf_to_file(self, runner, tmp_path):
+        path = tmp_path / "pmf.csv"
+        result = runner.invoke(main, ["poisson", "-p", "100", "-v", "0.01", "--out", str(path)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == f"{path}\n"
+        stdout = runner.invoke(main, ["poisson", "-p", "100", "-v", "0.01"]).stdout
+        lines = path.read_text().splitlines()
+        assert lines[0] == "volume,k,probability"
+        assert lines == stdout.splitlines()
+        assert len(lines) > 2
 
     def test_half_specified_min_volume_is_input_error(self, runner):
         result = runner.invoke(main, ["poisson", "-p", "100", "--k-min", "1"])
@@ -358,6 +410,16 @@ class TestSimulateCommand:
         ])
         assert ev.exit_code == 0, ev.output
         assert (out / "report.json").exists()
+
+    @pytest.mark.parametrize("volume", ["nan", "inf", "1e300"])
+    def test_unusable_volume_is_one_line_input_error(self, runner, tmp_path, volume):
+        result = runner.invoke(main, [
+            "simulate", "--volume", volume, "--out", str(tmp_path / "s"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.output
 
     def test_who56_preset(self, runner, tmp_path):
         result = runner.invoke(main, [

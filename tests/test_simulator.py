@@ -17,7 +17,6 @@ from parasitometrics.simulator import (
     Beta,
     Fixed,
     LogUniform,
-    Mixture,
     SimConfig,
     TruncatedNormal,
     generate_cohort,
@@ -93,8 +92,16 @@ class TestStructure:
             SimConfig(species_mix={Species.FALCIPARUM: 0.5})
         with pytest.raises(InvalidConfig):
             LogUniform(10.0, 5.0)
-        with pytest.raises(InvalidConfig):
-            Mixture(components=(Fixed(1.0),), weights=(0.5,))
+
+    @pytest.mark.parametrize("field", ["examined_volume", "background_distractor_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_config_is_rejected(self, field, value):
+        with pytest.raises(InvalidConfig, match=field):
+            SimConfig(**{field: value})
+
+    def test_poisson_mean_too_large_is_invalid_config(self):
+        with pytest.raises(InvalidConfig, match="Poisson"):
+            generate_cohort(SimConfig(n_negative=1, n_positive=0, examined_volume=1e300))
 
 
 class TestSolveBetaA:

@@ -24,7 +24,6 @@ from parasitometrics.calibration import (
     calibrate_threshold,
     estimate_lod,
     tune_operating_point,
-    tuning_row,
 )
 from parasitometrics.curves import patient_roc
 from parasitometrics.datamodel import GroundTruth, patient_counts
@@ -129,12 +128,13 @@ def loop_tuning_row(train_positives, validation_negatives, validation_positives,
 
 def loop_tune(train_positives, validation_negatives, validation_positives, K, C_grid, cfg):
     cfg = replace(cfg, K=K)
-    table, best = [], None
+    table, skipped, best = [], [], None
     for c in sorted(set(float(c) for c in C_grid)):
         try:
             row = loop_tuning_row(train_positives, validation_negatives,
                                   validation_positives, c, cfg)
-        except DegenerateDataError:
+        except DegenerateDataError as exc:
+            skipped.append((c, str(exc)))
             continue
         table.append(row)
         if best is None or row.lod < best.lod or (row.lod == best.lod and row.C > best.C):
@@ -143,7 +143,7 @@ def loop_tune(train_positives, validation_negatives, validation_positives, K, C_
         raise AllCandidatesDegenerate(
             "no C in the grid produced a well-defined (T, LoD) pair"
         )
-    return OperatingPoint(C=best.C, T=best.T), table
+    return OperatingPoint(C=best.C, T=best.T), table, skipped
 
 
 def loop_patient_roc(cohort, C, T_grid):
@@ -225,10 +225,6 @@ def test_tuner_matches_per_c_loop(inputs):
     want = outcome(loop_tune, train, negatives, validation, K, grid, cfg)
     assert got == want
     assert types(got) == types(want)
-    for c in grid:
-        k_cfg = replace(cfg, K=K)
-        row = outcome(tuning_row, train, negatives, validation, c, k_cfg)
-        assert row == outcome(loop_tuning_row, train, negatives, validation, c, k_cfg)
 
 
 @settings(max_examples=150, deadline=None)
@@ -295,8 +291,6 @@ def test_one_negative_makes_every_c_degenerate():
     train = make_cohort(make_patient("p1", positive=True, parasite_scores=(0.7, 0.9)))
     with pytest.raises(AllCandidatesDegenerate):
         tune_operating_point(train, negatives, None, 0.95, [0.0, 0.5, 1.0])
-    with pytest.raises(InsufficientPatients):
-        tuning_row(train, negatives, None, 0.5, CalibrationConfig())
 
 
 def test_positives_without_parasites_make_every_c_degenerate():
