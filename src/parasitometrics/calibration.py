@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .datamodel import CohortDataset, pooled_scores
+from .datamodel import CohortDataset, distinct_sorted, pooled_scores
 from .errors import (
     AllCandidatesDegenerate,
     DegenerateDataError,
@@ -179,7 +179,7 @@ def default_c_grid(cohort: CohortDataset | None = None) -> list[float]:
     """101 evenly spaced thresholds, plus observed scores when few enough."""
     grid = {round(i / 100.0, 2) for i in range(101)}
     if cohort is not None:
-        observed = np.unique(pooled_scores(cohort.patients)[0])
+        observed = distinct_sorted(pooled_scores(cohort.patients)[0])
         if len(observed) < 512:
             grid |= set(observed.tolist())
     return sorted(grid)

@@ -228,8 +228,11 @@ def calibrate(json_path, patients, objects, cv_description, c_threshold, spec_ta
     if scatter_out:
         with open(scatter_out, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
+            # csv quotes only the line terminator's "\n", so an id with "\r" is quoted here
+            quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
             w.writerow(("patient_id", "fp_count_per_cv"))
-            w.writerows((pid, repr(v)) for pid, v in fp_scatter(fpr))
+            for pid, v in fp_scatter(fpr):
+                (quoted if "\r" in pid else w).writerow((pid, repr(v)))
         click.echo(scatter_out)
     cfg = CalibrationConfig(K=spec_target, method=_parse_method(method), manual_T=manual_t)
     t = calibrate_threshold(fpr, cfg)

@@ -29,6 +29,7 @@ from .calibration import OperatingPoint
 from .datamodel import (
     CohortDataset,
     counts_at,
+    distinct_sorted,
     n_at_or_above,
     patient_counts,
     pooled_scores,
@@ -68,11 +69,6 @@ class CurvePoints:
     # (specificity >= 0.9), and the cohort's positive-parasitemia values.
     salient: tuple[bool, ...] | None = None
     parasitemia_distribution: tuple[float, ...] | None = None
-
-    def to_csv_rows(self):
-        yield ("threshold", "x", "y")
-        for x, y, thr in self.points:
-            yield (repr(thr), repr(x), repr(y))
 
 
 def _roc(scores: np.ndarray, is_parasite: np.ndarray) -> CurvePoints:
@@ -168,7 +164,7 @@ def froc(
         notes = ("no negative patients: FP/cV computed over all patients",)
 
     # distinct scores, descending, then 0.0 (accept-all) unless already there
-    thresholds = np.unique(pooled_scores(cohort.patients)[0])[::-1]
+    thresholds = distinct_sorted(pooled_scores(cohort.patients)[0])[::-1]
     if not len(thresholds) or thresholds[-1] > 0.0:
         thresholds = np.append(thresholds, 0.0)
 

@@ -300,6 +300,16 @@ def pooled_scores(patients) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(par + dis), is_parasite
 
 
+def distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for floats without NaN: one sort and the
+    neighbour-inequality mask, the path np.unique takes for floats, without
+    np.unique's lazy import of ``numpy.ma``."""
+    ascending = np.sort(values)
+    keep = np.ones(len(ascending), dtype=bool)
+    keep[1:] = ascending[1:] != ascending[:-1]
+    return ascending[keep]
+
+
 # ---------------------------------------------------------------------------
 # Ingestion / export
 # ---------------------------------------------------------------------------
@@ -448,19 +458,29 @@ def _file(src, mode: str = "r", **kwargs):
 
 
 def _csv_rows(src, columns: Sequence[str], what: str):
-    """Dict rows of one CSV file, a path or an open text handle, header checked."""
+    """Rows of one CSV file, a path or an open text handle, as tuples of the
+    ``columns``' cells, header checked.
+
+    A cell is read as ``csv.DictReader`` reads it: blank rows are skipped,
+    extra cells ignored, a short row's missing cells are None, and a header
+    name given twice means its last column.
+    """
     with _file(src, newline="") as fh:
         try:
-            reader = csv.DictReader(fh)
-            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            reader = csv.reader(fh)
+            index = {name: i for i, name in enumerate(next(reader, ()))}
+            missing = [c for c in columns if c not in index]
             if missing:
                 raise SchemaError(f"{what} file missing column(s): {', '.join(missing)}")
-            yield from reader
+            at = [index[c] for c in columns]
+            cells, width = itemgetter(*at), max(at) + 1
+            for row in reader:
+                if len(row) >= width:
+                    yield cells(row)
+                elif row:
+                    yield tuple(row[i] if i < len(row) else None for i in at)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise SchemaError(f"{what} file: {exc}") from None
-
-
-_OBJECT_CELLS = itemgetter(*OBJECT_COLUMNS)
 
 
 def ingest_cohort(objects_file, patients_file, cv_description: str) -> CohortDataset:
@@ -475,8 +495,9 @@ def ingest_cohort(objects_file, patients_file, cv_description: str) -> CohortDat
     provenance = patients_file if isinstance(patients_file, (str, os.PathLike)) else ""
     object_rows = _csv_rows(objects_file, OBJECT_COLUMNS, "objects")
     return _cohort_from_rows(
-        _csv_rows(patients_file, PATIENT_COLUMNS, "patients"),
-        map(_OBJECT_CELLS, object_rows),
+        (dict(zip(PATIENT_COLUMNS, row))
+         for row in _csv_rows(patients_file, PATIENT_COLUMNS, "patients")),
+        object_rows,
         cv_description,
         str(provenance),
     )

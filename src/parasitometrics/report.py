@@ -4,13 +4,20 @@ The serializer enforces one structural rule: a patient-level sensitivity
 section is only emittable together with its parasitemia bin definition and the
 paired specificity. A sensitivity number without those two is uninformative
 and is rejected, not silently written.
+
+``report.json`` has the bytes of ``json.dump(doc, fh, indent=2,
+sort_keys=True)`` plus a newline. A small writer here produces them, so that
+each curve's points are formatted once, a block at a time, and the same
+strings fill both the JSON rows and the curve's CSV (``inf`` there,
+``Infinity`` in JSON).
 """
 
 from __future__ import annotations
 
 import csv
-import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -84,6 +91,11 @@ def report_to_doc(report: EvaluationReport) -> dict:
     Raises ReportInvariantError if a patient-level sensitivity section lacks
     its parasitemia bins or the paired specificity entry.
     """
+    return _document(report, lambda name, c: [list(pt) for pt in c.points])
+
+
+def _document(report: EvaluationReport, points) -> dict:
+    """``report_to_doc``'s document, with ``points(name, curve)`` as each curve's points."""
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -141,7 +153,7 @@ def report_to_doc(report: EvaluationReport) -> dict:
             name: {
                 "kind": c.kind.value,
                 "auc": c.auc,
-                "points": [list(pt) for pt in c.points],
+                "points": points(name, c),
                 "notes": list(c.notes),
             }
             for name, c in report.curves.items()
@@ -172,6 +184,82 @@ def report_to_doc(report: EvaluationReport) -> dict:
     return doc
 
 
+# json's spelling of the non-finite floats, which repr (and so the CSV) spells inf, -inf, nan
+_JSON_SPELLING = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+# curve points formatted and written at a time, so no whole curve's text is held
+_CURVE_BLOCK = 1024
+
+
+@dataclass(frozen=True)
+class _CurveRows:
+    """A curve's points in ``write_report``'s document, and the path of the
+    curve's CSV when one is written alongside."""
+
+    points: tuple
+    csv_path: Path | None
+
+
+def _json_scalar(o) -> str:
+    """``o``, a scalar or an empty list or dict, as ``json.dump`` spells it."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _JSON_SPELLING.get(text, text)
+    if isinstance(o, (list, tuple, dict)):
+        return "{}" if isinstance(o, dict) else "[]"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _write_json(fh, o, indent: str = "") -> None:
+    """Write ``o`` (string keys only) as ``json.dump(o, fh, indent=2, sort_keys=True)`` does."""
+    inner = indent + "  "
+    if isinstance(o, dict) and o:
+        for i, (key, value) in enumerate(sorted(o.items())):
+            fh.write(f"{',' if i else '{'}\n{inner}{encode_basestring_ascii(key)}: ")
+            _write_json(fh, value, inner)
+        fh.write(f"\n{indent}}}")
+    elif isinstance(o, (list, tuple)) and o:
+        for i, value in enumerate(o):
+            fh.write(f"{',' if i else '['}\n{inner}")
+            _write_json(fh, value, inner)
+        fh.write(f"\n{indent}]")
+    elif isinstance(o, _CurveRows):
+        _write_curve(fh, o, indent)
+    else:
+        fh.write(_json_scalar(o))
+
+
+def _write_curve(fh, rows: _CurveRows, indent: str) -> None:
+    """The (x, y, threshold) points as JSON rows at ``indent``, and as the
+    curve's CSV when ``rows.csv_path`` is set, from one repr of each number."""
+    a, b = indent + "  ", indent + "    "
+    point = f"\n{a}[\n{b}{{}},\n{b}{{}},\n{b}{{}}\n{a}]".format
+    with (nullcontext() if rows.csv_path is None else
+          open(rows.csv_path, "w", newline="", encoding="utf-8")) as csv_fh:
+        if csv_fh:
+            csv_fh.write("threshold,x,y\r\n")
+        for lo in range(0, len(rows.points), _CURVE_BLOCK):
+            x, y, t = zip(*rows.points[lo:lo + _CURVE_BLOCK], strict=True)
+            xs, ys, ts = (list(map(repr, col)) for col in (x, y, t))
+            if csv_fh:  # a number's repr needs no CSV quoting
+                csv_fh.write("".join(map("{},{},{}\r\n".format, ts, xs, ys)))
+            if set(map(type, x + y + t)) <= {float, int}:  # repr is json's text, inf and nan aside
+                cols = (map(_JSON_SPELLING.get, col, col) for col in (xs, ys, ts))
+            else:
+                cols = (map(_json_scalar, col) for col in (x, y, t))
+            fh.write(("," if lo else "[") + ",".join(map(point, *cols)))
+    fh.write(f"\n{indent}]" if rows.points else "[]")
+
+
 def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -188,14 +276,16 @@ def write_report(report: EvaluationReport, out_dir, fmt: str = "json") -> list[s
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    doc = report_to_doc(report)  # validates invariants for either format
-    written = []
+    curve_csvs = {name: out / f"curve_{name}.csv"
+                  for name in (report.curves if fmt == "csv" else ())}
+    # validates invariants for either format
+    doc = _document(report, lambda name, c: _CurveRows(c.points, curve_csvs.get(name)))
 
     json_path = out / "report.json"
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        _write_json(fh, doc)  # also writes the curve CSVs
         fh.write("\n")
-    written.append(str(json_path))
+    written = [str(json_path)]
 
     if fmt == "csv":
         for md, name, column in ((report.fpr, "per_patient_fpr.csv", "fp_per_cv"),
@@ -220,11 +310,7 @@ def write_report(report: EvaluationReport, out_dir, fmt: str = "json") -> list[s
                 path, ("stratum_type", "label", "n_patients", "n_detected", "sensitivity"), rows
             )
             written.append(str(path))
-        for name, curve in report.curves.items():
-            path = out / f"curve_{name}.csv"
-            rows = list(curve.to_csv_rows())
-            _write_csv(path, rows[0], rows[1:])
-            written.append(str(path))
+        written += map(str, curve_csvs.values())
         if report.quantitation is not None:
             q = report.quantitation
             path = out / "quantitation.csv"

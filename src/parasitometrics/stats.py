@@ -52,7 +52,8 @@ def summarize(values) -> DistSummary:
         raise EmptyInput("summarize requires a non-empty sample")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput("summarize requires all-finite values")
-    med = float(np.median(arr))
+    ascending = np.sort(arr)
+    med = sorted_median(ascending)
     right = arr[arr >= med] - med
     left = arr[arr <= med] - med
     return DistSummary(
@@ -62,8 +63,15 @@ def summarize(values) -> DistSummary:
         std=float(arr.std()),  # population convention
         sigma_left=float(np.sqrt(np.mean(left**2))),
         sigma_right=float(np.sqrt(np.mean(right**2))),
-        _sorted=tuple(np.sort(arr).tolist()),
+        _sorted=tuple(ascending.tolist()),
     )
+
+
+def sorted_median(ascending: np.ndarray) -> float:
+    """``np.median`` of a sorted array: the mean of its middle one or two values,
+    which np.median averages too, without its lazy import of ``numpy.ma``."""
+    n = len(ascending)
+    return float(ascending[(n - 1) // 2:n // 2 + 1].mean())
 
 
 def alpha_for_specificity(K: float) -> float:

@@ -211,6 +211,25 @@ class TestCalibrateAndLod:
                         ["n,1", "2.0"], ["plain", "3.0"]]
         assert scatter.read_text().endswith("\nplain,3.0\n")
 
+    def test_scatter_out_ids_with_line_breaks_round_trip(self, runner, tmp_path):
+        ids = ("n\r1", "n\n2", "n\r\n3", "n,4", 'n"5', 'n\r"6', "plain")
+        cohort = make_cohort(*(make_patient(pid, distractor_scores=(0.8,) * (k + 1))
+                               for k, pid in enumerate(ids)))
+        path = tmp_path / "cohort.json"
+        export_cohort_json(cohort, path)
+        scatter = tmp_path / "scatter.csv"
+        result = runner.invoke(main, ["calibrate", "--json", str(path), "--C", "0.5",
+                                      "--scatter-out", str(scatter)])
+        assert result.exit_code == 0, result.output
+        with open(scatter, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["patient_id", "fp_count_per_cv"]] + [
+            [pid, repr(float(k + 1))] for k, pid in enumerate(ids)]
+        # only the ids with "\r" gain quotes; the other rows keep csv.writer's bytes
+        assert scatter.read_bytes() == (
+            b'patient_id,fp_count_per_cv\n"n\r1","1.0"\n"n\n2",2.0\n"n\r\n3","3.0"\n'
+            b'"n,4",4.0\n"n""5",5.0\n"n\r""6","6.0"\nplain,7.0\n')
+
     def test_no_negatives_is_degenerate(self, runner, tmp_path):
         cohort = make_cohort(
             make_patient("pos1", positive=True, parasite_scores=(0.9, 0.8)),
@@ -464,6 +483,39 @@ def test_simulator_and_reproduce_leave_out_scipy_optimize():
     # the simulator solves its beta shapes itself; scipy.optimize took 0.2 s to load
     assert _fresh_import("parasitometrics.simulator, parasitometrics.reproduce",
                          "scipy.optimize") == []
+
+
+_RUN_AND_LIST_MODULES = """
+import json, sys
+from parasitometrics.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(json.dumps(sorted(m for m in sys.modules if m == "numpy.ma"
+                        or m.startswith(("numpy.ma.", "scipy")))))
+"""
+
+
+def test_evaluate_curves_and_tune_load_neither_numpy_ma_nor_scipy(tmp_path):
+    # np.median and np.unique import numpy.ma lazily, which took 13-19 ms a command
+    cohort = generate_cohort(SimConfig(seed=4, n_negative=6, n_positive=6, examined_volume=0.35))
+    export_cohort(cohort, tmp_path / "objects.csv", tmp_path / "patients.csv")
+    export_cohort_json(cohort, tmp_path / "cohort.json")
+    src = Path(parasitometrics.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    for args in (
+        ["evaluate", "--patients", "patients.csv", "--objects", "objects.csv", "--C", "0.5",
+         "--spec-target", "0.95", "--format", "csv", "--curves", "--out", "out"],
+        ["tune", "--train-positives", "cohort.json", "--validation-negatives", "cohort.json",
+         "--out", "tune.csv"],
+    ):
+        result = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES, *args],
+                                cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [], args
+    assert (tmp_path / "out" / "curve_froc.csv").exists() and (tmp_path / "tune.csv").exists()
 
 
 EVALUATE_ARGS = st.sampled_from([

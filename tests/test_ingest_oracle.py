@@ -288,21 +288,41 @@ def cohort_rows(draw, json_values):
     return patients, draw(st.permutations(objects))
 
 
-def _csv_text(columns, rows):
+def _csv_text(columns, rows, draw=None):
+    """The rows as CSV; with ``draw``, also blank lines, short and long rows and
+    a header name given twice, which csv.DictReader reads in its own way."""
+    header = list(columns)
+    lines = [[row.get(c, "") for c in columns] for row in rows]
+    if draw is not None and draw(st.booleans()):
+        if draw(st.booleans()):
+            twice = draw(st.integers(0, len(columns) - 1))
+            at = draw(st.integers(0, len(header)))
+            cell = draw(st.sampled_from([None, "", "p0", "o0", "0.5", "parasite", "neg"]))
+            header.insert(at, columns[twice])
+            lines = [line[:at] + [line[twice] if cell is None else cell] + line[at:]
+                     for line in lines]
+        for line in lines:
+            change = draw(st.sampled_from(["keep"] * 6 + ["short", "long"]))
+            if change == "short":
+                del line[draw(st.integers(1, len(header) - 1)):]
+            elif change == "long":
+                line += draw(st.lists(st.sampled_from(["", "x", "0.5"]), min_size=1, max_size=2))
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), [])
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(columns)
-    writer.writerows([row.get(c, "") for c in columns] for row in rows)
+    writer.writerow(header)
+    writer.writerows(lines)
     return buf.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
-@given(cohort_rows(json_values=False))
-def test_csv_ingest_matches_object_oracle(rows):
+@given(cohort_rows(json_values=False), st.data())
+def test_csv_ingest_matches_object_oracle(rows, data):
     patients, objects = rows
-    patients_csv = _csv_text(datamodel.PATIENT_COLUMNS, patients)
+    patients_csv = _csv_text(datamodel.PATIENT_COLUMNS, patients, data.draw)
     objects_csv = _csv_text(datamodel.OBJECT_COLUMNS,
-                            [dict(row, patient_id=pid) for pid, row in objects])
+                            [dict(row, patient_id=pid) for pid, row in objects], data.draw)
     _assert_same_outcome(
         lambda: ingest_cohort(io.StringIO(objects_csv), io.StringIO(patients_csv),
                               "1 uL blood"),
