@@ -384,7 +384,11 @@ def simulate(seed, preset, n_negative, n_positive, volume, out_dir, fmt):
     # imported here: the simulator loads scipy.special, which other commands skip
     from .simulator import SimConfig, generate_cohort, who56_preset
     if seed is None:
-        seed = int(os.environ.get("PARASITOMETRICS_SEED", "0"))
+        text = os.environ.get("PARASITOMETRICS_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise InputError(f"PARASITOMETRICS_SEED {text!r} is not an integer") from None
     if preset == "who56":
         cfg = who56_preset(seed=seed)
     else:

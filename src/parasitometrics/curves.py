@@ -28,6 +28,7 @@ import numpy as np
 from .calibration import OperatingPoint
 from .datamodel import (
     CohortDataset,
+    SerialIds,
     counts_at,
     distinct_sorted,
     n_at_or_above,
@@ -231,8 +232,7 @@ def easy_distractor_experiment(
         patients=tuple(
             replace(
                 p,
-                object_ids=p.object_ids + tuple(
-                    f"{p.patient_id}-easy{k}" for k in range(n_easy)),
+                object_ids=p.object_ids + SerialIds([(f"{p.patient_id}-easy", n_easy, 0)]),
                 scores=np.concatenate([p.scores, easy[i * n_easy:(i + 1) * n_easy]]),
                 is_parasite=np.concatenate([p.is_parasite, np.zeros(n_easy, dtype=bool)]),
             )

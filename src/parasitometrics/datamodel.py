@@ -22,15 +22,17 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Sequence
 
 import numpy as np
 
@@ -88,6 +90,74 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class SerialIds(Sequence):
+    """Object ids in serial ranges, formatted only when read.
+
+    Built from ``(prefix, count, width)`` groups, it reads as the tuple of
+    ``f"{prefix}{i:0{width}d}"`` for ``i`` in ``range(count)``, group after
+    group: ``len``, indexing, slices (which return a tuple), iteration,
+    ``==`` and ``hash`` as that tuple's, and ``+`` with a tuple or another
+    SerialIds. Generated cohorts keep their ids this way; ingested ids stay
+    tuples of ``str``.
+    """
+
+    __slots__ = ("groups", "_templates", "_ends")
+
+    def __init__(self, groups):
+        self.groups = tuple((prefix, operator.index(count), operator.index(width))
+                            for prefix, count, width in groups)
+        if any(count < 0 or width < 0 for _, count, width in self.groups):
+            raise ValueError("serial id counts and widths must be >= 0")
+        self._templates = tuple((prefix.replace("%", "%%") + f"%0{width}d", count)
+                                for prefix, count, width in self.groups)
+        self._ends = tuple(accumulate(count for _, count, _ in self.groups))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        i = operator.index(i)
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("SerialIds index out of range")
+        g = bisect_right(self._ends, i)
+        return self._templates[g][0] % (i - (self._ends[g - 1] if g else 0))
+
+    def __iter__(self):
+        return chain(*[map(template.__mod__, range(count))
+                       for template, count in self._templates])
+
+    def __eq__(self, other):
+        if isinstance(other, SerialIds):
+            if self.groups == other.groups:
+                return True
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __add__(self, other):
+        if isinstance(other, SerialIds):
+            return SerialIds(self.groups + other.groups)
+        if isinstance(other, tuple):
+            return tuple(self) + other
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, tuple):
+            return other + tuple(self)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SerialIds({list(self.groups)!r})"
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class PatientRecord:
     """One patient's ground truth, sample metadata, and scored objects.
@@ -96,10 +166,11 @@ class PatientRecord:
     examined sample volume expressed in cV units (so a thick-film exam of
     0.1 uL with cV = 1 uL blood has examined_volume = 0.1).
 
-    The objects are held as columns in input order: ``object_ids``, the
-    read-only ``scores`` and the ``is_parasite`` mask. Pass them as keywords,
-    or pass ``objects`` (ObjectRecord rows), which is reduced to the same
-    columns; reading ``objects`` builds the rows again.
+    The objects are held as columns in input order: ``object_ids`` (a tuple,
+    or a SerialIds as given), the read-only ``scores`` and the
+    ``is_parasite`` mask. Pass them as keywords, or pass ``objects``
+    (ObjectRecord rows), which is reduced to the same columns; reading
+    ``objects`` builds the rows again.
     """
 
     patient_id: str
@@ -108,7 +179,7 @@ class PatientRecord:
     true_parasitemia: float
     examined_volume: float
     wbc_count: int | None
-    object_ids: tuple[str, ...]
+    object_ids: tuple[str, ...] | SerialIds
     scores: np.ndarray = field(repr=False, compare=False)
     is_parasite: np.ndarray = field(repr=False, compare=False)
     # ascending scores of the parasite / distractor objects, read-only
@@ -127,7 +198,8 @@ class PatientRecord:
             ("patient_id", patient_id), ("ground_truth", ground_truth),
             ("species", species), ("true_parasitemia", true_parasitemia),
             ("examined_volume", examined_volume), ("wbc_count", wbc_count),
-            ("object_ids", tuple(object_ids)),
+            ("object_ids", object_ids if type(object_ids) is SerialIds
+             else tuple(object_ids)),
             ("scores", _read_only(np.array(scores, dtype=float))),
             ("is_parasite", _read_only(np.array(is_parasite, dtype=bool))),
         ):

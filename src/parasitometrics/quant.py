@@ -36,6 +36,7 @@ from .errors import (
     ZeroWbc,
 )
 from .metrics import MetricDistribution
+from .stats import sorted_median
 
 LOG_FLOOR = 0.1  # parasites per cV; floor applied to P_hat before log10
 
@@ -179,7 +180,7 @@ def quant_report(
     fom = None
     if fom_inputs is not None:
         S, F = fom_inputs
-        fom = quant_fom(S, F, float(np.median(p_true)))
+        fom = quant_fom(S, F, sorted_median(np.sort(p_true)))
 
     return QuantResult(
         per_patient=per_patient,

@@ -21,12 +21,13 @@ byte-identical for a fixed config regardless of generation order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import betainc, betaincinv
 
-from .datamodel import CohortDataset, GroundTruth, PatientRecord, Species
+from .datamodel import CohortDataset, GroundTruth, PatientRecord, SerialIds, Species
 from .errors import InvalidConfig
 
 REFERENCE_THRESHOLD = 0.5
@@ -118,6 +119,8 @@ class SimConfig:
     background_distractor_rate: float = 100.0      # low-score distractors per cV
 
     def __post_init__(self):
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise InvalidConfig(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.n_negative < 0 or self.n_positive < 0:
             raise InvalidConfig("patient counts must be >= 0")
         if self.n_negative + self.n_positive == 0:
@@ -228,7 +231,7 @@ def _poisson(rng: np.random.Generator, lam: float) -> int:
 
 
 def _distractors(cfg: SimConfig, patient_id: str, f: float, rng):
-    """Ids and scores of one patient's high- then low-scoring distractors."""
+    """The id group and the scores of one patient's high- then low-scoring distractors."""
     v = cfg.examined_volume
     n_high = _poisson(rng, f * v)
     n_low = _poisson(rng, cfg.background_distractor_rate * v)
@@ -238,7 +241,7 @@ def _distractors(cfg: SimConfig, patient_id: str, f: float, rng):
             _tail_scores(DISTRACTOR_SCORE_DIST, n_low, rng, upper=False),
         ]
     )
-    return [f"{patient_id}-d{i:05d}" for i in range(len(scores))], scores
+    return (f"{patient_id}-d", len(scores), 5), scores
 
 
 def generate_cohort(cfg: SimConfig) -> CohortDataset:
@@ -251,7 +254,7 @@ def generate_cohort(cfg: SimConfig) -> CohortDataset:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
         pid = f"neg{i:04d}"
         f = _draw_positive_rate(cfg.fpr_dist, rng)
-        ids, scores = _distractors(cfg, pid, f, rng)
+        id_group, scores = _distractors(cfg, pid, f, rng)
         patients.append(
             PatientRecord(
                 patient_id=pid,
@@ -259,7 +262,7 @@ def generate_cohort(cfg: SimConfig) -> CohortDataset:
                 species=Species.NONE,
                 true_parasitemia=0.0,
                 examined_volume=cfg.examined_volume,
-                object_ids=ids,
+                object_ids=SerialIds([id_group]),
                 scores=scores,
                 is_parasite=np.zeros(len(scores), dtype=bool),
             )
@@ -279,7 +282,7 @@ def generate_cohort(cfg: SimConfig) -> CohortDataset:
         n_parasites = _poisson(rng, parasitemia * cfg.examined_volume)
         a = solve_beta_a(s, PARASITE_SCORE_B)
         parasite_scores = np.clip(rng.beta(a, PARASITE_SCORE_B, size=n_parasites), 0.0, 1.0)
-        ids, scores = _distractors(cfg, pid, f, rng)
+        id_group, scores = _distractors(cfg, pid, f, rng)
         patients.append(
             PatientRecord(
                 patient_id=pid,
@@ -287,7 +290,7 @@ def generate_cohort(cfg: SimConfig) -> CohortDataset:
                 species=sp,
                 true_parasitemia=parasitemia,
                 examined_volume=cfg.examined_volume,
-                object_ids=[f"{pid}-p{i:05d}" for i in range(n_parasites)] + ids,
+                object_ids=SerialIds([(f"{pid}-p", n_parasites, 5), id_group]),
                 scores=np.concatenate([parasite_scores, scores]),
                 is_parasite=np.repeat([True, False], [n_parasites, len(scores)]),
             )
@@ -326,7 +329,7 @@ def _uniform_patient(pid, gt, species, parasitemia, volume, *groups):
         species=species,
         true_parasitemia=parasitemia,
         examined_volume=volume,
-        object_ids=[f"{pid}-{tag}{i:06d}" for tag, n, _, _ in groups for i in range(n)],
+        object_ids=SerialIds([(f"{pid}-{tag}", n, 6) for tag, n, _, _ in groups]),
         scores=np.repeat([score for _, _, score, _ in groups], counts),
         is_parasite=np.repeat([parasite for _, _, _, parasite in groups], counts),
     )

@@ -39,10 +39,24 @@ class DistSummary:
     _sorted: tuple[float, ...]
 
     def percentile(self, q: float) -> float:
-        """q-th percentile (q in [0, 100]), linear interpolation."""
+        """q-th percentile (q in [0, 100]), linear interpolation.
+
+        The steps of ``np.percentile(..., method="linear")`` on the sorted
+        sample, which give the same float, without its lazy import of
+        ``numpy.ma``.
+        """
         if not (0.0 <= q <= 100.0):
             raise OutOfRange(f"percentile q={q} outside [0, 100]")
-        return float(np.percentile(self._sorted, q, method="linear"))
+        n = len(self._sorted)
+        virtual = (n - 1) * (q / 100)
+        if virtual >= n - 1:  # numpy takes the last value on both sides
+            below = above = -1
+        else:
+            below = math.floor(virtual)
+            above = below + 1
+        a, b, t = self._sorted[below], self._sorted[above], virtual - below
+        # numpy's _lerp: forward from a when t < 0.5, else back from b
+        return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
 def summarize(values) -> DistSummary:

@@ -440,6 +440,24 @@ class TestSimulateCommand:
         assert len(result.stderr.splitlines()) == 1
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("env, args", [
+        ({"PARASITOMETRICS_SEED": "abc"}, []),
+        ({"PARASITOMETRICS_SEED": "1.5"}, []),
+        ({"PARASITOMETRICS_SEED": "-1"}, []),
+        ({}, ["--seed", "-1"]),
+        ({}, ["--seed", "-1", "--preset", "who56"]),
+    ], ids=["env-abc", "env-float", "env-negative", "negative", "negative-who56"])
+    def test_bad_seed_is_one_line_input_error(self, runner, tmp_path, monkeypatch,
+                                              env, args):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        result = runner.invoke(main, ["simulate", *args, "--out", str(tmp_path / "s")])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: ") and "seed" in result.stderr.lower()
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "s").exists()
+
     def test_who56_preset(self, runner, tmp_path):
         result = runner.invoke(main, [
             "simulate", "--preset", "who56", "--seed", "1",
@@ -498,7 +516,8 @@ print(json.dumps(sorted(m for m in sys.modules if m == "numpy.ma"
 
 
 def test_evaluate_curves_and_tune_load_neither_numpy_ma_nor_scipy(tmp_path):
-    # np.median and np.unique import numpy.ma lazily, which took 13-19 ms a command
+    # np.median, np.percentile and np.unique import numpy.ma lazily, which
+    # took 13-19 ms a command
     cohort = generate_cohort(SimConfig(seed=4, n_negative=6, n_positive=6, examined_volume=0.35))
     export_cohort(cohort, tmp_path / "objects.csv", tmp_path / "patients.csv")
     export_cohort_json(cohort, tmp_path / "cohort.json")
@@ -510,12 +529,20 @@ def test_evaluate_curves_and_tune_load_neither_numpy_ma_nor_scipy(tmp_path):
          "--spec-target", "0.95", "--format", "csv", "--curves", "--out", "out"],
         ["tune", "--train-positives", "cohort.json", "--validation-negatives", "cohort.json",
          "--out", "tune.csv"],
+        ["evaluate", "--json", "cohort.json", "--C", "0.5", "--spec-target", "0.95",
+         "--calib-method", "percentile", "--out", "out_percentile"],
+        ["tune", "--train-positives", "cohort.json", "--validation-negatives", "cohort.json",
+         "--calib-method", "percentile", "--out", "tune_percentile.csv"],
+        ["quant", "--json", "cohort.json", "--C", "0.5", "--out", "out_quant"],
     ):
         result = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES, *args],
                                 cwd=tmp_path, env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout.splitlines()[-1]) == [], args
     assert (tmp_path / "out" / "curve_froc.csv").exists() and (tmp_path / "tune.csv").exists()
+    assert (tmp_path / "tune_percentile.csv").exists()
+    assert "fom" in json.loads((tmp_path / "out_quant" / "report.json").read_text())[
+        "quantitation"]
 
 
 EVALUATE_ARGS = st.sampled_from([

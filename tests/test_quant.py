@@ -1,6 +1,9 @@
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parasitometrics.calibration import OperatingPoint
 from parasitometrics.errors import (
@@ -198,3 +201,19 @@ class TestQuantReport:
             rel = (p_hat - p_true) / p_true
             predicted = sigma_s / mu_s + sigma_f / (mu_s * p_true)
             assert abs(np.std(rel) - predicted) / predicted < 0.25
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([1.0, 80.0, 200.0]) | st.floats(1e-3, 1e6),
+                min_size=2, max_size=12).filter(lambda ps: len(set(ps)) > 1))
+def test_fom_is_taken_at_the_np_median_parasitemia(parasitemias):
+    cohort = make_cohort(*(
+        make_patient(f"pt{i:02d}", positive=True, parasitemia=p, parasite_scores=(0.9,))
+        for i, p in enumerate(parasitemias)))
+    S = make_dist(MetricKind.OBJECT_SENSITIVITY, [0.7, 0.8, 0.9])
+    F = make_dist(MetricKind.FPR, [10.0, 20.0, 60.0])
+    with warnings.catch_warnings():  # near-equal parasitemias make the R^2 fits ill-conditioned
+        warnings.simplefilter("ignore")
+        result = quant_report(cohort, OperatingPoint(C=0.5, T=0.0),
+                              ExpectedRates(F_hat=0.0, S_hat=1.0), (S, F))
+    assert repr(result.fom) == repr(quant_fom(S, F, float(np.median(parasitemias))))

@@ -7,8 +7,9 @@ newline, and ``csv.writer`` over ``(repr(thr), repr(x), repr(y))``. They stay
 here as the reference: for any report, in either format, ``report.json`` and
 every ``curve_<name>.csv`` must have the same bytes.
 
-``sorted_median`` and ``distinct_sorted`` replace ``np.median`` and
-``np.unique``, which load ``numpy.ma``; they are checked against both.
+``sorted_median``, ``DistSummary.percentile`` and ``distinct_sorted``
+replace ``np.median``, ``np.percentile`` and ``np.unique``, which load
+``numpy.ma``; they are checked against all three.
 """
 
 import csv
@@ -197,7 +198,7 @@ def test_points_must_be_triples(tmp_path):
         write_report(report, tmp_path, fmt="json")
 
 
-# --- the helpers that replace np.median and np.unique -----------------------
+# --- the helpers that replace np.median, np.percentile and np.unique --------
 
 FINITE = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e16]),
@@ -242,3 +243,36 @@ def test_distinct_sorted_matches_np_unique(values):
     arr = np.array(values, dtype=float)
     got, want = distinct_sorted(arr), np.unique(arr)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _check_percentile(values, q):
+    with warnings.catch_warnings():  # spans of huge values overflow in both
+        warnings.simplefilter("ignore", RuntimeWarning)
+        summary = summarize(values)
+        got = summary.percentile(q)
+        want = float(np.percentile(summary._sorted, q, method="linear"))
+    zero_signs = {math.copysign(1.0, v) for v in values if v == 0.0}
+    if got == 0.0 and len(zero_signs) == 2:
+        # which of two equal zeros np.percentile's partition leaves where is its choice
+        assert got == want
+    else:
+        assert repr(got) == repr(want)
+
+
+QS = st.sampled_from([0, 0.0, 100, 100.0, 50, 5, 95, 99.9, 0.1]) | st.floats(0.0, 100.0)
+
+
+@pytest.mark.parametrize("values", [
+    [3.0], [-0.0], [2.0, 1.0], [1.0, 2.0, 3.0, 4.0], [0.0, -0.0, 1.0], [-0.0, -0.0],
+    [1.0, 1.0, 2.0, 2.0], [0.1, 0.2, 0.7], [1e308, 1.7e308], [-1.7e308, 1.7e308],
+], ids=str)
+@pytest.mark.parametrize("q", [0, 25, 50, 95, 99.9, 100.0])
+def test_percentile_cases(values, q):
+    _check_percentile(values, q)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(FINITE, min_size=1, max_size=40) | st.lists(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=1, max_size=40), QS)
+def test_percentile_matches_np_percentile(values, q):
+    _check_percentile(values, q)

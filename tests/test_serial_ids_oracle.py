@@ -1,0 +1,188 @@
+"""``SerialIds`` against the tuple of strings it stands for, and the id
+builders that used it against the f-string loops they replaced.
+
+The simulator and ``easy_distractor_experiment`` used to format one id
+string per object; generated patients now keep ``(prefix, count, width)``
+groups. The old loops stay here as the reference: for every generated
+patient, ``tuple(object_ids)`` must be the tuple they built. Two
+tracemalloc guards keep the ids from turning back into strings.
+"""
+
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import parasitometrics.curves as curves
+from parasitometrics.curves import easy_distractor_experiment
+from parasitometrics.datamodel import (
+    GroundTruth,
+    PatientRecord,
+    SerialIds,
+    Species,
+    export_cohort_json,
+    ingest_cohort_json,
+)
+from parasitometrics.errors import SchemaError
+from parasitometrics.simulator import (
+    SimConfig,
+    generate_cohort,
+    paper_worked_examples,
+    who56_preset,
+)
+
+
+def expected_ids(groups) -> tuple:
+    return tuple(f"{prefix}{i:0{width}d}" for prefix, count, width in groups
+                 for i in range(count))
+
+
+PREFIXES = st.text(max_size=8) | st.text(alphabet="\"'\\%-0dé☃\x01", max_size=8)
+GROUPS = st.lists(st.tuples(PREFIXES, st.integers(0, 50), st.integers(0, 6)), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups=GROUPS, other=GROUPS, data=st.data())
+def test_serial_ids_read_as_the_tuple(groups, other, data):
+    ids, want = SerialIds(groups), expected_ids(groups)
+    n = len(want)
+    assert len(ids) == n
+    assert [ids[i] for i in range(-n, n)] == list(want[-n:] + want)
+    if n:
+        assert ids[np.int64(n - 1)] == want[-1]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            ids[i]
+    s = data.draw(st.slices(n + 2))
+    assert type(ids[s]) is tuple and ids[s] == want[s]
+    assert tuple(ids) == want and list(iter(ids)) == list(want)
+
+    assert ids == want and want == ids and not ids != want
+    assert ids == SerialIds(groups) and ids == SerialIds(
+        [g for prefix, count, width in groups for g in ((prefix, count, width), ("", 0, 0))])
+    assert ids != want + ("x",) and want + ("x",) != ids
+    if n:
+        changed = want[:-1] + (want[-1] + "x",)
+        assert ids != changed and changed != ids
+    assert ids != list(want)
+    assert hash(ids) == hash(want)
+
+    more = expected_ids(other)
+    assert type(ids + more) is tuple and ids + more == want + more
+    assert type(more + ids) is tuple and more + ids == more + want
+    joined = ids + SerialIds(other)
+    assert type(joined) is SerialIds and joined == want + more
+    assert (ids == SerialIds(other)) == (want == more)
+
+
+def test_patient_record_keeps_serial_ids_and_hashes_as_the_tuple():
+    ids = SerialIds([("pt-p", 3, 2), ("pt-d", 2, 0)])
+    args = dict(patient_id="pt", ground_truth=GroundTruth.POSITIVE,
+                species=Species.VIVAX, true_parasitemia=3.0, examined_volume=1.0,
+                scores=[0.9, 0.8, 0.7, 0.2, 0.1], is_parasite=[1, 1, 1, 0, 0])
+    serial = PatientRecord(**args, object_ids=ids)
+    listed = PatientRecord(**args, object_ids=list(expected_ids(ids.groups)))
+    assert serial.object_ids is ids and type(listed.object_ids) is tuple
+    assert serial == listed and hash(serial) == hash(listed)
+    assert [o.object_id for o in serial.objects] == ["pt-p00", "pt-p01", "pt-p02",
+                                                     "pt-d0", "pt-d1"]
+
+
+def test_a_bad_score_is_named_by_its_serial_id():
+    with pytest.raises(SchemaError, match="'pt-d1'"):
+        PatientRecord("pt", GroundTruth.NEGATIVE, Species.NONE, 0.0, 1.0,
+                      object_ids=SerialIds([("pt-d", 3, 0)]),
+                      scores=[0.1, 1.5, 0.2], is_parasite=[0, 0, 0])
+
+
+# --- the f-string builders the simulator used -----------------------------
+
+def old_generated_ids(p: PatientRecord) -> tuple:
+    """``generate_cohort``'s ids: parasites, then distractors, five digits each."""
+    n_parasites = int(p.is_parasite.sum())
+    assert not p.is_parasite[n_parasites:].any()  # parasites come first
+    return tuple([f"{p.patient_id}-p{i:05d}" for i in range(n_parasites)]
+                 + [f"{p.patient_id}-d{i:05d}" for i in range(len(p.scores) - n_parasites)])
+
+
+@pytest.mark.parametrize("cfg", [SimConfig(seed=0), SimConfig(seed=1),
+                                 who56_preset(seed=0), who56_preset(seed=1)], ids=repr)
+def test_generated_ids_match_the_f_string_builder(cfg):
+    for p in generate_cohort(cfg):
+        assert type(p.object_ids) is SerialIds
+        assert tuple(p.object_ids) == old_generated_ids(p)
+
+
+def _old_uniform_ids(pid, *groups):
+    return tuple(f"{pid}-{tag}{i:06d}" for tag, n in groups for i in range(n))
+
+
+def test_worked_example_ids_match_the_f_string_builder():
+    want = {
+        "pt1": _old_uniform_ids("pt1", ("p", 50_000)),
+        **{f"pt{k}": _old_uniform_ids(f"pt{k}", ("p", 300)) for k in (2, 3, 4)},
+        "q1": _old_uniform_ids("q1", ("p", 10_000), ("d", 100)),
+        "a1": _old_uniform_ids("a1", ("p", 1), ("hard", 50), ("easy", 49_950)),
+    }
+    got = {p.patient_id: p.object_ids for ex in paper_worked_examples() for p in ex["cohort"]}
+    assert got.keys() == want.keys()
+    for pid, ids in got.items():
+        assert type(ids) is SerialIds and tuple(ids) == want[pid], pid
+
+
+def _augmented_cohort(monkeypatch, cohort, n_easy):
+    """The cohort that easy_distractor_experiment adds its distractors to."""
+    seen = []
+    roc = curves.object_roc
+
+    def recording_roc(c):
+        seen.append(c)
+        return roc(c)
+
+    monkeypatch.setattr(curves, "object_roc", recording_roc)
+    easy_distractor_experiment(cohort, n_easy=n_easy, easy_score_max=0.001)
+    assert seen[0] is cohort
+    return seen[1]
+
+
+@pytest.mark.parametrize("ingested", [False, True], ids=["generated", "ingested"])
+def test_easy_distractor_ids_match_the_f_string_builder(monkeypatch, tmp_path, ingested):
+    cohort = generate_cohort(SimConfig(seed=2, n_negative=2, n_positive=2))
+    if ingested:
+        export_cohort_json(cohort, tmp_path / "cohort.json")
+        cohort = ingest_cohort_json(str(tmp_path / "cohort.json"))
+    augmented = _augmented_cohort(monkeypatch, cohort, n_easy=12)
+    for p, q in zip(cohort, augmented):
+        assert type(q.object_ids) is (tuple if ingested else SerialIds)
+        assert q.object_ids == tuple(p.object_ids) + tuple(
+            f"{p.patient_id}-easy{k}" for k in range(12))
+
+
+# --- memory guards ------------------------------------------------------------
+
+def _traced(fn):
+    """fn(), with the memory it still holds on return and its peak, in MB."""
+    fn()  # warm caches and lazy imports outside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()  # noqa: F841 -- held while the retained memory is read
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return current / 1e6, peak / 1e6
+
+
+def test_worked_examples_traced_peak_stays_small():
+    # 10.3 MB while every id was a string; about 2.6 MB as serial ranges
+    _, peak = _traced(paper_worked_examples)
+    assert peak <= 4.0
+
+
+def test_generated_cohort_retains_little_beyond_its_scores():
+    # 4.9 MB at 200 positives while every id was a string; about 1.1 MB as serial ranges
+    retained, _ = _traced(lambda: generate_cohort(SimConfig(seed=0, n_negative=0,
+                                                            n_positive=200)))
+    assert retained <= 2.0

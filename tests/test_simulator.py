@@ -93,6 +93,15 @@ class TestStructure:
         with pytest.raises(InvalidConfig):
             LogUniform(10.0, 5.0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(InvalidConfig, match="seed"):
+            SimConfig(seed=seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        assert generate_cohort(SimConfig(seed=np.int64(3), n_negative=1, n_positive=1)) == \
+            generate_cohort(SimConfig(seed=3, n_negative=1, n_positive=1))
+
     @pytest.mark.parametrize("field", ["examined_volume", "background_distractor_rate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_config_is_rejected(self, field, value):
