@@ -15,7 +15,6 @@ from .calibration import (  # noqa: F401
 from .datamodel import (  # noqa: F401
     CohortDataset,
     GroundTruth,
-    ObjectRecord,
     PatientCounts,
     PatientRecord,
     Species,

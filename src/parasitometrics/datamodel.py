@@ -65,23 +65,6 @@ class TrueLabel(Enum):
     DISTRACTOR = "distractor"
 
 
-@dataclass(frozen=True, slots=True)
-class ObjectRecord:
-    """One detected object: an opaque id, a detector score, and its true label."""
-
-    object_id: str
-    score: float
-    true_label: TrueLabel
-
-    def __post_init__(self):
-        if not (isinstance(self.score, (int, float)) and math.isfinite(self.score)):
-            raise SchemaError(f"object {self.object_id!r}: score must be finite")
-        if not (0.0 <= self.score <= 1.0):
-            raise SchemaError(
-                f"object {self.object_id!r}: score {self.score} outside [0, 1]"
-            )
-
-
 _LABELS = (TrueLabel.DISTRACTOR, TrueLabel.PARASITE)  # indexed by is_parasite
 
 
@@ -158,7 +141,7 @@ class SerialIds(Sequence):
         return f"SerialIds({list(self.groups)!r})"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class PatientRecord:
     """One patient's ground truth, sample metadata, and scored objects.
 
@@ -166,11 +149,10 @@ class PatientRecord:
     examined sample volume expressed in cV units (so a thick-film exam of
     0.1 uL with cV = 1 uL blood has examined_volume = 0.1).
 
-    The objects are held as columns in input order: ``object_ids`` (a tuple,
-    or a SerialIds as given), the read-only ``scores`` and the
-    ``is_parasite`` mask. Pass them as keywords, or pass ``objects``
-    (ObjectRecord rows), which is reduced to the same columns; reading
-    ``objects`` builds the rows again.
+    The objects are given as keyword-only columns in input order:
+    ``object_ids`` (kept as a SerialIds if given one, else made a tuple),
+    ``scores`` and the ``is_parasite`` mask (any sequence or buffer, stored
+    as read-only float64 and bool arrays).
     """
 
     patient_id: str
@@ -178,35 +160,20 @@ class PatientRecord:
     species: Species
     true_parasitemia: float
     examined_volume: float
-    wbc_count: int | None
-    object_ids: tuple[str, ...] | SerialIds
-    scores: np.ndarray = field(repr=False, compare=False)
-    is_parasite: np.ndarray = field(repr=False, compare=False)
+    wbc_count: int | None = None
+    object_ids: tuple[str, ...] | SerialIds = field(default=(), kw_only=True)
+    scores: np.ndarray = field(default=(), kw_only=True, repr=False, compare=False)
+    is_parasite: np.ndarray = field(default=(), kw_only=True, repr=False, compare=False)
     # ascending scores of the parasite / distractor objects, read-only
     parasite_scores: np.ndarray = field(init=False, repr=False, compare=False)
     distractor_scores: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __init__(self, patient_id, ground_truth, species, true_parasitemia,
-                 examined_volume, wbc_count=None, objects=None, *,
-                 object_ids=(), scores=(), is_parasite=()):
-        if objects is not None:
-            objects = tuple(objects)
-            object_ids = [o.object_id for o in objects]
-            scores = [o.score for o in objects]
-            is_parasite = [o.true_label is TrueLabel.PARASITE for o in objects]
-        for name, value in (
-            ("patient_id", patient_id), ("ground_truth", ground_truth),
-            ("species", species), ("true_parasitemia", true_parasitemia),
-            ("examined_volume", examined_volume), ("wbc_count", wbc_count),
-            ("object_ids", object_ids if type(object_ids) is SerialIds
-             else tuple(object_ids)),
-            ("scores", _read_only(np.array(scores, dtype=float))),
-            ("is_parasite", _read_only(np.array(is_parasite, dtype=bool))),
-        ):
-            object.__setattr__(self, name, value)
-        self.__post_init__()
-
     def __post_init__(self):
+        if type(self.object_ids) is not SerialIds:
+            object.__setattr__(self, "object_ids", tuple(self.object_ids))
+        object.__setattr__(self, "scores", _read_only(np.array(self.scores, dtype=float)))
+        object.__setattr__(self, "is_parasite",
+                           _read_only(np.array(self.is_parasite, dtype=bool)))
         pid = self.patient_id
         scores, is_parasite = self.scores, self.is_parasite
         if not len(self.object_ids) == len(scores) == len(is_parasite):
@@ -246,12 +213,6 @@ class PatientRecord:
             and np.array_equal(self.scores, other.scores)
             and np.array_equal(self.is_parasite, other.is_parasite)
         )
-
-    @property
-    def objects(self) -> tuple[ObjectRecord, ...]:
-        """The objects as ObjectRecord rows, built from the columns on each read."""
-        return tuple(ObjectRecord(oid, score, _LABELS[parasite])
-                     for oid, score, parasite in _object_columns(self))
 
     @property
     def n_parasite_objects(self) -> int:

@@ -46,6 +46,10 @@ LINEAR_R2_NOTE = (
     "patients, giving an illusion of strong fit; prefer r2_log and the "
     "Bland-Altman pairs"
 )
+CONSTANT_X_NOTE = (
+    "r2_linear and r2_log are null when every positive patient has the same "
+    "true parasitemia: with no spread in x, no line can be fitted"
+)
 
 
 @dataclass(frozen=True)
@@ -115,8 +119,11 @@ def volume_error_decomposition(
     return P_hat * wbc_estimated / wbc_true, factor
 
 
-def _r2(x: np.ndarray, y: np.ndarray) -> float:
-    # R^2 of a least-squares simple linear regression of y on x, with intercept
+def _r2(x: np.ndarray, y: np.ndarray) -> float | None:
+    # R^2 of a least-squares simple linear regression of y on x, with intercept;
+    # None when x is constant, where the fit is undefined
+    if not x.min() < x.max():
+        return None
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_res = float(np.sum(resid**2))
@@ -131,8 +138,8 @@ class QuantResult:
     per_patient: dict[str, tuple[float, float, float]]  # P_hat, P_true, rel_error
     fom: float | None
     bland_altman: tuple[tuple[float, float], ...]  # (mean_log10, diff_log10)
-    r2_linear: float
-    r2_log: float
+    r2_linear: float | None
+    r2_log: float | None
     clamped_patients: tuple[str, ...]
     notes: tuple[str, ...] = (LINEAR_R2_NOTE,)
 
@@ -189,4 +196,5 @@ def quant_report(
         r2_linear=r2_linear,
         r2_log=r2_log,
         clamped_patients=tuple(clamped),
+        notes=(LINEAR_R2_NOTE,) + ((CONSTANT_X_NOTE,) if r2_log is None else ()),
     )

@@ -3,10 +3,8 @@ import pytest
 from parasitometrics.datamodel import (
     CohortDataset,
     GroundTruth,
-    ObjectRecord,
     PatientRecord,
     Species,
-    TrueLabel,
 )
 from parasitometrics.metrics import MetricDistribution, MetricKind
 from parasitometrics.stats import summarize
@@ -22,13 +20,6 @@ def make_patient(
     distractor_scores=(),
     wbc_count=None,
 ):
-    objects = [
-        ObjectRecord(f"{pid}-p{i}", s, TrueLabel.PARASITE)
-        for i, s in enumerate(parasite_scores)
-    ] + [
-        ObjectRecord(f"{pid}-d{i}", s, TrueLabel.DISTRACTOR)
-        for i, s in enumerate(distractor_scores)
-    ]
     if positive:
         if parasitemia is None:
             parasitemia = max(len(parasite_scores) / volume, 1.0)
@@ -42,8 +33,17 @@ def make_patient(
         true_parasitemia=parasitemia,
         examined_volume=volume,
         wbc_count=wbc_count,
-        objects=tuple(objects),
+        object_ids=[f"{pid}-p{i}" for i in range(len(parasite_scores))]
+        + [f"{pid}-d{i}" for i in range(len(distractor_scores))],
+        scores=list(parasite_scores) + list(distractor_scores),
+        is_parasite=[True] * len(parasite_scores) + [False] * len(distractor_scores),
     )
+
+
+def object_rows(patient):
+    """``(object_id, score, is_parasite)`` of each of the patient's objects, in
+    input order, as Python values."""
+    return zip(patient.object_ids, patient.scores.tolist(), patient.is_parasite.tolist())
 
 
 def make_cohort(*patients, cv="1 uL blood"):

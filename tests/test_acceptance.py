@@ -47,7 +47,7 @@ from parasitometrics.simulator import (
 )
 from parasitometrics.stats import alpha_for_specificity, summarize
 
-from conftest import make_cohort, make_dist, make_patient
+from conftest import make_cohort, make_dist, make_patient, object_rows
 
 
 def _report(n: int, name: str, detail: str) -> None:
@@ -95,8 +95,8 @@ def test_criterion_03_auc_imbalance_coexistence():
     C_full = ex["full_sensitivity_threshold"]
     patient = ex["cohort"].patients[0]
     fp_at_full = sum(
-        1 for o in patient.objects
-        if o.true_label.value == "distractor" and o.score >= C_full
+        1 for _, score, parasite in object_rows(patient)
+        if not parasite and score >= C_full
     )
     assert fp_at_full == 50
     _report(3, "AUC/imbalance coexistence",
@@ -111,7 +111,7 @@ def test_criterion_04_easy_distractor_inflation():
                      parasite_scores=(0.9, 0.8, 0.65, 0.4),
                      distractor_scores=(0.75, 0.5)),
     )
-    n_real_objects = sum(len(p.objects) for p in cohort.patients)  # 11
+    n_real_objects = sum(len(list(object_rows(p))) for p in cohort.patients)  # 11
     n_real_distractors = sum(p.n_distractor_objects for p in cohort.patients)  # 7
     n_easy_per_patient = 10 * n_real_objects // len(cohort.patients)
     total_easy = n_easy_per_patient * len(cohort.patients)  # 10x real objects

@@ -15,12 +15,11 @@ from hypothesis import given, strategies as st
 from scipy.stats import poisson, rankdata
 
 from parasitometrics.curves import object_roc
-from parasitometrics.datamodel import TrueLabel
 from parasitometrics.errors import DegenerateClasses
 from parasitometrics.poisson import min_volume_for_detection
 from parasitometrics.simulator import paper_worked_examples
 
-from conftest import make_cohort, make_patient
+from conftest import make_cohort, make_patient, object_rows
 
 
 def rank_auc_oracle(pos_scores, neg_scores):
@@ -51,9 +50,9 @@ def roc_points_oracle(scores, is_parasite):
 
 def oracle_roc(patients):
     """(points, auc) from the objects themselves, or None with a class missing."""
-    objects = [o for p in patients for o in p.objects]
-    scores = np.array([o.score for o in objects], dtype=float)
-    is_par = np.array([o.true_label is TrueLabel.PARASITE for o in objects], dtype=bool)
+    rows = [row for p in patients for row in object_rows(p)]
+    scores = np.array([score for _, score, _ in rows], dtype=float)
+    is_par = np.array([parasite for _, _, parasite in rows], dtype=bool)
     if is_par.all() or not is_par.any():
         return None
     return (roc_points_oracle(scores, is_par),

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import parasitometrics
 from parasitometrics.cli import main
 from parasitometrics.datamodel import export_cohort, export_cohort_json, pooled_scores
+from parasitometrics.quant import CONSTANT_X_NOTE, LINEAR_R2_NOTE
 from parasitometrics.simulator import SimConfig, generate_cohort
 
 from conftest import make_cohort, make_patient
@@ -479,14 +480,18 @@ class TestReproducePaper:
         assert len(pass_lines) == len(manifest)
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = Path(parasitometrics.__file__).resolve().parents[1]
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def _fresh_import(modules: str, package: str) -> list[str]:
     """The modules of ``package`` that a fresh interpreter holds after ``import <modules>``."""
-    src = Path(parasitometrics.__file__).resolve().parents[1]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     code = (f"import json, sys, {modules}; print(json.dumps(sorted(m for m in sys.modules "
             f"if (m + '.').startswith({package!r} + '.'))))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                             text=True, check=True)
     return json.loads(result.stdout)
 
@@ -521,9 +526,7 @@ def test_evaluate_curves_and_tune_load_neither_numpy_ma_nor_scipy(tmp_path):
     cohort = generate_cohort(SimConfig(seed=4, n_negative=6, n_positive=6, examined_volume=0.35))
     export_cohort(cohort, tmp_path / "objects.csv", tmp_path / "patients.csv")
     export_cohort_json(cohort, tmp_path / "cohort.json")
-    src = Path(parasitometrics.__file__).resolve().parents[1]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env = _src_env()
     for args in (
         ["evaluate", "--patients", "patients.csv", "--objects", "objects.csv", "--C", "0.5",
          "--spec-target", "0.95", "--format", "csv", "--curves", "--out", "out"],
@@ -543,6 +546,26 @@ def test_evaluate_curves_and_tune_load_neither_numpy_ma_nor_scipy(tmp_path):
     assert (tmp_path / "tune_percentile.csv").exists()
     assert "fom" in json.loads((tmp_path / "out_quant" / "report.json").read_text())[
         "quantitation"]
+
+
+def test_quant_on_a_constant_parasitemia_reports_null_r2(tmp_path):
+    # every log10 parasitemia is 0: fitting a line to it made LAPACK print to
+    # stdout and raise LinAlgError, so quant exited 1 with a traceback
+    export_cohort_json(make_cohort(
+        make_patient("neg1", distractor_scores=(0.6,)),
+        make_patient("pos1", positive=True, parasitemia=1.0, parasite_scores=(0.9,)),
+        make_patient("pos2", positive=True, parasitemia=1.0, parasite_scores=(0.8,),
+                     distractor_scores=(0.7,)),
+    ), tmp_path / "c.json")
+    result = subprocess.run(
+        [sys.executable, "-m", "parasitometrics.cli", "quant", "--json", "c.json",
+         "--C", "0.5", "--out", "q"],
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (0, str(Path("q") / "report.json") + "\n")
+    assert "Traceback" not in result.stderr
+    quant = json.loads((tmp_path / "q" / "report.json").read_text())["quantitation"]
+    assert quant["r2_linear"] is None and quant["r2_log"] is None
+    assert quant["notes"] == [LINEAR_R2_NOTE, CONSTANT_X_NOTE]
 
 
 EVALUATE_ARGS = st.sampled_from([

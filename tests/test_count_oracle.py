@@ -14,16 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 from parasitometrics import curves
 from parasitometrics.curves import froc
-from parasitometrics.datamodel import TrueLabel, patient_counts
+from parasitometrics.datamodel import patient_counts
 
-from conftest import make_cohort, make_patient
+from conftest import make_cohort, make_patient, object_rows
 
 
 def loop_patient_counts(patient, C):
     tp = fp = fn = tn = 0
-    for obj in patient.objects:
-        passed = obj.score >= C
-        if obj.true_label is TrueLabel.PARASITE:
+    for _, score, parasite in object_rows(patient):
+        passed = score >= C
+        if parasite:
             if passed:
                 tp += 1
             else:
@@ -38,13 +38,13 @@ def loop_patient_counts(patient, C):
 
 
 def _loop_n_parasites(p):
-    return sum(1 for o in p.objects if o.true_label is TrueLabel.PARASITE)
+    return sum(1 for _, _, parasite in object_rows(p) if parasite)
 
 
 def loop_froc_points(cohort, pooled_sensitivity=True):
     positives = [p for p in cohort.positives if _loop_n_parasites(p) > 0]
     fp_patients = cohort.negatives or cohort.patients
-    all_scores = sorted({o.score for p in cohort for o in p.objects}, reverse=True)
+    all_scores = sorted({score for p in cohort for _, score, _ in object_rows(p)}, reverse=True)
     thresholds = [math.inf] + all_scores
     if not thresholds or thresholds[-1] > 0.0:
         thresholds.append(0.0)
@@ -102,12 +102,12 @@ def cohorts(draw):
 @given(cohort=cohorts(), data=st.data())
 def test_patient_counts_match_loop(cohort, data):
     for p in cohort:
-        on_score = [o.score for o in p.objects]
+        on_score = [score for _, score, _ in object_rows(p)]
         C = data.draw(st.one_of(st.sampled_from(on_score), SCORES) if on_score else SCORES)
         c = patient_counts(p, C)
         assert (c.tp, c.fp, c.fn, c.tn, c.TP, c.FP) == loop_patient_counts(p, C)
         assert p.n_parasite_objects == _loop_n_parasites(p)
-        assert p.n_distractor_objects == len(p.objects) - _loop_n_parasites(p)
+        assert p.n_distractor_objects == sum(1 for _ in object_rows(p)) - _loop_n_parasites(p)
 
 
 @settings(max_examples=150)

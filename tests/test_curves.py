@@ -16,7 +16,7 @@ from parasitometrics.errors import DegenerateClasses, InvalidRatio, NoDetections
 from parasitometrics.metrics import patient_level_sens_spec
 from parasitometrics.calibration import OperatingPoint
 
-from conftest import make_cohort, make_patient
+from conftest import make_cohort, make_patient, object_rows
 
 
 def trapezoid_auc(points):
@@ -106,12 +106,13 @@ class TestSliverRoc:
         roc = object_roc(cohort)
         sliver = sliver_roc(roc, d_ratio)
         # brute force over all thresholds: find equal-count operating points
-        scores = sorted({o.score for p in cohort for o in p.objects}, reverse=True)
+        scores = sorted({score for p in cohort for _, score, _ in object_rows(p)},
+                        reverse=True)
         for c in scores:
-            tp = sum(1 for p in cohort for o in p.objects
-                     if o.true_label.value == "parasite" and o.score >= c)
-            fp = sum(1 for p in cohort for o in p.objects
-                     if o.true_label.value == "distractor" and o.score >= c)
+            tp = sum(1 for p in cohort for _, score, parasite in object_rows(p)
+                     if parasite and score >= c)
+            fp = sum(1 for p in cohort for _, score, parasite in object_rows(p)
+                     if not parasite and score >= c)
             if tp == fp and tp > 0:
                 match = [pt for pt in sliver.points if pt[2] == c]
                 assert match, f"threshold {c} missing from the sliver"

@@ -1,6 +1,10 @@
 import io
 import json
 import tracemalloc
+from array import array
+from dataclasses import replace
+
+import numpy as np
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,10 +14,9 @@ from parasitometrics.datamodel import (
     PATIENT_COLUMNS,
     CohortDataset,
     GroundTruth,
-    ObjectRecord,
     PatientRecord,
+    SerialIds,
     Species,
-    TrueLabel,
     export_cohort,
     export_cohort_json,
     ingest_cohort,
@@ -27,8 +30,7 @@ from parasitometrics.errors import (
     OutOfRange,
     SchemaError,
 )
-from parasitometrics.curves import easy_distractor_experiment
-from parasitometrics.simulator import SimConfig, generate_cohort, paper_worked_examples
+from parasitometrics.simulator import SimConfig, generate_cohort
 
 from conftest import make_patient
 
@@ -58,7 +60,7 @@ class TestIngestion:
         assert p1.ground_truth is GroundTruth.POSITIVE
         assert p1.species is Species.FALCIPARUM
         assert p1.wbc_count == 400
-        assert len(p1.objects) == 3
+        assert len(p1.object_ids) == 3
         assert cohort.patient("p2").wbc_count is None
 
         obj_out, pat_out = io.StringIO(), io.StringIO()
@@ -336,19 +338,45 @@ def test_any_csv_text_gives_cohort_or_schema_error(texts):
         pass
 
 
-def test_hot_paths_build_no_object_records(tmp_path, monkeypatch):
-    # patients keep their objects as columns; only reading .objects builds rows
-    built = []
-    monkeypatch.setattr(ObjectRecord, "__post_init__", lambda self: built.append(self))
-    cohort = generate_cohort(SimConfig(seed=3, n_negative=2, n_positive=2))
-    export_cohort(cohort, tmp_path / "o.csv", tmp_path / "p.csv")
-    export_cohort_json(cohort, tmp_path / "c.json")
-    ingest_cohort(tmp_path / "o.csv", tmp_path / "p.csv", cohort.cv_description)
-    ingest_cohort_json(tmp_path / "c.json")
-    examples = paper_worked_examples()
-    easy_distractor_experiment(examples[1]["cohort"], n_easy=10, easy_score_max=0.05)
-    assert built == []
-    assert len(cohort.patients[0].objects) == len(built) > 0
+_IDS = ("p-p0", "p-p1", "p-d0")
+_SCORES = (0.9, 0.25, 0.5)
+_FLAGS = (True, True, False)
+
+
+@pytest.mark.parametrize("object_ids, scores, is_parasite", [
+    (list(_IDS), list(_SCORES), list(_FLAGS)),
+    (_IDS, _SCORES, _FLAGS),
+    (np.array(_IDS), np.array(_SCORES), np.array(_FLAGS)),
+    (list(_IDS), array("d", _SCORES), bytearray(_FLAGS)),
+    (SerialIds([("p-p", 2, 0), ("p-d", 1, 0)]), [0.9, 0.25, 0.5], [1, 1, 0]),
+], ids=["list", "tuple", "ndarray", "array-bytearray", "serial-ids"])
+def test_columns_in_any_form_build_the_same_record(object_ids, scores, is_parasite):
+    want = make_patient("p", positive=True, parasite_scores=_SCORES[:2],
+                        distractor_scores=_SCORES[2:])
+    got = PatientRecord("p", GroundTruth.POSITIVE, Species.FALCIPARUM, 2.0, 1.0,
+                        object_ids=object_ids, scores=scores, is_parasite=is_parasite)
+    assert got == want and hash(got) == hash(want)
+    assert type(got.object_ids) is (SerialIds if type(object_ids) is SerialIds else tuple)
+    for column, dtype in ((got.scores, np.float64), (got.is_parasite, np.bool_)):
+        assert column.dtype == dtype and not column.flags.writeable
+    assert got.parasite_scores.tolist() == [0.25, 0.9]
+    assert got.distractor_scores.tolist() == [0.5]
+
+
+def test_replace_derives_and_validates_again():
+    p = make_patient("n", distractor_scores=(0.9, 0.1))
+    q = replace(p, scores=[0.3, 0.2])
+    assert q.distractor_scores.tolist() == [0.2, 0.3] and not q.scores.flags.writeable
+    with pytest.raises(LabelContradiction, match="'n-d1'"):
+        replace(p, is_parasite=[False, True])
+
+
+def test_objects_are_given_only_as_columns():
+    args = ("x", GroundTruth.NEGATIVE, Species.NONE, 0.0, 1.0)
+    with pytest.raises(TypeError):
+        PatientRecord(*args, objects=())
+    with pytest.raises(TypeError):
+        PatientRecord(*args, None, ())
 
 
 class TestPatientCounts:

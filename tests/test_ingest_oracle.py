@@ -2,18 +2,20 @@
 
 ``oracle_cohort_from_rows`` and ``oracle_patient`` are the row validator
 and the ``PatientRecord`` checks from before patients kept their objects as
-columns: one ObjectRecord per row, validated one object at a time. They stay
-here as the reference, fed by ``csv.DictReader`` or by a plain
-``json.loads`` of the whole document. On a valid cohort, or one with faults
-in up to two patients, the column ingest must give the same cohort (same
-patients, same ObjectRecord rows, same sorted score arrays) or the same
-exception with the same message, which names the first fault in input order.
+columns: one ``ObjectRecord`` per row, validated one object at a time. They
+and the row type stay here as the reference, fed by ``csv.DictReader`` or
+by a plain ``json.loads`` of the whole document. On a valid cohort, or one
+with faults in up to two patients, the column ingest must give the same
+cohort (same patients, the rows' ids, scores and labels as columns, same
+sorted score arrays) or the same exception with the same message, which
+names the first fault in input order.
 """
 
 import csv
 import io
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from parasitometrics import datamodel
 from parasitometrics.datamodel import (
     CohortDataset,
     GroundTruth,
-    ObjectRecord,
     PatientRecord,
     Species,
     TrueLabel,
@@ -36,6 +37,23 @@ from parasitometrics.errors import (
     MissingPatient,
     SchemaError,
 )
+
+
+@dataclass(frozen=True, slots=True)
+class ObjectRecord:
+    """One detected object: an opaque id, a detector score, and its true label."""
+
+    object_id: str
+    score: float
+    true_label: TrueLabel
+
+    def __post_init__(self):
+        if not (isinstance(self.score, (int, float)) and math.isfinite(self.score)):
+            raise SchemaError(f"object {self.object_id!r}: score must be finite")
+        if not (0.0 <= self.score <= 1.0):
+            raise SchemaError(
+                f"object {self.object_id!r}: score {self.score} outside [0, 1]"
+            )
 
 
 def _text(value) -> str:
@@ -89,7 +107,9 @@ def oracle_patient(patient_id, ground_truth, species, true_parasitemia, examined
         if true_parasitemia <= 0:
             raise SchemaError(f"patient {pid!r}: positive patient must have parasitemia > 0")
     return PatientRecord(pid, ground_truth, species, true_parasitemia, examined_volume,
-                         wbc_count, objects)
+                         wbc_count, object_ids=[o.object_id for o in objects],
+                         scores=[o.score for o in objects],
+                         is_parasite=[o.true_label is TrueLabel.PARASITE for o in objects])
 
 
 def oracle_cohort_from_rows(patient_rows, object_rows, cv_description, provenance):
@@ -195,7 +215,10 @@ def _assert_same_outcome(ingest, oracle):
     assert got == want
     for p in got:
         objects = rows[p.patient_id]
-        assert p.objects == objects
+        assert p.object_ids == tuple(o.object_id for o in objects)
+        assert p.scores.tolist() == [o.score for o in objects]
+        assert p.is_parasite.tolist() == [o.true_label is TrueLabel.PARASITE
+                                          for o in objects]
         for attr, label in (("parasite_scores", TrueLabel.PARASITE),
                             ("distractor_scores", TrueLabel.DISTRACTOR)):
             expected = np.sort(np.array(

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from parasitometrics.calibration import OperatingPoint
 from parasitometrics.errors import (
@@ -14,6 +14,7 @@ from parasitometrics.errors import (
 )
 from parasitometrics.metrics import MetricKind
 from parasitometrics.quant import (
+    CONSTANT_X_NOTE,
     ExpectedRates,
     estimate_parasitemia,
     fom_crossover,
@@ -205,7 +206,9 @@ class TestQuantReport:
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from([1.0, 80.0, 200.0]) | st.floats(1e-3, 1e6),
-                min_size=2, max_size=12).filter(lambda ps: len(set(ps)) > 1))
+                min_size=2, max_size=12))
+@example([1.0, 1.0])
+@example([80.0, 80.0, 80.0])
 def test_fom_is_taken_at_the_np_median_parasitemia(parasitemias):
     cohort = make_cohort(*(
         make_patient(f"pt{i:02d}", positive=True, parasitemia=p, parasite_scores=(0.9,))
@@ -217,3 +220,9 @@ def test_fom_is_taken_at_the_np_median_parasitemia(parasitemias):
         result = quant_report(cohort, OperatingPoint(C=0.5, T=0.0),
                               ExpectedRates(F_hat=0.0, S_hat=1.0), (S, F))
     assert repr(result.fom) == repr(quant_fom(S, F, float(np.median(parasitemias))))
+    # R^2 is undefined, and reported as None with a note, only without spread in x
+    if len(set(parasitemias)) == 1:
+        assert result.r2_linear is None and result.r2_log is None
+    else:
+        assert result.r2_linear is not None
+    assert (CONSTANT_X_NOTE in result.notes) == (result.r2_log is None)

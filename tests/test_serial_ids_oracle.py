@@ -33,6 +33,8 @@ from parasitometrics.simulator import (
     who56_preset,
 )
 
+from conftest import object_rows
+
 
 def expected_ids(groups) -> tuple:
     return tuple(f"{prefix}{i:0{width}d}" for prefix, count, width in groups
@@ -86,8 +88,8 @@ def test_patient_record_keeps_serial_ids_and_hashes_as_the_tuple():
     listed = PatientRecord(**args, object_ids=list(expected_ids(ids.groups)))
     assert serial.object_ids is ids and type(listed.object_ids) is tuple
     assert serial == listed and hash(serial) == hash(listed)
-    assert [o.object_id for o in serial.objects] == ["pt-p00", "pt-p01", "pt-p02",
-                                                     "pt-d0", "pt-d1"]
+    assert [oid for oid, _, _ in object_rows(serial)] == ["pt-p00", "pt-p01", "pt-p02",
+                                                          "pt-d0", "pt-d1"]
 
 
 def test_a_bad_score_is_named_by_its_serial_id():

@@ -25,6 +25,7 @@ from parasitometrics.simulator import (
     who56_preset,
 )
 
+from conftest import object_rows
 from test_json_writer_oracle import cohort_to_json_doc
 
 
@@ -180,7 +181,7 @@ class TestStatisticalOracles:
             fpr_dist=Fixed(0.0), background_distractor_rate=200.0,
         )
         cohort = generate_cohort(cfg)
-        scores = [o.score for p in cohort.patients for o in p.objects]
+        scores = [score for p in cohort.patients for _, score, _ in object_rows(p)]
         assert scores and all(s < 0.5 for s in scores)
         # and the converse: no background means every distractor scores >= 0.5
         cfg_hi = SimConfig(
@@ -188,7 +189,8 @@ class TestStatisticalOracles:
             fpr_dist=Fixed(200.0), background_distractor_rate=0.0,
         )
         hi_scores = [
-            o.score for p in generate_cohort(cfg_hi).patients for o in p.objects
+            score for p in generate_cohort(cfg_hi).patients
+            for _, score, _ in object_rows(p)
         ]
         assert hi_scores and all(s >= 0.5 for s in hi_scores)
 

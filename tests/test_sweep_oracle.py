@@ -46,7 +46,7 @@ from parasitometrics.metrics import (
 )
 from parasitometrics.stats import summarize
 
-from conftest import make_cohort, make_patient
+from conftest import make_cohort, make_patient, object_rows
 from test_count_oracle import SCORES, VOLUMES
 
 
@@ -201,8 +201,8 @@ def tuner_inputs(draw):
     ])
     train = positives_cohort(draw, "tp", 1)
     validation = positives_cohort(draw, "vp", 1) if draw(st.booleans()) else None
-    on_score = sorted({o.score for c in (negatives, train, validation) if c
-                       for p in c for o in p.objects})
+    on_score = sorted({score for c in (negatives, train, validation) if c
+                       for p in c for _, score, _ in object_rows(p)})
     grid = draw(st.lists(
         st.one_of(st.sampled_from(on_score), SCORES) if on_score else SCORES,
         min_size=1, max_size=12,
