@@ -15,7 +15,6 @@ from .calibration import (  # noqa: F401
 from .datamodel import (  # noqa: F401
     CohortDataset,
     GroundTruth,
-    PatientCounts,
     PatientRecord,
     Species,
     TrueLabel,
@@ -23,7 +22,7 @@ from .datamodel import (  # noqa: F401
     export_cohort_json,
     ingest_cohort,
     ingest_cohort_json,
-    patient_counts,
+    per_cv_counts,
 )
 from .metrics import (  # noqa: F401
     ConfusionMatrix,

@@ -75,8 +75,10 @@ class CalibrationConfig:
     def __post_init__(self):
         if not (0.0 < self.K < 1.0):
             raise OutOfRange(f"target specificity K={self.K} outside (0, 1)")
-        if self.beta is not None and self.beta < 0:
-            raise OutOfRange("beta must be >= 0")
+        for name in ("beta", "manual_T"):
+            value = getattr(self, name)
+            if value is not None and not (value >= 0 and math.isfinite(value)):
+                raise OutOfRange(f"{name}={value} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -225,6 +225,7 @@ def calibrate(json_path, patients, objects, cv_description, c_threshold, spec_ta
     """Calibrate the count threshold T for a target specificity."""
     cohort = _load_cohort(json_path, patients, objects, cv_description)
     fpr = fpr_distribution(cohort, c_threshold, negatives_only=True)
+    cfg = CalibrationConfig(K=spec_target, method=_parse_method(method), manual_T=manual_t)
     if scatter_out:
         with open(scatter_out, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
@@ -234,7 +235,6 @@ def calibrate(json_path, patients, objects, cv_description, c_threshold, spec_ta
             for pid, v in fp_scatter(fpr):
                 (quoted if "\r" in pid else w).writerow((pid, repr(v)))
         click.echo(scatter_out)
-    cfg = CalibrationConfig(K=spec_target, method=_parse_method(method), manual_T=manual_t)
     t = calibrate_threshold(fpr, cfg)
     click.echo(f"T = {t!r}")
 

@@ -32,7 +32,7 @@ from .datamodel import (
     counts_at,
     distinct_sorted,
     n_at_or_above,
-    patient_counts,
+    per_cv_counts,
     pooled_scores,
 )
 from .errors import DegenerateClasses, InvalidInput, InvalidRatio, NoDetections
@@ -263,7 +263,7 @@ def patient_roc(cohort: CohortDataset, C: float, T_grid) -> CurvePoints:
         OperatingPoint(C=C, T=t)  # raises OutOfRange for a bad C or T
 
     def n_diagnosed(patients):
-        return n_at_or_above(np.sort([patient_counts(p, C).N for p in patients]), ts)
+        return n_at_or_above(np.sort(per_cv_counts(patients, C)), ts)
 
     sens = n_diagnosed(positives) / len(positives)
     spec = (len(negatives) - n_diagnosed(negatives)) / len(negatives)
@@ -300,13 +300,11 @@ def precision_f1_with_reexpression(
     """
     if not (lod_parasitemia > 0):
         raise InvalidInput("lod_parasitemia must be > 0")
-    tp = fp = fn = 0
+    tp = int(counts_at(cohort, [C], "parasite_scores").sum())
+    fp = int(counts_at(cohort, [C], "distractor_scores").sum())
+    fn = sum(p.n_parasite_objects for p in cohort) - tp
     volume = 0.0
-    for p in cohort:
-        counts = patient_counts(p, C)
-        tp += counts.tp
-        fp += counts.fp
-        fn += counts.fn
+    for p in cohort:  # a running sum: sum() and np.sum round differently
         volume += p.examined_volume
     if tp + fp == 0:
         raise NoDetections("no objects pass the score threshold")

@@ -277,43 +277,10 @@ class CohortDataset:
         return tuple(p for p in self.patients if p.ground_truth is GroundTruth.NEGATIVE)
 
 
-@dataclass(frozen=True, slots=True)
-class PatientCounts:
-    """Object counts for one patient at a given score threshold.
-
-    Lower-case fields are raw counts within the examined volume; upper-case
-    TP/FP are rescaled to per-cV. N = TP + FP is the per-cV count of
-    positively-labeled objects that drives diagnosis.
-    """
-
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-    TP: float
-    FP: float
-
-    @property
-    def N(self) -> float:
-        return self.TP + self.FP
-
-
 def n_at_or_above(ascending: np.ndarray, thresholds):
     """How many of the ``ascending`` values are >= each threshold (inclusive)."""
     # side="left" counts the values below a threshold, so a value equal to it passes
     return len(ascending) - np.searchsorted(ascending, thresholds, side="left")
-
-
-def patient_counts(patient: PatientRecord, C: float) -> PatientCounts:
-    """Count objects at score threshold C (inclusive: an object passes at score >= C)."""
-    if not (0.0 <= C <= 1.0):
-        raise OutOfRange(f"score threshold C={C} outside [0, 1]")
-    tp = int(n_at_or_above(patient.parasite_scores, C))
-    fp = int(n_at_or_above(patient.distractor_scores, C))
-    fn = len(patient.parasite_scores) - tp
-    tn = len(patient.distractor_scores) - fp
-    v = patient.examined_volume
-    return PatientCounts(tp=tp, fp=fp, fn=fn, tn=tn, TP=tp / v, FP=fp / v)
 
 
 def counts_at(patients, thresholds, attr: str) -> np.ndarray:
@@ -323,6 +290,16 @@ def counts_at(patients, thresholds, attr: str) -> np.ndarray:
     if len(bad):
         raise OutOfRange(f"score threshold C={thresholds[bad[0]]} outside [0, 1]")
     return np.stack([n_at_or_above(getattr(p, attr), t) for p in patients], axis=1)
+
+
+def per_cv_counts(patients, C: float) -> np.ndarray:
+    """Each patient's N = TP + FP per cV at score threshold C (inclusive), the
+    count that diagnoses a patient positive at N >= T. TP and FP per cV are
+    each rescaled before they are summed: ``tp / v + fp / v``."""
+    tp = counts_at(patients, [C], "parasite_scores")[0]
+    fp = counts_at(patients, [C], "distractor_scores")[0]
+    v = np.array([p.examined_volume for p in patients])
+    return tp / v + fp / v
 
 
 def pooled_scores(patients) -> tuple[np.ndarray, np.ndarray]:
@@ -496,11 +473,13 @@ def _csv_rows(src, columns: Sequence[str], what: str):
 
     A cell is read as ``csv.DictReader`` reads it: blank rows are skipped,
     extra cells ignored, a short row's missing cells are None, and a header
-    name given twice means its last column.
+    name given twice means its last column. A leading byte-order mark, as
+    spreadsheets write "CSV UTF-8", is skipped.
     """
     with _file(src, newline="") as fh:
         try:
-            reader = csv.reader(fh)
+            lines = iter(fh)
+            reader = csv.reader(chain([next(lines, "").removeprefix("\ufeff")], lines))
             index = {name: i for i, name in enumerate(next(reader, ()))}
             missing = [c for c in columns if c not in index]
             if missing:

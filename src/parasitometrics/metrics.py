@@ -26,7 +26,7 @@ from .datamodel import (
     PatientRecord,
     Species,
     counts_at,
-    patient_counts,
+    per_cv_counts,
 )
 from .errors import (
     InvalidInput,
@@ -190,8 +190,10 @@ def pooled_object_sensitivity(cohort: CohortDataset, C: float) -> PooledSensitiv
     the parasite objects, since the pooled number then mostly reflects that
     one patient.
     """
-    tp_total = sum(patient_counts(p, C).tp for p in cohort.positives)
-    contrib = {p.patient_id: p.n_parasite_objects for p in cohort.positives}
+    positives = cohort.positives
+    # without positives there are no parasite objects, whatever C is
+    tp_total = int(counts_at(positives, [C], "parasite_scores").sum()) if positives else 0
+    contrib = {p.patient_id: p.n_parasite_objects for p in positives}
     parasites_total = sum(contrib.values())
     if parasites_total == 0:
         raise NoParasiteObjects("cohort contains no parasite objects")
@@ -214,13 +216,9 @@ def pooled_object_sensitivity(cohort: CohortDataset, C: float) -> PooledSensitiv
 
 def patient_diagnoses(cohort: CohortDataset, op) -> dict[str, GroundTruth]:
     """Diagnose each patient: positive iff N(C) >= T, with N per-cV."""
-    out = {}
-    for p in cohort:
-        n = patient_counts(p, op.C).N
-        out[p.patient_id] = (
-            GroundTruth.POSITIVE if n >= op.T else GroundTruth.NEGATIVE
-        )
-    return out
+    n = per_cv_counts(cohort.patients, op.C).tolist()
+    return {p.patient_id: GroundTruth.POSITIVE if n_p >= op.T else GroundTruth.NEGATIVE
+            for p, n_p in zip(cohort, n)}
 
 
 def _bin_label(lo: float, hi: float) -> str:

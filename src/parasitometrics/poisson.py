@@ -46,6 +46,8 @@ def count_pmf(P: float, V: float, k_max: int | None = None):
     if V <= 0 or not math.isfinite(V):
         raise InvalidInput(f"volume V={V} must be finite and > 0")
     lam = P * V
+    if not math.isfinite(lam):
+        raise InvalidInput(f"expected count P*V={lam} must be finite")
     if lam == 0.0:
         return [(0, 1.0)]
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import CohortDataset, PatientRecord, patient_counts
+from .datamodel import CohortDataset, PatientRecord, counts_at
 from .errors import (
     InsufficientPositives,
     InvalidRates,
@@ -164,9 +164,10 @@ def quant_report(
     per_patient: dict[str, tuple[float, float, float]] = {}
     ba_pairs = []
     clamped = []
-    for p in sorted(positives, key=lambda q: q.patient_id):
-        counts = patient_counts(p, op.C)
-        n = counts.tp + counts.fp
+    positives.sort(key=lambda q: q.patient_id)
+    counted = (counts_at(positives, [op.C], "parasite_scores")[0]
+               + counts_at(positives, [op.C], "distractor_scores")[0])
+    for p, n in zip(positives, counted.tolist()):
         est = estimate_parasitemia(n, p.examined_volume, rates)
         if est.negative_clamped:
             clamped.append(p.patient_id)

@@ -26,7 +26,7 @@ from .curves import (
     precision_f1_with_reexpression,
     sliver_roc,
 )
-from .datamodel import patient_counts
+from .datamodel import counts_at
 from .metrics import (
     MetricDistribution,
     MetricKind,
@@ -104,7 +104,7 @@ def run_all() -> list[CheckResult]:
     cohort = ex["cohort"]
     thr = ex["full_sensitivity_threshold"]
     n_par = sum(p.n_parasite_objects for p in cohort)
-    fp = sum(patient_counts(p, thr).fp for p in cohort)
+    fp = int(counts_at(cohort.patients, [thr], "distractor_scores").sum())
     fp_per_parasite = fp / n_par
     checks.append(
         _check(

@@ -260,6 +260,27 @@ class TestCalibrateAndLod:
         assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["calibrate", "--method", "manual", "--manual-t", "-5"],
+    ["calibrate", "--method", "manual", "--manual-t", "nan"],
+    ["lod", "--beta", "nan"],
+    ["lod", "--beta", "inf"],
+    ["poisson", "-p", "1e300", "-v", "1e300"],
+], ids=["manual-t-negative", "manual-t-nan", "beta-nan", "beta-inf", "p-times-v-overflows"])
+def test_unusable_number_is_one_line_input_error(runner, tmp_path, args):
+    if args[0] != "poisson":
+        patients, objects = _write_mixed_cohort_csvs(tmp_path)
+        args = [*args, "--patients", str(patients), "--objects", str(objects), "--C", "0.5"]
+    if args[0] == "calibrate":
+        args.extend(["--scatter-out", str(tmp_path / "scatter.csv")])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stdout == ""
+    assert not (tmp_path / "scatter.csv").exists()
+
+
 class TestTune:
     def test_tune_end_to_end(self, runner, tmp_path):
         train = generate_cohort(SimConfig(seed=11, n_negative=0, n_positive=10,

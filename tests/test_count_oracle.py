@@ -1,20 +1,30 @@
 """Sorted-score counting and the FROC count matrix against the object loops.
 
 ``loop_patient_counts`` and ``loop_froc_points`` are the per-object loops
-that ``patient_counts`` and ``froc`` used before patients kept sorted score
-arrays. They stay here as the reference, and the fast code must match them
-exactly: same integers, same floats, same thresholds.
+that counting at a threshold and ``froc`` used before patients kept sorted
+score arrays. They stay here as the reference, and the fast code must match
+them exactly: same integers, same floats, same thresholds.
 """
 
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from parasitometrics import curves
-from parasitometrics.curves import froc
-from parasitometrics.datamodel import patient_counts
+from parasitometrics.curves import froc, precision_f1_with_reexpression
+from parasitometrics.datamodel import GroundTruth, counts_at, per_cv_counts
+from parasitometrics.errors import (
+    InsufficientPositives,
+    InvalidInput,
+    NoDetections,
+    NoParasiteObjects,
+    OutOfRange,
+)
+from parasitometrics.metrics import patient_diagnoses, pooled_object_sensitivity
+from parasitometrics.quant import ExpectedRates, estimate_parasitemia, quant_report
 
 from conftest import make_cohort, make_patient, object_rows
 
@@ -66,6 +76,88 @@ def loop_froc_points(cohort, pooled_sensitivity=True):
     return tuple(points)
 
 
+def checked_loop_counts(patient, C):
+    """``loop_patient_counts`` after the range check that counting at C makes."""
+    if not (0.0 <= C <= 1.0):
+        raise OutOfRange(f"score threshold C={C} outside [0, 1]")
+    return loop_patient_counts(patient, C)
+
+
+def loop_pooled_object_sensitivity(cohort, C):
+    tp = sum(checked_loop_counts(p, C)[0] for p in cohort.positives)
+    contrib = {p.patient_id: _loop_n_parasites(p) for p in cohort.positives}
+    total = sum(contrib.values())
+    if total == 0:
+        raise NoParasiteObjects("cohort contains no parasite objects")
+    dominant = max(contrib, key=contrib.get)
+    if contrib[dominant] <= 0.5 * total:
+        return tp / total, None, None
+    warning = (f"patient {dominant!r} contributes {contrib[dominant]} of {total} parasite "
+               "objects (>50%); pooled sensitivity is dominated by one patient")
+    return tp / total, warning, dominant
+
+
+def loop_patient_diagnoses(cohort, op):
+    out = {}
+    for p in cohort:
+        _, _, _, _, TP, FP = checked_loop_counts(p, op.C)
+        out[p.patient_id] = GroundTruth.POSITIVE if TP + FP >= op.T else GroundTruth.NEGATIVE
+    return out
+
+
+def loop_precision_f1(cohort, C, lod_parasitemia):
+    if not (lod_parasitemia > 0):
+        raise InvalidInput("lod_parasitemia must be > 0")
+    tp = fp = fn = 0
+    volume = 0.0
+    for p in cohort:
+        p_tp, p_fp, p_fn, _, _, _ = checked_loop_counts(p, C)
+        tp, fp, fn = tp + p_tp, fp + p_fp, fn + p_fn
+        volume += p.examined_volume
+    if tp + fp == 0:
+        raise NoDetections("no objects pass the score threshold")
+    precision = tp / (tp + fp)
+    f1 = None
+    if tp + fn > 0:
+        sens = tp / (tp + fn)
+        if precision + sens > 0:
+            f1 = 2 * precision * sens / (precision + sens)
+    fp_per_cv = fp / volume
+    return precision, f1, lod_parasitemia / (lod_parasitemia + fp_per_cv), fp_per_cv
+
+
+def loop_quant_per_patient(cohort, op, rates):
+    positives = [p for p in cohort.positives if p.true_parasitemia > 0]
+    if len(positives) < 2:
+        raise InsufficientPositives("quantitation report needs >= 2 positive patients")
+    per_patient, clamped = [], []
+    for p in sorted(positives, key=lambda q: q.patient_id):
+        tp, fp, _, _, _, _ = checked_loop_counts(p, op.C)
+        est = estimate_parasitemia(tp + fp, p.examined_volume, rates)
+        if est.negative_clamped:
+            clamped.append(p.patient_id)
+        p_true = p.true_parasitemia
+        per_patient.append((p.patient_id, (est.P_hat, p_true, (est.P_hat - p_true) / p_true)))
+    return per_patient, tuple(clamped)
+
+
+def outcome(call):
+    """A call's result with the type of each leaf, or its exception's type and text."""
+    try:
+        value = call()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return value, _types(value)
+
+
+def _types(value):
+    if isinstance(value, (tuple, list)):
+        return [_types(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _types(v) for k, v in value.items()}
+    return type(value)
+
+
 # A few shared values make heavy ties; the floats make distinct scores.
 SCORES = st.one_of(
     st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.5000000000000001, 0.9, 1.0]),
@@ -104,10 +196,64 @@ def test_patient_counts_match_loop(cohort, data):
     for p in cohort:
         on_score = [score for _, score, _ in object_rows(p)]
         C = data.draw(st.one_of(st.sampled_from(on_score), SCORES) if on_score else SCORES)
-        c = patient_counts(p, C)
-        assert (c.tp, c.fp, c.fn, c.tn, c.TP, c.FP) == loop_patient_counts(p, C)
+        tp = int(counts_at([p], [C], "parasite_scores")[0, 0])
+        fp = int(counts_at([p], [C], "distractor_scores")[0, 0])
+        fn, tn = p.n_parasite_objects - tp, p.n_distractor_objects - fp
+        v = p.examined_volume
+        want = loop_patient_counts(p, C)
+        assert (tp, fp, fn, tn, tp / v, fp / v) == want
+        assert per_cv_counts([p], C).tolist() == [want[4] + want[5]]
         assert p.n_parasite_objects == _loop_n_parasites(p)
         assert p.n_distractor_objects == sum(1 for _ in object_rows(p)) - _loop_n_parasites(p)
+
+
+# outside [0, 1]; the int 2 must still be spelled C=2
+BAD_C = st.sampled_from([-0.5, -5e-324, 1.0000000000000002, 2, math.inf, -math.inf, math.nan])
+
+
+@settings(deadline=None)
+@given(cohort=cohorts(), data=st.data())
+def test_single_threshold_metrics_match_loop(cohort, data):
+    if cohort.negatives and data.draw(st.booleans()):  # no positives, so no parasites
+        cohort = make_cohort(*cohort.negatives)
+    cohort = make_cohort(*data.draw(st.permutations(cohort.patients)))  # ids out of order
+    on_score = [score for p in cohort for _, score, _ in object_rows(p)]
+    C = data.draw(st.one_of(SCORES, BAD_C, *([st.sampled_from(on_score)] if on_score else [])))
+    ns = [sum(loop_patient_counts(p, C)[4:]) for p in cohort] if 0.0 <= C <= 1.0 else []
+    T = data.draw(st.one_of(st.floats(0.0, 100.0), *([st.sampled_from(ns)] if ns else [])))
+    op = SimpleNamespace(C=C, T=T)  # not an OperatingPoint, so a bad C reaches the count
+    lod = data.draw(st.one_of(st.sampled_from([100.0, 1.0, 0.0]), st.floats(1e-3, 1e4)))
+    rates = ExpectedRates(F_hat=data.draw(st.sampled_from([0.0, 0.5, 5.0, 50.0])),
+                          S_hat=data.draw(st.sampled_from([0.1, 0.5, 1.0])))
+
+    def pooled():
+        got = pooled_object_sensitivity(cohort, C)
+        return got.value, got.imbalance_warning, got.dominant_patient
+
+    def precision():
+        got = precision_f1_with_reexpression(cohort, C, lod)
+        return got.precision, got.f1, got.precision_at_lod, got.fp_per_cv
+
+    def quant():
+        got = quant_report(cohort, op, rates)
+        return list(got.per_patient.items()), got.clamped_patients  # in the order written
+
+    assert outcome(pooled) == outcome(lambda: loop_pooled_object_sensitivity(cohort, C))
+    assert outcome(lambda: patient_diagnoses(cohort, op)) == \
+        outcome(lambda: loop_patient_diagnoses(cohort, op))
+    assert outcome(precision) == outcome(lambda: loop_precision_f1(cohort, C, lod))
+    assert outcome(quant) == outcome(lambda: loop_quant_per_patient(cohort, op, rates))
+
+
+def test_precision_pools_volume_as_a_running_sum():
+    # a running sum of [0.1, 0.2, 0.3] * 5 is 3.0000000000000004; np.sum, and
+    # sum() on Python >= 3.12, give 3.0, and so another fp_per_cv
+    cohort = make_cohort(*(make_patient(f"neg{i:02d}", volume=v, distractor_scores=(0.9,) * 7)
+                           for i, v in enumerate([0.1, 0.2, 0.3] * 5)))
+    got = precision_f1_with_reexpression(cohort, 0.5, 100.0)
+    assert (got.precision, got.f1, got.precision_at_lod, got.fp_per_cv) == \
+        loop_precision_f1(cohort, 0.5, 100.0)
+    assert got.fp_per_cv == 105 / 3.0000000000000004
 
 
 @settings(max_examples=150)

@@ -20,8 +20,9 @@ from parasitometrics.datamodel import (
     export_cohort,
     export_cohort_json,
     ingest_cohort,
+    counts_at,
     ingest_cohort_json,
-    patient_counts,
+    per_cv_counts,
 )
 from parasitometrics.errors import (
     DuplicatePatient,
@@ -234,6 +235,15 @@ class TestJsonIngestion:
         from_csv = ingest_cohort(tmp_path / "o.csv", tmp_path / "p.csv", cohort.cv_description)
         from_json = ingest_cohort_json(tmp_path / "c.json")
         assert from_csv.patients == from_json.patients == cohort.patients
+        # the same pair saved with a UTF-8 byte-order mark, as paths and as handles
+        for name in ("o.csv", "p.csv"):
+            text = (tmp_path / name).read_bytes()
+            (tmp_path / f"bom-{name}").write_bytes(b"\xef\xbb\xbf" + text)
+        from_bom = ingest_cohort(tmp_path / "bom-o.csv", tmp_path / "bom-p.csv", "1 uL blood")
+        assert from_bom.patients == cohort.patients
+        with open(tmp_path / "bom-o.csv", encoding="utf-8", newline="") as o, \
+                open(tmp_path / "bom-p.csv", encoding="utf-8", newline="") as p:
+            assert ingest_cohort(o, p, "1 uL blood").patients == cohort.patients
 
     def test_ingest_keeps_no_object_dicts(self, tmp_path):
         # the text read and its decoded str take 2x the file; one dict per
@@ -379,38 +389,48 @@ def test_objects_are_given_only_as_columns():
         PatientRecord(*args, None, ())
 
 
+def _tp_fp(p, C):
+    return (int(counts_at([p], [C], "parasite_scores")[0, 0]),
+            int(counts_at([p], [C], "distractor_scores")[0, 0]))
+
+
 class TestPatientCounts:
     def test_per_cv_rescaling(self):
         # 12 distractors passing at C, volume 0.1 cV -> 120 FPs per cV
         p = make_patient("n", distractor_scores=(0.9,) * 12, volume=0.1)
-        counts = patient_counts(p, 0.5)
-        assert counts.fp == 12
-        assert counts.FP == pytest.approx(120.0)
-        assert counts.N == pytest.approx(120.0)
+        assert _tp_fp(p, 0.5) == (0, 12)
+        assert per_cv_counts([p], 0.5).tolist() == [pytest.approx(120.0)]
 
     def test_empty_objects(self):
         p = make_patient("n", volume=1.0)
-        counts = patient_counts(p, 0.3)
-        assert (counts.tp, counts.fp, counts.fn, counts.tn) == (0, 0, 0, 0)
-        assert counts.N == 0.0
+        assert _tp_fp(p, 0.3) == (0, 0)
+        assert (p.n_parasite_objects, p.n_distractor_objects) == (0, 0)
+        assert per_cv_counts([p], 0.3).tolist() == [0.0]
 
     def test_zero_threshold_accepts_all(self):
         p = make_patient(
             "p", positive=True, parasite_scores=(0.1, 0.5, 0.9),
             distractor_scores=(0.0, 0.2, 0.4, 0.6),
         )
-        counts = patient_counts(p, 0.0)
-        assert counts.tp == 3
-        assert counts.fp == 4
+        assert _tp_fp(p, 0.0) == (3, 4)
 
     def test_inclusive_threshold(self):
         p = make_patient("p", positive=True, parasite_scores=(0.5,))
-        assert patient_counts(p, 0.5).tp == 1
+        assert _tp_fp(p, 0.5)[0] == 1
 
     def test_out_of_range_C(self):
         p = make_patient("n")
         with pytest.raises(OutOfRange):
-            patient_counts(p, 1.5)
+            counts_at([p], [1.5], "parasite_scores")
+        with pytest.raises(OutOfRange, match=r"^score threshold C=2 outside \[0, 1\]$"):
+            per_cv_counts([p], 2)
+
+    def test_n_is_tp_and_fp_per_cv_summed(self):
+        # N is TP per cV plus FP per cV, each rounded: (tp + fp) / v differs in the last bit
+        p = make_patient("p", positive=True, volume=0.3, parasite_scores=(0.9,),
+                         distractor_scores=(0.9,) * 6)
+        assert per_cv_counts([p], 0.5).tolist() == [23.333333333333332]
+        assert (1 + 6) / 0.3 == 23.333333333333336
 
 
 @given(
@@ -427,9 +447,11 @@ def test_counts_partition_and_monotonicity(scores, c1, c2):
         distractor_scores=scores[n_par:],
     )
     lo, hi = min(c1, c2), max(c1, c2)
-    a, b = patient_counts(p, lo), patient_counts(p, hi)
-    for counts in (a, b):
-        assert counts.tp + counts.fn == n_par
-        assert counts.fp + counts.tn == len(scores) - n_par
-    assert a.tp >= b.tp
-    assert a.fp >= b.fp
+    (tp_lo, tp_hi), (fp_lo, fp_hi) = (counts_at([p], [lo, hi], attr)[:, 0].tolist()
+                                      for attr in ("parasite_scores", "distractor_scores"))
+    assert (p.n_parasite_objects, p.n_distractor_objects) == (n_par, len(scores) - n_par)
+    for tp, fp in ((tp_lo, fp_lo), (tp_hi, fp_hi)):
+        assert 0 <= tp <= n_par
+        assert 0 <= fp <= len(scores) - n_par
+    assert tp_lo >= tp_hi
+    assert fp_lo >= fp_hi

@@ -26,7 +26,7 @@ from parasitometrics.calibration import (
     tune_operating_point,
 )
 from parasitometrics.curves import patient_roc
-from parasitometrics.datamodel import GroundTruth, patient_counts
+from parasitometrics.datamodel import GroundTruth
 from parasitometrics.errors import (
     AllCandidatesDegenerate,
     DegenerateDataError,
@@ -47,7 +47,7 @@ from parasitometrics.metrics import (
 from parasitometrics.stats import summarize
 
 from conftest import make_cohort, make_patient, object_rows
-from test_count_oracle import SCORES, VOLUMES
+from test_count_oracle import SCORES, VOLUMES, checked_loop_counts, loop_patient_counts
 
 
 def loop_fpr_distribution(cohort, C, negatives_only=True):
@@ -65,7 +65,7 @@ def loop_fpr_distribution(cohort, C, negatives_only=True):
             "FPR computed over positive patients; mis-/unannotated parasites "
             "can inflate these values",
         )
-    per = {p.patient_id: patient_counts(p, C).FP for p in patients}
+    per = {p.patient_id: checked_loop_counts(p, C)[5] for p in patients}
     return MetricDistribution(kind=MetricKind.FPR, per_patient=per,
                               summary=summarize(per.values()), warnings=warnings)
 
@@ -73,12 +73,12 @@ def loop_fpr_distribution(cohort, C, negatives_only=True):
 def loop_sensitivity_distribution(cohort, C):
     per, excluded = {}, []
     for p in cohort.positives:
-        counts = patient_counts(p, C)
-        n_parasites = counts.tp + counts.fn
+        tp, _, fn, _, _, _ = checked_loop_counts(p, C)
+        n_parasites = tp + fn
         if n_parasites == 0:
             excluded.append(p.patient_id)
         else:
-            per[p.patient_id] = counts.tp / n_parasites
+            per[p.patient_id] = tp / n_parasites
     if not per:
         raise NoEligiblePatients("no positive patients with parasite objects")
     return MetricDistribution(kind=MetricKind.OBJECT_SENSITIVITY, per_patient=per,
@@ -264,7 +264,7 @@ def roc_inputs(draw):
     patients += positives_cohort(draw, "pos", 1).patients
     cohort = make_cohort(*patients)
     C = draw(SCORES)
-    ns = [patient_counts(p, C).N for p in cohort]
+    ns = [sum(loop_patient_counts(p, C)[4:]) for p in cohort]
     t_grid = draw(st.lists(
         st.one_of(st.sampled_from(ns), st.floats(0.0, 100.0), st.just(0.0)),
         min_size=1, max_size=41,
