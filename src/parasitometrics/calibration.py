@@ -13,11 +13,14 @@ hit a target specificity K. Four methods are supported:
 * manual:     T supplied by a human from a scatter of per-patient FP counts
 
 The LoD estimate follows from requiring a just-barely-positive diagnosis of a
-clean (5th-percentile FPR) sample with average sensitivity:
+clean (1-K quantile FPR) sample with average sensitivity, so that a sample at
+the LoD is detected with sensitivity K at specificity K (CLSI EP17-A2 with
+alpha = beta). With z the normal quantile of K rounded up to two places
+(1.65 at the default K = 0.95):
 
-    L = 3.3 * std(F) / mean(S)            (gaussian; optionally +1 in the
+    L = 2 * z * std(F) / mean(S)          (gaussian; optionally +1 in the
                                            numerator to keep L >= 1/mean(S))
-    L = 1.65 * (sigma_L(F) + sigma_R(F)) / median(S)     (robust)
+    L = z * (sigma_L(F) + sigma_R(F)) / median(S)        (robust)
 
 A pessimistic variant replaces the denominator with mean(S) - beta * std(S).
 """
@@ -25,7 +28,7 @@ A pessimistic variant replaces the denominator with mean(S) - beta * std(S).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -137,11 +140,12 @@ def estimate_lod(
         denom = denom - cfg.beta * ss.std
     if denom <= 0:
         raise ZeroSensitivity(f"LoD denominator {denom} <= 0")
+    z = math.ceil(100 * alpha_for_specificity(cfg.K)) / 100  # 1.65 at K = 0.95
     if robust:
-        numer = 1.65 * (fs.sigma_left + fs.sigma_right)
+        numer = z * (fs.sigma_left + fs.sigma_right)
         sigmas = {"sigma_left_F": fs.sigma_left, "sigma_right_F": fs.sigma_right}
     else:
-        numer = 3.3 * fs.std
+        numer = 2 * z * fs.std  # 2 * 1.65 == 3.3 in binary64
         sigmas = {"sigma_F": fs.std}
     if cfg.plus_one:
         numer += 1.0
@@ -177,13 +181,12 @@ class TuningRow:
     mu_S: float
 
 
-def default_c_grid(cohort: CohortDataset | None = None) -> list[float]:
-    """101 evenly spaced thresholds, plus observed scores when few enough."""
+def default_c_grid(cohort: CohortDataset) -> list[float]:
+    """101 evenly spaced thresholds, plus the cohort's scores when few enough."""
     grid = {round(i / 100.0, 2) for i in range(101)}
-    if cohort is not None:
-        observed = distinct_sorted(pooled_scores(cohort.patients)[0])
-        if len(observed) < 512:
-            grid |= set(observed.tolist())
+    observed = distinct_sorted(pooled_scores(cohort.patients)[0])
+    if len(observed) < 512:
+        grid |= set(observed.tolist())
     return sorted(grid)
 
 
@@ -191,18 +194,16 @@ def tune_operating_point(
     train_positives: CohortDataset,
     validation_negatives: CohortDataset,
     validation_positives: CohortDataset | None,
-    K: float,
     C_grid,
-    cfg: CalibrationConfig | None = None,
+    cfg: CalibrationConfig = CalibrationConfig(),
 ) -> tuple[OperatingPoint, list[TuningRow], list[tuple[float, str]]]:
-    """Exhaustive sweep over C: calibrate T for specificity K, pick lowest LoD.
+    """Exhaustive sweep over C: calibrate T for specificity cfg.K, pick lowest LoD.
 
     S is computed over validation positives when given, else (less ideal but
     workable) over the training positives. Ties in LoD break toward larger C.
     A C where T or the LoD is undefined has no row in the table; it is listed
     in ``skipped`` as ``(C, reason)``, in ascending C.
     """
-    cfg = replace(cfg or CalibrationConfig(), K=K)
     grid = sorted(set(float(c) for c in C_grid))
     if not grid:
         raise OutOfRange("C_grid must be non-empty")

@@ -14,6 +14,8 @@ import functools
 import json
 import os
 import sys
+from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -145,6 +147,8 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
 
     if c_threshold is None:
         raise InputError("--C is required")
+    cfg = CalibrationConfig(K=0.95 if spec_target is None else spec_target,
+                            method=_parse_method(calib_method))
     fpr = None
     if cohort.negatives:
         fpr = fpr_distribution(cohort, c_threshold, negatives_only=True)
@@ -154,7 +158,6 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
             raise InputError("provide --T, or --spec-target with --calib-method")
         if fpr is None:
             raise DegenerateDataError("calibration requires negative patients")
-        cfg = CalibrationConfig(K=spec_target, method=_parse_method(calib_method))
         t_threshold = calibrate_threshold(fpr, cfg)
     op = OperatingPoint(C=c_threshold, T=t_threshold)
 
@@ -176,7 +179,7 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
     if fpr is not None and sens is not None:
         for method in (CalibrationMethod.GAUSSIAN, CalibrationMethod.ROBUST):
             try:
-                lods.append(estimate_lod(fpr, sens, CalibrationConfig(method=method)))
+                lods.append(estimate_lod(fpr, sens, replace(cfg, method=method)))
             except DegenerateDataError as exc:
                 click.echo(f"warning: LoD ({method.value}) skipped: {exc}", err=True)
 
@@ -280,7 +283,7 @@ def tune(train_pos, val_neg, val_pos, spec_target, c_grid, calib_method, out_pat
     positives = ingest_cohort_json(val_pos) if val_pos else None
     grid = _parse_floats(c_grid, "C grid") if c_grid else default_c_grid(train)
     cfg = CalibrationConfig(K=spec_target, method=_parse_method(calib_method))
-    best, table, skipped = tune_operating_point(train, negatives, positives, spec_target, grid, cfg)
+    best, table, skipped = tune_operating_point(train, negatives, positives, grid, cfg)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("C,T,LoD,mu_F,sigma_F,sigma_L,sigma_R,mu_S\n")
         for row in table:
@@ -345,25 +348,21 @@ def quant(json_path, patients, objects, cv_description, c_threshold, t_threshold
 def poisson(parasitemia, volumes, k_min, confidence, out_path):
     """Poisson count pmfs per examined volume, or the minimum-volume solution."""
     # imported here: scipy.special takes a quarter second that other commands skip
-    from .poisson import min_volume_for_detection, poisson_curve
+    from .poisson import count_pmf, min_volume_for_detection
     if k_min is not None or confidence is not None:
         if k_min is None or confidence is None:
             raise InputError("--k-min and --confidence must be given together")
         v = min_volume_for_detection(parasitemia, k_min, confidence)
         click.echo(f"min volume = {v!r} cV")
         return
-    if not volumes:
-        volumes = (0.001, 0.01, 0.1)
-    curve = poisson_curve(parasitemia, volumes)
-    rows = list(curve.to_csv_rows())
+    # every pmf first, so a bad volume fails before a row is written
+    pmfs = [(v, count_pmf(parasitemia, v)) for v in volumes or (0.001, 0.01, 0.1)]
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
+        fh.write("volume,k,probability\n")
+        for v, pmf in pmfs:
+            fh.writelines(f"{v!r},{k},{p!r}\n" for k, p in pmf)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(",".join(str(c) for c in row) + "\n")
         click.echo(out_path)
-    else:
-        for row in rows:
-            click.echo(",".join(str(c) for c in row))
 
 
 @main.command()

@@ -208,13 +208,12 @@ def easy_distractor_experiment(
     cohort: CohortDataset,
     n_easy: int,
     easy_score_max: float,
-    fp_grid=(1.0, 10.0, 100.0),
 ):
     """Inject n_easy low-scoring distractors per patient; AUC inflates, FROC doesn't.
 
     Injected scores are spread in (0, easy_score_max). Returns
     (auc_before, auc_after, froc_unchanged) where froc_unchanged compares the
-    FROC at the fp_grid points before and after for bit-identity. The FROC
+    FROC at FP rates 1, 10 and 100 before and after for bit-identity. The FROC
     guarantee holds when easy_score_max is below every real object score.
     """
     if n_easy < 0:
@@ -222,6 +221,7 @@ def easy_distractor_experiment(
     if not (0.0 < easy_score_max <= 1.0):
         raise InvalidInput("easy_score_max must be in (0, 1]")
 
+    fp_grid = (1.0, 10.0, 100.0)
     auc_before = object_roc(cohort).auc
     froc_before = froc(cohort, fp_grid=fp_grid).grid_points
 

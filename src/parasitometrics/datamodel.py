@@ -262,12 +262,6 @@ class CohortDataset:
     def __len__(self) -> int:
         return len(self.patients)
 
-    def patient(self, patient_id: str) -> PatientRecord:
-        for p in self.patients:
-            if p.patient_id == patient_id:
-                return p
-        raise KeyError(patient_id)
-
     @property
     def positives(self) -> tuple[PatientRecord, ...]:
         return tuple(p for p in self.patients if p.ground_truth is GroundTruth.POSITIVE)

@@ -90,9 +90,6 @@ class ConfusionMatrix:
     labels: tuple[Species, ...]
     counts: dict[Species, dict[Species, int]]
 
-    def total(self) -> int:
-        return sum(sum(row.values()) for row in self.counts.values())
-
     def collapse_falciparum(self) -> dict[str, dict[str, int]]:
         """2x2 collapse: falciparum (incl. mixed) vs everything else.
 
@@ -109,12 +106,6 @@ class ConfusionMatrix:
         return out
 
 
-def _eligible(cohort: CohortDataset, negatives_only: bool) -> list[PatientRecord]:
-    if negatives_only:
-        return [p for p in cohort if p.ground_truth is GroundTruth.NEGATIVE]
-    return list(cohort.patients)
-
-
 def _distributions(kind, ids, values: np.ndarray, **extra) -> list[MetricDistribution]:
     """One distribution per row of the (threshold x patient) ``values``."""
     pers = [dict(zip(ids, row)) for row in values.tolist()]  # Python floats
@@ -126,7 +117,7 @@ def fpr_distributions(
     cohort: CohortDataset, C_grid, negatives_only: bool = True
 ) -> list[MetricDistribution]:
     """Per-patient false positives per cV at each score threshold in C_grid."""
-    patients = _eligible(cohort, negatives_only)
+    patients = cohort.negatives if negatives_only else cohort.patients
     if not patients:
         raise NoEligiblePatients("no negative patients for FPR distribution")
     warnings = ()

@@ -13,69 +13,53 @@ Poisson with lambda = P * V. Two consequences matter:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.special import pdtrc
 
 from .errors import InvalidInput
 
 
-@dataclass(frozen=True)
-class PoissonCurve:
-    """Count pmfs for one parasitemia across several examined volumes."""
-
-    parasitemia: float
-    volumes: tuple[float, ...]
-    pmf_points: tuple[tuple[tuple[int, float], ...], ...]  # one pmf per volume
-
-    def to_csv_rows(self):
-        yield ("volume", "k", "probability")
-        for v, pmf in zip(self.volumes, self.pmf_points):
-            for k, prob in pmf:
-                yield (repr(v), k, repr(prob))
+# Largest P*V with a pmf: about 45*sqrt(lambda) rows, and above it the
+# log-space rounding of each row nears the 1e-9 tail the walk stops at.
+MAX_EXPECTED_COUNT = 1e6
 
 
-def count_pmf(P: float, V: float, k_max: int | None = None):
+def count_pmf(P: float, V: float):
     """Poisson pmf of the parasite count in volume V at parasitemia P.
 
-    Computed in log space (stable for large lambda and k). k_max defaults to
-    the smallest k with cumulative probability >= 1 - 1e-9.
+    Computed in log space (stable for large lambda and k). The rows run from
+    the first k whose probability is not 0.0 to the smallest k with cumulative
+    probability >= 1 - 1e-9, or to the last k before the probability past the
+    mode underflows to 0.0.
     """
     if P < 0 or not math.isfinite(P):
         raise InvalidInput(f"parasitemia P={P} must be finite and >= 0")
     if V <= 0 or not math.isfinite(V):
         raise InvalidInput(f"volume V={V} must be finite and > 0")
     lam = P * V
-    if not math.isfinite(lam):
-        raise InvalidInput(f"expected count P*V={lam} must be finite")
+    if lam > MAX_EXPECTED_COUNT:
+        raise InvalidInput(f"expected count P*V={lam} must be <= {MAX_EXPECTED_COUNT:g}")
     if lam == 0.0:
         return [(0, 1.0)]
 
     def prob(k: int) -> float:
         return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
 
-    out = []
-    if k_max is not None:
-        if k_max < 0:
-            raise InvalidInput("k_max must be >= 0")
-        return [(k, prob(k)) for k in range(k_max + 1)]
-    cumulative = 0.0
     k = 0
-    while cumulative < 1.0 - 1e-9:
-        pk = prob(k)
+    if prob(0) == 0.0:  # e^-lam underflows: bisect below floor(lam), where the log pmf rises
+        lo, k = 0, math.floor(lam)
+        while k - lo > 1:
+            mid = (lo + k) // 2
+            if prob(mid) > 0.0:
+                k = mid
+            else:
+                lo = mid
+    out, cumulative = [], 0.0
+    while cumulative < 1.0 - 1e-9 and (pk := prob(k)) > 0.0:
         out.append((k, pk))
         cumulative += pk
         k += 1
     return out
-
-
-def poisson_curve(P: float, volumes) -> PoissonCurve:
-    vols = tuple(float(v) for v in volumes)
-    return PoissonCurve(
-        parasitemia=P,
-        volumes=vols,
-        pmf_points=tuple(tuple(count_pmf(P, v)) for v in vols),
-    )
 
 
 def min_volume_for_detection(P: float, k_min: int, confidence: float) -> float:

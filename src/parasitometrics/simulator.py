@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc, betaincinv
@@ -96,7 +96,7 @@ def _draw_sensitivity(spec, rng: np.random.Generator) -> float:
     raise InvalidConfig(f"unsupported sensitivity spec {spec!r}")
 
 
-DEFAULT_SPECIES_MIX = {
+SPECIES_MIX = {
     Species.FALCIPARUM: 0.6,
     Species.VIVAX: 0.25,
     Species.OVALE: 0.05,
@@ -113,7 +113,6 @@ class SimConfig:
     n_positive: int = 20
     examined_volume: float = 1.0
     parasitemia_dist: object = LogUniform(80.0, 200.0)
-    species_mix: dict = field(default_factory=lambda: dict(DEFAULT_SPECIES_MIX))
     fpr_dist: object = TruncatedNormal(50.0, 20.0)
     patient_sensitivity_dist: object = Beta(8.0, 2.0)
     background_distractor_rate: float = 100.0      # low-score distractors per cV
@@ -132,9 +131,6 @@ class SimConfig:
                 and self.background_distractor_rate >= 0):
             raise InvalidConfig(f"background_distractor_rate must be finite and >= 0, "
                                 f"got {self.background_distractor_rate!r}")
-        weights = list(self.species_mix.values())
-        if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
-            raise InvalidConfig("species_mix weights must be >= 0 and sum to 1")
 
 
 def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100):
@@ -246,8 +242,8 @@ def _distractors(cfg: SimConfig, patient_id: str, f: float, rng):
 
 def generate_cohort(cfg: SimConfig) -> CohortDataset:
     """Generate a synthetic cohort; deterministic for a fixed config."""
-    species_labels = list(cfg.species_mix.keys())
-    species_weights = list(cfg.species_mix.values())
+    species_labels = list(SPECIES_MIX.keys())
+    species_weights = list(SPECIES_MIX.values())
 
     patients = []
     for i in range(cfg.n_negative):

@@ -228,6 +228,30 @@ def test_criterion_07_lod_empirical_meaning():
             f"(optimism gap {gap:+.1f}/cV), {elapsed:.1f}s")
 
 
+@pytest.mark.parametrize("K", [0.90, 0.95, 0.99])
+def test_lod_is_detected_with_sensitivity_K_at_specificity_K(K):
+    # criterion 07's cohorts, with T and the LoD both set for specificity K:
+    # positives at P = L reach T with probability K (CLSI EP17-A2, alpha = beta)
+    C, s_fixed = 0.5, 0.95
+    fpr_spec = TruncatedNormal(50.0, 20.0)
+    cfg = CalibrationConfig(K=K)
+    negatives = generate_cohort(SimConfig(
+        seed=701, n_negative=1_000, n_positive=0, fpr_dist=fpr_spec,
+    ))
+    F = fpr_distribution(negatives, C)
+    T = calibrate_threshold(F, cfg)
+    S = make_dist(MetricKind.OBJECT_SENSITIVITY, [s_fixed, s_fixed])
+    L = estimate_lod(F, S, cfg).L
+
+    positives = generate_cohort(SimConfig(
+        seed=702, n_negative=0, n_positive=2_000, fpr_dist=fpr_spec,
+        parasitemia_dist=Fixed(L), patient_sensitivity_dist=Fixed(s_fixed),
+    ))
+    diagnosed = patient_diagnoses(positives, OperatingPoint(C=C, T=T))
+    sens_at_L = sum(gt is GroundTruth.POSITIVE for gt in diagnosed.values()) / len(diagnosed)
+    assert abs(sens_at_L - K) <= 0.03, sens_at_L
+
+
 def test_criterion_08_tuner_matches_exhaustive_sweep():
     # hand-built cohorts: one negative with distractor scores stepping at
     # every grid point near the optimum (so the LoD changes at each step) and
@@ -263,7 +287,7 @@ def test_criterion_08_tuner_matches_exhaustive_sweep():
     _, best_c, best_t = min(oracle)
 
     op, _, _ = tune_operating_point(
-        train, val_neg, None, 0.95, grid, CalibrationConfig(K=0.95)
+        train, val_neg, None, grid, CalibrationConfig(K=0.95)
     )
     assert op.C == best_c
     assert op.T == best_t

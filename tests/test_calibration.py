@@ -196,7 +196,7 @@ def _tuning_fixture():
 class TestTuner:
     def test_single_candidate_passthrough(self):
         train_pos, val_neg = _tuning_fixture()
-        best, table, _ = tune_operating_point(train_pos, val_neg, None, 0.95, [0.4])
+        best, table, _ = tune_operating_point(train_pos, val_neg, None, [0.4])
         assert best.C == 0.4
         assert len(table) == 1
         assert best.T == table[0].T
@@ -205,7 +205,7 @@ class TestTuner:
         train_pos, val_neg = _tuning_fixture()
         grid = [i / 50.0 for i in range(51)]
         cfg = CalibrationConfig(K=0.95)
-        best, table, _ = tune_operating_point(train_pos, val_neg, None, 0.95, grid, cfg)
+        best, table, _ = tune_operating_point(train_pos, val_neg, None, grid, cfg)
 
         # independent exhaustive evaluation of the same grid
         oracle_best = None
@@ -236,7 +236,7 @@ class TestTuner:
             make_patient("p1", positive=True, parasite_scores=(0.9, 0.8)),
             make_patient("p2", positive=True, parasite_scores=(0.7,)),
         )
-        best, _, _ = tune_operating_point(pos, neg, None, 0.95, [0.1, 0.2])
+        best, _, _ = tune_operating_point(pos, neg, None, [0.1, 0.2])
         assert best.C == 0.2
 
     def test_validation_positives_preferred(self):
@@ -245,13 +245,13 @@ class TestTuner:
             make_patient("vp1", positive=True, parasite_scores=(0.9,) * 10),
             make_patient("vp2", positive=True, parasite_scores=(0.9,) * 10),
         )
-        _, table, _ = tune_operating_point(train_pos, val_neg, val_pos, 0.95, [0.5])
+        _, table, _ = tune_operating_point(train_pos, val_neg, val_pos, [0.5])
         assert table[0].mu_S == pytest.approx(1.0)
 
     def test_empty_grid(self):
         train_pos, val_neg = _tuning_fixture()
         with pytest.raises(OutOfRange):
-            tune_operating_point(train_pos, val_neg, None, 0.95, [])
+            tune_operating_point(train_pos, val_neg, None, [])
 
 
 def test_default_c_grid_includes_observed_scores():

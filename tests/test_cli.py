@@ -148,6 +148,24 @@ class TestEvaluate:
         assert "strictly ascending" in result.stderr
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--calib-method", "bogus"],
+        ["--spec-target", "1.5"],
+        ["--spec-target", "0"],
+    ], ids=["calib-method-bogus", "spec-target-above-1", "spec-target-0"])
+    def test_bad_calibration_setting_with_explicit_t_is_input_error(self, runner, tmp_path,
+                                                                     args):
+        # the LoD uses the setting even when --T fixes the threshold
+        patients, objects = _write_mixed_cohort_csvs(tmp_path)
+        result = runner.invoke(main, [
+            "evaluate", "--patients", str(patients), "--objects", str(objects),
+            "--C", "0.5", "--T", "5", *args, "--out", str(tmp_path / "r"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert not (tmp_path / "r").exists()
+
     def test_skipped_lod_is_a_warning(self, runner, tmp_path):
         # no parasite scores >= C, so mean and median S are 0 and neither LoD exists
         cohort = make_cohort(
@@ -266,7 +284,9 @@ class TestCalibrateAndLod:
     ["lod", "--beta", "nan"],
     ["lod", "--beta", "inf"],
     ["poisson", "-p", "1e300", "-v", "1e300"],
-], ids=["manual-t-negative", "manual-t-nan", "beta-nan", "beta-inf", "p-times-v-overflows"])
+    ["poisson", "-p", "3e6", "-v", "1"],
+], ids=["manual-t-negative", "manual-t-nan", "beta-nan", "beta-inf", "p-times-v-overflows",
+        "p-times-v-above-limit"])
 def test_unusable_number_is_one_line_input_error(runner, tmp_path, args):
     if args[0] != "poisson":
         patients, objects = _write_mixed_cohort_csvs(tmp_path)
@@ -386,8 +406,7 @@ class TestPoissonCommand:
         assert result.exit_code == 0, result.output
         lines = result.output.strip().splitlines()
         assert lines[0] == "volume,k,probability"
-        k0 = float(lines[1].split(",")[2])
-        assert k0 == pytest.approx(math.exp(-1.0), abs=1e-9)
+        assert lines[1] == f"0.01,0,{math.exp(-1.0)!r}"
 
     def test_min_volume_mode(self, runner):
         result = runner.invoke(main, [

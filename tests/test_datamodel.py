@@ -57,12 +57,13 @@ class TestIngestion:
     def test_round_trip_identity(self):
         cohort = _ingest()
         assert len(cohort) == 2
-        p1 = cohort.patient("p1")
+        by_id = {p.patient_id: p for p in cohort}
+        p1 = by_id["p1"]
         assert p1.ground_truth is GroundTruth.POSITIVE
         assert p1.species is Species.FALCIPARUM
         assert p1.wbc_count == 400
         assert len(p1.object_ids) == 3
-        assert cohort.patient("p2").wbc_count is None
+        assert by_id["p2"].wbc_count is None
 
         obj_out, pat_out = io.StringIO(), io.StringIO()
         export_cohort(cohort, obj_out, pat_out)

@@ -8,16 +8,16 @@ from scipy.stats import poisson as scipy_poisson
 
 from parasitometrics.errors import InvalidInput
 from parasitometrics.poisson import (
+    MAX_EXPECTED_COUNT,
     count_pmf,
     min_volume_for_detection,
-    poisson_curve,
     quantitation_relative_poisson_error,
 )
 
 
 class TestCountPmf:
     def test_matches_scipy(self):
-        pmf = dict(count_pmf(120.0, 0.5, k_max=100))
+        pmf = dict(count_pmf(120.0, 0.5))
         for k in range(0, 101, 10):
             assert pmf[k] == pytest.approx(scipy_poisson.pmf(k, 60.0), rel=1e-9)
 
@@ -43,6 +43,30 @@ class TestCountPmf:
         mean = sum(k * p for k, p in count_pmf(75.0, 0.5))
         assert mean == pytest.approx(lam, abs=1e-6 * lam)
 
+    def test_starts_at_first_nonzero_probability(self):
+        # e^-1000 underflows to 0.0, and so does every term below k = 71
+        def prob(k):
+            return math.exp(k * math.log(1000.0) - 1000.0 - math.lgamma(k + 1))
+
+        pmf = count_pmf(1000.0, 1.0)
+        assert prob(70) == 0.0
+        assert pmf == [(k, prob(k)) for k in range(71, 1196)]
+
+    def test_ends_where_log_space_rounding_keeps_the_sum_short(self):
+        # the cumulative of this pmf never reaches 1 - 1e-9: the walk stops
+        # where the probabilities past the mode underflow
+        lam = 878819.8857753363
+        pmf = count_pmf(lam, 1.0)
+        assert pmf[-1][0] > lam
+        assert all(p > 0.0 for _, p in pmf)
+
+    def test_rejects_expected_count_above_limit(self):
+        assert count_pmf(MAX_EXPECTED_COUNT, 1.0)
+        with pytest.raises(InvalidInput):
+            count_pmf(MAX_EXPECTED_COUNT, 1.5)
+        with pytest.raises(InvalidInput):
+            count_pmf(1e300, 1e300)
+
     def test_rejects_negative_inputs(self):
         with pytest.raises(InvalidInput):
             count_pmf(-1.0, 1.0)
@@ -63,20 +87,9 @@ class TestCountPmf:
 
 class TestPoissonCurve:
     def test_zero_count_shrinks_with_volume(self):
-        curve = poisson_curve(100.0, [0.01, 0.05, 0.1, 0.5, 1.0])
-        zero_probs = [dict(pmf)[0] for pmf in curve.pmf_points]
+        volumes = [0.01, 0.05, 0.1, 0.5, 1.0]
+        zero_probs = [dict(count_pmf(100.0, v))[0] for v in volumes]
         assert zero_probs == sorted(zero_probs, reverse=True)
-
-    def test_csv_rows(self):
-        curve = poisson_curve(100.0, [0.1])
-        rows = list(curve.to_csv_rows())
-        assert rows[0] == ("volume", "k", "probability")
-        assert rows[1] == ("0.1", 0, repr(math.exp(-10.0)))
-
-    def test_pmfs_match_count_pmf(self):
-        curve = poisson_curve(200.0, [0.05, 0.2])
-        assert curve.pmf_points[0] == tuple(count_pmf(200.0, 0.05))
-        assert curve.pmf_points[1] == tuple(count_pmf(200.0, 0.2))
 
 
 class TestMinVolume:

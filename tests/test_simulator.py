@@ -90,8 +90,6 @@ class TestStructure:
         with pytest.raises(InvalidConfig):
             SimConfig(examined_volume=0.0)
         with pytest.raises(InvalidConfig):
-            SimConfig(species_mix={Species.FALCIPARUM: 0.5})
-        with pytest.raises(InvalidConfig):
             LogUniform(10.0, 5.0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])

@@ -6,11 +6,13 @@ per-C code before F and S came from one (threshold x patient) count matrix;
 ``loop_patient_roc`` is the patient ROC before it counted each patient's N
 once and swept T over the sorted N. They stay here as the reference, and the
 sweeps must match them exactly: same rows, same floats, same value types,
-same exceptions.
+same exceptions. ``loop_estimate_lod`` scales its numerator with the target
+specificity K, as the LoD does since it follows K rather than a fixed 95%.
 """
 
 import math
 from dataclasses import replace
+from statistics import NormalDist
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +89,7 @@ def loop_sensitivity_distribution(cohort, C):
 
 def loop_estimate_lod(F, S, cfg):
     fs, ss = F.summary, S.summary
+    z = math.ceil(100 * NormalDist().inv_cdf(cfg.K)) / 100
     if cfg.method is CalibrationMethod.ROBUST:
         if fs.n < 2:
             raise InsufficientPatients("robust LoD needs >= 2 negative patients")
@@ -95,7 +98,7 @@ def loop_estimate_lod(F, S, cfg):
             denom = ss.median - cfg.beta * ss.std
         if denom <= 0:
             raise ZeroSensitivity(f"LoD denominator {denom} <= 0")
-        numer = 1.65 * (fs.sigma_left + fs.sigma_right)
+        numer = z * (fs.sigma_left + fs.sigma_right)
         if cfg.plus_one:
             numer += 1.0
         return LodEstimate(L=numer / denom, method=cfg.method, mu_S=denom,
@@ -108,7 +111,7 @@ def loop_estimate_lod(F, S, cfg):
         denom = ss.mean - cfg.beta * ss.std
     if denom <= 0:
         raise ZeroSensitivity(f"LoD denominator {denom} <= 0")
-    numer = 3.3 * fs.std
+    numer = 2 * z * fs.std
     if cfg.plus_one:
         numer += 1.0
     return LodEstimate(L=numer / denom, method=cfg.method, mu_S=denom, sigma_F=fs.std,
@@ -221,7 +224,7 @@ def tuner_inputs(draw):
 @given(inputs=tuner_inputs())
 def test_tuner_matches_per_c_loop(inputs):
     train, negatives, validation, K, grid, cfg = inputs
-    got = outcome(tune_operating_point, train, negatives, validation, K, grid, cfg)
+    got = outcome(tune_operating_point, train, negatives, validation, grid, replace(cfg, K=K))
     want = outcome(loop_tune, train, negatives, validation, K, grid, cfg)
     assert got == want
     assert types(got) == types(want)
@@ -290,7 +293,7 @@ def test_one_negative_makes_every_c_degenerate():
     negatives = make_cohort(make_patient("n1", distractor_scores=(0.2, 0.6)))
     train = make_cohort(make_patient("p1", positive=True, parasite_scores=(0.7, 0.9)))
     with pytest.raises(AllCandidatesDegenerate):
-        tune_operating_point(train, negatives, None, 0.95, [0.0, 0.5, 1.0])
+        tune_operating_point(train, negatives, None, [0.0, 0.5, 1.0])
 
 
 def test_positives_without_parasites_make_every_c_degenerate():
@@ -298,7 +301,7 @@ def test_positives_without_parasites_make_every_c_degenerate():
                             make_patient("n2", distractor_scores=(0.6,)))
     train = make_cohort(make_patient("p1", positive=True, distractor_scores=(0.5,)))
     with pytest.raises(AllCandidatesDegenerate):
-        tune_operating_point(train, negatives, None, 0.95, [0.0, 0.5])
+        tune_operating_point(train, negatives, None, [0.0, 0.5])
     with pytest.raises(NoEligiblePatients):
         sensitivity_distributions(train, [0.0, 0.5])
 
