@@ -31,17 +31,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .datamodel import CohortDataset, distinct_sorted, pooled_scores
-from .errors import (
-    AllCandidatesDegenerate,
-    DegenerateDataError,
-    InsufficientPatients,
-    MissingManualT,
-    OutOfRange,
-    ZeroSensitivity,
-)
+from .errors import DegenerateDataError, InputError
 from .metrics import MetricDistribution, fpr_distributions, sensitivity_distributions
 from .stats import alpha_for_specificity
 
@@ -62,9 +53,9 @@ class OperatingPoint:
 
     def __post_init__(self):
         if not (0.0 <= self.C <= 1.0) or not math.isfinite(self.C):
-            raise OutOfRange(f"C={self.C} outside [0, 1]")
+            raise InputError(f"C={self.C} outside [0, 1]")
         if self.T < 0 or not math.isfinite(self.T):
-            raise OutOfRange(f"T={self.T} must be finite and >= 0")
+            raise InputError(f"T={self.T} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -77,11 +68,11 @@ class CalibrationConfig:
 
     def __post_init__(self):
         if not (0.0 < self.K < 1.0):
-            raise OutOfRange(f"target specificity K={self.K} outside (0, 1)")
+            raise InputError(f"target specificity K={self.K} outside (0, 1)")
         for name in ("beta", "manual_T"):
             value = getattr(self, name)
             if value is not None and not (value >= 0 and math.isfinite(value)):
-                raise OutOfRange(f"{name}={value} must be finite and >= 0")
+                raise InputError(f"{name}={value} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -109,13 +100,13 @@ def calibrate_threshold(F: MetricDistribution, cfg: CalibrationConfig) -> float:
     method = cfg.method
     if method is CalibrationMethod.MANUAL_SCATTER:
         if cfg.manual_T is None:
-            raise MissingManualT(
+            raise InputError(
                 "manual-scatter calibration needs an explicit T; inspect "
                 "fp_scatter(F) and supply manual_T"
             )
         return float(cfg.manual_T)
     if method in (CalibrationMethod.GAUSSIAN, CalibrationMethod.ROBUST) and s.n < 2:
-        raise InsufficientPatients(
+        raise DegenerateDataError(
             f"{method.value} calibration needs >= 2 patients, got {s.n}"
         )
     if method is CalibrationMethod.GAUSSIAN:
@@ -132,14 +123,14 @@ def estimate_lod(
     fs, ss = F.summary, S.summary
     robust = cfg.method is CalibrationMethod.ROBUST
     if fs.n < 2:
-        raise InsufficientPatients(
+        raise DegenerateDataError(
             f"{'robust ' if robust else ''}LoD needs >= 2 negative patients"
         )
     denom = ss.median if robust else ss.mean
     if cfg.beta is not None:
         denom = denom - cfg.beta * ss.std
     if denom <= 0:
-        raise ZeroSensitivity(f"LoD denominator {denom} <= 0")
+        raise DegenerateDataError(f"LoD denominator {denom} <= 0")
     z = math.ceil(100 * alpha_for_specificity(cfg.K)) / 100  # 1.65 at K = 0.95
     if robust:
         numer = z * (fs.sigma_left + fs.sigma_right)
@@ -163,7 +154,7 @@ def lod_breakeven_check(L: float, F_mu: float, F_sigma: float, S_mu: float) -> f
     1.65*sigma(F). The residual is zero exactly when L = 3.3*sigma(F)/mu(S).
     """
     if S_mu <= 0:
-        raise ZeroSensitivity("S_mu must be > 0")
+        raise DegenerateDataError("S_mu must be > 0")
     n_at_lod = L * S_mu + F_mu - 1.65 * F_sigma
     threshold = F_mu + 1.65 * F_sigma
     return n_at_lod - threshold
@@ -206,9 +197,9 @@ def tune_operating_point(
     """
     grid = sorted(set(float(c) for c in C_grid))
     if not grid:
-        raise OutOfRange("C_grid must be non-empty")
+        raise InputError("C_grid must be non-empty")
     if grid[0] < 0.0 or grid[-1] > 1.0:
-        raise OutOfRange("C_grid values must lie in [0, 1]")
+        raise InputError("C_grid values must lie in [0, 1]")
 
     s_cohort = validation_positives if validation_positives is not None else train_positives
     try:
@@ -233,7 +224,7 @@ def tune_operating_point(
         if best is None or row.lod < best.lod or (row.lod == best.lod and row.C > best.C):
             best = row
     if best is None:
-        raise AllCandidatesDegenerate(
+        raise DegenerateDataError(
             "no C in the grid produced a well-defined (T, LoD) pair"
         )
     return OperatingPoint(C=best.C, T=best.T), table, skipped

@@ -3,8 +3,8 @@
 Datasets are passed either as a single JSON document (``--json cohort.json``)
 or as the CSV pair (``--patients patients.csv --objects objects.csv``).
 
-Exit codes: 0 ok; 1 reproduction-check failure; 2 input/schema error;
-3 degenerate cohort (the requested metric is undefined on the data).
+Exit codes: 0 ok; an error exits with its class's ``exit_code`` (the table is
+in ``errors``), and an unreadable file exits 2.
 """
 
 from __future__ import annotations
@@ -33,14 +33,8 @@ from .calibration import (
 )
 from .curves import froc, object_roc, patient_roc
 from .datamodel import export_cohort, export_cohort_json, ingest_cohort, ingest_cohort_json
-from .errors import (
-    DegenerateDataError,
-    InputError,
-    ReproductionFailure,
-    SchemaError,
-)
+from .errors import DegenerateDataError, InputError, ReproductionFailure
 from .metrics import (
-    DEFAULT_PARASITEMIA_BINS,
     fpr_distribution,
     patient_level_sens_spec,
     pooled_object_sensitivity,
@@ -55,15 +49,9 @@ def _handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (SchemaError, InputError) as exc:
+        except (InputError, DegenerateDataError, ReproductionFailure) as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except DegenerateDataError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-        except ReproductionFailure as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
+            sys.exit(exc.exit_code)
         except OSError as exc:
             click.echo(f"io error: {exc}", err=True)
             sys.exit(2)
@@ -78,17 +66,24 @@ def _dataset_options(fn):
                       help="patients CSV (with --objects)")(fn)
     fn = click.option("--objects", type=click.Path(), default=None,
                       help="objects CSV (with --patients)")(fn)
-    fn = click.option("--cv", "cv_description", default="1 uL blood",
-                      help="name of the clinical volume unit")(fn)
+    fn = click.option("--cv", "cv_description", default=None,
+                      help="name of the clinical volume unit, for CSV input "
+                           "[default: 1 uL blood]")(fn)
     return fn
 
 
 def _load_cohort(json_path, patients, objects, cv_description):
     if json_path is not None:
+        if patients is not None or objects is not None:
+            raise InputError("--json cannot be combined with --patients or --objects")
+        if cv_description is not None:
+            raise InputError("--cv applies to CSV input; a JSON cohort names its own "
+                             "cv_description")
         return ingest_cohort_json(json_path)
     if patients is None or objects is None:
         raise InputError("provide either --json or both --patients and --objects")
-    return ingest_cohort(objects, patients, cv_description)
+    return ingest_cohort(objects, patients,
+                         "1 uL blood" if cv_description is None else cv_description)
 
 
 def _parse_floats(spec: str, what: str) -> list[float]:
@@ -149,6 +144,9 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
         raise InputError("--C is required")
     cfg = CalibrationConfig(K=0.95 if spec_target is None else spec_target,
                             method=_parse_method(calib_method))
+    if cfg.method is CalibrationMethod.MANUAL_SCATTER and t_threshold is None:
+        raise InputError("--calib-method manual needs --T: write the FP scatter with "
+                         "calibrate --scatter-out, choose T from it and pass it as --T")
     fpr = None
     if cohort.negatives:
         fpr = fpr_distribution(cohort, c_threshold, negatives_only=True)
@@ -274,15 +272,21 @@ def lod(json_path, patients, objects, cv_description, c_threshold, method, beta,
 @_handle_errors
 def tune(train_pos, val_neg, val_pos, spec_target, c_grid, calib_method, out_path):
     """Sweep C, calibrate T at each, and pick the operating point with lowest LoD."""
+    method = _parse_method(calib_method)
+    if method is CalibrationMethod.MANUAL_SCATTER:
+        raise InputError(
+            "tune calibrates T at every C, so it cannot take a manual T; choose "
+            f"--calib-method from {[m.value for m in CalibrationMethod if m is not method]}"
+        )
     train = ingest_cohort_json(train_pos)
     negatives = ingest_cohort_json(val_neg)
     if not negatives.negatives:
-        raise SchemaError(
+        raise InputError(
             "operating-point tuning requires a validation set of negative patients"
         )
     positives = ingest_cohort_json(val_pos) if val_pos else None
     grid = _parse_floats(c_grid, "C grid") if c_grid else default_c_grid(train)
-    cfg = CalibrationConfig(K=spec_target, method=_parse_method(calib_method))
+    cfg = CalibrationConfig(K=spec_target, method=method)
     best, table, skipped = tune_operating_point(train, negatives, positives, grid, cfg)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("C,T,LoD,mu_F,sigma_F,sigma_L,sigma_R,mu_S\n")

@@ -35,7 +35,7 @@ from .datamodel import (
     per_cv_counts,
     pooled_scores,
 )
-from .errors import DegenerateClasses, InvalidInput, InvalidRatio, NoDetections
+from .errors import DegenerateDataError, InputError
 
 # FROC counts are a (threshold x patient) matrix, built this many thresholds
 # at a time so that memory stays bounded when every object has its own score.
@@ -77,7 +77,7 @@ def _roc(scores: np.ndarray, is_parasite: np.ndarray) -> CurvePoints:
     n_pos = int(is_parasite.sum())
     n_neg = len(scores) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise DegenerateClasses(
+        raise DegenerateDataError(
             "ROC needs at least one parasite and one distractor object"
         )
     order = np.argsort(-scores, kind="stable")
@@ -113,7 +113,7 @@ def object_roc(cohort: CohortDataset, pooled: bool = True):
         if p.n_parasite_objects and p.n_distractor_objects
     }
     if not out:
-        raise DegenerateClasses("no patient has both parasite and distractor objects")
+        raise DegenerateDataError("no patient has both parasite and distractor objects")
     return out
 
 
@@ -125,7 +125,7 @@ def sliver_roc(roc: CurvePoints, D: float) -> CurvePoints:
     numbers of TPs and FPs.
     """
     if not (D > 0) or not math.isfinite(D):
-        raise InvalidRatio(f"distractor-to-parasite ratio D={D} must be positive")
+        raise InputError(f"distractor-to-parasite ratio D={D} must be positive")
     limit = 1.0 / D
     kept = [(x * D, y, thr) for x, y, thr in roc.points if x <= limit + 1e-15]
     # close the sliver at x = 1/D exactly (step curve: carry the last y forward)
@@ -157,7 +157,7 @@ def froc(
     """
     positives = [p for p in cohort.positives if p.n_parasite_objects > 0]
     if not positives:
-        raise DegenerateClasses("FROC needs positive patients with parasite objects")
+        raise DegenerateDataError("FROC needs positive patients with parasite objects")
     fp_patients = cohort.negatives
     notes = ()
     if not fp_patients:
@@ -192,7 +192,7 @@ def froc(
     if fp_grid is not None:
         grid = list(fp_grid)
         if not grid or any(g <= 0 for g in grid) or sorted(grid) != grid:
-            raise InvalidInput("fp_grid must be positive and ascending")
+            raise InputError("fp_grid must be positive and ascending")
         xs = np.asarray([pt[0] for pt in points])
         ys = np.asarray([pt[1] for pt in points])
         order = np.argsort(xs, kind="stable")
@@ -217,9 +217,9 @@ def easy_distractor_experiment(
     guarantee holds when easy_score_max is below every real object score.
     """
     if n_easy < 0:
-        raise InvalidInput("n_easy must be >= 0")
+        raise InputError("n_easy must be >= 0")
     if not (0.0 < easy_score_max <= 1.0):
-        raise InvalidInput("easy_score_max must be in (0, 1]")
+        raise InputError("easy_score_max must be in (0, 1]")
 
     fp_grid = (1.0, 10.0, 100.0)
     auc_before = object_roc(cohort).auc
@@ -255,12 +255,12 @@ def patient_roc(cohort: CohortDataset, C: float, T_grid) -> CurvePoints:
     """
     positives, negatives = cohort.positives, cohort.negatives
     if not positives or not negatives:
-        raise DegenerateClasses("patient ROC needs both positive and negative patients")
+        raise DegenerateDataError("patient ROC needs both positive and negative patients")
     ts = sorted(set(float(t) for t in T_grid), reverse=True)
     if not ts:
-        raise InvalidInput("T_grid must be non-empty")
+        raise InputError("T_grid must be non-empty")
     for t in ts:
-        OperatingPoint(C=C, T=t)  # raises OutOfRange for a bad C or T
+        OperatingPoint(C=C, T=t)  # raises InputError for a bad C or T
 
     def n_diagnosed(patients):
         return n_at_or_above(np.sort(per_cv_counts(patients, C)), ts)
@@ -299,7 +299,7 @@ def precision_f1_with_reexpression(
     on a sample at parasitemia L: L / (L + FP/cV).
     """
     if not (lod_parasitemia > 0):
-        raise InvalidInput("lod_parasitemia must be > 0")
+        raise InputError("lod_parasitemia must be > 0")
     tp = int(counts_at(cohort, [C], "parasite_scores").sum())
     fp = int(counts_at(cohort, [C], "distractor_scores").sum())
     fn = sum(p.n_parasite_objects for p in cohort) - tp
@@ -307,7 +307,7 @@ def precision_f1_with_reexpression(
     for p in cohort:  # a running sum: sum() and np.sum round differently
         volume += p.examined_volume
     if tp + fp == 0:
-        raise NoDetections("no objects pass the score threshold")
+        raise DegenerateDataError("no objects pass the score threshold")
     precision = tp / (tp + fp)
     f1 = None
     if tp + fn > 0:

@@ -12,7 +12,7 @@ one validator that appends each object to its patient's columns, fed the
 CSV rows as they are read, or the columns that each JSON patient's objects
 were reduced to as it was parsed. It parses a JSON value as the CSV text it
 would be written as (``str`` of it, stripped); malformed input raises
-``SchemaError``.
+``InputError``.
 Each patient keeps its objects as columns (ids, scores, an is-parasite mask)
 and its scores sorted, so a count at a threshold is a search.
 """
@@ -36,13 +36,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import (
-    DuplicatePatient,
-    LabelContradiction,
-    MissingPatient,
-    OutOfRange,
-    SchemaError,
-)
+from .errors import InputError
 
 
 class GroundTruth(Enum):
@@ -180,26 +174,26 @@ class PatientRecord:
             raise ValueError(f"patient {pid!r}: object columns differ in length")
         _check_scores(self.object_ids, scores)
         if self.examined_volume <= 0 or not math.isfinite(self.examined_volume):
-            raise SchemaError(f"patient {pid!r}: examined_volume must be > 0")
+            raise InputError(f"patient {pid!r}: examined_volume must be > 0")
         if self.true_parasitemia < 0 or not math.isfinite(self.true_parasitemia):
-            raise SchemaError(f"patient {pid!r}: true_parasitemia must be >= 0")
+            raise InputError(f"patient {pid!r}: true_parasitemia must be >= 0")
         if self.wbc_count is not None and self.wbc_count < 0:
-            raise SchemaError(f"patient {pid!r}: wbc_count must be >= 0")
+            raise InputError(f"patient {pid!r}: wbc_count must be >= 0")
         if self.ground_truth is GroundTruth.NEGATIVE:
             if self.species is not Species.NONE:
-                raise SchemaError(f"patient {pid!r}: negative patient must have species=none")
+                raise InputError(f"patient {pid!r}: negative patient must have species=none")
             if self.true_parasitemia != 0:
-                raise SchemaError(f"patient {pid!r}: negative patient must have parasitemia 0")
+                raise InputError(f"patient {pid!r}: negative patient must have parasitemia 0")
             if is_parasite.any():
-                raise LabelContradiction(
+                raise InputError(
                     f"patient {pid!r} is negative but owns parasite object "
                     f"{self.object_ids[is_parasite.argmax()]!r}"
                 )
         else:
             if self.species is Species.NONE:
-                raise SchemaError(f"patient {pid!r}: positive patient must have a species")
+                raise InputError(f"patient {pid!r}: positive patient must have a species")
             if self.true_parasitemia <= 0:
-                raise SchemaError(f"patient {pid!r}: positive patient must have parasitemia > 0")
+                raise InputError(f"patient {pid!r}: positive patient must have parasitemia > 0")
         object.__setattr__(self, "parasite_scores", _read_only(np.sort(scores[is_parasite])))
         object.__setattr__(self, "distractor_scores", _read_only(np.sort(scores[~is_parasite])))
 
@@ -224,14 +218,14 @@ class PatientRecord:
 
 
 def _check_scores(object_ids, scores) -> None:
-    """SchemaError naming the first object whose score is not in [0, 1]."""
+    """InputError naming the first object whose score is not in [0, 1]."""
     scores = np.asarray(scores, dtype=float)
     bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))  # NaN fails both
     if len(bad):
         oid, score = object_ids[bad[0]], float(scores[bad[0]])
         if not math.isfinite(score):
-            raise SchemaError(f"object {oid!r}: score must be finite")
-        raise SchemaError(f"object {oid!r}: score {score} outside [0, 1]")
+            raise InputError(f"object {oid!r}: score must be finite")
+        raise InputError(f"object {oid!r}: score {score} outside [0, 1]")
 
 
 def _object_columns(p: PatientRecord):
@@ -249,11 +243,11 @@ class CohortDataset:
 
     def __post_init__(self):
         if not self.patients:
-            raise SchemaError("cohort must contain at least one patient")
+            raise InputError("cohort must contain at least one patient")
         seen: set[str] = set()
         for p in self.patients:
             if p.patient_id in seen:
-                raise DuplicatePatient(f"duplicate patient_id {p.patient_id!r}")
+                raise InputError(f"duplicate patient_id {p.patient_id!r}")
             seen.add(p.patient_id)
 
     def __iter__(self):
@@ -282,7 +276,7 @@ def counts_at(patients, thresholds, attr: str) -> np.ndarray:
     t = np.asarray(thresholds, dtype=float)
     bad = np.flatnonzero(~((t >= 0.0) & (t <= 1.0)))
     if len(bad):
-        raise OutOfRange(f"score threshold C={thresholds[bad[0]]} outside [0, 1]")
+        raise InputError(f"score threshold C={thresholds[bad[0]]} outside [0, 1]")
     return np.stack([n_at_or_above(getattr(p, attr), t) for p in patients], axis=1)
 
 
@@ -340,13 +334,13 @@ _IS_PARASITE = {TrueLabel.PARASITE.value: True, TrueLabel.DISTRACTOR.value: Fals
 
 
 def _member(members: dict, value, key: str, what: str):
-    """The member that the lower-cased text of ``value`` names; SchemaError if none."""
+    """The member that the lower-cased text of ``value`` names; InputError if none."""
     text = _text(value)
     try:
         return members[text.lower()]
     except KeyError:
         allowed = ", ".join(members)
-        raise SchemaError(f"{what}: {key} {text!r} not one of {{{allowed}}}") from None
+        raise InputError(f"{what}: {key} {text!r} not one of {{{allowed}}}") from None
 
 
 def _float(raw) -> float:
@@ -365,7 +359,7 @@ def _parse_float(row: dict, key: str, what: str) -> float:
     try:
         return _float(row.get(key))
     except ValueError:
-        raise SchemaError(f"{what}: {key} {_text(row.get(key))!r} is not numeric") from None
+        raise InputError(f"{what}: {key} {_text(row.get(key))!r} is not numeric") from None
 
 
 def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> CohortDataset:
@@ -383,9 +377,9 @@ def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> 
     for row in patient_rows:
         pid = _text(row.get("patient_id"))
         if not pid:
-            raise SchemaError("patient with empty or missing patient_id")
+            raise InputError("patient with empty or missing patient_id")
         if pid in rows:
-            raise DuplicatePatient(f"duplicate patient_id {pid!r}")
+            raise InputError(f"duplicate patient_id {pid!r}")
         rows[pid] = row
 
     # per patient: object ids, scores and is-parasite flags, in input order
@@ -396,18 +390,18 @@ def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> 
         except (KeyError, TypeError):
             pid = _text(raw_pid)
             if pid not in columns:
-                raise MissingPatient(f"object row references unknown patient_id {pid!r}")
+                raise InputError(f"object row references unknown patient_id {pid!r}")
             ids, scores, flags = columns[pid]
         oid = oid.strip() if type(oid) is str else _text(oid)
         if not oid:
-            raise SchemaError(
+            raise InputError(
                 f"patient {_text(raw_pid)!r}: object with empty or missing object_id")
         if type(score) is not float:
             try:
                 score = _float(score)
             except ValueError:
-                raise SchemaError(f"patient {_text(raw_pid)!r} object {oid!r}: "
-                                  f"score {_text(score)!r} is not numeric") from None
+                raise InputError(f"patient {_text(raw_pid)!r} object {oid!r}: "
+                                 f"score {_text(score)!r} is not numeric") from None
         try:
             flag = _IS_PARASITE[label]
         except (KeyError, TypeError):
@@ -427,13 +421,13 @@ def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> 
             seen: set[str] = set()
             for oid in ids:
                 if oid in seen:
-                    raise SchemaError(f"{what}: duplicate object_id {oid!r}")
+                    raise InputError(f"{what}: duplicate object_id {oid!r}")
                 seen.add(oid)
         wbc = _text(row.get("wbc_count"))
         try:
             wbc_count = int(wbc) if wbc else None
         except ValueError:
-            raise SchemaError(f"{what}: wbc_count {wbc!r} is not an integer") from None
+            raise InputError(f"{what}: wbc_count {wbc!r} is not an integer") from None
         patients.append(
             PatientRecord(
                 patient_id=pid,
@@ -477,7 +471,7 @@ def _csv_rows(src, columns: Sequence[str], what: str):
             index = {name: i for i, name in enumerate(next(reader, ()))}
             missing = [c for c in columns if c not in index]
             if missing:
-                raise SchemaError(f"{what} file missing column(s): {', '.join(missing)}")
+                raise InputError(f"{what} file missing column(s): {', '.join(missing)}")
             at = [index[c] for c in columns]
             cells, width = itemgetter(*at), max(at) + 1
             for row in reader:
@@ -486,7 +480,7 @@ def _csv_rows(src, columns: Sequence[str], what: str):
                 elif row:
                     yield tuple(row[i] if i < len(row) else None for i in at)
         except (UnicodeDecodeError, csv.Error) as exc:
-            raise SchemaError(f"{what} file: {exc}") from None
+            raise InputError(f"{what} file: {exc}") from None
 
 
 def ingest_cohort(objects_file, patients_file, cv_description: str) -> CohortDataset:
@@ -494,9 +488,8 @@ def ingest_cohort(objects_file, patients_file, cv_description: str) -> CohortDat
 
     ``objects_file`` / ``patients_file`` may be paths or open text handles.
     Every object row must join to exactly one patient row, and object ids
-    must be non-empty and unique within a patient; validation errors raise
-    the SchemaError family (MissingPatient, LabelContradiction,
-    DuplicatePatient, SchemaError).
+    must be non-empty and unique within a patient; a validation error
+    raises ``InputError``.
     """
     provenance = patients_file if isinstance(patients_file, (str, os.PathLike)) else ""
     object_rows = _csv_rows(objects_file, OBJECT_COLUMNS, "objects")
@@ -571,12 +564,12 @@ def ingest_cohort_json(source) -> CohortDataset:
         with _file(source) as fh:
             doc = _load_cohort_json(fh.read())
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise SchemaError(f"{name}: not valid JSON: {exc}") from None
+        raise InputError(f"{name}: not valid JSON: {exc}") from None
     except RecursionError:  # the scanner, or the object hook on top of it, ran out of depth
-        raise SchemaError(f"{name}: not valid JSON: nesting too deep") from None
+        raise InputError(f"{name}: not valid JSON: nesting too deep") from None
     patient_docs = doc.get("patients") if isinstance(doc, dict) else None
     if not isinstance(patient_docs, list) or "cv_description" not in doc:
-        raise SchemaError("JSON cohort must have keys 'cv_description' and 'patients'")
+        raise InputError("JSON cohort must have keys 'cv_description' and 'patients'")
     patient_objects = []
     for pd in patient_docs:
         columns = pd.get("objects", []) if isinstance(pd, dict) else None
@@ -586,7 +579,7 @@ def ingest_cohort_json(source) -> CohortDataset:
             except AttributeError:
                 pass
         if type(columns) is not tuple:
-            raise SchemaError("each patient must be a JSON object with a list of objects")
+            raise InputError("each patient must be a JSON object with a list of objects")
         patient_objects.append((pd.get("patient_id"), columns))
     return _cohort_from_rows(
         patient_docs,

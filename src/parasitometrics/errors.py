@@ -1,11 +1,18 @@
-"""Exception hierarchy.
+"""Exception hierarchy: one class per CLI exit code.
 
-Three families, matching the CLI exit-code contract:
+=======================  ====  ==============================================
+class                    exit  meaning
+=======================  ====  ==============================================
+``InputError``           2     a file breaks the schema, or an argument is
+                               outside its documented domain
+``DegenerateDataError``  3     valid input, but the cohort cannot support the
+                               requested metric
+``ReproductionFailure``  1     a paper-reproduction check failed
+=======================  ====  ==============================================
 
-* ``SchemaError`` and ``InputError`` -> exit 2 (bad input files or arguments)
-* ``DegenerateDataError``            -> exit 3 (valid input, but the requested
-  computation is undefined on it)
-* ``ReproductionFailure``            -> exit 1 (a paper-reproduction check failed)
+The CLI prints ``error: <message>`` and exits with the class's ``exit_code``.
+``ParasitometricsError`` is the base of all of them, so a library caller can
+catch everything with one ``except``.
 """
 
 
@@ -13,115 +20,23 @@ class ParasitometricsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- input / schema problems (exit 2) ---------------------------------------
-
-class SchemaError(ParasitometricsError):
-    """A dataset file violates the documented schema."""
-
-
-class MissingPatient(SchemaError):
-    """An object row references a patient_id absent from the patients table."""
-
-
-class DuplicatePatient(SchemaError):
-    """Two patient rows share the same patient_id."""
-
-
-class LabelContradiction(SchemaError):
-    """A Parasite-labeled object belongs to a ground-truth-Negative patient."""
-
-
 class InputError(ParasitometricsError):
-    """An argument is outside its documented domain."""
+    """A dataset file violates the schema, or an argument is out of its domain."""
 
+    exit_code = 2
 
-class EmptyInput(InputError):
-    pass
-
-
-class NonFiniteInput(InputError):
-    pass
-
-
-class OutOfRange(InputError):
-    pass
-
-
-class InvalidRatio(InputError):
-    pass
-
-
-class InvalidRates(InputError):
-    pass
-
-
-class InvalidInput(InputError):
-    pass
-
-
-class InvalidConfig(InputError):
-    pass
-
-
-class ZeroWbc(InputError):
-    pass
-
-
-class NonpositiveParasitemia(InputError):
-    pass
-
-
-class MissingManualT(InputError):
-    """Manual-scatter calibration requires an explicit user-supplied T."""
-
-
-class UnknownPatient(InputError):
-    """A prediction map references a patient not in the cohort."""
-
-
-# --- degenerate data (exit 3) ------------------------------------------------
 
 class DegenerateDataError(ParasitometricsError):
     """The cohort lacks the structure this computation needs."""
 
+    exit_code = 3
 
-class NoEligiblePatients(DegenerateDataError):
-    pass
-
-
-class NoParasiteObjects(DegenerateDataError):
-    pass
-
-
-class DegenerateClasses(DegenerateDataError):
-    pass
-
-
-class NoDetections(DegenerateDataError):
-    pass
-
-
-class InsufficientPatients(DegenerateDataError):
-    pass
-
-
-class InsufficientPositives(DegenerateDataError):
-    pass
-
-
-class ZeroSensitivity(DegenerateDataError):
-    pass
-
-
-class AllCandidatesDegenerate(DegenerateDataError):
-    pass
-
-
-# --- reproduction (exit 1) ---------------------------------------------------
 
 class ReproductionFailure(ParasitometricsError):
     """A numeric check in the reproduction bundle did not pass."""
 
+    exit_code = 1
+
 
 class ReportInvariantError(ParasitometricsError):
-    """A report section violates a structural reporting rule."""
+    """A report section violates a structural reporting rule (a programming error)."""

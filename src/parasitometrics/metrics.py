@@ -28,12 +28,7 @@ from .datamodel import (
     counts_at,
     per_cv_counts,
 )
-from .errors import (
-    InvalidInput,
-    NoEligiblePatients,
-    NoParasiteObjects,
-    UnknownPatient,
-)
+from .errors import DegenerateDataError, InputError
 from .stats import DistSummary, summarize
 
 DEFAULT_PARASITEMIA_BINS: tuple[tuple[float, float], ...] = (
@@ -119,7 +114,7 @@ def fpr_distributions(
     """Per-patient false positives per cV at each score threshold in C_grid."""
     patients = cohort.negatives if negatives_only else cohort.patients
     if not patients:
-        raise NoEligiblePatients("no negative patients for FPR distribution")
+        raise DegenerateDataError("no negative patients for FPR distribution")
     warnings = ()
     if not negatives_only and any(
         p.ground_truth is GroundTruth.POSITIVE for p in patients
@@ -153,7 +148,7 @@ def sensitivity_distributions(cohort: CohortDataset, C_grid) -> list[MetricDistr
     n_parasites = np.array([p.n_parasite_objects for p in positives], dtype=int)
     kept = n_parasites > 0
     if not kept.any():
-        raise NoEligiblePatients("no positive patients with parasite objects")
+        raise DegenerateDataError("no positive patients with parasite objects")
     return _distributions(
         MetricKind.OBJECT_SENSITIVITY,
         [p.patient_id for p, k in zip(positives, kept) if k],
@@ -187,7 +182,7 @@ def pooled_object_sensitivity(cohort: CohortDataset, C: float) -> PooledSensitiv
     contrib = {p.patient_id: p.n_parasite_objects for p in positives}
     parasites_total = sum(contrib.values())
     if parasites_total == 0:
-        raise NoParasiteObjects("cohort contains no parasite objects")
+        raise DegenerateDataError("cohort contains no parasite objects")
     dominant = max(contrib, key=contrib.get)
     warning = None
     if contrib[dominant] > 0.5 * parasites_total:
@@ -239,9 +234,9 @@ def patient_level_sens_spec(
     bins = tuple(parasitemia_bins)
     for (lo1, hi1), (lo2, hi2) in zip(bins, bins[1:]):
         if hi1 != lo2:
-            raise InvalidInput("parasitemia bins must tile (0, inf) without gaps/overlap")
+            raise InputError("parasitemia bins must tile (0, inf) without gaps/overlap")
     if bins and (bins[0][0] != 0.0 or bins[-1][1] != float("inf")):
-        raise InvalidInput("parasitemia bins must start at 0 and end at inf")
+        raise InputError("parasitemia bins must start at 0 and end at inf")
 
     diag = patient_diagnoses(cohort, op)
 
@@ -291,9 +286,9 @@ def species_confusion(
     }
     for p in cohort:
         if p.patient_id not in predicted:
-            raise UnknownPatient(f"no species prediction for patient {p.patient_id!r}")
+            raise InputError(f"no species prediction for patient {p.patient_id!r}")
         counts[p.species][predicted[p.patient_id]] += 1
     extraneous = set(predicted) - {p.patient_id for p in cohort}
     if extraneous:
-        raise UnknownPatient(f"predictions for unknown patient(s): {sorted(extraneous)}")
+        raise InputError(f"predictions for unknown patient(s): {sorted(extraneous)}")
     return ConfusionMatrix(labels=labels, counts=counts)

@@ -16,7 +16,7 @@ import math
 
 from scipy.special import pdtrc
 
-from .errors import InvalidInput
+from .errors import InputError
 
 
 # Largest P*V with a pmf: about 45*sqrt(lambda) rows, and above it the
@@ -33,12 +33,12 @@ def count_pmf(P: float, V: float):
     mode underflows to 0.0.
     """
     if P < 0 or not math.isfinite(P):
-        raise InvalidInput(f"parasitemia P={P} must be finite and >= 0")
+        raise InputError(f"parasitemia P={P} must be finite and >= 0")
     if V <= 0 or not math.isfinite(V):
-        raise InvalidInput(f"volume V={V} must be finite and > 0")
+        raise InputError(f"volume V={V} must be finite and > 0")
     lam = P * V
     if lam > MAX_EXPECTED_COUNT:
-        raise InvalidInput(f"expected count P*V={lam} must be <= {MAX_EXPECTED_COUNT:g}")
+        raise InputError(f"expected count P*V={lam} must be <= {MAX_EXPECTED_COUNT:g}")
     if lam == 0.0:
         return [(0, 1.0)]
 
@@ -69,11 +69,11 @@ def min_volume_for_detection(P: float, k_min: int, confidence: float) -> float:
     k_min >= 2).
     """
     if P <= 0 or not math.isfinite(P):
-        raise InvalidInput(f"parasitemia P={P} must be finite and > 0")
+        raise InputError(f"parasitemia P={P} must be finite and > 0")
     if k_min < 1:
-        raise InvalidInput("k_min must be >= 1")
+        raise InputError("k_min must be >= 1")
     if not (0.0 < confidence < 1.0):
-        raise InvalidInput(f"confidence={confidence} must be in (0, 1)")
+        raise InputError(f"confidence={confidence} must be in (0, 1)")
 
     def attained(v: float) -> float:
         return float(pdtrc(k_min - 1, P * v))  # Pr[count > k_min - 1]
@@ -95,5 +95,5 @@ def min_volume_for_detection(P: float, k_min: int, confidence: float) -> float:
 def quantitation_relative_poisson_error(P: float, V: float) -> float:
     """Coefficient of variation 1/sqrt(P*V) of the sampled parasite count."""
     if P <= 0 or V <= 0 or not (math.isfinite(P) and math.isfinite(V)):
-        raise InvalidInput("P and V must be finite and > 0")
+        raise InputError("P and V must be finite and > 0")
     return 1.0 / math.sqrt(P * V)

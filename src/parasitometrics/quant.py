@@ -28,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import CohortDataset, PatientRecord, counts_at
-from .errors import (
-    InsufficientPositives,
-    InvalidRates,
-    NonpositiveParasitemia,
-    ZeroSensitivity,
-    ZeroWbc,
-)
+from .errors import DegenerateDataError, InputError
 from .metrics import MetricDistribution
 from .stats import sorted_median
 
@@ -61,9 +55,9 @@ class ExpectedRates:
 
     def __post_init__(self):
         if not (self.F_hat >= 0 and math.isfinite(self.F_hat)):
-            raise InvalidRates(f"F_hat={self.F_hat} must be finite and >= 0")
+            raise InputError(f"F_hat={self.F_hat} must be finite and >= 0")
         if not (0.0 < self.S_hat <= 1.0):
-            raise InvalidRates(f"S_hat={self.S_hat} must be in (0, 1]")
+            raise InputError(f"S_hat={self.S_hat} must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,7 @@ def estimate_parasitemia(
 ) -> ParasitemiaEstimate:
     """Estimate parasitemia per cV from n alleged parasites found in V."""
     if examined_volume <= 0:
-        raise InvalidRates("examined_volume must be > 0")
+        raise InputError("examined_volume must be > 0")
     raw = (n / examined_volume - rates.F_hat) / rates.S_hat
     if raw < 0:
         return ParasitemiaEstimate(P_hat=0.0, negative_clamped=True)
@@ -87,10 +81,10 @@ def estimate_parasitemia(
 def quant_fom(S: MetricDistribution, F: MetricDistribution, P: float) -> float:
     """Figure of merit for relative parasite-counting error at parasitemia P."""
     if P <= 0:
-        raise NonpositiveParasitemia(f"P={P} must be > 0")
+        raise InputError(f"P={P} must be > 0")
     mu_s = S.summary.mean
     if mu_s <= 0:
-        raise ZeroSensitivity("mean sensitivity must be > 0")
+        raise DegenerateDataError("mean sensitivity must be > 0")
     return S.summary.std / mu_s + F.summary.std / (mu_s * P)
 
 
@@ -98,7 +92,7 @@ def fom_crossover(S: MetricDistribution, F: MetricDistribution) -> float:
     """Parasitemia where the two figure-of-merit terms are equal: sigma(F)/sigma(S)."""
     sigma_s = S.summary.std
     if sigma_s <= 0:
-        raise ZeroSensitivity("sigma(S) must be > 0 for a crossover")
+        raise DegenerateDataError("sigma(S) must be > 0 for a crossover")
     return F.summary.std / sigma_s
 
 
@@ -114,7 +108,7 @@ def volume_error_decomposition(
     estimated volume introduced.
     """
     if wbc_true <= 0 or wbc_estimated <= 0:
-        raise ZeroWbc("WBC counts must be positive")
+        raise InputError("WBC counts must be positive")
     factor = wbc_true / wbc_estimated
     return P_hat * wbc_estimated / wbc_true, factor
 
@@ -159,7 +153,7 @@ def quant_report(
     """
     positives = [p for p in cohort.positives if p.true_parasitemia > 0]
     if len(positives) < 2:
-        raise InsufficientPositives("quantitation report needs >= 2 positive patients")
+        raise DegenerateDataError("quantitation report needs >= 2 positive patients")
 
     per_patient: dict[str, tuple[float, float, float]] = {}
     ba_pairs = []

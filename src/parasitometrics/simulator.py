@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import betainc, betaincinv
 
 from .datamodel import CohortDataset, GroundTruth, PatientRecord, SerialIds, Species
-from .errors import InvalidConfig
+from .errors import InputError
 
 REFERENCE_THRESHOLD = 0.5
 
@@ -47,7 +47,7 @@ class LogUniform:
 
     def __post_init__(self):
         if not (0 < self.lo <= self.hi):
-            raise InvalidConfig(f"log-uniform bounds ({self.lo}, {self.hi}) invalid")
+            raise InputError(f"log-uniform bounds ({self.lo}, {self.hi}) invalid")
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class TruncatedNormal:
 
     def __post_init__(self):
         if self.sigma < 0:
-            raise InvalidConfig("sigma must be >= 0")
+            raise InputError("sigma must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class Beta:
 
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0:
-            raise InvalidConfig("beta parameters must be > 0")
+            raise InputError("beta parameters must be > 0")
 
 
 PARASITE_SCORE_B = 2.0                  # Beta(a, 2), a re-solved per patient
@@ -83,17 +83,17 @@ def _draw_positive_rate(spec, rng: np.random.Generator) -> float:
         return max(float(rng.normal(spec.mu, spec.sigma)), 0.0)
     if isinstance(spec, LogUniform):
         return float(np.exp(rng.uniform(math.log(spec.lo), math.log(spec.hi))))
-    raise InvalidConfig(f"unsupported distribution spec {spec!r}")
+    raise InputError(f"unsupported distribution spec {spec!r}")
 
 
 def _draw_sensitivity(spec, rng: np.random.Generator) -> float:
     if isinstance(spec, Fixed):
         if not (0.0 <= spec.value <= 1.0):
-            raise InvalidConfig("fixed sensitivity must be in [0, 1]")
+            raise InputError("fixed sensitivity must be in [0, 1]")
         return spec.value
     if isinstance(spec, Beta):
         return float(rng.beta(spec.a, spec.b))
-    raise InvalidConfig(f"unsupported sensitivity spec {spec!r}")
+    raise InputError(f"unsupported sensitivity spec {spec!r}")
 
 
 SPECIES_MIX = {
@@ -119,18 +119,18 @@ class SimConfig:
 
     def __post_init__(self):
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise InvalidConfig(f"seed must be an integer >= 0, got {self.seed!r}")
+            raise InputError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.n_negative < 0 or self.n_positive < 0:
-            raise InvalidConfig("patient counts must be >= 0")
+            raise InputError("patient counts must be >= 0")
         if self.n_negative + self.n_positive == 0:
-            raise InvalidConfig("cohort must contain at least one patient")
+            raise InputError("cohort must contain at least one patient")
         if not (math.isfinite(self.examined_volume) and self.examined_volume > 0):
-            raise InvalidConfig(f"examined_volume must be finite and > 0, "
-                                f"got {self.examined_volume!r}")
+            raise InputError(f"examined_volume must be finite and > 0, "
+                             f"got {self.examined_volume!r}")
         if not (math.isfinite(self.background_distractor_rate)
                 and self.background_distractor_rate >= 0):
-            raise InvalidConfig(f"background_distractor_rate must be finite and >= 0, "
-                                f"got {self.background_distractor_rate!r}")
+            raise InputError(f"background_distractor_rate must be finite and >= 0, "
+                             f"got {self.background_distractor_rate!r}")
 
 
 def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100):
@@ -191,7 +191,7 @@ def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100
 def solve_beta_a(target_tail: float, b: float) -> float:
     """Solve a so that Pr[Beta(a, b) >= 0.5] = target_tail (monotone in a).
 
-    ``a`` is searched in [1e-8, 1e8]; InvalidConfig if the root is not found there.
+    ``a`` is searched in [1e-8, 1e8]; InputError if the root is not found there.
     """
     t = min(max(target_tail, 1e-9), 1.0 - 1e-9)
 
@@ -203,8 +203,8 @@ def solve_beta_a(target_tail: float, b: float) -> float:
     try:
         return math.exp(_brent(gap, lo, hi, xtol=1e-12, rtol=1e-12))
     except RuntimeError as exc:
-        raise InvalidConfig(f"cannot solve Beta(a, b={b}) for Pr[score >= 0.5] = "
-                            f"{target_tail} with a in [1e-8, 1e8]: {exc}") from None
+        raise InputError(f"cannot solve Beta(a, b={b}) for Pr[score >= 0.5] = "
+                         f"{target_tail} with a in [1e-8, 1e8]: {exc}") from None
 
 
 def _tail_scores(spec: Beta, n: int, rng: np.random.Generator, upper: bool) -> np.ndarray:
@@ -223,7 +223,7 @@ def _poisson(rng: np.random.Generator, lam: float) -> int:
     try:
         return int(rng.poisson(lam))
     except ValueError as exc:  # numpy rejects a NaN, negative or too large mean
-        raise InvalidConfig(f"cannot draw a Poisson count with mean {lam!r}: {exc}") from None
+        raise InputError(f"cannot draw a Poisson count with mean {lam!r}: {exc}") from None
 
 
 def _distractors(cfg: SimConfig, patient_id: str, f: float, rng):

@@ -21,7 +21,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import EmptyInput, NonFiniteInput, OutOfRange
+from .errors import InputError
 
 _STD_NORMAL = NormalDist()
 
@@ -46,7 +46,7 @@ class DistSummary:
         ``numpy.ma``.
         """
         if not (0.0 <= q <= 100.0):
-            raise OutOfRange(f"percentile q={q} outside [0, 100]")
+            raise InputError(f"percentile q={q} outside [0, 100]")
         n = len(self._sorted)
         virtual = (n - 1) * (q / 100)
         if virtual >= n - 1:  # numpy takes the last value on both sides
@@ -63,9 +63,9 @@ def summarize(values) -> DistSummary:
     """Compute mean/median/std plus the one-sided deviations of a sample."""
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
-        raise EmptyInput("summarize requires a non-empty sample")
+        raise InputError("summarize requires a non-empty sample")
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteInput("summarize requires all-finite values")
+        raise InputError("summarize requires all-finite values")
     ascending = np.sort(arr)
     med = sorted_median(ascending)
     right = arr[arr >= med] - med
@@ -96,5 +96,5 @@ def alpha_for_specificity(K: float) -> float:
     places. K = 0.95 gives 1.6449 (commonly rounded to 1.65).
     """
     if not (0.0 < K < 1.0) or not math.isfinite(K):
-        raise OutOfRange(f"target specificity K={K} outside (0, 1)")
+        raise InputError(f"target specificity K={K} outside (0, 1)")
     return _STD_NORMAL.inv_cdf(K)

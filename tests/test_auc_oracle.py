@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 from scipy.stats import poisson, rankdata
 
 from parasitometrics.curves import object_roc
-from parasitometrics.errors import DegenerateClasses
+from parasitometrics.errors import DegenerateDataError
 from parasitometrics.poisson import min_volume_for_detection
 from parasitometrics.simulator import paper_worked_examples
 
@@ -62,7 +62,8 @@ def oracle_roc(patients):
 def assert_roc_matches_oracle(cohort):
     expected = oracle_roc(cohort.patients)
     if expected is None:
-        with pytest.raises(DegenerateClasses):
+        with pytest.raises(DegenerateDataError,
+                           match="ROC needs at least one parasite and one distractor object"):
             object_roc(cohort)
     else:
         roc = object_roc(cohort)
@@ -71,7 +72,8 @@ def assert_roc_matches_oracle(cohort):
     per_patient = {p.patient_id: oracle_roc([p]) for p in cohort}
     per_patient = {pid: v for pid, v in per_patient.items() if v is not None}
     if not per_patient:
-        with pytest.raises(DegenerateClasses):
+        with pytest.raises(DegenerateDataError,
+                           match="no patient has both parasite and distractor objects"):
             object_roc(cohort, pooled=False)
     else:
         got = object_roc(cohort, pooled=False)
@@ -140,7 +142,8 @@ def test_many_tied_objects_across_patients():
 ], ids=["no objects", "distractors only", "parasites only"])
 def test_missing_class_raises(cohort):
     for pooled in (True, False):
-        with pytest.raises(DegenerateClasses):
+        message = "ROC needs at least one parasite" if pooled else "no patient has both"
+        with pytest.raises(DegenerateDataError, match=message):
             object_roc(cohort, pooled=pooled)
 
 

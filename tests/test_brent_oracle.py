@@ -4,7 +4,7 @@
 carried its own Brent solver; ``oracle_solve_beta_a`` is that code and stays
 here as the reference. The two must return the same float, and where
 ``brentq`` finds no sign change in the bracket, ``solve_beta_a`` must raise
-InvalidConfig. This is the only place the package's tests load
+InputError. This is the only place the package's tests load
 ``scipy.optimize``.
 """
 
@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.special import betainc
 
-from parasitometrics.errors import InvalidConfig
+from parasitometrics.errors import InputError
 from parasitometrics.simulator import REFERENCE_THRESHOLD, solve_beta_a
 
 
@@ -50,7 +50,7 @@ def test_solve_beta_a_matches_brentq(target, b):
         expected = oracle_solve_beta_a(target, b)
     except ValueError as exc:
         assert "different signs" in str(exc)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InputError, match=r"^cannot solve Beta\(a, b="):
             solve_beta_a(target, b)
     else:
         assert solve_beta_a(target, b) == expected

@@ -12,12 +12,7 @@ from parasitometrics.calibration import (
     lod_breakeven_check,
     tune_operating_point,
 )
-from parasitometrics.errors import (
-    InsufficientPatients,
-    MissingManualT,
-    OutOfRange,
-    ZeroSensitivity,
-)
+from parasitometrics.errors import DegenerateDataError, InputError
 from parasitometrics.metrics import MetricKind, fpr_distribution, sensitivity_distribution
 from parasitometrics.stats import alpha_for_specificity
 
@@ -54,7 +49,7 @@ class TestCalibrateThreshold:
 
     def test_manual_requires_T(self):
         F = fdist([1.0, 2.0])
-        with pytest.raises(MissingManualT):
+        with pytest.raises(InputError, match="manual-scatter calibration needs an explicit T"):
             calibrate_threshold(
                 F, CalibrationConfig(method=CalibrationMethod.MANUAL_SCATTER)
             )
@@ -68,7 +63,8 @@ class TestCalibrateThreshold:
 
     def test_insufficient_patients(self):
         F = fdist([5.0])
-        with pytest.raises(InsufficientPatients):
+        with pytest.raises(DegenerateDataError,
+                           match="gaussian calibration needs >= 2 patients, got 1"):
             calibrate_threshold(F, CalibrationConfig(method=CalibrationMethod.GAUSSIAN))
 
     def test_strictly_increasing_in_K(self):
@@ -126,7 +122,7 @@ class TestEstimateLod:
         plain = estimate_lod(F, S, CalibrationConfig())
         pessimistic = estimate_lod(F, S, CalibrationConfig(beta=1.0))
         assert pessimistic.L > plain.L
-        with pytest.raises(ZeroSensitivity):
+        with pytest.raises(DegenerateDataError, match=r"^LoD denominator .* <= 0$"):
             estimate_lod(F, S, CalibrationConfig(beta=100.0))
 
     def test_scale_equivariance(self):
@@ -250,7 +246,7 @@ class TestTuner:
 
     def test_empty_grid(self):
         train_pos, val_neg = _tuning_fixture()
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match="C_grid must be non-empty"):
             tune_operating_point(train_pos, val_neg, None, [])
 
 
@@ -265,7 +261,7 @@ def test_default_c_grid_includes_observed_scores():
 
 
 def test_operating_point_validation():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputError, match=r"C=1.2 outside \[0, 1\]"):
         OperatingPoint(C=1.2, T=0.0)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputError, match="T=-1.0 must be finite and >= 0"):
         OperatingPoint(C=0.5, T=-1.0)

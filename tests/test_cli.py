@@ -7,13 +7,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import parasitometrics
-from parasitometrics.cli import main
+from parasitometrics import reproduce
+from parasitometrics.cli import _handle_errors, main
 from parasitometrics.datamodel import export_cohort, export_cohort_json, pooled_scores
+from parasitometrics.errors import DegenerateDataError, InputError, ReproductionFailure
 from parasitometrics.quant import CONSTANT_X_NOTE, LINEAR_R2_NOTE
 from parasitometrics.simulator import SimConfig, generate_cohort
 
@@ -166,6 +169,31 @@ class TestEvaluate:
         assert len(result.stderr.splitlines()) == 1
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("args", [[], ["--spec-target", "0.95"]],
+                             ids=["no-spec-target", "spec-target"])
+    def test_manual_calibration_without_t_is_input_error(self, runner, tmp_path, args):
+        patients, objects = _write_mixed_cohort_csvs(tmp_path)
+        result = runner.invoke(main, [
+            "evaluate", "--patients", str(patients), "--objects", str(objects),
+            "--C", "0.5", "--calib-method", "manual", *args, "--out", str(tmp_path / "r"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (
+            "error: --calib-method manual needs --T: write the FP scatter with "
+            "calibrate --scatter-out, choose T from it and pass it as --T\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_manual_calibration_with_t_writes_the_report(self, runner, tmp_path):
+        patients, objects = _write_mixed_cohort_csvs(tmp_path)
+        out = tmp_path / "r"
+        result = runner.invoke(main, [
+            "evaluate", "--patients", str(patients), "--objects", str(objects),
+            "--C", "0.5", "--T", "3.5", "--calib-method", "manual", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["metadata"]["operating_point"] == {"C": 0.5, "T": 3.5}
+
     def test_skipped_lod_is_a_warning(self, runner, tmp_path):
         # no parasite scores >= C, so mean and median S are 0 and neither LoD exists
         cohort = make_cohort(
@@ -301,6 +329,53 @@ def test_unusable_number_is_one_line_input_error(runner, tmp_path, args):
     assert not (tmp_path / "scatter.csv").exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--cv", "10 uL"], "--cv applies to CSV input; a JSON cohort names its own cv_description"),
+    (["--patients", "p.csv"], "--json cannot be combined with --patients or --objects"),
+    (["--objects", "o.csv"], "--json cannot be combined with --patients or --objects"),
+], ids=["cv", "patients", "objects"])
+def test_json_with_a_csv_option_is_input_error(runner, tmp_path, extra, message):
+    export_cohort_json(generate_cohort(SimConfig(seed=5, n_negative=3, n_positive=3)),
+                       tmp_path / "cohort.json")
+    result = runner.invoke(main, [
+        "evaluate", "--json", str(tmp_path / "cohort.json"), *extra,
+        "--C", "0.5", "--T", "1.0", "--out", str(tmp_path / "r"),
+    ])
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "r").exists()
+
+
+def test_cv_names_the_unit_of_a_csv_cohort(runner, tmp_path):
+    patients, objects = _write_mixed_cohort_csvs(tmp_path)
+    for extra, unit in (([], "1 uL blood"), (["--cv", "10 uL"], "10 uL")):
+        out = tmp_path / unit
+        result = runner.invoke(main, [
+            "evaluate", "--patients", str(patients), "--objects", str(objects), *extra,
+            "--C", "0.5", "--T", "1.0", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "report.json").read_text())["metadata"]["cv_description"] == unit
+
+
+@pytest.mark.parametrize("exc, code, stderr", [
+    (InputError("bad argument"), 2, "error: bad argument\n"),
+    (DegenerateDataError("no negatives"), 3, "error: no negatives\n"),
+    (ReproductionFailure("first failing check: x"), 1, "error: first failing check: x\n"),
+    (FileNotFoundError(2, "No such file or directory", "c.json"), 2,
+     "io error: [Errno 2] No such file or directory: 'c.json'\n"),
+], ids=["input", "degenerate", "reproduction", "os"])
+def test_each_error_exits_with_its_code_and_one_line(runner, exc, code, stderr):
+    @click.command()
+    @_handle_errors
+    def fail():
+        raise exc
+
+    assert getattr(exc, "exit_code", 2) == code
+    result = runner.invoke(fail, [])
+    assert (result.exit_code, result.stdout, result.stderr) == (code, "", stderr)
+    assert isinstance(result.exception, SystemExit)
+
+
 class TestTune:
     def test_tune_end_to_end(self, runner, tmp_path):
         train = generate_cohort(SimConfig(seed=11, n_negative=0, n_positive=10,
@@ -354,6 +429,21 @@ class TestTune:
         assert result.stderr == "warning: C=1.0 skipped: LoD denominator 0.0 <= 0\n"
         assert [line.split(",")[0] for line in table.read_text().splitlines()] == \
             ["C", "0.3", "0.5"]
+
+    def test_manual_calibration_is_input_error(self, runner, tmp_path):
+        cohort = generate_cohort(SimConfig(seed=13, n_negative=5, n_positive=5))
+        p = tmp_path / "cohort.json"
+        export_cohort_json(cohort, p)
+        result = runner.invoke(main, [
+            "tune", "--train-positives", str(p), "--validation-negatives", str(p),
+            "--calib-method", "manual", "--out", str(tmp_path / "tune.csv"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (
+            "error: tune calibrates T at every C, so it cannot take a manual T; choose "
+            "--calib-method from ['gaussian', 'robust', 'percentile']\n")
+        assert result.stdout == ""
+        assert not (tmp_path / "tune.csv").exists()
 
     def test_tune_rejects_positive_only_validation(self, runner, tmp_path):
         pos = generate_cohort(SimConfig(seed=13, n_negative=0, n_positive=5))
@@ -518,6 +608,20 @@ class TestReproducePaper:
         assert manifest and all(c["passed"] for c in manifest)
         pass_lines = [l for l in result.output.splitlines() if l.startswith("PASS")]
         assert len(pass_lines) == len(manifest)
+
+
+    def test_failing_check_exits_1_and_still_writes_the_manifest(self, runner, tmp_path,
+                                                                 monkeypatch):
+        checks = [reproduce.CheckResult("alpha", True, "ok"),
+                  reproduce.CheckResult("drifted", False, "3.4 != 3.3")]
+        monkeypatch.setattr(reproduce, "run_all", lambda: checks)
+        out = tmp_path / "repro"
+        result = runner.invoke(main, ["reproduce-paper", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stdout.splitlines() == ["PASS  alpha: ok", "FAIL  drifted: 3.4 != 3.3"]
+        assert result.stderr == "error: first failing check: drifted\n"
+        assert [c["name"] for c in json.loads((out / "manifest.json").read_text())] == \
+            ["alpha", "drifted"]
 
 
 def _src_env() -> dict:

@@ -16,13 +16,7 @@ from hypothesis import given, settings, strategies as st
 from parasitometrics import curves
 from parasitometrics.curves import froc, precision_f1_with_reexpression
 from parasitometrics.datamodel import GroundTruth, counts_at, per_cv_counts
-from parasitometrics.errors import (
-    InsufficientPositives,
-    InvalidInput,
-    NoDetections,
-    NoParasiteObjects,
-    OutOfRange,
-)
+from parasitometrics.errors import DegenerateDataError, InputError
 from parasitometrics.metrics import patient_diagnoses, pooled_object_sensitivity
 from parasitometrics.quant import ExpectedRates, estimate_parasitemia, quant_report
 
@@ -79,7 +73,7 @@ def loop_froc_points(cohort, pooled_sensitivity=True):
 def checked_loop_counts(patient, C):
     """``loop_patient_counts`` after the range check that counting at C makes."""
     if not (0.0 <= C <= 1.0):
-        raise OutOfRange(f"score threshold C={C} outside [0, 1]")
+        raise InputError(f"score threshold C={C} outside [0, 1]")
     return loop_patient_counts(patient, C)
 
 
@@ -88,7 +82,7 @@ def loop_pooled_object_sensitivity(cohort, C):
     contrib = {p.patient_id: _loop_n_parasites(p) for p in cohort.positives}
     total = sum(contrib.values())
     if total == 0:
-        raise NoParasiteObjects("cohort contains no parasite objects")
+        raise DegenerateDataError("cohort contains no parasite objects")
     dominant = max(contrib, key=contrib.get)
     if contrib[dominant] <= 0.5 * total:
         return tp / total, None, None
@@ -107,7 +101,7 @@ def loop_patient_diagnoses(cohort, op):
 
 def loop_precision_f1(cohort, C, lod_parasitemia):
     if not (lod_parasitemia > 0):
-        raise InvalidInput("lod_parasitemia must be > 0")
+        raise InputError("lod_parasitemia must be > 0")
     tp = fp = fn = 0
     volume = 0.0
     for p in cohort:
@@ -115,7 +109,7 @@ def loop_precision_f1(cohort, C, lod_parasitemia):
         tp, fp, fn = tp + p_tp, fp + p_fp, fn + p_fn
         volume += p.examined_volume
     if tp + fp == 0:
-        raise NoDetections("no objects pass the score threshold")
+        raise DegenerateDataError("no objects pass the score threshold")
     precision = tp / (tp + fp)
     f1 = None
     if tp + fn > 0:
@@ -129,7 +123,7 @@ def loop_precision_f1(cohort, C, lod_parasitemia):
 def loop_quant_per_patient(cohort, op, rates):
     positives = [p for p in cohort.positives if p.true_parasitemia > 0]
     if len(positives) < 2:
-        raise InsufficientPositives("quantitation report needs >= 2 positive patients")
+        raise DegenerateDataError("quantitation report needs >= 2 positive patients")
     per_patient, clamped = [], []
     for p in sorted(positives, key=lambda q: q.patient_id):
         tp, fp, _, _, _, _ = checked_loop_counts(p, op.C)

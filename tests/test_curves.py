@@ -12,7 +12,7 @@ from parasitometrics.curves import (
     precision_f1_with_reexpression,
     sliver_roc,
 )
-from parasitometrics.errors import DegenerateClasses, InvalidRatio, NoDetections
+from parasitometrics.errors import DegenerateDataError, InputError
 from parasitometrics.metrics import patient_level_sens_spec
 from parasitometrics.calibration import OperatingPoint
 
@@ -75,7 +75,8 @@ class TestObjectRoc:
 
     def test_degenerate_classes(self):
         cohort = make_cohort(make_patient("n", distractor_scores=(0.5,)))
-        with pytest.raises(DegenerateClasses):
+        with pytest.raises(DegenerateDataError,
+                           match="ROC needs at least one parasite and one distractor object"):
             object_roc(cohort)
 
 
@@ -121,7 +122,8 @@ class TestSliverRoc:
 
     def test_invalid_ratio(self, mixed_cohort):
         roc = object_roc(mixed_cohort)
-        with pytest.raises(InvalidRatio):
+        with pytest.raises(InputError,
+                           match="distractor-to-parasite ratio D=0.0 must be positive"):
             sliver_roc(roc, 0.0)
 
 
@@ -258,5 +260,5 @@ class TestPrecisionReexpression:
         cohort = make_cohort(
             make_patient("q", positive=True, parasite_scores=(0.1,))
         )
-        with pytest.raises(NoDetections):
+        with pytest.raises(DegenerateDataError, match="no objects pass the score threshold"):
             precision_f1_with_reexpression(cohort, 0.9, lod_parasitemia=10.0)

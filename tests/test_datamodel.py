@@ -24,13 +24,7 @@ from parasitometrics.datamodel import (
     ingest_cohort_json,
     per_cv_counts,
 )
-from parasitometrics.errors import (
-    DuplicatePatient,
-    LabelContradiction,
-    MissingPatient,
-    OutOfRange,
-    SchemaError,
-)
+from parasitometrics.errors import InputError
 from parasitometrics.simulator import SimConfig, generate_cohort
 
 from conftest import make_patient
@@ -82,36 +76,36 @@ class TestIngestion:
 
     def test_missing_patient(self):
         objects = OBJECTS_CSV + "ghost,o6,0.5,distractor\n"
-        with pytest.raises(MissingPatient):
+        with pytest.raises(InputError, match="unknown patient_id 'ghost'"):
             _ingest(objects=objects)
 
     def test_label_contradiction(self):
         objects = OBJECTS_CSV + "p2,o6,0.5,parasite\n"
-        with pytest.raises(LabelContradiction):
+        with pytest.raises(InputError, match="is negative but owns parasite object 'o6'"):
             _ingest(objects=objects)
 
     def test_duplicate_patient(self):
         patients = PATIENTS_CSV + "p1,pos,pf,500,0.5,\n"
-        with pytest.raises(DuplicatePatient):
+        with pytest.raises(InputError, match="duplicate patient_id 'p1'"):
             _ingest(patients=patients)
 
     @pytest.mark.parametrize(
         "mutation",
         [
-            ("score", "1.5"),      # outside [0,1]
-            ("score", "abc"),      # non-numeric
+            ("score", "1.5", r"score 1.5 outside \[0, 1\]"),
+            ("score", "abc", "score 'abc' is not numeric"),
         ],
     )
     def test_bad_score_rejected(self, mutation):
-        _, bad = mutation
+        _, bad, message = mutation
         objects = OBJECTS_CSV.replace("0.9", bad)
-        with pytest.raises(SchemaError):
+        with pytest.raises(InputError, match=message):
             _ingest(objects=objects)
 
     @pytest.mark.parametrize("row", ["p1,,0.5,parasite", "p1, ,0.5,parasite",
                                      "p1,o2,0.5,parasite", "p1, o2 ,0.5,parasite"])
     def test_empty_or_duplicate_object_id_rejected(self, row):
-        with pytest.raises(SchemaError, match="object_id"):
+        with pytest.raises(InputError, match="object_id"):
             _ingest(objects=OBJECTS_CSV + row + "\n")
 
     @pytest.mark.parametrize("row, message", [
@@ -121,29 +115,29 @@ class TestIngestion:
     def test_row_fault_before_a_file_fault_comes_first(self, row, message):
         # the next row is a CSV error (a field over csv's size limit)
         objects = OBJECTS_CSV + row + "\np1,o7," + "9" * 200_000 + ",parasite\n"
-        with pytest.raises(SchemaError, match=message):
+        with pytest.raises(InputError, match=message):
             _ingest(objects=objects)
-        with pytest.raises(SchemaError, match="field larger than field limit"):
+        with pytest.raises(InputError, match="field larger than field limit"):
             _ingest(objects=OBJECTS_CSV + "p1,o7," + "9" * 200_000 + ",parasite\n")
 
     def test_non_utf8_file_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(InputError, match="patients file: 'utf-8' codec can't decode"):
             ingest_cohort(io.StringIO(OBJECTS_CSV),
                           io.TextIOWrapper(io.BytesIO(b"\xff\xfe\x00"), encoding="utf-8"),
                           "1 uL blood")
 
     def test_nonpositive_volume_rejected(self):
         patients = PATIENTS_CSV.replace("0.5,400", "0,400")
-        with pytest.raises(SchemaError):
+        with pytest.raises(InputError, match="examined_volume must be > 0"):
             _ingest(patients=patients)
 
     def test_missing_column_rejected(self):
         patients = PATIENTS_CSV.replace("examined_volume", "volume")
-        with pytest.raises(SchemaError):
+        with pytest.raises(InputError, match=r"missing column\(s\): examined_volume"):
             _ingest(patients=patients)
 
     def test_negative_patient_invariants(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(InputError, match="negative patient must have species=none"):
             PatientRecord(
                 patient_id="x",
                 ground_truth=GroundTruth.NEGATIVE,
@@ -151,7 +145,7 @@ class TestIngestion:
                 true_parasitemia=0.0,
                 examined_volume=1.0,
             )
-        with pytest.raises(SchemaError):
+        with pytest.raises(InputError, match="positive patient must have parasitemia > 0"):
             PatientRecord(
                 patient_id="x",
                 ground_truth=GroundTruth.POSITIVE,
@@ -161,7 +155,7 @@ class TestIngestion:
             )
 
     def test_empty_cohort_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(InputError, match="cohort must contain at least one patient"):
             CohortDataset(cv_description="x", patients=())
 
 
@@ -190,37 +184,45 @@ def _set(path, value=KeyError):
     return edit
 
 
+NO_OBJECT_ID = "object with empty or missing object_id"
+NOT_A_PATIENT = "each patient must be a JSON object with a list of objects"
+NOT_A_COHORT = "JSON cohort must have keys 'cv_description' and 'patients'"
+
+
 class TestJsonIngestion:
-    @pytest.mark.parametrize("edit", [
-        _set(("patients", 0, "objects", 0, "score"), "abc"),
-        _set(("patients", 0, "objects", 0, "object_id"), ""),
-        _set(("patients", 0, "objects", 0, "object_id"), None),
-        _set(("patients", 0, "objects", 0, "object_id")),
-        _set(("patients", 0, "ground_truth")),
-        _set(("patients", 0, "objects", 1, "object_id"), "o1"),
-        _set(("patients", 0, "wbc_count"), "x"),
-        _set(("patients", 0, "wbc_count"), 400.5),
-        _set(("patients", 0, "true_parasitemia"), [1]),
-        _set(("patients", 0, "objects"), None),
-        _set(("patients", 0, "objects", 0), "o1"),
-        _set(("patients", 1), []),
-        _set(("patients",), {}),
-        _set(("patients", 1, "patient_id"), " p1 "),
-        _set(("patients", 1, "patient_id"), None),
+    @pytest.mark.parametrize("edit, message", [
+        (_set(("patients", 0, "objects", 0, "score"), "abc"), "score 'abc' is not numeric"),
+        (_set(("patients", 0, "objects", 0, "object_id"), ""), NO_OBJECT_ID),
+        (_set(("patients", 0, "objects", 0, "object_id"), None), NO_OBJECT_ID),
+        (_set(("patients", 0, "objects", 0, "object_id")), NO_OBJECT_ID),
+        (_set(("patients", 0, "ground_truth")), "ground_truth '' not one of"),
+        (_set(("patients", 0, "objects", 1, "object_id"), "o1"), "duplicate object_id 'o1'"),
+        (_set(("patients", 0, "wbc_count"), "x"), "wbc_count 'x' is not an integer"),
+        (_set(("patients", 0, "wbc_count"), 400.5), "wbc_count '400.5' is not an integer"),
+        (_set(("patients", 0, "true_parasitemia"), [1]),
+         r"true_parasitemia '\[1\]' is not numeric"),
+        (_set(("patients", 0, "objects"), None), NOT_A_PATIENT),
+        (_set(("patients", 0, "objects", 0), "o1"), NOT_A_PATIENT),
+        (_set(("patients", 1), []), NOT_A_PATIENT),
+        (_set(("patients",), {}), NOT_A_COHORT),
+        (_set(("patients", 1, "patient_id"), " p1 "), "duplicate patient_id 'p1'"),
+        (_set(("patients", 1, "patient_id"), None), "patient with empty or missing patient_id"),
     ], ids=["score-abc", "object-id-empty", "object-id-null", "object-id-missing",
             "ground-truth-missing", "object-id-duplicate", "wbc-x", "wbc-fraction",
             "parasitemia-list", "objects-null", "object-not-mapping", "patient-not-mapping",
             "patients-not-list", "patient-id-duplicate-once-stripped", "patient-id-null"])
-    def test_malformed_document_rejected(self, edit):
+    def test_malformed_document_rejected(self, edit, message):
         doc = _json_doc()
         edit(doc)
-        with pytest.raises(SchemaError):
+        with pytest.raises(InputError, match=message):
             _ingest_json(doc)
 
-    @pytest.mark.parametrize("text", ['{"cv_description": "x", "patients": [', "[]", "3",
-                                      '{"patients": []}'])
-    def test_bad_json_text_rejected(self, text):
-        with pytest.raises(SchemaError):
+    @pytest.mark.parametrize("text, message", [
+        ('{"cv_description": "x", "patients": [', "^JSON input: not valid JSON: Expecting value"),
+        ("[]", NOT_A_COHORT), ("3", NOT_A_COHORT), ('{"patients": []}', NOT_A_COHORT),
+    ], ids=['{"cv_description": "x", "patients": [', "[]", "3", '{"patients": []}'])
+    def test_bad_json_text_rejected(self, text, message):
+        with pytest.raises(InputError, match=message):
             _ingest_json(text)
 
     def test_values_parse_like_csv_text(self):
@@ -285,7 +287,7 @@ def test_any_json_edit_gives_cohort_or_schema_error(patient, obj, key, value):
     _set(path + (name,), value)(doc)
     try:
         _ingest_json(doc)
-    except SchemaError:
+    except InputError:
         pass
 
 
@@ -345,7 +347,7 @@ def csv_pairs(draw):
 def test_any_csv_text_gives_cohort_or_schema_error(texts):
     try:
         _ingest(*texts)
-    except SchemaError:
+    except InputError:
         pass
 
 
@@ -378,7 +380,7 @@ def test_replace_derives_and_validates_again():
     p = make_patient("n", distractor_scores=(0.9, 0.1))
     q = replace(p, scores=[0.3, 0.2])
     assert q.distractor_scores.tolist() == [0.2, 0.3] and not q.scores.flags.writeable
-    with pytest.raises(LabelContradiction, match="'n-d1'"):
+    with pytest.raises(InputError, match="'n-d1'"):
         replace(p, is_parasite=[False, True])
 
 
@@ -421,9 +423,9 @@ class TestPatientCounts:
 
     def test_out_of_range_C(self):
         p = make_patient("n")
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match=r"score threshold C=1.5 outside \[0, 1\]"):
             counts_at([p], [1.5], "parasite_scores")
-        with pytest.raises(OutOfRange, match=r"^score threshold C=2 outside \[0, 1\]$"):
+        with pytest.raises(InputError, match=r"^score threshold C=2 outside \[0, 1\]$"):
             per_cv_counts([p], 2)
 
     def test_n_is_tp_and_fp_per_cv_summed(self):

@@ -31,12 +31,7 @@ from parasitometrics.datamodel import (
     ingest_cohort,
     ingest_cohort_json,
 )
-from parasitometrics.errors import (
-    DuplicatePatient,
-    LabelContradiction,
-    MissingPatient,
-    SchemaError,
-)
+from parasitometrics.errors import InputError
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,9 +44,9 @@ class ObjectRecord:
 
     def __post_init__(self):
         if not (isinstance(self.score, (int, float)) and math.isfinite(self.score)):
-            raise SchemaError(f"object {self.object_id!r}: score must be finite")
+            raise InputError(f"object {self.object_id!r}: score must be finite")
         if not (0.0 <= self.score <= 1.0):
-            raise SchemaError(
+            raise InputError(
                 f"object {self.object_id!r}: score {self.score} outside [0, 1]"
             )
 
@@ -66,7 +61,7 @@ def _parse_enum(enum_cls, row, key, what):
         return enum_cls(raw.lower())
     except ValueError:
         allowed = ", ".join(e.value for e in enum_cls)
-        raise SchemaError(f"{what}: {key} {raw!r} not one of {{{allowed}}}") from None
+        raise InputError(f"{what}: {key} {raw!r} not one of {{{allowed}}}") from None
 
 
 def _parse_float(row, key, what):
@@ -77,7 +72,7 @@ def _parse_float(row, key, what):
     try:
         return float(raw)
     except ValueError:
-        raise SchemaError(f"{what}: {key} {raw!r} is not numeric") from None
+        raise InputError(f"{what}: {key} {raw!r} is not numeric") from None
 
 
 def oracle_patient(patient_id, ground_truth, species, true_parasitemia, examined_volume,
@@ -85,27 +80,27 @@ def oracle_patient(patient_id, ground_truth, species, true_parasitemia, examined
     """The per-object PatientRecord checks; the patient, built from ``objects``."""
     pid = patient_id
     if examined_volume <= 0 or not math.isfinite(examined_volume):
-        raise SchemaError(f"patient {pid!r}: examined_volume must be > 0")
+        raise InputError(f"patient {pid!r}: examined_volume must be > 0")
     if true_parasitemia < 0 or not math.isfinite(true_parasitemia):
-        raise SchemaError(f"patient {pid!r}: true_parasitemia must be >= 0")
+        raise InputError(f"patient {pid!r}: true_parasitemia must be >= 0")
     if wbc_count is not None and wbc_count < 0:
-        raise SchemaError(f"patient {pid!r}: wbc_count must be >= 0")
+        raise InputError(f"patient {pid!r}: wbc_count must be >= 0")
     if ground_truth is GroundTruth.NEGATIVE:
         if species is not Species.NONE:
-            raise SchemaError(f"patient {pid!r}: negative patient must have species=none")
+            raise InputError(f"patient {pid!r}: negative patient must have species=none")
         if true_parasitemia != 0:
-            raise SchemaError(f"patient {pid!r}: negative patient must have parasitemia 0")
+            raise InputError(f"patient {pid!r}: negative patient must have parasitemia 0")
         for obj in objects:
             if obj.true_label is TrueLabel.PARASITE:
-                raise LabelContradiction(
+                raise InputError(
                     f"patient {pid!r} is negative but owns parasite object "
                     f"{obj.object_id!r}"
                 )
     else:
         if species is Species.NONE:
-            raise SchemaError(f"patient {pid!r}: positive patient must have a species")
+            raise InputError(f"patient {pid!r}: positive patient must have a species")
         if true_parasitemia <= 0:
-            raise SchemaError(f"patient {pid!r}: positive patient must have parasitemia > 0")
+            raise InputError(f"patient {pid!r}: positive patient must have parasitemia > 0")
     return PatientRecord(pid, ground_truth, species, true_parasitemia, examined_volume,
                          wbc_count, object_ids=[o.object_id for o in objects],
                          scores=[o.score for o in objects],
@@ -118,19 +113,19 @@ def oracle_cohort_from_rows(patient_rows, object_rows, cv_description, provenanc
     for row in patient_rows:
         pid = _text(row.get("patient_id"))
         if not pid:
-            raise SchemaError("patient with empty or missing patient_id")
+            raise InputError("patient with empty or missing patient_id")
         if pid in rows:
-            raise DuplicatePatient(f"duplicate patient_id {pid!r}")
+            raise InputError(f"duplicate patient_id {pid!r}")
         rows[pid] = row
 
     objects = {pid: [] for pid in rows}
     for raw_pid, row in object_rows:
         pid = _text(raw_pid)
         if pid not in objects:
-            raise MissingPatient(f"object row references unknown patient_id {pid!r}")
+            raise InputError(f"object row references unknown patient_id {pid!r}")
         oid = _text(row.get("object_id"))
         if not oid:
-            raise SchemaError(f"patient {pid!r}: object with empty or missing object_id")
+            raise InputError(f"patient {pid!r}: object with empty or missing object_id")
         what = f"patient {pid!r} object {oid!r}"
         objects[pid].append(ObjectRecord(
             object_id=oid,
@@ -144,13 +139,13 @@ def oracle_cohort_from_rows(patient_rows, object_rows, cv_description, provenanc
         seen = set()
         for obj in objects[pid]:
             if obj.object_id in seen:
-                raise SchemaError(f"{what}: duplicate object_id {obj.object_id!r}")
+                raise InputError(f"{what}: duplicate object_id {obj.object_id!r}")
             seen.add(obj.object_id)
         wbc = _text(row.get("wbc_count"))
         try:
             wbc_count = int(wbc) if wbc else None
         except ValueError:
-            raise SchemaError(f"{what}: wbc_count {wbc!r} is not an integer") from None
+            raise InputError(f"{what}: wbc_count {wbc!r} is not an integer") from None
         patients.append(oracle_patient(
             pid,
             _parse_enum(GroundTruth, row, "ground_truth", what),
@@ -178,16 +173,16 @@ def oracle_ingest_json(text):
     try:
         doc = json.loads(text)
     except ValueError as exc:
-        raise SchemaError(f"JSON input: not valid JSON: {exc}") from None
+        raise InputError(f"JSON input: not valid JSON: {exc}") from None
     except RecursionError:
-        raise SchemaError("JSON input: not valid JSON: nesting too deep") from None
+        raise InputError("JSON input: not valid JSON: nesting too deep") from None
     patient_docs = doc.get("patients") if isinstance(doc, dict) else None
     if not isinstance(patient_docs, list) or "cv_description" not in doc:
-        raise SchemaError("JSON cohort must have keys 'cv_description' and 'patients'")
+        raise InputError("JSON cohort must have keys 'cv_description' and 'patients'")
     for pd in patient_docs:
         objects = pd.get("objects", []) if isinstance(pd, dict) else None
         if not isinstance(objects, list) or not all(isinstance(od, dict) for od in objects):
-            raise SchemaError("each patient must be a JSON object with a list of objects")
+            raise InputError("each patient must be a JSON object with a list of objects")
     return oracle_cohort_from_rows(
         patient_docs,
         ((pd.get("patient_id"), od) for pd in patient_docs for od in pd.get("objects", [])),
@@ -199,7 +194,7 @@ def oracle_ingest_json(text):
 def _outcome(ingest):
     try:
         return ingest()
-    except SchemaError as exc:
+    except InputError as exc:
         return exc
 
 

@@ -3,12 +3,7 @@ import pytest
 
 from parasitometrics.calibration import OperatingPoint
 from parasitometrics.datamodel import GroundTruth, Species
-from parasitometrics.errors import (
-    InvalidInput,
-    NoEligiblePatients,
-    NoParasiteObjects,
-    UnknownPatient,
-)
+from parasitometrics.errors import DegenerateDataError, InputError
 from parasitometrics.metrics import (
     fpr_distribution,
     patient_diagnoses,
@@ -38,7 +33,7 @@ class TestFprDistribution:
         cohort = make_cohort(
             make_patient("p1", positive=True, parasite_scores=(0.9,))
         )
-        with pytest.raises(NoEligiblePatients):
+        with pytest.raises(DegenerateDataError, match="no negative patients for FPR distribution"):
             fpr_distribution(cohort, 0.5, negatives_only=True)
 
     def test_positives_included_with_warning(self):
@@ -125,7 +120,7 @@ class TestPooledSensitivity:
 
     def test_no_parasites_raises(self):
         cohort = make_cohort(make_patient("n1", distractor_scores=(0.5,)))
-        with pytest.raises(NoParasiteObjects):
+        with pytest.raises(DegenerateDataError, match="cohort contains no parasite objects"):
             pooled_object_sensitivity(cohort, 0.5)
 
     def test_weighted_mean_identity(self):
@@ -206,7 +201,8 @@ class TestPatientLevelSensSpec:
         ((0.0, 50.0), (50.0, 200.0)),          # does not end at inf
     ])
     def test_bins_must_tile(self, mixed_cohort, bins):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InputError,
+                           match="parasitemia bins must (tile|start at 0 and end at inf)"):
             patient_level_sens_spec(mixed_cohort, OperatingPoint(C=0.5, T=1.0), bins)
 
     def test_sens_spec_move_oppositely_in_T(self, mixed_cohort):
@@ -270,5 +266,5 @@ class TestSpeciesConfusion:
         assert sum(sum(r.values()) for r in collapsed.values()) == total
 
     def test_unknown_patient(self, mixed_cohort):
-        with pytest.raises(UnknownPatient):
+        with pytest.raises(InputError, match="no species prediction for patient"):
             species_confusion(mixed_cohort, {})

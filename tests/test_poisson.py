@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson as scipy_poisson
 
-from parasitometrics.errors import InvalidInput
+from parasitometrics.errors import InputError
 from parasitometrics.poisson import (
     MAX_EXPECTED_COUNT,
     count_pmf,
@@ -62,15 +62,15 @@ class TestCountPmf:
 
     def test_rejects_expected_count_above_limit(self):
         assert count_pmf(MAX_EXPECTED_COUNT, 1.0)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InputError, match=r"expected count P\*V=1500000.0 must be <= 1e\+06"):
             count_pmf(MAX_EXPECTED_COUNT, 1.5)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InputError, match=r"expected count P\*V=inf must be <= 1e\+06"):
             count_pmf(1e300, 1e300)
 
     def test_rejects_negative_inputs(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InputError, match="parasitemia P=-1.0 must be finite and >= 0"):
             count_pmf(-1.0, 1.0)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InputError, match="volume V=0.0 must be finite and > 0"):
             count_pmf(10.0, 0.0)
 
     @given(
@@ -126,11 +126,11 @@ class TestMinVolume:
         assert v1 == pytest.approx(2 * v2, rel=1e-5)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InputError, match="parasitemia P=0.0 must be finite and > 0"):
             min_volume_for_detection(0.0, k_min=1, confidence=0.9)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InputError, match="k_min must be >= 1"):
             min_volume_for_detection(100.0, k_min=0, confidence=0.9)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InputError, match=r"confidence=1.0 must be in \(0, 1\)"):
             min_volume_for_detection(100.0, k_min=1, confidence=1.0)
 
 
@@ -148,5 +148,5 @@ class TestRelativeError:
         assert abs(cv - predicted) / predicted < 0.05
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InputError, match="P and V must be finite and > 0"):
             quantitation_relative_poisson_error(0.0, 1.0)

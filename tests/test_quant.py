@@ -6,12 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from parasitometrics.calibration import OperatingPoint
-from parasitometrics.errors import (
-    InsufficientPositives,
-    InvalidRates,
-    NonpositiveParasitemia,
-    ZeroWbc,
-)
+from parasitometrics.errors import DegenerateDataError, InputError
 from parasitometrics.metrics import MetricKind
 from parasitometrics.quant import (
     CONSTANT_X_NOTE,
@@ -47,9 +42,9 @@ class TestEstimateParasitemia:
         assert est.negative_clamped
 
     def test_invalid_rates(self):
-        with pytest.raises(InvalidRates):
+        with pytest.raises(InputError, match="F_hat=-1.0 must be finite and >= 0"):
             ExpectedRates(F_hat=-1.0, S_hat=0.5)
-        with pytest.raises(InvalidRates):
+        with pytest.raises(InputError, match=r"S_hat=0.0 must be in \(0, 1\]"):
             ExpectedRates(F_hat=0.0, S_hat=0.0)
 
     def test_forward_model_inverse(self):
@@ -87,7 +82,7 @@ class TestQuantFom:
     def test_nonpositive_parasitemia(self):
         S = make_dist(MetricKind.OBJECT_SENSITIVITY, [0.8, 0.8])
         F = make_dist(MetricKind.FPR, [50.0, 50.0])
-        with pytest.raises(NonpositiveParasitemia):
+        with pytest.raises(InputError, match="P=0.0 must be > 0"):
             quant_fom(S, F, 0.0)
 
     def test_crossover(self):
@@ -118,7 +113,7 @@ class TestVolumeError:
 
     def test_zero_wbc(self):
         p = make_patient("p", positive=True, parasite_scores=(0.9,))
-        with pytest.raises(ZeroWbc):
+        with pytest.raises(InputError, match="WBC counts must be positive"):
             volume_error_decomposition(p, 0, 80, 100.0)
 
 
@@ -179,7 +174,8 @@ class TestQuantReport:
         cohort = make_cohort(
             make_patient("p0", positive=True, parasite_scores=(0.9,))
         )
-        with pytest.raises(InsufficientPositives):
+        with pytest.raises(DegenerateDataError,
+                           match="quantitation report needs >= 2 positive patients"):
             quant_report(
                 cohort, OperatingPoint(C=0.5, T=1.0),
                 ExpectedRates(F_hat=0.0, S_hat=1.0),

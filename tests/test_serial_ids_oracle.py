@@ -25,7 +25,7 @@ from parasitometrics.datamodel import (
     export_cohort_json,
     ingest_cohort_json,
 )
-from parasitometrics.errors import SchemaError
+from parasitometrics.errors import InputError
 from parasitometrics.simulator import (
     SimConfig,
     generate_cohort,
@@ -93,7 +93,7 @@ def test_patient_record_keeps_serial_ids_and_hashes_as_the_tuple():
 
 
 def test_a_bad_score_is_named_by_its_serial_id():
-    with pytest.raises(SchemaError, match="'pt-d1'"):
+    with pytest.raises(InputError, match="'pt-d1'"):
         PatientRecord("pt", GroundTruth.NEGATIVE, Species.NONE, 0.0, 1.0,
                       object_ids=SerialIds([("pt-d", 3, 0)]),
                       scores=[0.1, 1.5, 0.2], is_parasite=[0, 0, 0])

@@ -7,7 +7,7 @@ from scipy.special import betainc
 
 from parasitometrics import simulator
 from parasitometrics.datamodel import GroundTruth, Species
-from parasitometrics.errors import InvalidConfig
+from parasitometrics.errors import InputError
 from parasitometrics.metrics import (
     fpr_distribution,
     pooled_object_sensitivity,
@@ -85,16 +85,16 @@ class TestStructure:
         assert len(doc["patients"]) == 10
 
     def test_invalid_configs(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InputError, match="cohort must contain at least one patient"):
             SimConfig(n_negative=0, n_positive=0)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InputError, match="examined_volume must be finite and > 0, got 0.0"):
             SimConfig(examined_volume=0.0)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InputError, match=r"log-uniform bounds \(10.0, 5.0\) invalid"):
             LogUniform(10.0, 5.0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
-        with pytest.raises(InvalidConfig, match="seed"):
+        with pytest.raises(InputError, match="seed"):
             SimConfig(seed=seed)
 
     def test_numpy_integer_seed_is_accepted(self):
@@ -104,11 +104,11 @@ class TestStructure:
     @pytest.mark.parametrize("field", ["examined_volume", "background_distractor_rate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_config_is_rejected(self, field, value):
-        with pytest.raises(InvalidConfig, match=field):
+        with pytest.raises(InputError, match=field):
             SimConfig(**{field: value})
 
     def test_poisson_mean_too_large_is_invalid_config(self):
-        with pytest.raises(InvalidConfig, match="Poisson"):
+        with pytest.raises(InputError, match="Poisson"):
             generate_cohort(SimConfig(n_negative=1, n_positive=0, examined_volume=1e300))
 
 
@@ -128,13 +128,13 @@ class TestSolveBetaA:
     def test_unreachable_target_is_invalid_config(self, s):
         # no a in [1e-8, 1e8] puts a tail this small above 0.5 when b = 2
         cfg = SimConfig(n_negative=0, n_positive=1, patient_sensitivity_dist=Fixed(s))
-        with pytest.raises(InvalidConfig, match=rf"b=2\.0\) for Pr\[score >= 0\.5\] = {s} "
+        with pytest.raises(InputError, match=rf"b=2\.0\) for Pr\[score >= 0\.5\] = {s} "
                                                 r".*: no sign change"):
             generate_cohort(cfg)
 
     def test_no_convergence_is_invalid_config(self, monkeypatch):
         monkeypatch.setattr(simulator, "_brent", functools.partial(simulator._brent, maxiter=2))
-        with pytest.raises(InvalidConfig, match=r"= 0\.8 .*: no convergence after 2 iter"):
+        with pytest.raises(InputError, match=r"= 0\.8 .*: no convergence after 2 iter"):
             solve_beta_a(0.8, 2.0)
 
 

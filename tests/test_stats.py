@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from parasitometrics.errors import EmptyInput, NonFiniteInput, OutOfRange
+from parasitometrics.errors import InputError
 from parasitometrics.stats import alpha_for_specificity, summarize
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -35,15 +35,15 @@ class TestSummarize:
         assert s.percentile(95) == pytest.approx(95.0)
         assert s.percentile(0) == 0.0
         assert s.percentile(100) == 100.0
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InputError, match=r"percentile q=101 outside \[0, 100\]"):
             s.percentile(101)
 
     def test_errors(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InputError, match="summarize requires a non-empty sample"):
             summarize([])
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(InputError, match="summarize requires all-finite values"):
             summarize([1.0, float("nan")])
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(InputError, match="summarize requires all-finite values"):
             summarize([1.0, float("inf")])
 
     @given(st.lists(finite_floats, min_size=1, max_size=50), st.randoms())
@@ -87,7 +87,8 @@ class TestAlphaForSpecificity:
 
     def test_out_of_range(self):
         for bad in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(OutOfRange):
+            with pytest.raises(InputError,
+                               match=rf"^target specificity K={bad} outside \(0, 1\)$"):
                 alpha_for_specificity(bad)
 
     @given(st.floats(min_value=0.01, max_value=0.99))

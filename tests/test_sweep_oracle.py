@@ -29,14 +29,7 @@ from parasitometrics.calibration import (
 )
 from parasitometrics.curves import patient_roc
 from parasitometrics.datamodel import GroundTruth
-from parasitometrics.errors import (
-    AllCandidatesDegenerate,
-    DegenerateDataError,
-    InsufficientPatients,
-    NoEligiblePatients,
-    OutOfRange,
-    ZeroSensitivity,
-)
+from parasitometrics.errors import DegenerateDataError, InputError
 from parasitometrics.metrics import (
     MetricDistribution,
     MetricKind,
@@ -58,7 +51,7 @@ def loop_fpr_distribution(cohort, C, negatives_only=True):
     else:
         patients = list(cohort.patients)
     if not patients:
-        raise NoEligiblePatients("no negative patients for FPR distribution")
+        raise DegenerateDataError("no negative patients for FPR distribution")
     warnings = ()
     if not negatives_only and any(
         p.ground_truth is GroundTruth.POSITIVE for p in patients
@@ -82,7 +75,7 @@ def loop_sensitivity_distribution(cohort, C):
         else:
             per[p.patient_id] = tp / n_parasites
     if not per:
-        raise NoEligiblePatients("no positive patients with parasite objects")
+        raise DegenerateDataError("no positive patients with parasite objects")
     return MetricDistribution(kind=MetricKind.OBJECT_SENSITIVITY, per_patient=per,
                               summary=summarize(per.values()), excluded=tuple(excluded))
 
@@ -92,12 +85,12 @@ def loop_estimate_lod(F, S, cfg):
     z = math.ceil(100 * NormalDist().inv_cdf(cfg.K)) / 100
     if cfg.method is CalibrationMethod.ROBUST:
         if fs.n < 2:
-            raise InsufficientPatients("robust LoD needs >= 2 negative patients")
+            raise DegenerateDataError("robust LoD needs >= 2 negative patients")
         denom = ss.median
         if cfg.beta is not None:
             denom = ss.median - cfg.beta * ss.std
         if denom <= 0:
-            raise ZeroSensitivity(f"LoD denominator {denom} <= 0")
+            raise DegenerateDataError(f"LoD denominator {denom} <= 0")
         numer = z * (fs.sigma_left + fs.sigma_right)
         if cfg.plus_one:
             numer += 1.0
@@ -105,12 +98,12 @@ def loop_estimate_lod(F, S, cfg):
                            sigma_left_F=fs.sigma_left, sigma_right_F=fs.sigma_right,
                            plus_one=cfg.plus_one, beta=cfg.beta)
     if fs.n < 2:
-        raise InsufficientPatients("LoD needs >= 2 negative patients")
+        raise DegenerateDataError("LoD needs >= 2 negative patients")
     denom = ss.mean
     if cfg.beta is not None:
         denom = ss.mean - cfg.beta * ss.std
     if denom <= 0:
-        raise ZeroSensitivity(f"LoD denominator {denom} <= 0")
+        raise DegenerateDataError(f"LoD denominator {denom} <= 0")
     numer = 2 * z * fs.std
     if cfg.plus_one:
         numer += 1.0
@@ -143,7 +136,7 @@ def loop_tune(train_positives, validation_negatives, validation_positives, K, C_
         if best is None or row.lod < best.lod or (row.lod == best.lod and row.C > best.C):
             best = row
     if best is None:
-        raise AllCandidatesDegenerate(
+        raise DegenerateDataError(
             "no C in the grid produced a well-defined (T, LoD) pair"
         )
     return OperatingPoint(C=best.C, T=best.T), table, skipped
@@ -292,7 +285,8 @@ def test_patient_roc_matches_per_t_loop(inputs):
 def test_one_negative_makes_every_c_degenerate():
     negatives = make_cohort(make_patient("n1", distractor_scores=(0.2, 0.6)))
     train = make_cohort(make_patient("p1", positive=True, parasite_scores=(0.7, 0.9)))
-    with pytest.raises(AllCandidatesDegenerate):
+    with pytest.raises(DegenerateDataError,
+                       match=r"no C in the grid produced a well-defined \(T, LoD\) pair"):
         tune_operating_point(train, negatives, None, [0.0, 0.5, 1.0])
 
 
@@ -300,9 +294,10 @@ def test_positives_without_parasites_make_every_c_degenerate():
     negatives = make_cohort(make_patient("n1", distractor_scores=(0.2,)),
                             make_patient("n2", distractor_scores=(0.6,)))
     train = make_cohort(make_patient("p1", positive=True, distractor_scores=(0.5,)))
-    with pytest.raises(AllCandidatesDegenerate):
+    with pytest.raises(DegenerateDataError,
+                       match=r"no C in the grid produced a well-defined \(T, LoD\) pair"):
         tune_operating_point(train, negatives, None, [0.0, 0.5])
-    with pytest.raises(NoEligiblePatients):
+    with pytest.raises(DegenerateDataError, match="no positive patients with parasite objects"):
         sensitivity_distributions(train, [0.0, 0.5])
 
 
@@ -315,9 +310,9 @@ def test_distribution_values_are_python_floats(mixed_cohort):
 
 @pytest.mark.parametrize("C", [-0.1, 1.5, math.nan])
 def test_out_of_range_c_raises(mixed_cohort, C):
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputError, match=rf"score threshold C={C} outside \[0, 1\]"):
         fpr_distributions(mixed_cohort, [0.5, C])
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputError, match=rf"score threshold C={C} outside \[0, 1\]"):
         sensitivity_distributions(mixed_cohort, [C])
 
 
@@ -325,5 +320,5 @@ def test_out_of_range_c_raises(mixed_cohort, C):
     (0.5, -1.0), (0.5, math.nan), (0.5, math.inf), (1.5, 1.0), (math.nan, 1.0),
 ])
 def test_patient_roc_rejects_bad_c_or_t(mixed_cohort, C, T):
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InputError, match="T=" if C == 0.5 else r"^C=.* outside \[0, 1\]$"):
         patient_roc(mixed_cohort, C, [0.0, T, 2.0])
