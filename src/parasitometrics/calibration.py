@@ -5,12 +5,12 @@ objects as parasites, and T, a per-cV count threshold diagnosing a patient as
 positive when N = TP + FP >= T.
 
 Given the per-patient FPR distribution F on validation negatives, T is set to
-hit a target specificity K. Four methods are supported:
+hit a target specificity K. Three methods compute it, or T is chosen by hand:
 
 * gaussian:   T = mean(F) + alpha * std(F), alpha the normal quantile of K
 * robust:     T = median(F) + alpha * sigma_right(F)    (skew-tolerant)
 * percentile: T = Kth percentile of F (linear interpolation)
-* manual:     T supplied by a human from a scatter of per-patient FP counts
+* by hand:    read fp_scatter (calibrate --scatter-out), then pass T as --T
 
 The LoD estimate follows from requiring a just-barely-positive diagnosis of a
 clean (1-K quantile FPR) sample with average sensitivity, so that a sample at
@@ -41,7 +41,6 @@ class CalibrationMethod(Enum):
     GAUSSIAN = "gaussian"
     ROBUST = "robust"
     PERCENTILE = "percentile"
-    MANUAL_SCATTER = "manual"
 
 
 @dataclass(frozen=True)
@@ -64,15 +63,12 @@ class CalibrationConfig:
     method: CalibrationMethod = CalibrationMethod.GAUSSIAN
     beta: float | None = None            # pessimistic LoD denominator knob
     plus_one: bool = False               # +1 in the LoD numerator
-    manual_T: float | None = None        # required for MANUAL_SCATTER
 
     def __post_init__(self):
         if not (0.0 < self.K < 1.0):
             raise InputError(f"target specificity K={self.K} outside (0, 1)")
-        for name in ("beta", "manual_T"):
-            value = getattr(self, name)
-            if value is not None and not (value >= 0 and math.isfinite(value)):
-                raise InputError(f"{name}={value} must be finite and >= 0")
+        if self.beta is not None and not (self.beta >= 0 and math.isfinite(self.beta)):
+            raise InputError(f"beta={self.beta} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,7 @@ class LodEstimate:
 
 
 def fp_scatter(F: MetricDistribution) -> list[tuple[str, float]]:
-    """Sorted per-patient FP counts per cV, for the manual scatter method."""
+    """Sorted per-patient FP counts per cV: choose T from them, then pass it as --T."""
     return sorted(F.per_patient.items(), key=lambda kv: (kv[1], kv[0]))
 
 
@@ -98,13 +94,6 @@ def calibrate_threshold(F: MetricDistribution, cfg: CalibrationConfig) -> float:
     """Count threshold T (per cV) hitting target specificity K on F."""
     s = F.summary
     method = cfg.method
-    if method is CalibrationMethod.MANUAL_SCATTER:
-        if cfg.manual_T is None:
-            raise InputError(
-                "manual-scatter calibration needs an explicit T; inspect "
-                "fp_scatter(F) and supply manual_T"
-            )
-        return float(cfg.manual_T)
     if method in (CalibrationMethod.GAUSSIAN, CalibrationMethod.ROBUST) and s.n < 2:
         raise DegenerateDataError(
             f"{method.value} calibration needs >= 2 patients, got {s.n}"
@@ -122,6 +111,8 @@ def estimate_lod(
     """Limit of detection (parasites per cV) from the F and S distributions."""
     fs, ss = F.summary, S.summary
     robust = cfg.method is CalibrationMethod.ROBUST
+    # only robust has an LoD formula of its own; percentile gets the Gaussian one
+    method = CalibrationMethod.ROBUST if robust else CalibrationMethod.GAUSSIAN
     if fs.n < 2:
         raise DegenerateDataError(
             f"{'robust ' if robust else ''}LoD needs >= 2 negative patients"
@@ -141,7 +132,7 @@ def estimate_lod(
     if cfg.plus_one:
         numer += 1.0
     return LodEstimate(
-        L=numer / denom, method=cfg.method, mu_S=denom, plus_one=cfg.plus_one,
+        L=numer / denom, method=method, mu_S=denom, plus_one=cfg.plus_one,
         beta=cfg.beta, **sigmas,
     )
 

@@ -103,14 +103,16 @@ def _parse_bins(spec: str):
     return tuple(zip(bounds, bounds[1:]))
 
 
-def _parse_method(name: str) -> CalibrationMethod:
-    try:
-        return CalibrationMethod(name)
-    except ValueError:
-        raise InputError(
-            f"unknown calibration method {name!r}; "
-            f"choose from {[m.value for m in CalibrationMethod]}"
-        )
+# the LoD has a Gaussian and a robust formula; percentile calibration has none
+_LOD_METHODS = (CalibrationMethod.GAUSSIAN, CalibrationMethod.ROBUST)
+
+
+def _parse_method(name: str, choices=tuple(CalibrationMethod),
+                  what: str = "calibration") -> CalibrationMethod:
+    by_value = {m.value: m for m in choices}
+    if name not in by_value:
+        raise InputError(f"unknown {what} method {name!r}; choose from {list(by_value)}")
+    return by_value[name]
 
 
 @click.group()
@@ -144,9 +146,6 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
         raise InputError("--C is required")
     cfg = CalibrationConfig(K=0.95 if spec_target is None else spec_target,
                             method=_parse_method(calib_method))
-    if cfg.method is CalibrationMethod.MANUAL_SCATTER and t_threshold is None:
-        raise InputError("--calib-method manual needs --T: write the FP scatter with "
-                         "calibrate --scatter-out, choose T from it and pass it as --T")
     fpr = None
     if cohort.negatives:
         fpr = fpr_distribution(cohort, c_threshold, negatives_only=True)
@@ -175,7 +174,7 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
 
     lods = []
     if fpr is not None and sens is not None:
-        for method in (CalibrationMethod.GAUSSIAN, CalibrationMethod.ROBUST):
+        for method in _LOD_METHODS:
             try:
                 lods.append(estimate_lod(fpr, sens, replace(cfg, method=method)))
             except DegenerateDataError as exc:
@@ -216,17 +215,15 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
 @click.option("--C", "c_threshold", type=float, required=True)
 @click.option("--spec-target", type=float, default=0.95, show_default=True)
 @click.option("--method", default="gaussian", show_default=True)
-@click.option("--manual-t", type=float, default=None,
-              help="explicit T for the manual-scatter method")
 @click.option("--scatter-out", type=click.Path(), default=None,
-              help="write the per-patient FP scatter CSV here")
+              help="write the per-patient FP scatter CSV here (to choose T by hand, as --T)")
 @_handle_errors
 def calibrate(json_path, patients, objects, cv_description, c_threshold, spec_target,
-              method, manual_t, scatter_out):
+              method, scatter_out):
     """Calibrate the count threshold T for a target specificity."""
     cohort = _load_cohort(json_path, patients, objects, cv_description)
     fpr = fpr_distribution(cohort, c_threshold, negatives_only=True)
-    cfg = CalibrationConfig(K=spec_target, method=_parse_method(method), manual_T=manual_t)
+    cfg = CalibrationConfig(K=spec_target, method=_parse_method(method))
     if scatter_out:
         with open(scatter_out, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
@@ -243,16 +240,18 @@ def calibrate(json_path, patients, objects, cv_description, c_threshold, spec_ta
 @main.command()
 @_dataset_options
 @click.option("--C", "c_threshold", type=float, required=True)
-@click.option("--method", default="gaussian", show_default=True)
+@click.option("--method", default="gaussian", show_default=True,
+              help="LoD formula: gaussian or robust")
 @click.option("--beta", type=float, default=None, help="pessimistic denominator knob")
 @click.option("--plus-one", is_flag=True, default=False)
 @_handle_errors
 def lod(json_path, patients, objects, cv_description, c_threshold, method, beta, plus_one):
     """Estimate the limit of detection from a cohort's F and S distributions."""
+    lod_method = _parse_method(method, _LOD_METHODS, "LoD")
     cohort = _load_cohort(json_path, patients, objects, cv_description)
     fpr = fpr_distribution(cohort, c_threshold, negatives_only=True)
     sens = sensitivity_distribution(cohort, c_threshold)
-    cfg = CalibrationConfig(method=_parse_method(method), beta=beta, plus_one=plus_one)
+    cfg = CalibrationConfig(method=lod_method, beta=beta, plus_one=plus_one)
     est = estimate_lod(fpr, sens, cfg)
     click.echo(f"LoD = {est.L!r} parasites per cV ({est.method.value})")
 
@@ -273,11 +272,6 @@ def lod(json_path, patients, objects, cv_description, c_threshold, method, beta,
 def tune(train_pos, val_neg, val_pos, spec_target, c_grid, calib_method, out_path):
     """Sweep C, calibrate T at each, and pick the operating point with lowest LoD."""
     method = _parse_method(calib_method)
-    if method is CalibrationMethod.MANUAL_SCATTER:
-        raise InputError(
-            "tune calibrates T at every C, so it cannot take a manual T; choose "
-            f"--calib-method from {[m.value for m in CalibrationMethod if m is not method]}"
-        )
     train = ingest_cohort_json(train_pos)
     negatives = ingest_cohort_json(val_neg)
     if not negatives.negatives:
@@ -285,7 +279,7 @@ def tune(train_pos, val_neg, val_pos, spec_target, c_grid, calib_method, out_pat
             "operating-point tuning requires a validation set of negative patients"
         )
     positives = ingest_cohort_json(val_pos) if val_pos else None
-    grid = _parse_floats(c_grid, "C grid") if c_grid else default_c_grid(train)
+    grid = _parse_floats(c_grid, "C grid") if c_grid is not None else default_c_grid(train)
     cfg = CalibrationConfig(K=spec_target, method=method)
     best, table, skipped = tune_operating_point(train, negatives, positives, grid, cfg)
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -374,10 +368,10 @@ def poisson(parasitemia, volumes, k_min, confidence, out_path):
               help="RNG seed (PARASITOMETRICS_SEED env var overrides the default)")
 @click.option("--preset", type=click.Choice(["default", "who56"]), default="default",
               show_default=True)
-@click.option("--n-negative", type=int, default=20, show_default=True)
-@click.option("--n-positive", type=int, default=20, show_default=True)
-@click.option("--volume", type=float, default=1.0, show_default=True,
-              help="examined volume per patient, in cV")
+@click.option("--n-negative", type=int, default=None, help="for --preset default [default: 20]")
+@click.option("--n-positive", type=int, default=None, help="for --preset default [default: 20]")
+@click.option("--volume", type=float, default=None,
+              help="examined volume per patient in cV, for --preset default [default: 1.0]")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
@@ -393,13 +387,16 @@ def simulate(seed, preset, n_negative, n_positive, volume, out_dir, fmt):
         except ValueError:
             raise InputError(f"PARASITOMETRICS_SEED {text!r} is not an integer") from None
     if preset == "who56":
+        if (n_negative, n_positive, volume) != (None, None, None):
+            raise InputError("--n-negative, --n-positive and --volume apply to --preset "
+                             "default; who56 sets its own cohort size and volume")
         cfg = who56_preset(seed=seed)
     else:
         cfg = SimConfig(
             seed=seed,
-            n_negative=n_negative,
-            n_positive=n_positive,
-            examined_volume=volume,
+            n_negative=20 if n_negative is None else n_negative,
+            n_positive=20 if n_positive is None else n_positive,
+            examined_volume=1.0 if volume is None else volume,
         )
     cohort = generate_cohort(cfg)
     out = Path(out_dir)

@@ -47,15 +47,6 @@ class TestCalibrateThreshold:
         cfg = CalibrationConfig(K=0.95, method=CalibrationMethod.PERCENTILE)
         assert calibrate_threshold(F, cfg) == pytest.approx(95.0)
 
-    def test_manual_requires_T(self):
-        F = fdist([1.0, 2.0])
-        with pytest.raises(InputError, match="manual-scatter calibration needs an explicit T"):
-            calibrate_threshold(
-                F, CalibrationConfig(method=CalibrationMethod.MANUAL_SCATTER)
-            )
-        cfg = CalibrationConfig(method=CalibrationMethod.MANUAL_SCATTER, manual_T=7.5)
-        assert calibrate_threshold(F, cfg) == 7.5
-
     def test_scatter_export_sorted(self):
         F = fdist([5.0, 1.0, 3.0])
         values = [v for _, v in fp_scatter(F)]
@@ -107,6 +98,14 @@ class TestEstimateLod:
         S = sdist([1.0, 1.0])
         est = estimate_lod(F, S, CalibrationConfig(plus_one=True))
         assert est.L == pytest.approx(1.0)
+
+    def test_percentile_config_gets_the_gaussian_lod_and_its_label(self):
+        # the LoD has no percentile formula; the tuner's percentile sweep reads this one
+        F = fdist([30.0, 50.0, 70.0])
+        S = sdist([0.5, 0.66, 0.8])
+        est = estimate_lod(F, S, CalibrationConfig(method=CalibrationMethod.PERCENTILE))
+        assert est == estimate_lod(F, S, CalibrationConfig(method=CalibrationMethod.GAUSSIAN))
+        assert est.method is CalibrationMethod.GAUSSIAN
 
     def test_robust_formula(self):
         # sigma_L=5, sigma_R=20, median(S)=0.5 -> 1.65*25/0.5 = 82.5

@@ -169,31 +169,6 @@ class TestEvaluate:
         assert len(result.stderr.splitlines()) == 1
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("args", [[], ["--spec-target", "0.95"]],
-                             ids=["no-spec-target", "spec-target"])
-    def test_manual_calibration_without_t_is_input_error(self, runner, tmp_path, args):
-        patients, objects = _write_mixed_cohort_csvs(tmp_path)
-        result = runner.invoke(main, [
-            "evaluate", "--patients", str(patients), "--objects", str(objects),
-            "--C", "0.5", "--calib-method", "manual", *args, "--out", str(tmp_path / "r"),
-        ])
-        assert result.exit_code == 2, result.output
-        assert result.stderr == (
-            "error: --calib-method manual needs --T: write the FP scatter with "
-            "calibrate --scatter-out, choose T from it and pass it as --T\n")
-        assert not (tmp_path / "r").exists()
-
-    def test_manual_calibration_with_t_writes_the_report(self, runner, tmp_path):
-        patients, objects = _write_mixed_cohort_csvs(tmp_path)
-        out = tmp_path / "r"
-        result = runner.invoke(main, [
-            "evaluate", "--patients", str(patients), "--objects", str(objects),
-            "--C", "0.5", "--T", "3.5", "--calib-method", "manual", "--out", str(out),
-        ])
-        assert result.exit_code == 0, result.output
-        doc = json.loads((out / "report.json").read_text())
-        assert doc["metadata"]["operating_point"] == {"C": 0.5, "T": 3.5}
-
     def test_skipped_lod_is_a_warning(self, runner, tmp_path):
         # no parasite scores >= C, so mean and median S are 0 and neither LoD exists
         cohort = make_cohort(
@@ -298,35 +273,72 @@ class TestCalibrateAndLod:
         assert "(robust)" in result.output
 
     def test_unknown_method_is_input_error(self, runner, tmp_path):
-        patients, objects = _write_mixed_cohort_csvs(tmp_path)
-        result = runner.invoke(main, [
-            "lod", "--patients", str(patients), "--objects", str(objects),
-            "--C", "0.5", "--method", "bogus",
-        ])
-        assert result.exit_code == 2
+        # the LoD has only a Gaussian and a robust formula, so percentile is unknown
+        # too; the method is checked before the cohort is read, so the missing file
+        # is never opened
+        for method in ("bogus", "percentile"):
+            result = runner.invoke(main, [
+                "lod", "--json", str(tmp_path / "missing.json"), "--C", "0.5",
+                "--method", method,
+            ])
+            assert result.exit_code == 2, result.output
+            assert result.stderr == (f"error: unknown LoD method {method!r}; "
+                                     "choose from ['gaussian', 'robust']\n")
+            assert result.stdout == ""
 
 
 @pytest.mark.parametrize("args", [
-    ["calibrate", "--method", "manual", "--manual-t", "-5"],
-    ["calibrate", "--method", "manual", "--manual-t", "nan"],
     ["lod", "--beta", "nan"],
     ["lod", "--beta", "inf"],
     ["poisson", "-p", "1e300", "-v", "1e300"],
     ["poisson", "-p", "3e6", "-v", "1"],
-], ids=["manual-t-negative", "manual-t-nan", "beta-nan", "beta-inf", "p-times-v-overflows",
-        "p-times-v-above-limit"])
+], ids=["beta-nan", "beta-inf", "p-times-v-overflows", "p-times-v-above-limit"])
 def test_unusable_number_is_one_line_input_error(runner, tmp_path, args):
     if args[0] != "poisson":
         patients, objects = _write_mixed_cohort_csvs(tmp_path)
         args = [*args, "--patients", str(patients), "--objects", str(objects), "--C", "0.5"]
-    if args[0] == "calibrate":
-        args.extend(["--scatter-out", str(tmp_path / "scatter.csv")])
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: ")
     assert len(result.stderr.splitlines()) == 1
     assert result.stdout == ""
-    assert not (tmp_path / "scatter.csv").exists()
+
+
+CALIBRATION_CHOICES = "['gaussian', 'robust', 'percentile']"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["evaluate", "--patients", "P", "--objects", "O", "--C", "0.5", "--T", "3.5",
+      "--calib-method", "manual", "--out", "OUT"],
+     f"unknown calibration method 'manual'; choose from {CALIBRATION_CHOICES}"),
+    (["calibrate", "--patients", "P", "--objects", "O", "--C", "0.5", "--method", "manual"],
+     f"unknown calibration method 'manual'; choose from {CALIBRATION_CHOICES}"),
+    # tune checks the method before it reads a file, so the CSVs never reach its JSON reader
+    (["tune", "--train-positives", "P", "--validation-negatives", "O",
+      "--calib-method", "manual", "--out", "OUT"],
+     f"unknown calibration method 'manual'; choose from {CALIBRATION_CHOICES}"),
+    (["lod", "--patients", "P", "--objects", "O", "--C", "0.5", "--method", "manual"],
+     "unknown LoD method 'manual'; choose from ['gaussian', 'robust']"),
+], ids=["evaluate", "calibrate", "tune", "lod"])
+def test_manual_method_is_unknown(runner, tmp_path, args, message):
+    # a T chosen by hand from calibrate --scatter-out is passed as --T; no method echoes it
+    patients, objects = _write_mixed_cohort_csvs(tmp_path)
+    paths = {"P": str(patients), "O": str(objects), "OUT": str(tmp_path / "out")}
+    result = runner.invoke(main, [paths.get(a, a) for a in args])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {message}\n"
+    assert result.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_manual_t_is_an_unknown_option(runner, tmp_path):
+    patients, objects = _write_mixed_cohort_csvs(tmp_path)
+    result = runner.invoke(main, [
+        "calibrate", "--patients", str(patients), "--objects", str(objects),
+        "--C", "0.5", "--manual-t", "3",
+    ])
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr and "--manual-t" in result.stderr
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -402,12 +414,16 @@ class TestTune:
         cohort = generate_cohort(SimConfig(seed=13, n_negative=5, n_positive=5))
         p = tmp_path / "cohort.json"
         export_cohort_json(cohort, p)
-        result = runner.invoke(main, [
-            "tune", "--train-positives", str(p), "--validation-negatives", str(p),
-            "--c-grid", "0.5,x", "--out", str(tmp_path / "t.csv"),
-        ])
-        assert result.exit_code == 2
-        assert result.stderr == "error: could not parse C grid '0.5,x'\n"
+        for grid, message in [("0.5,x", "could not parse C grid '0.5,x'"),
+                              (",", "C_grid must be non-empty"),
+                              ("", "C_grid must be non-empty")]:
+            result = runner.invoke(main, [
+                "tune", "--train-positives", str(p), "--validation-negatives", str(p),
+                "--c-grid", grid, "--out", str(tmp_path / "t.csv"),
+            ])
+            assert result.exit_code == 2, grid
+            assert result.stderr == f"error: {message}\n"
+            assert not (tmp_path / "t.csv").exists()
 
     def test_skipped_c_is_a_warning(self, runner, tmp_path):
         train = generate_cohort(SimConfig(seed=11, n_negative=0, n_positive=10,
@@ -429,21 +445,6 @@ class TestTune:
         assert result.stderr == "warning: C=1.0 skipped: LoD denominator 0.0 <= 0\n"
         assert [line.split(",")[0] for line in table.read_text().splitlines()] == \
             ["C", "0.3", "0.5"]
-
-    def test_manual_calibration_is_input_error(self, runner, tmp_path):
-        cohort = generate_cohort(SimConfig(seed=13, n_negative=5, n_positive=5))
-        p = tmp_path / "cohort.json"
-        export_cohort_json(cohort, p)
-        result = runner.invoke(main, [
-            "tune", "--train-positives", str(p), "--validation-negatives", str(p),
-            "--calib-method", "manual", "--out", str(tmp_path / "tune.csv"),
-        ])
-        assert result.exit_code == 2, result.output
-        assert result.stderr == (
-            "error: tune calibrates T at every C, so it cannot take a manual T; choose "
-            "--calib-method from ['gaussian', 'robust', 'percentile']\n")
-        assert result.stdout == ""
-        assert not (tmp_path / "tune.csv").exists()
 
     def test_tune_rejects_positive_only_validation(self, runner, tmp_path):
         pos = generate_cohort(SimConfig(seed=13, n_negative=0, n_positive=5))
@@ -589,6 +590,29 @@ class TestSimulateCommand:
         assert "Traceback" not in result.output
         assert not (tmp_path / "s").exists()
 
+    def test_default_preset_sizes(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "simulate", "--seed", "1", "--out", str(tmp_path / "d"), "--format", "json",
+        ])
+        assert result.exit_code == 0, result.output
+        patients = json.loads((tmp_path / "d" / "cohort.json").read_text())["patients"]
+        assert sorted(p["ground_truth"] for p in patients) == ["neg"] * 20 + ["pos"] * 20
+        assert {p["examined_volume"] for p in patients} == {1.0}
+
+    @pytest.mark.parametrize("args", [["--n-negative", "3"], ["--n-positive", "20"],
+                                      ["--volume", "5"]],
+                             ids=["n-negative", "n-positive", "volume"])
+    def test_who56_rejects_a_size_option(self, runner, tmp_path, args):
+        result = runner.invoke(main, [
+            "simulate", "--preset", "who56", *args, "--out", str(tmp_path / "w"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (
+            "error: --n-negative, --n-positive and --volume apply to --preset default; "
+            "who56 sets its own cohort size and volume\n")
+        assert result.stdout == ""
+        assert not (tmp_path / "w").exists()
+
     def test_who56_preset(self, runner, tmp_path):
         result = runner.invoke(main, [
             "simulate", "--preset", "who56", "--seed", "1",
@@ -638,6 +662,23 @@ def _fresh_import(modules: str, package: str) -> list[str]:
     result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                             text=True, check=True)
     return json.loads(result.stdout)
+
+
+def test_readme_commands_use_only_real_options():
+    # each `parasitometrics <command>` line of README's sh block under "Commands:",
+    # continuation lines joined and comments left out
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("Commands:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.strip() and not line.lstrip().startswith("#")]
+    assert all(line.startswith("parasitometrics ") for line in lines), lines
+    assert {line.split()[1] for line in lines} == set(main.commands)
+    for line in lines:
+        _, name, *tokens = line.split()
+        options = {opt for param in main.commands[name].params
+                   for opt in (*param.opts, *param.secondary_opts)}
+        used = [t for t in tokens if t.startswith("-") and not t[1:2].isdigit()]
+        assert used and set(used) <= options, (line, set(used) - options)
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -7,7 +7,8 @@ per-C code before F and S came from one (threshold x patient) count matrix;
 once and swept T over the sorted N. They stay here as the reference, and the
 sweeps must match them exactly: same rows, same floats, same value types,
 same exceptions. ``loop_estimate_lod`` scales its numerator with the target
-specificity K, as the LoD does since it follows K rather than a fixed 95%.
+specificity K, as the LoD does since it follows K rather than a fixed 95%, and
+labels every estimate but the robust one gaussian, the formula it used.
 """
 
 import math
@@ -107,8 +108,8 @@ def loop_estimate_lod(F, S, cfg):
     numer = 2 * z * fs.std
     if cfg.plus_one:
         numer += 1.0
-    return LodEstimate(L=numer / denom, method=cfg.method, mu_S=denom, sigma_F=fs.std,
-                       plus_one=cfg.plus_one, beta=cfg.beta)
+    return LodEstimate(L=numer / denom, method=CalibrationMethod.GAUSSIAN, mu_S=denom,
+                       sigma_F=fs.std, plus_one=cfg.plus_one, beta=cfg.beta)
 
 
 def loop_tuning_row(train_positives, validation_negatives, validation_positives, C, cfg):
