@@ -25,7 +25,6 @@ from .datamodel import (  # noqa: F401
     per_cv_counts,
 )
 from .metrics import (  # noqa: F401
-    ConfusionMatrix,
     MetricDistribution,
     StratifiedResult,
     fpr_distribution,
@@ -33,7 +32,6 @@ from .metrics import (  # noqa: F401
     patient_level_sens_spec,
     pooled_object_sensitivity,
     sensitivity_distribution,
-    species_confusion,
 )
 from .quant import (  # noqa: F401
     ExpectedRates,
@@ -41,6 +39,5 @@ from .quant import (  # noqa: F401
     estimate_parasitemia,
     quant_fom,
     quant_report,
-    volume_error_decomposition,
 )
 from .stats import DistSummary, alpha_for_specificity, summarize  # noqa: F401

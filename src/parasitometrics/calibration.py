@@ -184,7 +184,8 @@ def tune_operating_point(
     S is computed over validation positives when given, else (less ideal but
     workable) over the training positives. Ties in LoD break toward larger C.
     A C where T or the LoD is undefined has no row in the table; it is listed
-    in ``skipped`` as ``(C, reason)``, in ascending C.
+    in ``skipped`` as ``(C, reason)``, in ascending C. A cohort with no F or S
+    distribution at all raises its own DegenerateDataError.
     """
     grid = sorted(set(float(c) for c in C_grid))
     if not grid:
@@ -193,15 +194,11 @@ def tune_operating_point(
         raise InputError("C_grid values must lie in [0, 1]")
 
     s_cohort = validation_positives if validation_positives is not None else train_positives
-    try:
-        cells = zip(grid, fpr_distributions(validation_negatives, grid, negatives_only=True),
-                    sensitivity_distributions(s_cohort, grid))
-    except DegenerateDataError:
-        cells = ()
     table: list[TuningRow] = []
     skipped: list[tuple[float, str]] = []
     best: TuningRow | None = None
-    for c, F, S in cells:
+    for c, F, S in zip(grid, fpr_distributions(validation_negatives, grid, negatives_only=True),
+                       sensitivity_distributions(s_cohort, grid)):
         try:
             T = calibrate_threshold(F, cfg)
             lod = estimate_lod(F, S, cfg)

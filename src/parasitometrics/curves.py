@@ -53,7 +53,6 @@ class CurveKind(Enum):
     SLIVER_ROC = "sliver_roc"
     FROC = "froc"
     PATIENT_ROC = "patient_roc"
-    PRECISION_RECALL = "precision_recall"
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,10 @@ class CurvePoints:
     parasitemia_distribution: tuple[float, ...] | None = None
 
 
-def _roc(scores: np.ndarray, is_parasite: np.ndarray) -> CurvePoints:
-    """Object ROC at every distinct score, between the sentinels, with its AUC."""
+def object_roc(cohort: CohortDataset) -> CurvePoints:
+    """Object ROC over all objects pooled: TP vs FP fraction at every distinct
+    score, between the reject-all and accept-all sentinels, with its rank AUC."""
+    scores, is_parasite = pooled_scores(cohort.patients)
     n_pos = int(is_parasite.sum())
     n_neg = len(scores) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -97,24 +98,6 @@ def _roc(scores: np.ndarray, is_parasite: np.ndarray) -> CurvePoints:
     return CurvePoints(
         kind=CurveKind.OBJECT_ROC, points=tuple(points), auc=two_u / (2 * n_pos * n_neg)
     )
-
-
-def object_roc(cohort: CohortDataset, pooled: bool = True):
-    """Standard object-level ROC (TP fraction vs FP fraction) with rank AUC.
-
-    pooled=True returns one curve over all objects; pooled=False returns a
-    dict patient_id -> CurvePoints, one curve per patient with both classes.
-    """
-    if pooled:
-        return _roc(*pooled_scores(cohort.patients))
-    out = {
-        p.patient_id: _roc(*pooled_scores([p]))
-        for p in cohort
-        if p.n_parasite_objects and p.n_distractor_objects
-    }
-    if not out:
-        raise DegenerateDataError("no patient has both parasite and distractor objects")
-    return out
 
 
 def sliver_roc(roc: CurvePoints, D: float) -> CurvePoints:
@@ -142,18 +125,13 @@ def sliver_roc(roc: CurvePoints, D: float) -> CurvePoints:
     )
 
 
-def froc(
-    cohort: CohortDataset,
-    fp_grid=None,
-    pooled_sensitivity: bool = True,
-) -> CurvePoints:
+def froc(cohort: CohortDataset, fp_grid=None) -> CurvePoints:
     """Free ROC: object sensitivity vs false positives per cV.
 
     The x axis is the mean FP per cV over negative patients (falling back to
     positives, with a warning, when the cohort has no negatives). y is pooled
-    object sensitivity, or the mean per-patient sensitivity when
-    pooled_sensitivity=False. When fp_grid is given the curve is also
-    interpolated onto it (``grid_points``).
+    object sensitivity. When fp_grid is given the curve is also interpolated
+    onto it (``grid_points``).
     """
     positives = [p for p in cohort.positives if p.n_parasite_objects > 0]
     if not positives:
@@ -177,10 +155,7 @@ def froc(
         fp = counts_at(fp_patients, block, "distractor_scores")
         fp_rates.append(np.mean(fp / volumes, axis=1))
         tp = counts_at(positives, block, "parasite_scores")
-        if pooled_sensitivity:
-            sens.append(tp.sum(axis=1) / n_parasites.sum())
-        else:
-            sens.append(np.mean(tp / n_parasites, axis=1))
+        sens.append(tp.sum(axis=1) / n_parasites.sum())
     points = [(0.0, 0.0, math.inf)]  # reject-all sentinel: nothing passes
     points += zip(
         np.concatenate(fp_rates).tolist(),

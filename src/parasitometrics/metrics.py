@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,29 +76,6 @@ class StratifiedResult:
     parasitemia_strata: tuple[Stratum, ...]
     species_strata: tuple[Stratum, ...]
     overall: float
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """True species x predicted species counts over patients."""
-
-    labels: tuple[Species, ...]
-    counts: dict[Species, dict[Species, int]]
-
-    def collapse_falciparum(self) -> dict[str, dict[str, int]]:
-        """2x2 collapse: falciparum (incl. mixed) vs everything else.
-
-        Misidentifying falciparum is the highest-stakes error, so the binary
-        view is always worth reporting alongside the full matrix.
-        """
-        def bucket(sp: Species) -> str:
-            return "pf" if sp in (Species.FALCIPARUM, Species.MIXED) else "non-pf"
-
-        out = {"pf": {"pf": 0, "non-pf": 0}, "non-pf": {"pf": 0, "non-pf": 0}}
-        for true_sp, row in self.counts.items():
-            for pred_sp, n in row.items():
-                out[bucket(true_sp)][bucket(pred_sp)] += n
-        return out
 
 
 def _distributions(kind, ids, values: np.ndarray, **extra) -> list[MetricDistribution]:
@@ -274,21 +251,3 @@ def patient_level_sens_spec(
         overall=overall,
     )
     return result, specificity
-
-
-def species_confusion(
-    cohort: CohortDataset, predicted: Mapping[str, Species]
-) -> ConfusionMatrix:
-    """Confusion matrix of true vs predicted species over all patients."""
-    labels = tuple(Species)
-    counts: dict[Species, dict[Species, int]] = {
-        t: {p: 0 for p in labels} for t in labels
-    }
-    for p in cohort:
-        if p.patient_id not in predicted:
-            raise InputError(f"no species prediction for patient {p.patient_id!r}")
-        counts[p.species][predicted[p.patient_id]] += 1
-    extraneous = set(predicted) - {p.patient_id for p in cohort}
-    if extraneous:
-        raise InputError(f"predictions for unknown patient(s): {sorted(extraneous)}")
-    return ConfusionMatrix(labels=labels, counts=counts)

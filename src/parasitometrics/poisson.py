@@ -90,10 +90,3 @@ def min_volume_for_detection(P: float, k_min: int, confidence: float) -> float:
         if hi - lo <= 1e-6 * hi:
             break
     return hi
-
-
-def quantitation_relative_poisson_error(P: float, V: float) -> float:
-    """Coefficient of variation 1/sqrt(P*V) of the sampled parasite count."""
-    if P <= 0 or V <= 0 or not (math.isfinite(P) and math.isfinite(V)):
-        raise InputError("P and V must be finite and > 0")
-    return 1.0 / math.sqrt(P * V)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import CohortDataset, PatientRecord, counts_at
+from .datamodel import CohortDataset, counts_at
 from .errors import DegenerateDataError, InputError
 from .metrics import MetricDistribution
 from .stats import sorted_median
@@ -86,31 +86,6 @@ def quant_fom(S: MetricDistribution, F: MetricDistribution, P: float) -> float:
     if mu_s <= 0:
         raise DegenerateDataError("mean sensitivity must be > 0")
     return S.summary.std / mu_s + F.summary.std / (mu_s * P)
-
-
-def fom_crossover(S: MetricDistribution, F: MetricDistribution) -> float:
-    """Parasitemia where the two figure-of-merit terms are equal: sigma(F)/sigma(S)."""
-    sigma_s = S.summary.std
-    if sigma_s <= 0:
-        raise DegenerateDataError("sigma(S) must be > 0 for a crossover")
-    return F.summary.std / sigma_s
-
-
-def volume_error_decomposition(
-    patient: PatientRecord, wbc_true: int, wbc_estimated: int, P_hat: float
-) -> tuple[float, float]:
-    """Compartmentalize WBC-derived volume error out of a parasitemia estimate.
-
-    Thick-film volume is estimated by counting WBCs, so volume error is
-    proportional to WBC count error. Returns (P_hat_oracle_volume,
-    volume_error_factor): the estimate corrected to the true (oracle) volume,
-    and the multiplicative error factor wbc_true / wbc_estimated that the
-    estimated volume introduced.
-    """
-    if wbc_true <= 0 or wbc_estimated <= 0:
-        raise InputError("WBC counts must be positive")
-    factor = wbc_true / wbc_estimated
-    return P_hat * wbc_estimated / wbc_true, factor
 
 
 def _r2(x: np.ndarray, y: np.ndarray) -> float | None:

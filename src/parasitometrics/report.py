@@ -24,7 +24,7 @@ from . import __version__
 from .calibration import LodEstimate, OperatingPoint
 from .curves import CurvePoints
 from .errors import ReportInvariantError
-from .metrics import ConfusionMatrix, MetricDistribution, StratifiedResult
+from .metrics import MetricDistribution, StratifiedResult
 from .quant import QuantResult
 
 SCHEMA_VERSION = 1
@@ -43,7 +43,6 @@ class EvaluationReport:
     specificity_absent_reason: str | None = None
     lod_estimates: list[LodEstimate] = field(default_factory=list)
     curves: dict[str, CurvePoints] = field(default_factory=dict)
-    confusion: ConfusionMatrix | None = None
     quantitation: QuantResult | None = None
     warnings: list[str] = field(default_factory=list)
 
@@ -157,15 +156,6 @@ def _document(report: EvaluationReport, points) -> dict:
                 "notes": list(c.notes),
             }
             for name, c in report.curves.items()
-        }
-    if report.confusion is not None:
-        doc["species_confusion"] = {
-            "labels": [sp.value for sp in report.confusion.labels],
-            "counts": {
-                t.value: {p.value: n for p, n in row.items()}
-                for t, row in report.confusion.counts.items()
-            },
-            "falciparum_collapse": report.confusion.collapse_falciparum(),
         }
     if report.quantitation is not None:
         q = report.quantitation

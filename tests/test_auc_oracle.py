@@ -60,24 +60,16 @@ def oracle_roc(patients):
 
 
 def assert_roc_matches_oracle(cohort):
-    expected = oracle_roc(cohort.patients)
-    if expected is None:
-        with pytest.raises(DegenerateDataError,
-                           match="ROC needs at least one parasite and one distractor object"):
-            object_roc(cohort)
-    else:
-        roc = object_roc(cohort)
-        assert (roc.points, roc.auc) == expected
-
-    per_patient = {p.patient_id: oracle_roc([p]) for p in cohort}
-    per_patient = {pid: v for pid, v in per_patient.items() if v is not None}
-    if not per_patient:
-        with pytest.raises(DegenerateDataError,
-                           match="no patient has both parasite and distractor objects"):
-            object_roc(cohort, pooled=False)
-    else:
-        got = object_roc(cohort, pooled=False)
-        assert {pid: (c.points, c.auc) for pid, c in got.items()} == per_patient
+    """The pooled ROC, and each patient's ROC on a one-patient cohort."""
+    for sub in (cohort, *(make_cohort(p) for p in cohort)):
+        expected = oracle_roc(sub.patients)
+        if expected is None:
+            with pytest.raises(DegenerateDataError,
+                               match="ROC needs at least one parasite and one distractor object"):
+                object_roc(sub)
+        else:
+            roc = object_roc(sub)
+            assert (roc.points, roc.auc) == expected
 
 
 # A few shared values make heavy ties; the floats make distinct scores.
@@ -141,10 +133,8 @@ def test_many_tied_objects_across_patients():
     make_cohort(make_patient("p", positive=True, parasite_scores=(0.4,))),
 ], ids=["no objects", "distractors only", "parasites only"])
 def test_missing_class_raises(cohort):
-    for pooled in (True, False):
-        message = "ROC needs at least one parasite" if pooled else "no patient has both"
-        with pytest.raises(DegenerateDataError, match=message):
-            object_roc(cohort, pooled=pooled)
+    with pytest.raises(DegenerateDataError, match="ROC needs at least one parasite"):
+        object_roc(cohort)
 
 
 def min_volume_oracle(P, k_min, confidence):

@@ -1,4 +1,7 @@
+import copy
 import csv
+import functools
+import io
 import json
 import math
 import os
@@ -446,6 +449,20 @@ class TestTune:
         assert [line.split(",")[0] for line in table.read_text().splitlines()] == \
             ["C", "0.3", "0.5"]
 
+    def test_positives_without_parasites_name_the_cause(self, runner, tmp_path):
+        sim = runner.invoke(main, ["simulate", "--seed", "2", "--n-positive", "0",
+                                   "--n-negative", "5", "--format", "json",
+                                   "--out", str(tmp_path / "sim")])
+        assert sim.exit_code == 0, sim.output
+        cohort = str(tmp_path / "sim" / "cohort.json")
+        result = runner.invoke(main, [
+            "tune", "--train-positives", cohort, "--validation-negatives", cohort,
+            "--out", str(tmp_path / "t.csv"),
+        ])
+        assert result.exit_code == 3
+        assert result.stderr == "error: no positive patients with parasite objects\n"
+        assert not (tmp_path / "t.csv").exists()
+
     def test_tune_rejects_positive_only_validation(self, runner, tmp_path):
         pos = generate_cohort(SimConfig(seed=13, n_negative=0, n_positive=5))
         p = tmp_path / "pos.json"
@@ -806,6 +823,80 @@ def test_cli_exit_codes_on_any_csv_text(texts, args):
             "evaluate", "--patients", paths[0], "--objects", paths[1],
             "--out", os.path.join(tmp, "r"), *args])
         _assert_clean_exit(result)
+
+
+@functools.cache
+def _seeded_cohort_files():
+    """A small simulated cohort as its JSON text and its CSV pair, in bytes."""
+    cohort = generate_cohort(SimConfig(seed=3, n_negative=3, n_positive=3,
+                                       examined_volume=0.05))
+    doc, objects, patients = io.StringIO(), io.StringIO(), io.StringIO()
+    export_cohort_json(cohort, doc)
+    export_cohort(cohort, objects, patients)
+    return {name: buf.getvalue().encode() for name, buf in
+            (("cohort.json", doc), ("objects.csv", objects), ("patients.csv", patients))}
+
+
+MUTATED_VALUES = st.sampled_from(
+    [None, math.nan, math.inf, -math.inf, 1e308, 2 ** 70, "", [0.5], {"k": 0.5}, KeyError])
+# None truncates the file where the other edits insert their bytes
+MUTATED_BYTES = st.sampled_from([None, b"\x00", b"\xff", b"\xef\xbb\xbf", b"\r", b'"'])
+
+
+@st.composite
+def mutated_cohort_files(draw):
+    """The seeded cohort's files with one value edited (JSON) or one byte edit."""
+    files = dict(_seeded_cohort_files())
+    if draw(st.booleans()):
+        doc = json.loads(files["cohort.json"])
+        patients = doc["patients"]
+        i = draw(st.integers(0, len(patients) - 1))
+        if draw(st.booleans()):
+            patients.append(copy.deepcopy(patients[i]))  # a duplicated patient
+        else:
+            objects = patients[i]["objects"]
+            j = draw(st.one_of(st.none(), st.integers(0, len(objects) - 1)))
+            path = ("patients", i) + (() if j is None else ("objects", j))
+            key = draw(st.sampled_from(PATIENT_KEYS if j is None else OBJECT_KEYS))
+            _set(path + (key,), draw(MUTATED_VALUES))(doc)  # KeyError drops the key
+        files["cohort.json"] = json.dumps(doc).encode()
+        return files, "cohort.json"
+    name = draw(st.sampled_from(sorted(files)))
+    blob = files[name]
+    at = draw(st.integers(0, len(blob)))
+    insert = draw(MUTATED_BYTES)
+    files[name] = blob[:at] if insert is None else blob[:at] + insert + blob[at:]
+    return files, name
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated=mutated_cohort_files())
+def test_commands_on_a_mutated_cohort_exit_cleanly(mutated):
+    files, edited = mutated
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {name: os.path.join(tmp, name) for name in files}
+        for name, blob in files.items():
+            with open(path[name], "wb") as fh:
+                fh.write(blob)
+        cohort = path["cohort.json"]
+        dataset = (["--json", cohort] if edited == "cohort.json" else
+                   ["--patients", path["patients.csv"], "--objects", path["objects.csv"]])
+        commands = [
+            ["evaluate", *dataset, "--C", "0.5", "--spec-target", "0.95", "--curves",
+             "--out", os.path.join(tmp, "e")],
+            ["calibrate", *dataset, "--C", "0.5", "--scatter-out", os.path.join(tmp, "s.csv")],
+            ["lod", *dataset, "--C", "0.5", "--method", "robust"],
+            ["quant", *dataset, "--C", "0.5", "--out", os.path.join(tmp, "q")],
+        ]
+        if edited == "cohort.json":
+            commands.append(["tune", "--train-positives", cohort, "--validation-negatives",
+                             cohort, "--out", os.path.join(tmp, "t.csv")])
+        for args in commands:
+            result = CliRunner().invoke(main, args)
+            _assert_clean_exit(result)
+            if result.exit_code == 3:
+                assert [line for line in result.stderr.splitlines()
+                        if line.startswith("error: ")] == [result.stderr.splitlines()[-1]]
 
 
 @pytest.mark.parametrize("command", ["evaluate", "tune"])

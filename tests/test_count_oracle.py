@@ -45,7 +45,7 @@ def _loop_n_parasites(p):
     return sum(1 for _, _, parasite in object_rows(p) if parasite)
 
 
-def loop_froc_points(cohort, pooled_sensitivity=True):
+def loop_froc_points(cohort):
     positives = [p for p in cohort.positives if _loop_n_parasites(p) > 0]
     fp_patients = cohort.negatives or cohort.patients
     all_scores = sorted({score for p in cohort for _, score, _ in object_rows(p)}, reverse=True)
@@ -59,14 +59,9 @@ def loop_froc_points(cohort, pooled_sensitivity=True):
             continue
         c = min(max(thr, 0.0), 1.0)
         fp_rate = float(np.mean([loop_patient_counts(p, c)[5] for p in fp_patients]))
-        if pooled_sensitivity:
-            tp = sum(loop_patient_counts(p, c)[0] for p in positives)
-            total = sum(_loop_n_parasites(p) for p in positives)
-            sens = tp / total
-        else:
-            per = [loop_patient_counts(p, c)[0] / _loop_n_parasites(p) for p in positives]
-            sens = float(np.mean(per))
-        points.append((fp_rate, sens, thr))
+        tp = sum(loop_patient_counts(p, c)[0] for p in positives)
+        total = sum(_loop_n_parasites(p) for p in positives)
+        points.append((fp_rate, tp / total, thr))
     return tuple(points)
 
 
@@ -253,13 +248,12 @@ def test_precision_pools_volume_as_a_running_sum():
 @settings(max_examples=150)
 @given(
     cohort=cohorts(),
-    pooled=st.booleans(),
     block=st.sampled_from([1, 3, 4096]),
 )
-def test_froc_matches_loop(cohort, pooled, block):
+def test_froc_matches_loop(cohort, block):
     with mock.patch.object(curves, "_FROC_BLOCK", block):
-        got = froc(cohort, pooled_sensitivity=pooled)
-    assert got.points == loop_froc_points(cohort, pooled_sensitivity=pooled)
+        got = froc(cohort)
+    assert got.points == loop_froc_points(cohort)
     assert got.notes == (() if cohort.negatives else (
         "no negative patients: FP/cV computed over all patients",))
 
@@ -276,6 +270,4 @@ def test_froc_matches_loop_on_many_patients():
     positive = make_patient("pos", positive=True, parasite_scores=(0.3, 0.7, 0.7, 0.95),
                             distractor_scores=(0.5,))
     cohort = make_cohort(positive, *negatives)
-    for pooled in (True, False):
-        assert froc(cohort, pooled_sensitivity=pooled).points == \
-            loop_froc_points(cohort, pooled_sensitivity=pooled)
+    assert froc(cohort).points == loop_froc_points(cohort)

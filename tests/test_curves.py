@@ -66,13 +66,6 @@ class TestObjectRoc:
             roc = object_roc(cohort)
             assert trapezoid_auc(roc.points) == pytest.approx(roc.auc, abs=1e-9)
 
-    def test_per_patient_mode(self, mixed_cohort):
-        per = object_roc(mixed_cohort, pooled=False)
-        # only patients with both classes get a curve
-        assert set(per) == {"pos1", "pos2"}
-        for curve in per.values():
-            assert curve.kind is CurveKind.OBJECT_ROC
-
     def test_degenerate_classes(self):
         cohort = make_cohort(make_patient("n", distractor_scores=(0.5,)))
         with pytest.raises(DegenerateDataError,

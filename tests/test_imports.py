@@ -1,8 +1,10 @@
-"""Every name a module of the package imports is read somewhere in that module.
+"""Every name a module of the package imports is read somewhere in that module,
+and every function or class a module defines is read somewhere in the package.
 
 No linter is a test dependency, so this walks each module's syntax tree:
 an import binds names, and a name the module never loads is a stray import.
-``__init__.py`` is left out, since its imports are the package's exports.
+``__init__.py`` is left out, since its imports are the package's exports; so
+an export that no module reads is dead code, even if ``__init__`` names it.
 """
 
 import ast
@@ -14,6 +16,9 @@ import parasitometrics
 
 MODULES = sorted(p for p in Path(parasitometrics.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+# No module reads report_to_doc: it is the reference document that
+# test_report_writer_oracle compares write_report's bytes against.
+UNREAD_BY_DESIGN = {"report.report_to_doc"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +44,17 @@ def test_finds_a_stray_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_reads_every_function_and_class_it_defines():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees.values() for n in ast.walk(tree)
+            if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+            or isinstance(n, ast.Attribute)}
+    unread = {f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
+              # a click command is reached through its group, not by name
+              and not any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+                          and d.func.attr == "command" for d in node.decorator_list)}
+    assert sorted(unread - UNREAD_BY_DESIGN) == []

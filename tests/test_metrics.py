@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from parasitometrics.calibration import OperatingPoint
-from parasitometrics.datamodel import GroundTruth, Species
+from parasitometrics.datamodel import GroundTruth
 from parasitometrics.errors import DegenerateDataError, InputError
 from parasitometrics.metrics import (
     fpr_distribution,
@@ -10,7 +10,6 @@ from parasitometrics.metrics import (
     patient_level_sens_spec,
     pooled_object_sensitivity,
     sensitivity_distribution,
-    species_confusion,
 )
 
 from conftest import make_cohort, make_patient
@@ -233,38 +232,3 @@ class TestPatientLevelSensSpec:
         labels = {s.label for s in strat.species_strata}
         assert labels == {"pf", "pv"}
 
-
-class TestSpeciesConfusion:
-    def test_perfect_diagonal(self, mixed_cohort):
-        predicted = {p.patient_id: p.species for p in mixed_cohort}
-        cm = species_confusion(mixed_cohort, predicted)
-        for t, row in cm.counts.items():
-            for p, n in row.items():
-                if n:
-                    assert t is p
-
-    def test_all_predicted_falciparum(self):
-        cohort = make_cohort(
-            make_patient("a", positive=True, species=Species.FALCIPARUM,
-                         parasite_scores=(0.9,)),
-            make_patient("b", positive=True, species=Species.FALCIPARUM,
-                         parasite_scores=(0.9,)),
-            make_patient("c", positive=True, species=Species.VIVAX,
-                         parasite_scores=(0.9,)),
-        )
-        predicted = {pid: Species.FALCIPARUM for pid in ("a", "b", "c")}
-        cm = species_confusion(cohort, predicted)
-        assert cm.counts[Species.VIVAX][Species.FALCIPARUM] == 1
-        assert cm.counts[Species.FALCIPARUM][Species.FALCIPARUM] == 2
-
-    def test_collapse_preserves_total(self, mixed_cohort):
-        predicted = {p.patient_id: Species.VIVAX for p in mixed_cohort}
-        predicted[mixed_cohort.patients[0].patient_id] = Species.NONE
-        cm = species_confusion(mixed_cohort, predicted)
-        collapsed = cm.collapse_falciparum()
-        total = sum(sum(r.values()) for r in cm.counts.values())
-        assert sum(sum(r.values()) for r in collapsed.values()) == total
-
-    def test_unknown_patient(self, mixed_cohort):
-        with pytest.raises(InputError, match="no species prediction for patient"):
-            species_confusion(mixed_cohort, {})

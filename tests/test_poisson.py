@@ -11,7 +11,6 @@ from parasitometrics.poisson import (
     MAX_EXPECTED_COUNT,
     count_pmf,
     min_volume_for_detection,
-    quantitation_relative_poisson_error,
 )
 
 
@@ -135,18 +134,10 @@ class TestMinVolume:
 
 
 class TestRelativeError:
-    def test_inverse_sqrt_rule(self):
-        assert quantitation_relative_poisson_error(100.0, 1.0) == pytest.approx(0.1)
-        assert quantitation_relative_poisson_error(100.0, 4.0) == pytest.approx(0.05)
-
     def test_monte_carlo_cv(self):
-        # empirical CV of Poisson counts vs 1/sqrt(lambda), lambda = 25
+        # empirical CV of Poisson counts vs the floor 1/sqrt(P*V), P = 25, V = 1
         rng = np.random.default_rng(11)
-        counts = rng.poisson(25.0, 200_000)
+        counts = rng.poisson(25.0 * 1.0, 200_000)
         cv = counts.std() / counts.mean()
-        predicted = quantitation_relative_poisson_error(25.0, 1.0)
+        predicted = 1.0 / math.sqrt(25.0 * 1.0)
         assert abs(cv - predicted) / predicted < 0.05
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InputError, match="P and V must be finite and > 0"):
-            quantitation_relative_poisson_error(0.0, 1.0)

@@ -12,10 +12,8 @@ from parasitometrics.quant import (
     CONSTANT_X_NOTE,
     ExpectedRates,
     estimate_parasitemia,
-    fom_crossover,
     quant_fom,
     quant_report,
-    volume_error_decomposition,
 )
 
 from conftest import make_cohort, make_dist, make_patient
@@ -84,37 +82,6 @@ class TestQuantFom:
         F = make_dist(MetricKind.FPR, [50.0, 50.0])
         with pytest.raises(InputError, match="P=0.0 must be > 0"):
             quant_fom(S, F, 0.0)
-
-    def test_crossover(self):
-        S = make_dist(MetricKind.OBJECT_SENSITIVITY, [0.7, 0.9])
-        F = make_dist(MetricKind.FPR, [30.0, 70.0])
-        p_cross = fom_crossover(S, F)
-        assert p_cross == pytest.approx(F.summary.std / S.summary.std)
-        # at the crossover, both terms contribute equally
-        mu_s = S.summary.mean
-        assert S.summary.std / mu_s == pytest.approx(
-            F.summary.std / (mu_s * p_cross)
-        )
-
-
-class TestVolumeError:
-    def test_oracle_counts_unchanged(self):
-        p = make_patient("p", positive=True, parasite_scores=(0.9,), wbc_count=80)
-        p_hat, factor = volume_error_decomposition(p, 80, 80, 1000.0)
-        assert factor == 1.0
-        assert p_hat == 1000.0
-
-    def test_overestimated_volume(self):
-        # volume overestimated 2x (twice as many WBCs counted as true)
-        p = make_patient("p", positive=True, parasite_scores=(0.9,), wbc_count=160)
-        p_hat, factor = volume_error_decomposition(p, 80, 160, 1000.0)
-        assert factor == 0.5
-        assert p_hat == pytest.approx(2000.0)
-
-    def test_zero_wbc(self):
-        p = make_patient("p", positive=True, parasite_scores=(0.9,))
-        with pytest.raises(InputError, match="WBC counts must be positive"):
-            volume_error_decomposition(p, 0, 80, 100.0)
 
 
 class TestQuantReport:

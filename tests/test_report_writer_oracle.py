@@ -39,7 +39,6 @@ from parasitometrics.metrics import (
     patient_level_sens_spec,
     pooled_object_sensitivity,
     sensitivity_distribution,
-    species_confusion,
 )
 from parasitometrics.quant import ExpectedRates, quant_report
 from parasitometrics.report import _CURVE_BLOCK, EvaluationReport, report_to_doc, write_report
@@ -95,7 +94,6 @@ def _base_report() -> EvaluationReport:
                        for m in (CalibrationMethod.GAUSSIAN, CalibrationMethod.ROBUST)],
         curves={"object_roc": object_roc(cohort), "froc": froc(cohort),
                 "patient_roc": patient_roc(cohort, op.C, range(0, 41))},
-        confusion=species_confusion(cohort, {p.patient_id: p.species for p in cohort}),
         quantitation=quant_report(cohort, op, ExpectedRates(F_hat=1.0, S_hat=0.8),
                                   (sens, fpr)),
         warnings=["pooled sensitivity hides imbalance"],
@@ -158,7 +156,7 @@ def reports(draw):
         report.specificity = None
         report.specificity_absent_reason = draw(TEXT)
     for section in draw(st.lists(st.sampled_from(
-            ["operating_point", "pooled_sensitivity", "confusion", "quantitation"]),
+            ["operating_point", "pooled_sensitivity", "quantitation"]),
             unique=True)):
         setattr(report, section, None)
     return report

@@ -9,6 +9,8 @@ sweeps must match them exactly: same rows, same floats, same value types,
 same exceptions. ``loop_estimate_lod`` scales its numerator with the target
 specificity K, as the LoD does since it follows K rather than a fixed 95%, and
 labels every estimate but the robust one gaussian, the formula it used.
+``loop_tune`` raises the cohort-level error of a validation set with no
+negatives, or of positives with no parasite objects, before its per-C loop.
 """
 
 import math
@@ -125,6 +127,12 @@ def loop_tuning_row(train_positives, validation_negatives, validation_positives,
 
 def loop_tune(train_positives, validation_negatives, validation_positives, K, C_grid, cfg):
     cfg = replace(cfg, K=K)
+    # a cohort with no F or no S at any C fails as a whole, not C by C
+    if not any(p.ground_truth is GroundTruth.NEGATIVE for p in validation_negatives):
+        raise DegenerateDataError("no negative patients for FPR distribution")
+    s_cohort = validation_positives if validation_positives is not None else train_positives
+    if not any(parasite for p in s_cohort.positives for _, _, parasite in object_rows(p)):
+        raise DegenerateDataError("no positive patients with parasite objects")
     table, skipped, best = [], [], None
     for c in sorted(set(float(c) for c in C_grid)):
         try:
@@ -295,8 +303,7 @@ def test_positives_without_parasites_make_every_c_degenerate():
     negatives = make_cohort(make_patient("n1", distractor_scores=(0.2,)),
                             make_patient("n2", distractor_scores=(0.6,)))
     train = make_cohort(make_patient("p1", positive=True, distractor_scores=(0.5,)))
-    with pytest.raises(DegenerateDataError,
-                       match=r"no C in the grid produced a well-defined \(T, LoD\) pair"):
+    with pytest.raises(DegenerateDataError, match="no positive patients with parasite objects"):
         tune_operating_point(train, negatives, None, [0.0, 0.5])
     with pytest.raises(DegenerateDataError, match="no positive patients with parasite objects"):
         sensitivity_distributions(train, [0.0, 0.5])
