@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -199,7 +200,8 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
         try:
             report.curves["object_roc"] = object_roc(cohort)
             report.curves["froc"] = froc(cohort)
-            t_grid = [op.T * k / 10.0 for k in range(0, 41)] if op.T > 0 else list(range(0, 41))
+            t_grid = ([t for t in (op.T * k / 10.0 for k in range(0, 41)) if math.isfinite(t)]
+                      if op.T > 0 else list(range(0, 41)))  # a huge T's multiples overflow
             report.curves["patient_roc"] = patient_roc(cohort, c_threshold, t_grid)
         except DegenerateDataError as exc:
             warnings.append(f"curves skipped: {exc}")

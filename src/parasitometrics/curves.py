@@ -11,8 +11,9 @@ imbalance, so alongside the standard constructions this module provides:
   stated limit-of-detection parasitemia, where it is usually far less
   attractive.
 
-An object ROC comes from one stable sort of the scores, and its AUC from the
-ROC's own integer TP/FP counts: the trapezoid area over them is the
+An object ROC comes from one stable sort of the scores, which also gives the
+FROC its thresholds and y axis, and its AUC from the ROC's own integer TP/FP
+counts: the trapezoid area over them is the
 Mann-Whitney U statistic (Hanley & McNeil 1982), the rank AUC with midranks
 for ties, exactly.
 """
@@ -30,7 +31,6 @@ from .datamodel import (
     CohortDataset,
     SerialIds,
     counts_at,
-    distinct_sorted,
     n_at_or_above,
     per_cv_counts,
     pooled_scores,
@@ -55,12 +55,13 @@ class CurveKind(Enum):
     PATIENT_ROC = "patient_roc"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # no generated __eq__: arrays compare elementwise
 class CurvePoints:
-    """An ordered curve: (x, y, threshold) triples, thresholds descending."""
+    """An ordered curve: (x, y, threshold) rows of a read-only (n, 3) float64
+    array, thresholds descending."""
 
     kind: CurveKind
-    points: tuple[tuple[float, float, float], ...]
+    points: np.ndarray
     auc: float | None = None
     notes: tuple[str, ...] = ()
     # FROC: curve values interpolated onto the requested FP-per-cV grid.
@@ -69,6 +70,22 @@ class CurvePoints:
     # (specificity >= 0.9), and the cohort's positive-parasitemia values.
     salient: tuple[bool, ...] | None = None
     parasitemia_distribution: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        # len(), not -1: a (3, 2) array must fail rather than become (2, 3)
+        points = np.array(self.points, dtype=np.float64).reshape(len(self.points), 3)
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+
+
+def _sweep(scores: np.ndarray, is_parasite: np.ndarray):
+    """Distinct scores, descending, with the parasite and distractor counts at or above each."""
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    # thresholds at distinct scores only: tied objects change state together
+    distinct = np.r_[np.nonzero(np.diff(sorted_scores))[0], len(sorted_scores) - 1]
+    tps = np.cumsum(is_parasite[order])[distinct]
+    return sorted_scores[distinct], tps, distinct + 1 - tps
 
 
 def object_roc(cohort: CohortDataset) -> CurvePoints:
@@ -81,22 +98,16 @@ def object_roc(cohort: CohortDataset) -> CurvePoints:
         raise DegenerateDataError(
             "ROC needs at least one parasite and one distractor object"
         )
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    # thresholds at distinct scores only: tied objects change state together
-    distinct = np.r_[np.nonzero(np.diff(sorted_scores))[0], len(sorted_scores) - 1]
-    tps = np.cumsum(is_parasite[order])[distinct]
-    fps = distinct + 1 - tps
+    thresholds, tps, fps = _sweep(scores, is_parasite)
     # twice the trapezoid area in count units, i.e. 2U: an exact integer, so
     # the AUC is one correctly rounded division
     two_u = int(np.dot(np.diff(fps, prepend=0), tps + np.r_[0, tps[:-1]]))
-    points = [(0.0, 0.0, math.inf)]  # reject-all sentinel
-    points += zip((fps / n_neg).tolist(), (tps / n_pos).tolist(),
-                  sorted_scores[distinct].tolist())
-    if points[-1][2] > 0.0:
-        points.append((1.0, 1.0, 0.0))  # accept-all sentinel (score >= 0 always)
+    points = np.column_stack((np.r_[0.0, fps / n_neg], np.r_[0.0, tps / n_pos],
+                              np.r_[math.inf, thresholds]))  # reject-all sentinel first
+    if thresholds[-1] > 0.0:
+        points = np.r_[points, [[1.0, 1.0, 0.0]]]  # accept-all sentinel (score >= 0 always)
     return CurvePoints(
-        kind=CurveKind.OBJECT_ROC, points=tuple(points), auc=two_u / (2 * n_pos * n_neg)
+        kind=CurveKind.OBJECT_ROC, points=points, auc=two_u / (2 * n_pos * n_neg)
     )
 
 
@@ -110,14 +121,13 @@ def sliver_roc(roc: CurvePoints, D: float) -> CurvePoints:
     if not (D > 0) or not math.isfinite(D):
         raise InputError(f"distractor-to-parasite ratio D={D} must be positive")
     limit = 1.0 / D
-    kept = [(x * D, y, thr) for x, y, thr in roc.points if x <= limit + 1e-15]
+    kept = roc.points[roc.points[:, 0] <= limit + 1e-15] * [D, 1.0, 1.0]
     # close the sliver at x = 1/D exactly (step curve: carry the last y forward)
-    if kept and kept[-1][0] < 1.0:
-        inside = [pt for pt in roc.points if pt[0] <= limit + 1e-15]
-        kept.append((1.0, inside[-1][1], inside[-1][2]))
+    if len(kept) and kept[-1, 0] < 1.0:
+        kept = np.r_[kept, [[1.0, *kept[-1, 1:]]]]
     return CurvePoints(
         kind=CurveKind.SLIVER_ROC,
-        points=tuple(kept),
+        points=kept,
         notes=(
             f"x axis = original FP fraction in [0, {limit:g}] stretched by {D:g}; "
             "the y = x diagonal joins operating points with equal TP and FP counts",
@@ -133,8 +143,8 @@ def froc(cohort: CohortDataset, fp_grid=None) -> CurvePoints:
     object sensitivity. When fp_grid is given the curve is also interpolated
     onto it (``grid_points``).
     """
-    positives = [p for p in cohort.positives if p.n_parasite_objects > 0]
-    if not positives:
+    scores, is_parasite = pooled_scores(cohort.patients)
+    if not is_parasite.any():  # parasite objects sit on positive patients only
         raise DegenerateDataError("FROC needs positive patients with parasite objects")
     fp_patients = cohort.negatives
     notes = ()
@@ -142,40 +152,30 @@ def froc(cohort: CohortDataset, fp_grid=None) -> CurvePoints:
         fp_patients = cohort.patients
         notes = ("no negative patients: FP/cV computed over all patients",)
 
-    # distinct scores, descending, then 0.0 (accept-all) unless already there
-    thresholds = distinct_sorted(pooled_scores(cohort.patients)[0])[::-1]
-    if not len(thresholds) or thresholds[-1] > 0.0:
-        thresholds = np.append(thresholds, 0.0)
+    # the object ROC's thresholds and y, then 0.0 (accept-all) unless already there
+    thresholds, tps, _ = _sweep(scores, is_parasite)
+    sens = tps / tps[-1]
+    if thresholds[-1] > 0.0:
+        thresholds, sens = np.r_[thresholds, 0.0], np.r_[sens, 1.0]
 
     volumes = np.array([p.examined_volume for p in fp_patients])
-    n_parasites = np.array([p.n_parasite_objects for p in positives])
-    fp_rates, sens = [], []
-    for lo in range(0, len(thresholds), _FROC_BLOCK):
-        block = thresholds[lo:lo + _FROC_BLOCK]
-        fp = counts_at(fp_patients, block, "distractor_scores")
-        fp_rates.append(np.mean(fp / volumes, axis=1))
-        tp = counts_at(positives, block, "parasite_scores")
-        sens.append(tp.sum(axis=1) / n_parasites.sum())
-    points = [(0.0, 0.0, math.inf)]  # reject-all sentinel: nothing passes
-    points += zip(
-        np.concatenate(fp_rates).tolist(),
-        np.concatenate(sens).tolist(),
-        thresholds.tolist(),
-    )
+    fp_rates = [np.mean(counts_at(fp_patients, thresholds[lo:lo + _FROC_BLOCK],
+                                  "distractor_scores") / volumes, axis=1)
+                for lo in range(0, len(thresholds), _FROC_BLOCK)]
+    points = np.column_stack((np.concatenate([[0.0], *fp_rates]), np.r_[0.0, sens],
+                              np.r_[math.inf, thresholds]))  # reject-all: nothing passes
 
     grid_points = None
     if fp_grid is not None:
         grid = list(fp_grid)
         if not grid or any(g <= 0 for g in grid) or sorted(grid) != grid:
             raise InputError("fp_grid must be positive and ascending")
-        xs = np.asarray([pt[0] for pt in points])
-        ys = np.asarray([pt[1] for pt in points])
-        order = np.argsort(xs, kind="stable")
-        interp = np.interp(grid, xs[order], ys[order])
+        order = np.argsort(points[:, 0], kind="stable")
+        interp = np.interp(grid, points[order, 0], points[order, 1])
         grid_points = tuple((float(g), float(v)) for g, v in zip(grid, interp))
 
     return CurvePoints(
-        kind=CurveKind.FROC, points=tuple(points), notes=notes, grid_points=grid_points
+        kind=CurveKind.FROC, points=points, notes=notes, grid_points=grid_points
     )
 
 
@@ -244,7 +244,7 @@ def patient_roc(cohort: CohortDataset, C: float, T_grid) -> CurvePoints:
     spec = (len(negatives) - n_diagnosed(negatives)) / len(negatives)
     return CurvePoints(
         kind=CurveKind.PATIENT_ROC,
-        points=tuple(zip((1.0 - spec).tolist(), sens.tolist(), ts)),
+        points=np.column_stack((1.0 - spec, sens, ts)),
         salient=tuple((spec >= 0.9).tolist()),
         parasitemia_distribution=tuple(sorted(p.true_parasitemia for p in positives)),
         notes=(

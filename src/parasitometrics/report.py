@@ -90,7 +90,7 @@ def report_to_doc(report: EvaluationReport) -> dict:
     Raises ReportInvariantError if a patient-level sensitivity section lacks
     its parasitemia bins or the paired specificity entry.
     """
-    return _document(report, lambda name, c: [list(pt) for pt in c.points])
+    return _document(report, lambda name, c: c.points.tolist())
 
 
 def _document(report: EvaluationReport, points) -> dict:
@@ -182,10 +182,10 @@ _CURVE_BLOCK = 1024
 
 @dataclass(frozen=True)
 class _CurveRows:
-    """A curve's points in ``write_report``'s document, and the path of the
-    curve's CSV when one is written alongside."""
+    """A curve in ``write_report``'s document, and the path of the curve's
+    CSV when one is written alongside."""
 
-    points: tuple
+    curve: CurvePoints
     csv_path: Path | None
 
 
@@ -237,17 +237,15 @@ def _write_curve(fh, rows: _CurveRows, indent: str) -> None:
           open(rows.csv_path, "w", newline="", encoding="utf-8")) as csv_fh:
         if csv_fh:
             csv_fh.write("threshold,x,y\r\n")
-        for lo in range(0, len(rows.points), _CURVE_BLOCK):
-            x, y, t = zip(*rows.points[lo:lo + _CURVE_BLOCK], strict=True)
-            xs, ys, ts = (list(map(repr, col)) for col in (x, y, t))
+        points = rows.curve.points
+        for lo in range(0, len(points), _CURVE_BLOCK):
+            xs, ys, ts = (list(map(repr, col)) for col in points[lo:lo + _CURVE_BLOCK].T.tolist())
             if csv_fh:  # a number's repr needs no CSV quoting
                 csv_fh.write("".join(map("{},{},{}\r\n".format, ts, xs, ys)))
-            if set(map(type, x + y + t)) <= {float, int}:  # repr is json's text, inf and nan aside
-                cols = (map(_JSON_SPELLING.get, col, col) for col in (xs, ys, ts))
-            else:
-                cols = (map(_json_scalar, col) for col in (x, y, t))
+            # a float's repr is json's text, inf and nan aside
+            cols = (map(_JSON_SPELLING.get, col, col) for col in (xs, ys, ts))
             fh.write(("," if lo else "[") + ",".join(map(point, *cols)))
-    fh.write(f"\n{indent}]" if rows.points else "[]")
+    fh.write(f"\n{indent}]" if len(points) else "[]")
 
 
 def _write_csv(path: Path, header, rows):
@@ -269,7 +267,7 @@ def write_report(report: EvaluationReport, out_dir, fmt: str = "json") -> list[s
     curve_csvs = {name: out / f"curve_{name}.csv"
                   for name in (report.curves if fmt == "csv" else ())}
     # validates invariants for either format
-    doc = _document(report, lambda name, c: _CurveRows(c.points, curve_csvs.get(name)))
+    doc = _document(report, lambda name, c: _CurveRows(c, curve_csvs.get(name)))
 
     json_path = out / "report.json"
     with open(json_path, "w", encoding="utf-8") as fh:

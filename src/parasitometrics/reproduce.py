@@ -129,7 +129,7 @@ def run_all() -> list[CheckResult]:
 
     # sliver ROC covers the leftmost 1/D of the original FP axis
     sliver = sliver_roc(roc, D=20.0)
-    max_original_fpf = max(x / 20.0 for x, _, _ in sliver.points)
+    max_original_fpf = float((sliver.points[:, 0] / 20.0).max())
     checks.append(
         _check(
             "sliver_roc_20_to_1",

@@ -46,6 +46,11 @@ def object_rows(patient):
     return zip(patient.object_ids, patient.scores.tolist(), patient.is_parasite.tolist())
 
 
+def curve_rows(curve):
+    """A curve's ``(x, y, threshold)`` points as a tuple of tuples of Python floats."""
+    return tuple(map(tuple, curve.points.tolist()))
+
+
 def make_cohort(*patients, cv="1 uL blood"):
     return CohortDataset(cv_description=cv, patients=tuple(patients), provenance="test")
 

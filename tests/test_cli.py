@@ -94,6 +94,20 @@ class TestEvaluate:
         assert (out / "per_patient_fpr.csv").exists()
         assert (out / "stratified_sensitivity.csv").exists()
 
+    @pytest.mark.parametrize("T", ["1e307", "1e308"])
+    def test_huge_t_keeps_the_finite_patient_roc_grid(self, runner, tmp_path, T):
+        # the patient ROC's grid is T * k / 10 for k = 0..40; its larger
+        # multiples overflow to inf, which is no T the user gave
+        export_cohort_json(generate_cohort(SimConfig(seed=0, n_negative=5, n_positive=5)),
+                           tmp_path / "c.json")
+        out = tmp_path / "report"
+        result = runner.invoke(main, ["evaluate", "--json", str(tmp_path / "c.json"),
+                                      "--C", "0.5", "--T", T, "--curves", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        points = json.loads((out / "report.json").read_text())["curves"]["patient_roc"]["points"]
+        want = sorted({float(T) * k / 10.0 for k in range(41)} - {math.inf}, reverse=True)
+        assert [t for _, _, t in points] == want
+
     def test_missing_dataset_is_input_error(self, runner, tmp_path):
         result = runner.invoke(main, [
             "evaluate", "--C", "0.5", "--T", "1.0", "--out", str(tmp_path / "r"),

@@ -11,16 +11,16 @@ from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from parasitometrics import curves
-from parasitometrics.curves import froc, precision_f1_with_reexpression
+from parasitometrics.curves import froc, object_roc, precision_f1_with_reexpression
 from parasitometrics.datamodel import GroundTruth, counts_at, per_cv_counts
 from parasitometrics.errors import DegenerateDataError, InputError
 from parasitometrics.metrics import patient_diagnoses, pooled_object_sensitivity
 from parasitometrics.quant import ExpectedRates, estimate_parasitemia, quant_report
 
-from conftest import make_cohort, make_patient, object_rows
+from conftest import curve_rows, make_cohort, make_patient, object_rows
 
 
 def loop_patient_counts(patient, C):
@@ -156,26 +156,26 @@ VOLUMES = st.one_of(st.sampled_from([0.1, 0.3, 1.0, 2.5]), st.floats(0.01, 10.0)
 
 
 @st.composite
-def cohorts(draw):
+def cohorts(draw, scores=SCORES):
     """A cohort whose first patient is positive with at least one parasite."""
     patients = [
         make_patient(
             "pos0", positive=True, volume=draw(VOLUMES),
-            parasite_scores=draw(st.lists(SCORES, min_size=1, max_size=12)),
-            distractor_scores=draw(st.lists(SCORES, max_size=12)),
+            parasite_scores=draw(st.lists(scores, min_size=1, max_size=12)),
+            distractor_scores=draw(st.lists(scores, max_size=12)),
         )
     ]
     for i in range(draw(st.integers(0, 5))):  # positives, maybe with no objects
         patients.append(make_patient(
             f"pos{i + 1}", positive=True, volume=draw(VOLUMES),
-            parasite_scores=draw(st.lists(SCORES, max_size=12)),
-            distractor_scores=draw(st.lists(SCORES, max_size=12)),
+            parasite_scores=draw(st.lists(scores, max_size=12)),
+            distractor_scores=draw(st.lists(scores, max_size=12)),
         ))
     if draw(st.booleans()):  # else no negatives, so FP/cV falls back to all patients
         for i in range(draw(st.integers(1, 12))):
             patients.append(make_patient(
                 f"neg{i}", volume=draw(VOLUMES),
-                distractor_scores=draw(st.lists(SCORES, max_size=12)),
+                distractor_scores=draw(st.lists(scores, max_size=12)),
             ))
     return make_cohort(*patients)
 
@@ -253,9 +253,21 @@ def test_precision_pools_volume_as_a_running_sum():
 def test_froc_matches_loop(cohort, block):
     with mock.patch.object(curves, "_FROC_BLOCK", block):
         got = froc(cohort)
-    assert got.points == loop_froc_points(cohort)
+    assert curve_rows(got) == loop_froc_points(cohort)
     assert got.notes == (() if cohort.negatives else (
         "no negative patients: FP/cV computed over all patients",))
+
+
+@settings(max_examples=300)
+@given(cohort=cohorts(scores=SCORES | st.sampled_from([-0.0, 0.0])))
+def test_froc_has_the_object_roc_thresholds_and_y(cohort):
+    # both curves read one sweep, so even where the scores hold both -0.0 and
+    # 0.0 the FROC prints the zero threshold that the object ROC prints
+    def thresholds_and_y(curve):
+        return [(repr(y), repr(thr)) for _, y, thr in curve_rows(curve)]
+
+    assume(any(len(p.distractor_scores) for p in cohort))  # the ROC needs a distractor
+    assert thresholds_and_y(froc(cohort)) == thresholds_and_y(object_roc(cohort))
 
 
 def test_froc_matches_loop_on_many_patients():
@@ -270,4 +282,4 @@ def test_froc_matches_loop_on_many_patients():
     positive = make_patient("pos", positive=True, parasite_scores=(0.3, 0.7, 0.7, 0.95),
                             distractor_scores=(0.5,))
     cohort = make_cohort(positive, *negatives)
-    assert froc(cohort).points == loop_froc_points(cohort)
+    assert curve_rows(froc(cohort)) == loop_froc_points(cohort)

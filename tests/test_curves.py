@@ -16,7 +16,7 @@ from parasitometrics.errors import DegenerateDataError, InputError
 from parasitometrics.metrics import patient_level_sens_spec
 from parasitometrics.calibration import OperatingPoint
 
-from conftest import make_cohort, make_patient, object_rows
+from conftest import curve_rows, make_cohort, make_patient, object_rows
 
 
 def trapezoid_auc(points):
@@ -35,8 +35,8 @@ class TestObjectRoc:
         )
         roc = object_roc(cohort)
         assert roc.auc == 1.0
-        assert roc.points[0] == (0.0, 0.0, math.inf)
-        assert roc.points[-1][:2] == (1.0, 1.0)
+        assert curve_rows(roc)[0] == (0.0, 0.0, math.inf)
+        assert curve_rows(roc)[-1][:2] == (1.0, 1.0)
 
     def test_identical_scores(self):
         cohort = make_cohort(
@@ -47,8 +47,8 @@ class TestObjectRoc:
 
     def test_monotone_axes(self, mixed_cohort):
         roc = object_roc(mixed_cohort)
-        thresholds = [p[2] for p in roc.points]
-        xs = [p[0] for p in roc.points]
+        thresholds = [p[2] for p in curve_rows(roc)]
+        xs = [p[0] for p in curve_rows(roc)]
         assert thresholds == sorted(thresholds, reverse=True)
         assert xs == sorted(xs)
 
@@ -64,7 +64,7 @@ class TestObjectRoc:
                              distractor_scores=tuple(d_scores))
             )
             roc = object_roc(cohort)
-            assert trapezoid_auc(roc.points) == pytest.approx(roc.auc, abs=1e-9)
+            assert trapezoid_auc(curve_rows(roc)) == pytest.approx(roc.auc, abs=1e-9)
 
     def test_degenerate_classes(self):
         cohort = make_cohort(make_patient("n", distractor_scores=(0.5,)))
@@ -77,13 +77,13 @@ class TestSliverRoc:
     def test_d1_identity(self, mixed_cohort):
         roc = object_roc(mixed_cohort)
         sliver = sliver_roc(roc, 1.0)
-        assert sliver.points[: len(roc.points)] == roc.points
+        assert curve_rows(sliver)[: len(roc.points)] == curve_rows(roc)
 
     def test_d20_covers_five_percent(self, mixed_cohort):
         roc = object_roc(mixed_cohort)
         sliver = sliver_roc(roc, 20.0)
-        assert max(x for x, _, _ in sliver.points) == 1.0
-        kept_original = [x / 20.0 for x, _, _ in sliver.points]
+        assert max(x for x, _, _ in curve_rows(sliver)) == 1.0
+        kept_original = [x / 20.0 for x, _, _ in curve_rows(sliver)]
         assert max(kept_original) <= 0.05 + 1e-12
 
     def test_equal_counts_on_diagonal(self):
@@ -108,7 +108,7 @@ class TestSliverRoc:
             fp = sum(1 for p in cohort for _, score, parasite in object_rows(p)
                      if not parasite and score >= c)
             if tp == fp and tp > 0:
-                match = [pt for pt in sliver.points if pt[2] == c]
+                match = [pt for pt in curve_rows(sliver) if pt[2] == c]
                 assert match, f"threshold {c} missing from the sliver"
                 x, y, _ = match[0]
                 assert x == pytest.approx(y, abs=1e-12)
@@ -158,8 +158,8 @@ class TestEasyDistractors:
 class TestFroc:
     def test_sentinel_points(self, mixed_cohort):
         curve = froc(mixed_cohort)
-        assert curve.points[0][:2] == (0.0, 0.0)  # reject-all
-        x_last, y_last, thr_last = curve.points[-1]
+        assert curve_rows(curve)[0][:2] == (0.0, 0.0)  # reject-all
+        x_last, y_last, thr_last = curve_rows(curve)[-1]
         assert thr_last == 0.0
         assert y_last == 1.0  # accept-all finds every parasite
 
@@ -171,7 +171,7 @@ class TestFroc:
         )
         curve = froc(cohort)
         total_parasites = 2
-        for x, y, thr in curve.points:
+        for x, y, thr in curve_rows(curve):
             if math.isinf(thr):
                 continue
             c = thr
@@ -197,14 +197,14 @@ class TestFroc:
 class TestPatientRoc:
     def test_extreme_thresholds(self, mixed_cohort):
         curve = patient_roc(mixed_cohort, C=0.5, T_grid=[0.0, 1e9])
-        by_thr = {thr: (x, y) for x, y, thr in curve.points}
+        by_thr = {thr: (x, y) for x, y, thr in curve_rows(curve)}
         assert by_thr[0.0] == (1.0, 1.0)
         assert by_thr[1e9] == (0.0, 0.0)
 
     def test_agrees_with_patient_level_metrics(self, mixed_cohort):
         t_grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
         curve = patient_roc(mixed_cohort, C=0.3, T_grid=t_grid)
-        for x, y, thr in curve.points:
+        for x, y, thr in curve_rows(curve):
             strat, spec = patient_level_sens_spec(
                 mixed_cohort, OperatingPoint(C=0.3, T=thr)
             )

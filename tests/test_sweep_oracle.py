@@ -44,7 +44,7 @@ from parasitometrics.metrics import (
 )
 from parasitometrics.stats import summarize
 
-from conftest import make_cohort, make_patient, object_rows
+from conftest import curve_rows, make_cohort, make_patient, object_rows
 from test_count_oracle import SCORES, VOLUMES, checked_loop_counts, loop_patient_counts
 
 
@@ -283,9 +283,9 @@ def test_patient_roc_matches_per_t_loop(inputs):
     cohort, C, t_grid = inputs
     curve = patient_roc(cohort, C, t_grid)
     points, salient = loop_patient_roc(cohort, C, t_grid)
-    assert curve.points == points
+    assert curve_rows(curve) == points
     assert curve.salient == salient
-    assert types(curve.points) == types(points)
+    assert types(curve_rows(curve)) == types(points)
     assert types(curve.salient) == types(salient)
     assert curve.parasitemia_distribution == tuple(
         sorted(p.true_parasitemia for p in cohort.positives))
