@@ -197,14 +197,16 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
         warnings=warnings,
     )
     if with_curves:
-        try:
-            report.curves["object_roc"] = object_roc(cohort)
-            report.curves["froc"] = froc(cohort)
-            t_grid = ([t for t in (op.T * k / 10.0 for k in range(0, 41)) if math.isfinite(t)]
-                      if op.T > 0 else list(range(0, 41)))  # a huge T's multiples overflow
-            report.curves["patient_roc"] = patient_roc(cohort, c_threshold, t_grid)
-        except DegenerateDataError as exc:
-            warnings.append(f"curves skipped: {exc}")
+        t_grid = ([t for t in (op.T * k / 10.0 for k in range(0, 41)) if math.isfinite(t)]
+                  if op.T > 0 else list(range(0, 41)))  # a huge T's multiples overflow
+        # each curve on its own: one undefined on the cohort leaves the others
+        for name, build in (("object_roc", lambda: object_roc(cohort)),
+                            ("froc", lambda: froc(cohort)),
+                            ("patient_roc", lambda: patient_roc(cohort, c_threshold, t_grid))):
+            try:
+                report.curves[name] = build()
+            except DegenerateDataError as exc:
+                warnings.append(f"{name} skipped: {exc}")
 
     for path in write_report(report, out_dir, fmt=fmt):
         click.echo(path)

@@ -6,18 +6,18 @@ paired specificity. A sensitivity number without those two is uninformative
 and is rejected, not silently written.
 
 ``report.json`` has the bytes of ``json.dump(doc, fh, indent=2,
-sort_keys=True)`` plus a newline. A small writer here produces them, so that
-each curve's points are formatted once, a block at a time, and the same
-strings fill both the JSON rows and the curve's CSV (``inf`` there,
-``Infinity`` in JSON).
+sort_keys=True)`` plus a newline. The text is ``json.dumps``'s, with each
+curve's points as its name; each curve's point block is written in place of
+that placeholder, a block of points at a time, from the same number strings
+that fill the curve's CSV (``inf`` there, ``Infinity`` in JSON).
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -180,64 +180,16 @@ _JSON_SPELLING = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 _CURVE_BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class _CurveRows:
-    """A curve in ``write_report``'s document, and the path of the curve's
-    CSV when one is written alongside."""
-
-    curve: CurvePoints
-    csv_path: Path | None
-
-
-def _json_scalar(o) -> str:
-    """``o``, a scalar or an empty list or dict, as ``json.dump`` spells it."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        text = float.__repr__(o)
-        return _JSON_SPELLING.get(text, text)
-    if isinstance(o, (list, tuple, dict)):
-        return "{}" if isinstance(o, dict) else "[]"
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _write_json(fh, o, indent: str = "") -> None:
-    """Write ``o`` (string keys only) as ``json.dump(o, fh, indent=2, sort_keys=True)`` does."""
-    inner = indent + "  "
-    if isinstance(o, dict) and o:
-        for i, (key, value) in enumerate(sorted(o.items())):
-            fh.write(f"{',' if i else '{'}\n{inner}{encode_basestring_ascii(key)}: ")
-            _write_json(fh, value, inner)
-        fh.write(f"\n{indent}}}")
-    elif isinstance(o, (list, tuple)) and o:
-        for i, value in enumerate(o):
-            fh.write(f"{',' if i else '['}\n{inner}")
-            _write_json(fh, value, inner)
-        fh.write(f"\n{indent}]")
-    elif isinstance(o, _CurveRows):
-        _write_curve(fh, o, indent)
-    else:
-        fh.write(_json_scalar(o))
-
-
-def _write_curve(fh, rows: _CurveRows, indent: str) -> None:
-    """The (x, y, threshold) points as JSON rows at ``indent``, and as the
-    curve's CSV when ``rows.csv_path`` is set, from one repr of each number."""
+def _write_curve(fh, curve: CurvePoints, csv_path: Path | None, indent: str) -> None:
+    """The (x, y, threshold) points as JSON rows below a key at ``indent``, and
+    as the curve's CSV when ``csv_path`` is set, from one repr of each number."""
     a, b = indent + "  ", indent + "    "
     point = f"\n{a}[\n{b}{{}},\n{b}{{}},\n{b}{{}}\n{a}]".format
-    with (nullcontext() if rows.csv_path is None else
-          open(rows.csv_path, "w", newline="", encoding="utf-8")) as csv_fh:
+    with (nullcontext() if csv_path is None else
+          open(csv_path, "w", newline="", encoding="utf-8")) as csv_fh:
         if csv_fh:
             csv_fh.write("threshold,x,y\r\n")
-        points = rows.curve.points
+        points = curve.points
         for lo in range(0, len(points), _CURVE_BLOCK):
             xs, ys, ts = (list(map(repr, col)) for col in points[lo:lo + _CURVE_BLOCK].T.tolist())
             if csv_fh:  # a number's repr needs no CSV quoting
@@ -266,13 +218,19 @@ def write_report(report: EvaluationReport, out_dir, fmt: str = "json") -> list[s
     out.mkdir(parents=True, exist_ok=True)
     curve_csvs = {name: out / f"curve_{name}.csv"
                   for name in (report.curves if fmt == "csv" else ())}
-    # validates invariants for either format
-    doc = _document(report, lambda name, c: _CurveRows(c, curve_csvs.get(name)))
+    # validates invariants for either format; each curve's points are its name
+    text = json.dumps(_document(report, lambda name, c: name), indent=2, sort_keys=True)
 
     json_path = out / "report.json"
     with open(json_path, "w", encoding="utf-8") as fh:
-        _write_json(fh, doc)  # also writes the curve CSVs
-        fh.write("\n")
+        # only a curve dict holds a string under "points", and a string's own
+        # quotes are escaped, so each placeholder is found where sort_keys put it
+        for name in sorted(report.curves):
+            head, text = text.split('"points": ' + json.dumps(name), 1)
+            fh.write(head + '"points": ')
+            _write_curve(fh, report.curves[name], curve_csvs.get(name),
+                         head[head.rindex("\n") + 1:])
+        fh.write(text + "\n")
     written = [str(json_path)]
 
     if fmt == "csv":

@@ -21,7 +21,7 @@ from parasitometrics.cli import _handle_errors, main
 from parasitometrics.datamodel import export_cohort, export_cohort_json, pooled_scores
 from parasitometrics.errors import DegenerateDataError, InputError, ReproductionFailure
 from parasitometrics.quant import CONSTANT_X_NOTE, LINEAR_R2_NOTE
-from parasitometrics.simulator import SimConfig, generate_cohort
+from parasitometrics.simulator import Fixed, SimConfig, generate_cohort
 
 from conftest import make_cohort, make_patient
 from test_datamodel import (
@@ -107,6 +107,29 @@ class TestEvaluate:
         points = json.loads((out / "report.json").read_text())["curves"]["patient_roc"]["points"]
         want = sorted({float(T) * k / 10.0 for k in range(41)} - {math.inf}, reverse=True)
         assert [t for _, _, t in points] == want
+
+    @pytest.mark.parametrize("config, written, skipped", [
+        # no negative patients: the patient ROC is undefined, the object curves are not
+        (SimConfig(seed=0, n_negative=0, n_positive=5), ["froc", "object_roc"],
+         "patient_roc skipped: patient ROC needs both positive and negative patients"),
+        # no distractor objects: the object ROC is undefined, FROC and the patient ROC are not
+        (SimConfig(seed=1, n_negative=3, n_positive=3, fpr_dist=Fixed(0.0),
+                   background_distractor_rate=0.0), ["froc", "patient_roc"],
+         "object_roc skipped: ROC needs at least one parasite and one distractor object"),
+    ], ids=["positives_only", "no_distractors"])
+    def test_each_curve_is_skipped_on_its_own(self, runner, tmp_path, config, written,
+                                              skipped):
+        export_cohort_json(generate_cohort(config), tmp_path / "c.json")
+        out = tmp_path / "report"
+        result = runner.invoke(main, ["evaluate", "--json", str(tmp_path / "c.json"),
+                                      "--C", "0.5", "--T", "2", "--curves", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads((out / "report.json").read_text())
+        assert sorted(doc["curves"]) == written
+        assert all(doc["curves"][name]["points"] for name in written)
+        assert [line for line in result.stderr.splitlines()
+                if "skipped" in line] == [f"warning: {skipped}"]
+        assert skipped in doc["warnings"]
 
     def test_missing_dataset_is_input_error(self, runner, tmp_path):
         result = runner.invoke(main, [

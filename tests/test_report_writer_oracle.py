@@ -18,6 +18,7 @@ import io
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,14 +103,26 @@ def _base_report() -> EvaluationReport:
     )
 
 
+# write_report finds each curve's points at the text '"points": "<name>"' in
+# json.dumps's output; strings made of these pieces spell that text, and the
+# names alone, wherever a report holds a string or a per-patient id
+SPLICE = st.lists(st.sampled_from(['"points": "froc"', '"points": ', '"points"', "points",
+                                   "froc", "object_roc", "patient_roc", '"', "\\", ": ",
+                                   "\n  "]),
+                  min_size=1, max_size=4).map("".join)
 # quotes, backslashes, non-ASCII, control characters and lone surrogates: these
 # only reach report.json; ids also reach the UTF-8 CSV tables, so no surrogates
 TEXT = st.one_of(
     st.text(max_size=8),
     st.text(alphabet=st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€😀\ud800\udfff'),
             min_size=1, max_size=8),
+    SPLICE,
 )
-IDS = st.text(alphabet=st.sampled_from('ab,"\\\n\r\t\x00\x1f é€😀'), max_size=6)
+IDS = st.one_of(
+    st.text(alphabet=st.sampled_from('ab,"\\\n\r\t\x00\x1f é€😀'), max_size=6),
+    st.sampled_from(["points", "froc"]),
+    SPLICE,
+)
 # a curve holds float64, so the ints are stored, and written, as floats
 NUMBERS = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e16, 1.0, 0.25]),
@@ -174,6 +187,19 @@ def test_write_report_matches_json_dump_and_csv_writer(report, fmt, tmp_path_fac
 def test_simulated_report_matches_old_writer(fmt, tmp_path):
     report = _base_report()
     assert all(report.curves.values())
+    assert_matches_old_writer(report, tmp_path, fmt)
+
+
+@pytest.mark.parametrize("text", ['"points": "froc"', '{"points": "object_roc"}',
+                                  '\\"points\\": \\"froc\\"', 'patient_roc"', '"points": '])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_text_that_spells_a_placeholder(text, fmt, tmp_path):
+    base = _base_report()
+    curves = {name: replace(c, notes=(text, name)) for name, c in base.curves.items()}
+    fpr = replace(base.fpr, per_patient={"points": 0.5, text: 1.0, "froc": 2.0},
+                  warnings=(text,))
+    report = EvaluationReport(**{**vars(base), "cv_description": text, "provenance": text,
+                                 "warnings": [text, "froc"], "fpr": fpr, "curves": curves})
     assert_matches_old_writer(report, tmp_path, fmt)
 
 
