@@ -36,6 +36,7 @@ from .curves import froc, object_roc, patient_roc
 from .datamodel import export_cohort, export_cohort_json, ingest_cohort, ingest_cohort_json
 from .errors import DegenerateDataError, InputError, ReproductionFailure
 from .metrics import (
+    DEFAULT_PARASITEMIA_BINS,
     fpr_distribution,
     patient_level_sens_spec,
     pooled_object_sensitivity,
@@ -128,8 +129,8 @@ def main():
 @click.option("--T", "t_threshold", type=float, default=None, help="per-cV count threshold")
 @click.option("--spec-target", type=float, default=None, help="target specificity K for calibration")
 @click.option("--calib-method", default="gaussian", show_default=True)
-@click.option("--bins", default="50,200,1000", show_default=True,
-              help="interior parasitemia bin edges (per cV)")
+@click.option("--bins", default=",".join(f"{hi:g}" for _, hi in DEFAULT_PARASITEMIA_BINS[:-1]),
+              show_default=True, help="interior parasitemia bin edges (per cV)")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json",
               show_default=True)
@@ -174,7 +175,10 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
     strat, specificity = patient_level_sens_spec(cohort, op, parasitemia_bins)
 
     lods = []
-    if fpr is not None and sens is not None:
+    if fpr is None or sens is None:
+        click.echo("warning: LoD skipped: " + ("cohort has no negative patients" if fpr is None
+                   else "no positive patients with parasite objects"), err=True)
+    else:
         for method in _LOD_METHODS:
             try:
                 lods.append(estimate_lod(fpr, sens, replace(cfg, method=method)))
@@ -332,9 +336,12 @@ def quant(json_path, patients, objects, cv_description, c_threshold, t_threshold
         provenance=cohort.provenance,
         operating_point=OperatingPoint(C=c_threshold, T=t_threshold),
         quantitation=result,
+        warnings=list(fpr.warnings) if fpr is not None else [],
     )
     for path in write_report(report, out_dir, fmt=fmt):
         click.echo(path)
+    for w in report.warnings:
+        click.echo(f"warning: {w}", err=True)
 
 
 @main.command()

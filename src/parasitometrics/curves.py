@@ -7,7 +7,7 @@ imbalance, so alongside the standard constructions this module provides:
   and FP counts weigh equally under a D:1 imbalance;
 * ``easy_distractor_experiment`` — shows AUC inflating when easy distractors
   are added while FROC (the clinically meaningful curve) is unchanged;
-* ``precision_f1_with_reexpression`` — re-expresses a pooled precision at a
+* ``precision_with_reexpression`` — re-expresses a pooled precision at a
   stated limit-of-detection parasitemia, where it is usually far less
   attractive.
 
@@ -41,12 +41,6 @@ from .errors import DegenerateDataError, InputError
 # at a time so that memory stays bounded when every object has its own score.
 _FROC_BLOCK = 4096
 
-PRECISION_WARNING = (
-    "object-level precision and F1 are misleading metrics for reporting "
-    "algorithm results: they depend on the dataset's parasite:distractor "
-    "balance and do not generalize to clinical parasitemias near the LoD"
-)
-
 
 class CurveKind(Enum):
     OBJECT_ROC = "object_roc"
@@ -64,8 +58,6 @@ class CurvePoints:
     points: np.ndarray
     auc: float | None = None
     notes: tuple[str, ...] = ()
-    # FROC: curve values interpolated onto the requested FP-per-cV grid.
-    grid_points: tuple[tuple[float, float], ...] | None = None
     # patient ROC: per-point flag marking the clinically salient region
     # (specificity >= 0.9), and the cohort's positive-parasitemia values.
     salient: tuple[bool, ...] | None = None
@@ -135,13 +127,12 @@ def sliver_roc(roc: CurvePoints, D: float) -> CurvePoints:
     )
 
 
-def froc(cohort: CohortDataset, fp_grid=None) -> CurvePoints:
+def froc(cohort: CohortDataset) -> CurvePoints:
     """Free ROC: object sensitivity vs false positives per cV.
 
     The x axis is the mean FP per cV over negative patients (falling back to
     positives, with a warning, when the cohort has no negatives). y is pooled
-    object sensitivity. When fp_grid is given the curve is also interpolated
-    onto it (``grid_points``).
+    object sensitivity.
     """
     scores, is_parasite = pooled_scores(cohort.patients)
     if not is_parasite.any():  # parasite objects sit on positive patients only
@@ -164,19 +155,7 @@ def froc(cohort: CohortDataset, fp_grid=None) -> CurvePoints:
                 for lo in range(0, len(thresholds), _FROC_BLOCK)]
     points = np.column_stack((np.concatenate([[0.0], *fp_rates]), np.r_[0.0, sens],
                               np.r_[math.inf, thresholds]))  # reject-all: nothing passes
-
-    grid_points = None
-    if fp_grid is not None:
-        grid = list(fp_grid)
-        if not grid or any(g <= 0 for g in grid) or sorted(grid) != grid:
-            raise InputError("fp_grid must be positive and ascending")
-        order = np.argsort(points[:, 0], kind="stable")
-        interp = np.interp(grid, points[order, 0], points[order, 1])
-        grid_points = tuple((float(g), float(v)) for g, v in zip(grid, interp))
-
-    return CurvePoints(
-        kind=CurveKind.FROC, points=points, notes=notes, grid_points=grid_points
-    )
+    return CurvePoints(kind=CurveKind.FROC, points=points, notes=notes)
 
 
 def easy_distractor_experiment(
@@ -196,9 +175,13 @@ def easy_distractor_experiment(
     if not (0.0 < easy_score_max <= 1.0):
         raise InputError("easy_score_max must be in (0, 1]")
 
-    fp_grid = (1.0, 10.0, 100.0)
+    def froc_at_fp_rates(c):
+        points = froc(c).points
+        order = np.argsort(points[:, 0], kind="stable")
+        return np.interp((1.0, 10.0, 100.0), points[order, 0], points[order, 1]).tolist()
+
     auc_before = object_roc(cohort).auc
-    froc_before = froc(cohort, fp_grid=fp_grid).grid_points
+    froc_before = froc_at_fp_rates(cohort)
 
     total_easy = n_easy * len(cohort.patients)
     easy = easy_score_max * np.arange(1, total_easy + 1) / (total_easy + 1)
@@ -216,7 +199,7 @@ def easy_distractor_experiment(
         provenance=cohort.provenance + f" +{n_easy} easy distractors/patient",
     )
     auc_after = object_roc(augmented).auc
-    froc_unchanged = froc_before == froc(augmented, fp_grid=fp_grid).grid_points
+    froc_unchanged = froc_before == froc_at_fp_rates(augmented)
     return auc_before, auc_after, froc_unchanged
 
 
@@ -258,16 +241,13 @@ def patient_roc(cohort: CohortDataset, C: float, T_grid) -> CurvePoints:
 @dataclass(frozen=True)
 class PrecisionReport:
     precision: float
-    f1: float | None
     precision_at_lod: float
-    fp_per_cv: float
-    warning: str = PRECISION_WARNING
 
 
-def precision_f1_with_reexpression(
+def precision_with_reexpression(
     cohort: CohortDataset, C: float, lod_parasitemia: float
 ) -> PrecisionReport:
-    """Pooled precision/F1, plus precision re-expressed at a LoD parasitemia.
+    """Pooled precision, plus precision re-expressed at a LoD parasitemia.
 
     The implied FP rate per cV is derived from the cohort (pooled FP count
     over pooled examined volume); precision_at_lod assumes perfect sensitivity
@@ -277,23 +257,12 @@ def precision_f1_with_reexpression(
         raise InputError("lod_parasitemia must be > 0")
     tp = int(counts_at(cohort, [C], "parasite_scores").sum())
     fp = int(counts_at(cohort, [C], "distractor_scores").sum())
-    fn = sum(p.n_parasite_objects for p in cohort) - tp
     volume = 0.0
     for p in cohort:  # a running sum: sum() and np.sum round differently
         volume += p.examined_volume
     if tp + fp == 0:
         raise DegenerateDataError("no objects pass the score threshold")
-    precision = tp / (tp + fp)
-    f1 = None
-    if tp + fn > 0:
-        sens = tp / (tp + fn)
-        if precision + sens > 0:
-            f1 = 2 * precision * sens / (precision + sens)
-    fp_per_cv = fp / volume
-    precision_at_lod = lod_parasitemia / (lod_parasitemia + fp_per_cv)
     return PrecisionReport(
-        precision=precision,
-        f1=f1,
-        precision_at_lod=precision_at_lod,
-        fp_per_cv=fp_per_cv,
+        precision=tp / (tp + fp),
+        precision_at_lod=lod_parasitemia / (lod_parasitemia + fp / volume),
     )

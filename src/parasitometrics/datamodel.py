@@ -212,10 +212,6 @@ class PatientRecord:
     def n_parasite_objects(self) -> int:
         return len(self.parasite_scores)
 
-    @property
-    def n_distractor_objects(self) -> int:
-        return len(self.distractor_scores)
-
 
 def _check_scores(object_ids, scores) -> None:
     """InputError naming the first object whose score is not in [0, 1]."""

@@ -143,7 +143,6 @@ def sensitivity_distribution(cohort: CohortDataset, C: float) -> MetricDistribut
 class PooledSensitivity:
     value: float
     imbalance_warning: str | None
-    dominant_patient: str | None
 
 
 def pooled_object_sensitivity(cohort: CohortDataset, C: float) -> PooledSensitivity:
@@ -168,13 +167,7 @@ def pooled_object_sensitivity(cohort: CohortDataset, C: float) -> PooledSensitiv
             f"{parasites_total} parasite objects (>50%); pooled sensitivity is "
             "dominated by one patient"
         )
-    else:
-        dominant = None
-    return PooledSensitivity(
-        value=tp_total / parasites_total,
-        imbalance_warning=warning,
-        dominant_patient=dominant,
-    )
+    return PooledSensitivity(value=tp_total / parasites_total, imbalance_warning=warning)
 
 
 def patient_diagnoses(cohort: CohortDataset, op) -> dict[str, GroundTruth]:

@@ -126,14 +126,13 @@ def quant_report(
     optional (S, F) pair used to evaluate the counting figure of merit at the
     cohort's median true parasitemia.
     """
-    positives = [p for p in cohort.positives if p.true_parasitemia > 0]
+    positives = sorted(cohort.positives, key=lambda q: q.patient_id)
     if len(positives) < 2:
         raise DegenerateDataError("quantitation report needs >= 2 positive patients")
 
     per_patient: dict[str, tuple[float, float, float]] = {}
     ba_pairs = []
     clamped = []
-    positives.sort(key=lambda q: q.patient_id)
     counted = (counts_at(positives, [op.C], "parasite_scores")[0]
                + counts_at(positives, [op.C], "distractor_scores")[0])
     for p, n in zip(positives, counted.tolist()):

@@ -23,7 +23,7 @@ from .calibration import (
 from .curves import (
     easy_distractor_experiment,
     object_roc,
-    precision_f1_with_reexpression,
+    precision_with_reexpression,
     sliver_roc,
 )
 from .datamodel import counts_at
@@ -88,7 +88,7 @@ def run_all() -> list[CheckResult]:
     # precision re-expression at LoD parasitemia
     ex = examples["precision"]
     want = ex["expected"]
-    pr = precision_f1_with_reexpression(ex["cohort"], ex["C"], ex["lod_parasitemia"])
+    pr = precision_with_reexpression(ex["cohort"], ex["C"], ex["lod_parasitemia"])
     checks.append(
         _check(
             "precision_reexpression",

@@ -24,7 +24,7 @@ from parasitometrics.cli import main as cli_main
 from parasitometrics.curves import (
     easy_distractor_experiment,
     object_roc,
-    precision_f1_with_reexpression,
+    precision_with_reexpression,
 )
 from parasitometrics.datamodel import GroundTruth
 from parasitometrics.metrics import (
@@ -78,7 +78,7 @@ def test_criterion_01_pooled_vs_patient_level_sensitivity():
 
 def test_criterion_02_precision_reexpression():
     ex = _example("precision")
-    rep = precision_f1_with_reexpression(
+    rep = precision_with_reexpression(
         ex["cohort"], C=ex["C"], lod_parasitemia=ex["lod_parasitemia"]
     )
     assert rep.precision == pytest.approx(0.9901, abs=1e-4)
@@ -113,7 +113,7 @@ def test_criterion_04_easy_distractor_inflation():
                      distractor_scores=(0.75, 0.5)),
     )
     n_real_objects = sum(len(list(object_rows(p))) for p in cohort.patients)  # 11
-    n_real_distractors = sum(p.n_distractor_objects for p in cohort.patients)  # 7
+    n_real_distractors = sum(len(p.distractor_scores) for p in cohort.patients)  # 7
     n_easy_per_patient = 10 * n_real_objects // len(cohort.patients)
     total_easy = n_easy_per_patient * len(cohort.patients)  # 10x real objects
 

@@ -17,9 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 import parasitometrics
 from parasitometrics import reproduce
-from parasitometrics.cli import _handle_errors, main
+from parasitometrics.cli import _handle_errors, _parse_bins, main
 from parasitometrics.datamodel import export_cohort, export_cohort_json, pooled_scores
 from parasitometrics.errors import DegenerateDataError, InputError, ReproductionFailure
+from parasitometrics.metrics import DEFAULT_PARASITEMIA_BINS
 from parasitometrics.quant import CONSTANT_X_NOTE, LINEAR_R2_NOTE
 from parasitometrics.simulator import Fixed, SimConfig, generate_cohort
 
@@ -108,17 +109,18 @@ class TestEvaluate:
         want = sorted({float(T) * k / 10.0 for k in range(41)} - {math.inf}, reverse=True)
         assert [t for _, _, t in points] == want
 
-    @pytest.mark.parametrize("config, written, skipped", [
+    @pytest.mark.parametrize("config, written, skipped, lod_skipped", [
         # no negative patients: the patient ROC is undefined, the object curves are not
         (SimConfig(seed=0, n_negative=0, n_positive=5), ["froc", "object_roc"],
-         "patient_roc skipped: patient ROC needs both positive and negative patients"),
+         "patient_roc skipped: patient ROC needs both positive and negative patients",
+         ["warning: LoD skipped: cohort has no negative patients"]),
         # no distractor objects: the object ROC is undefined, FROC and the patient ROC are not
         (SimConfig(seed=1, n_negative=3, n_positive=3, fpr_dist=Fixed(0.0),
                    background_distractor_rate=0.0), ["froc", "patient_roc"],
-         "object_roc skipped: ROC needs at least one parasite and one distractor object"),
+         "object_roc skipped: ROC needs at least one parasite and one distractor object", []),
     ], ids=["positives_only", "no_distractors"])
     def test_each_curve_is_skipped_on_its_own(self, runner, tmp_path, config, written,
-                                              skipped):
+                                              skipped, lod_skipped):
         export_cohort_json(generate_cohort(config), tmp_path / "c.json")
         out = tmp_path / "report"
         result = runner.invoke(main, ["evaluate", "--json", str(tmp_path / "c.json"),
@@ -128,7 +130,7 @@ class TestEvaluate:
         assert sorted(doc["curves"]) == written
         assert all(doc["curves"][name]["points"] for name in written)
         assert [line for line in result.stderr.splitlines()
-                if "skipped" in line] == [f"warning: {skipped}"]
+                if "skipped" in line] == lod_skipped + [f"warning: {skipped}"]
         assert skipped in doc["warnings"]
 
     def test_missing_dataset_is_input_error(self, runner, tmp_path):
@@ -229,6 +231,33 @@ class TestEvaluate:
             "warning: LoD (robust) skipped: LoD denominator 0.0 <= 0",
         ]
         assert json.loads((out / "report.json").read_text())["warnings"] == []
+
+    @pytest.mark.parametrize("patients, reason", [
+        ((make_patient("pos1", positive=True, parasite_scores=(0.9, 0.4)),),
+         "cohort has no negative patients"),
+        ((make_patient("neg1", distractor_scores=(0.8,)),),
+         "no positive patients with parasite objects"),
+        ((make_patient("neg1", distractor_scores=(0.8,)),
+          make_patient("pos1", positive=True, parasitemia=5.0)),
+         "no positive patients with parasite objects"),
+    ], ids=["no_negatives", "no_positives", "no_parasite_objects"])
+    def test_lod_without_its_distributions_is_a_warning(self, runner, tmp_path, patients,
+                                                        reason):
+        export_cohort_json(make_cohort(*patients), tmp_path / "c.json")
+        out = tmp_path / "r"
+        result = runner.invoke(main, ["evaluate", "--json", str(tmp_path / "c.json"),
+                                      "--C", "0.5", "--T", "10", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert [line for line in result.stderr.splitlines() if "LoD" in line] == [
+            f"warning: LoD skipped: {reason}"]
+        doc = json.loads((out / "report.json").read_text())
+        assert "lod_estimates" not in doc
+        assert not any("LoD" in w for w in doc["warnings"])
+
+    def test_bins_default_is_the_metrics_default(self):
+        bins = next(p for p in main.commands["evaluate"].params if p.name == "bins")
+        assert bins.default == "50,200,1000"  # as --help shows it
+        assert _parse_bins(bins.default) == DEFAULT_PARASITEMIA_BINS
 
 
 class TestCalibrateAndLod:
@@ -543,6 +572,23 @@ class TestQuantCommand:
         ba_rows = (out / "bland_altman.csv").read_text().splitlines()
         assert ba_rows[0] == "mean_log10,diff_log10"
         assert len(ba_rows) == 3
+
+    def test_rates_from_positives_only_warn_about_the_fpr(self, runner, tmp_path):
+        # no negatives: F-hat is the mean FPR of the positives
+        cohort = make_cohort(
+            make_patient("pos1", positive=True, parasite_scores=(0.9, 0.7),
+                         distractor_scores=(0.75,)),
+            make_patient("pos2", positive=True, parasite_scores=(0.95,)),
+        )
+        export_cohort_json(cohort, tmp_path / "c.json")
+        out = tmp_path / "q"
+        result = runner.invoke(main, ["quant", "--json", str(tmp_path / "c.json"),
+                                      "--C", "0.5", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        warning = ("FPR computed over positive patients; mis-/unannotated parasites "
+                   "can inflate these values")
+        assert result.stderr.splitlines() == [f"warning: {warning}"]
+        assert json.loads((out / "report.json").read_text())["warnings"] == [warning]
 
 
 class TestPoissonCommand:

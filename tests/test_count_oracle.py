@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from parasitometrics import curves
-from parasitometrics.curves import froc, object_roc, precision_f1_with_reexpression
+from parasitometrics.curves import froc, object_roc, precision_with_reexpression
 from parasitometrics.datamodel import GroundTruth, counts_at, per_cv_counts
 from parasitometrics.errors import DegenerateDataError, InputError
 from parasitometrics.metrics import patient_diagnoses, pooled_object_sensitivity
@@ -80,10 +80,10 @@ def loop_pooled_object_sensitivity(cohort, C):
         raise DegenerateDataError("cohort contains no parasite objects")
     dominant = max(contrib, key=contrib.get)
     if contrib[dominant] <= 0.5 * total:
-        return tp / total, None, None
+        return tp / total, None
     warning = (f"patient {dominant!r} contributes {contrib[dominant]} of {total} parasite "
                "objects (>50%); pooled sensitivity is dominated by one patient")
-    return tp / total, warning, dominant
+    return tp / total, warning
 
 
 def loop_patient_diagnoses(cohort, op):
@@ -94,25 +94,18 @@ def loop_patient_diagnoses(cohort, op):
     return out
 
 
-def loop_precision_f1(cohort, C, lod_parasitemia):
+def loop_precision(cohort, C, lod_parasitemia):
     if not (lod_parasitemia > 0):
         raise InputError("lod_parasitemia must be > 0")
-    tp = fp = fn = 0
+    tp = fp = 0
     volume = 0.0
     for p in cohort:
-        p_tp, p_fp, p_fn, _, _, _ = checked_loop_counts(p, C)
-        tp, fp, fn = tp + p_tp, fp + p_fp, fn + p_fn
+        p_tp, p_fp, _, _, _, _ = checked_loop_counts(p, C)
+        tp, fp = tp + p_tp, fp + p_fp
         volume += p.examined_volume
     if tp + fp == 0:
         raise DegenerateDataError("no objects pass the score threshold")
-    precision = tp / (tp + fp)
-    f1 = None
-    if tp + fn > 0:
-        sens = tp / (tp + fn)
-        if precision + sens > 0:
-            f1 = 2 * precision * sens / (precision + sens)
-    fp_per_cv = fp / volume
-    return precision, f1, lod_parasitemia / (lod_parasitemia + fp_per_cv), fp_per_cv
+    return tp / (tp + fp), lod_parasitemia / (lod_parasitemia + fp / volume)
 
 
 def loop_quant_per_patient(cohort, op, rates):
@@ -187,13 +180,13 @@ def test_patient_counts_match_loop(cohort, data):
         C = data.draw(st.one_of(st.sampled_from(on_score), SCORES) if on_score else SCORES)
         tp = int(counts_at([p], [C], "parasite_scores")[0, 0])
         fp = int(counts_at([p], [C], "distractor_scores")[0, 0])
-        fn, tn = p.n_parasite_objects - tp, p.n_distractor_objects - fp
+        fn, tn = p.n_parasite_objects - tp, len(p.distractor_scores) - fp
         v = p.examined_volume
         want = loop_patient_counts(p, C)
         assert (tp, fp, fn, tn, tp / v, fp / v) == want
         assert per_cv_counts([p], C).tolist() == [want[4] + want[5]]
         assert p.n_parasite_objects == _loop_n_parasites(p)
-        assert p.n_distractor_objects == sum(1 for _ in object_rows(p)) - _loop_n_parasites(p)
+        assert len(p.distractor_scores) == sum(1 for _ in object_rows(p)) - _loop_n_parasites(p)
 
 
 # outside [0, 1]; the int 2 must still be spelled C=2
@@ -217,11 +210,11 @@ def test_single_threshold_metrics_match_loop(cohort, data):
 
     def pooled():
         got = pooled_object_sensitivity(cohort, C)
-        return got.value, got.imbalance_warning, got.dominant_patient
+        return got.value, got.imbalance_warning
 
     def precision():
-        got = precision_f1_with_reexpression(cohort, C, lod)
-        return got.precision, got.f1, got.precision_at_lod, got.fp_per_cv
+        got = precision_with_reexpression(cohort, C, lod)
+        return got.precision, got.precision_at_lod
 
     def quant():
         got = quant_report(cohort, op, rates)
@@ -230,19 +223,19 @@ def test_single_threshold_metrics_match_loop(cohort, data):
     assert outcome(pooled) == outcome(lambda: loop_pooled_object_sensitivity(cohort, C))
     assert outcome(lambda: patient_diagnoses(cohort, op)) == \
         outcome(lambda: loop_patient_diagnoses(cohort, op))
-    assert outcome(precision) == outcome(lambda: loop_precision_f1(cohort, C, lod))
+    assert outcome(precision) == outcome(lambda: loop_precision(cohort, C, lod))
     assert outcome(quant) == outcome(lambda: loop_quant_per_patient(cohort, op, rates))
 
 
 def test_precision_pools_volume_as_a_running_sum():
     # a running sum of [0.1, 0.2, 0.3] * 5 is 3.0000000000000004; np.sum, and
-    # sum() on Python >= 3.12, give 3.0, and so another fp_per_cv
+    # sum() on Python >= 3.12, give 3.0, and so another precision_at_lod at LoD 1
     cohort = make_cohort(*(make_patient(f"neg{i:02d}", volume=v, distractor_scores=(0.9,) * 7)
                            for i, v in enumerate([0.1, 0.2, 0.3] * 5)))
-    got = precision_f1_with_reexpression(cohort, 0.5, 100.0)
-    assert (got.precision, got.f1, got.precision_at_lod, got.fp_per_cv) == \
-        loop_precision_f1(cohort, 0.5, 100.0)
-    assert got.fp_per_cv == 105 / 3.0000000000000004
+    got = precision_with_reexpression(cohort, 0.5, 1.0)
+    assert (got.precision, got.precision_at_lod) == loop_precision(cohort, 0.5, 1.0)
+    assert got.precision_at_lod == 1.0 / (1.0 + 105 / 3.0000000000000004)
+    assert got.precision_at_lod != 1.0 / (1.0 + 105 / 3.0)
 
 
 @settings(max_examples=150)

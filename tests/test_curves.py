@@ -9,7 +9,7 @@ from parasitometrics.curves import (
     froc,
     object_roc,
     patient_roc,
-    precision_f1_with_reexpression,
+    precision_with_reexpression,
     sliver_roc,
 )
 from parasitometrics.errors import DegenerateDataError, InputError
@@ -154,6 +154,11 @@ class TestEasyDistractors:
         ]
         assert all(a <= b for a, b in zip(aucs, aucs[1:]))
 
+    def test_froc_comparison_sees_distractors_above_real_scores(self, mixed_cohort):
+        # easy scores up to 1.0 raise the FP rate at real thresholds, so the
+        # FROC interpolated at 1 FP/cV moves
+        assert not easy_distractor_experiment(mixed_cohort, 100, easy_score_max=1.0)[2]
+
 
 class TestFroc:
     def test_sentinel_points(self, mixed_cohort):
@@ -179,11 +184,6 @@ class TestFroc:
             tp = sum(1 for s in (0.8, 0.3) if s >= c)
             assert x == pytest.approx(fp_neg)
             assert y == pytest.approx(tp / total_parasites)
-
-    def test_grid_interpolation(self, mixed_cohort):
-        curve = froc(mixed_cohort, fp_grid=[0.5, 1.0, 2.0])
-        assert len(curve.grid_points) == 3
-        assert all(0.0 <= y <= 1.0 for _, y in curve.grid_points)
 
     def test_no_negatives_warns(self):
         cohort = make_cohort(
@@ -225,16 +225,15 @@ class TestPrecisionReexpression:
                          parasite_scores=(0.9,) * 10_000,
                          distractor_scores=(0.9,) * 100)
         )
-        rep = precision_f1_with_reexpression(cohort, 0.5, lod_parasitemia=100.0)
+        rep = precision_with_reexpression(cohort, 0.5, lod_parasitemia=100.0)
         assert rep.precision == pytest.approx(10_000 / 10_100, abs=1e-6)
         assert rep.precision_at_lod == pytest.approx(0.5, abs=1e-12)
-        assert "misleading" in rep.warning
 
     def test_no_fp_perfect_precision(self):
         cohort = make_cohort(
             make_patient("q", positive=True, parasite_scores=(0.9, 0.8))
         )
-        rep = precision_f1_with_reexpression(cohort, 0.5, lod_parasitemia=10.0)
+        rep = precision_with_reexpression(cohort, 0.5, lod_parasitemia=10.0)
         assert rep.precision == 1.0
         assert rep.precision_at_lod == 1.0
 
@@ -244,14 +243,13 @@ class TestPrecisionReexpression:
                          parasite_scores=(0.9, 0.9, 0.1),
                          distractor_scores=(0.8, 0.8))
         )
-        rep = precision_f1_with_reexpression(cohort, 0.5, lod_parasitemia=10.0)
+        rep = precision_with_reexpression(cohort, 0.5, lod_parasitemia=10.0)
         assert rep.precision == 0.5
-        sens = 2 / 3
-        assert rep.f1 == pytest.approx(2 * 0.5 * sens / (0.5 + sens))
+        assert rep.precision_at_lod == 10.0 / (10.0 + 2.0)
 
     def test_no_detections(self):
         cohort = make_cohort(
             make_patient("q", positive=True, parasite_scores=(0.1,))
         )
         with pytest.raises(DegenerateDataError, match="no objects pass the score threshold"):
-            precision_f1_with_reexpression(cohort, 0.9, lod_parasitemia=10.0)
+            precision_with_reexpression(cohort, 0.9, lod_parasitemia=10.0)

@@ -407,7 +407,7 @@ class TestPatientCounts:
     def test_empty_objects(self):
         p = make_patient("n", volume=1.0)
         assert _tp_fp(p, 0.3) == (0, 0)
-        assert (p.n_parasite_objects, p.n_distractor_objects) == (0, 0)
+        assert (p.n_parasite_objects, len(p.distractor_scores)) == (0, 0)
         assert per_cv_counts([p], 0.3).tolist() == [0.0]
 
     def test_zero_threshold_accepts_all(self):
@@ -452,7 +452,7 @@ def test_counts_partition_and_monotonicity(scores, c1, c2):
     lo, hi = min(c1, c2), max(c1, c2)
     (tp_lo, tp_hi), (fp_lo, fp_hi) = (counts_at([p], [lo, hi], attr)[:, 0].tolist()
                                       for attr in ("parasite_scores", "distractor_scores"))
-    assert (p.n_parasite_objects, p.n_distractor_objects) == (n_par, len(scores) - n_par)
+    assert (p.n_parasite_objects, len(p.distractor_scores)) == (n_par, len(scores) - n_par)
     for tp, fp in ((tp_lo, fp_lo), (tp_hi, fp_hi)):
         assert 0 <= tp <= n_par
         assert 0 <= fp <= len(scores) - n_par

@@ -213,7 +213,7 @@ class TestWorkedExampleFixtures:
         assert examples["patient-level"]["expected"]["patient_level_sensitivity"] == 0.25
         auc = examples["auc-imbalance"]["cohort"].patients[0]
         assert auc.n_parasite_objects == 1
-        assert auc.n_distractor_objects == 50_000
+        assert len(auc.distractor_scores) == 50_000
 
     def test_fixtures_are_deterministic(self):
         a = paper_worked_examples()
