@@ -28,7 +28,6 @@ from .metrics import (  # noqa: F401
     MetricDistribution,
     StratifiedResult,
     fpr_distribution,
-    patient_diagnoses,
     patient_level_sens_spec,
     pooled_object_sensitivity,
     sensitivity_distribution,

@@ -36,7 +36,8 @@ from .curves import froc, object_roc, patient_roc
 from .datamodel import export_cohort, export_cohort_json, ingest_cohort, ingest_cohort_json
 from .errors import DegenerateDataError, InputError, ReproductionFailure
 from .metrics import (
-    DEFAULT_PARASITEMIA_BINS,
+    DEFAULT_BIN_EDGES,
+    check_bin_edges,
     fpr_distribution,
     patient_level_sens_spec,
     pooled_object_sensitivity,
@@ -96,15 +97,6 @@ def _parse_floats(spec: str, what: str) -> list[float]:
         raise InputError(f"could not parse {what} {spec!r}") from None
 
 
-def _parse_bins(spec: str):
-    """Comma-separated interior bin edges, e.g. '50,200,1000'."""
-    edges = _parse_floats(spec, "bin edges")
-    if any(not 0.0 < e < float("inf") for e in edges) or edges != sorted(set(edges)):
-        raise InputError("bin edges must be finite, positive and strictly ascending")
-    bounds = [0.0] + edges + [float("inf")]
-    return tuple(zip(bounds, bounds[1:]))
-
-
 # the LoD has a Gaussian and a robust formula; percentile calibration has none
 _LOD_METHODS = (CalibrationMethod.GAUSSIAN, CalibrationMethod.ROBUST)
 
@@ -129,7 +121,7 @@ def main():
 @click.option("--T", "t_threshold", type=float, default=None, help="per-cV count threshold")
 @click.option("--spec-target", type=float, default=None, help="target specificity K for calibration")
 @click.option("--calib-method", default="gaussian", show_default=True)
-@click.option("--bins", default=",".join(f"{hi:g}" for _, hi in DEFAULT_PARASITEMIA_BINS[:-1]),
+@click.option("--bins", default=",".join(f"{e:g}" for e in DEFAULT_BIN_EDGES),
               show_default=True, help="interior parasitemia bin edges (per cV)")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json",
@@ -141,7 +133,8 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
              spec_target, calib_method, bins, out_dir, fmt, with_curves):
     """Full evaluation report at an operating point (explicit or calibrated)."""
     cohort = _load_cohort(json_path, patients, objects, cv_description)
-    parasitemia_bins = _parse_bins(bins)
+    # a malformed --bins exits 2 before any metric can exit 3
+    bin_edges = check_bin_edges(_parse_floats(bins, "bin edges"))
     warnings: list[str] = []
 
     if c_threshold is None:
@@ -172,12 +165,12 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
         except DegenerateDataError as exc:
             warnings.append(str(exc))
 
-    strat, specificity = patient_level_sens_spec(cohort, op, parasitemia_bins)
-
     lods = []
+    lod_skipped = None
     if fpr is None or sens is None:
-        click.echo("warning: LoD skipped: " + ("cohort has no negative patients" if fpr is None
-                   else "no positive patients with parasite objects"), err=True)
+        lod_skipped = ("cohort has no negative patients" if fpr is None
+                       else "no positive patients with parasite objects")
+        click.echo(f"warning: LoD skipped: {lod_skipped}", err=True)
     else:
         for method in _LOD_METHODS:
             try:
@@ -192,11 +185,7 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
         fpr=fpr,
         sensitivity=sens,
         pooled_sensitivity=pooled,
-        patient_sensitivity=strat,
-        specificity=specificity,
-        specificity_absent_reason=(
-            None if specificity is not None else "cohort has no negative patients"
-        ),
+        patient_level=patient_level_sens_spec(cohort, op, bin_edges),
         lod_estimates=lods,
         warnings=warnings,
     )
@@ -215,7 +204,8 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
     for path in write_report(report, out_dir, fmt=fmt):
         click.echo(path)
     for w in warnings:
-        click.echo(f"warning: {w}", err=True)
+        if w != lod_skipped:  # the LoD line already named this cause
+            click.echo(f"warning: {w}", err=True)
 
 
 @main.command()

@@ -166,22 +166,22 @@ def easy_distractor_experiment(
     """Inject n_easy low-scoring distractors per patient; AUC inflates, FROC doesn't.
 
     Injected scores are spread in (0, easy_score_max). Returns
-    (auc_before, auc_after, froc_unchanged) where froc_unchanged compares the
-    FROC at FP rates 1, 10 and 100 before and after for bit-identity. The FROC
-    guarantee holds when easy_score_max is below every real object score.
+    (auc_before, auc_after, froc_unchanged) where froc_unchanged compares,
+    before and after for bit-identity, the best sensitivity the FROC reaches at
+    or below each FP rate on the original FROC. The FROC guarantee holds when
+    easy_score_max is below every real object score.
     """
     if n_easy < 0:
         raise InputError("n_easy must be >= 0")
     if not (0.0 < easy_score_max <= 1.0):
         raise InputError("easy_score_max must be in (0, 1]")
 
-    def froc_at_fp_rates(c):
-        points = froc(c).points
-        order = np.argsort(points[:, 0], kind="stable")
-        return np.interp((1.0, 10.0, 100.0), points[order, 0], points[order, 1]).tolist()
+    def best_sensitivity(points, fp_rates):  # a FROC's x ascends as its threshold falls
+        best = np.maximum.accumulate(points[:, 1])
+        return best[np.searchsorted(points[:, 0], fp_rates, side="right") - 1].tolist()
 
     auc_before = object_roc(cohort).auc
-    froc_before = froc_at_fp_rates(cohort)
+    before = froc(cohort).points
 
     total_easy = n_easy * len(cohort.patients)
     easy = easy_score_max * np.arange(1, total_easy + 1) / (total_easy + 1)
@@ -199,7 +199,8 @@ def easy_distractor_experiment(
         provenance=cohort.provenance + f" +{n_easy} easy distractors/patient",
     )
     auc_after = object_roc(augmented).auc
-    froc_unchanged = froc_before == froc_at_fp_rates(augmented)
+    froc_unchanged = (best_sensitivity(before, before[:, 0])
+                      == best_sensitivity(froc(augmented).points, before[:, 0]))
     return auc_before, auc_after, froc_unchanged
 
 

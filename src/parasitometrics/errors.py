@@ -11,8 +11,10 @@ class                    exit  meaning
 =======================  ====  ==============================================
 
 The CLI prints ``error: <message>`` and exits with the class's ``exit_code``.
-``ParasitometricsError`` is the base of all of them, so a library caller can
-catch everything with one ``except``.
+Every subclass of ``ParasitometricsError`` is in this table and carries an
+``exit_code``, so the CLI catches each of them. ``ParasitometricsError`` is the
+base of all of them, so a library caller can catch everything with one
+``except``.
 """
 
 
@@ -36,7 +38,3 @@ class ReproductionFailure(ParasitometricsError):
     """A numeric check in the reproduction bundle did not pass."""
 
     exit_code = 1
-
-
-class ReportInvariantError(ParasitometricsError):
-    """A report section violates a structural reporting rule (a programming error)."""

@@ -20,24 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import (
-    CohortDataset,
-    GroundTruth,
-    PatientRecord,
-    Species,
-    counts_at,
-    per_cv_counts,
-)
+from .datamodel import CohortDataset, GroundTruth, Species, counts_at, per_cv_counts
 from .errors import DegenerateDataError, InputError
 from .stats import DistSummary, summarize
 
-DEFAULT_PARASITEMIA_BINS: tuple[tuple[float, float], ...] = (
-    (0.0, 50.0),
-    (50.0, 200.0),
-    (200.0, 1000.0),
-    (1000.0, float("inf")),
-)
-# Half-open on the left: a bin (lo, hi] holds patients with lo < P <= hi.
+# Interior parasitemia bin edges (per cV). The bins run from 0 to inf and are
+# half-open on the left: a bin (lo, hi] holds patients with lo < P <= hi.
+DEFAULT_BIN_EDGES: tuple[float, ...] = (50.0, 200.0, 1000.0)
 
 
 class MetricKind(Enum):
@@ -70,12 +59,14 @@ class Stratum:
 
 @dataclass(frozen=True)
 class StratifiedResult:
-    """Patient-level sensitivity stratified by parasitemia bin and species."""
+    """Patient-level sensitivity stratified by parasitemia bin and species,
+    with the paired specificity (None when the cohort has no negatives)."""
 
     bins: tuple[tuple[float, float], ...]
     parasitemia_strata: tuple[Stratum, ...]
     species_strata: tuple[Stratum, ...]
     overall: float
+    specificity: float | None
 
 
 def _distributions(kind, ids, values: np.ndarray, **extra) -> list[MetricDistribution]:
@@ -170,11 +161,12 @@ def pooled_object_sensitivity(cohort: CohortDataset, C: float) -> PooledSensitiv
     return PooledSensitivity(value=tp_total / parasites_total, imbalance_warning=warning)
 
 
-def patient_diagnoses(cohort: CohortDataset, op) -> dict[str, GroundTruth]:
-    """Diagnose each patient: positive iff N(C) >= T, with N per-cV."""
-    n = per_cv_counts(cohort.patients, op.C).tolist()
-    return {p.patient_id: GroundTruth.POSITIVE if n_p >= op.T else GroundTruth.NEGATIVE
-            for p, n_p in zip(cohort, n)}
+def check_bin_edges(edges: Sequence[float]) -> tuple[float, ...]:
+    """The interior parasitemia bin edges, if finite, positive and strictly ascending."""
+    edges = tuple(edges)
+    if any(not 0.0 < e < float("inf") for e in edges) or list(edges) != sorted(set(edges)):
+        raise InputError("bin edges must be finite, positive and strictly ascending")
+    return edges
 
 
 def _bin_label(lo: float, hi: float) -> str:
@@ -182,65 +174,39 @@ def _bin_label(lo: float, hi: float) -> str:
     return f"({lo:g}, {hi_s}]"
 
 
-def _stratum(label: str, members: list[PatientRecord], detected: set[str]) -> Stratum:
-    hits = sum(1 for p in members if p.patient_id in detected)
-    return Stratum(label=label, n_patients=len(members), n_detected=hits,
-                   value=(hits / len(members)) if members else None)
+def _stratum(label: str, members: np.ndarray, detected: np.ndarray) -> Stratum:
+    n, hits = int(members.sum()), int((members & detected).sum())
+    return Stratum(label=label, n_patients=n, n_detected=hits, value=(hits / n) if n else None)
 
 
 def patient_level_sens_spec(
     cohort: CohortDataset,
     op,
-    parasitemia_bins: Sequence[tuple[float, float]] = DEFAULT_PARASITEMIA_BINS,
-) -> tuple[StratifiedResult, float | None]:
+    bin_edges: Sequence[float] = DEFAULT_BIN_EDGES,
+) -> StratifiedResult:
     """Patient-level sensitivity (stratified) and specificity.
 
-    Specificity is computed over negative patients only; with no negatives it
-    is returned as None (absent), never as 0. Sensitivity is stratified both
-    by true-parasitemia bin and by species, and the result always carries the
-    bin definition — a headline sensitivity without its parasitemia
-    distribution and paired specificity is not reportable.
+    A patient is diagnosed positive iff its per-cV N(C) >= T. Specificity is
+    computed over negative patients only; with no negatives it is None
+    (absent), never 0. Sensitivity is stratified both by true-parasitemia bin
+    and by species, and the result always carries the bin definition and the
+    specificity: a headline sensitivity without its parasitemia distribution
+    and paired specificity is not reportable.
     """
-    bins = tuple(parasitemia_bins)
-    for (lo1, hi1), (lo2, hi2) in zip(bins, bins[1:]):
-        if hi1 != lo2:
-            raise InputError("parasitemia bins must tile (0, inf) without gaps/overlap")
-    if bins and (bins[0][0] != 0.0 or bins[-1][1] != float("inf")):
-        raise InputError("parasitemia bins must start at 0 and end at inf")
-
-    diag = patient_diagnoses(cohort, op)
-
-    positives = cohort.positives
-    if positives:
-        detected = {p.patient_id for p in positives if diag[p.patient_id] is GroundTruth.POSITIVE}
-        overall = len(detected) / len(positives)
-    else:
-        detected = set()
-        overall = float("nan")
-
-    para_strata = [
-        _stratum(_bin_label(lo, hi),
-                 [p for p in positives if lo < p.true_parasitemia <= hi], detected)
-        for lo, hi in bins
-    ]
-    species_strata = [
-        _stratum(sp.value, members, detected)
-        for sp in Species
-        if (members := [p for p in positives if p.species is sp])
-    ]
-
-    negatives = cohort.negatives
-    specificity = None
-    if negatives:
-        correct = sum(
-            1 for p in negatives if diag[p.patient_id] is GroundTruth.NEGATIVE
-        )
-        specificity = correct / len(negatives)
-
-    result = StratifiedResult(
+    bounds = (0.0, *check_bin_edges(bin_edges), float("inf"))
+    bins = tuple(zip(bounds, bounds[1:]))
+    diagnosed = per_cv_counts(cohort.patients, op.C) >= op.T
+    positive = np.array([p.ground_truth is GroundTruth.POSITIVE for p in cohort.patients])
+    detected, rejected = diagnosed[positive], ~diagnosed[~positive]
+    parasitemia = np.array([p.true_parasitemia for p in cohort.positives], dtype=float)
+    species = np.array([p.species for p in cohort.positives], dtype=object)
+    return StratifiedResult(
         bins=bins,
-        parasitemia_strata=tuple(para_strata),
-        species_strata=tuple(species_strata),
-        overall=overall,
+        parasitemia_strata=tuple(
+            _stratum(_bin_label(lo, hi), (lo < parasitemia) & (parasitemia <= hi), detected)
+            for lo, hi in bins),
+        species_strata=tuple(_stratum(sp.value, members, detected) for sp in Species
+                             if (members := species == sp).any()),
+        overall=int(detected.sum()) / len(detected) if len(detected) else float("nan"),
+        specificity=int(rejected.sum()) / len(rejected) if len(rejected) else None,
     )
-    return result, specificity

@@ -1,9 +1,9 @@
 """Evaluation report assembly and serialization (JSON document + CSV blocks).
 
-The serializer enforces one structural rule: a patient-level sensitivity
-section is only emittable together with its parasitemia bin definition and the
-paired specificity. A sensitivity number without those two is uninformative
-and is rejected, not silently written.
+A patient-level sensitivity is only reportable together with its
+parasitemia bin definition and the paired specificity; the report's
+``patient_level`` is a ``StratifiedResult``, which carries all three, so the
+section is written whole or not at all.
 
 ``report.json`` has the bytes of ``json.dump(doc, fh, indent=2,
 sort_keys=True)`` plus a newline. The text is ``json.dumps``'s, with each
@@ -23,7 +23,6 @@ from pathlib import Path
 from . import __version__
 from .calibration import LodEstimate, OperatingPoint
 from .curves import CurvePoints
-from .errors import ReportInvariantError
 from .metrics import MetricDistribution, StratifiedResult
 from .quant import QuantResult
 
@@ -38,9 +37,7 @@ class EvaluationReport:
     fpr: MetricDistribution | None = None
     sensitivity: MetricDistribution | None = None
     pooled_sensitivity: float | None = None
-    patient_sensitivity: StratifiedResult | None = None
-    specificity: float | None = None
-    specificity_absent_reason: str | None = None
+    patient_level: StratifiedResult | None = None
     lod_estimates: list[LodEstimate] = field(default_factory=list)
     curves: dict[str, CurvePoints] = field(default_factory=dict)
     quantitation: QuantResult | None = None
@@ -85,11 +82,7 @@ def _stratified_doc(sr: StratifiedResult) -> dict:
 
 
 def report_to_doc(report: EvaluationReport) -> dict:
-    """Render the report as a JSON-serializable document.
-
-    Raises ReportInvariantError if a patient-level sensitivity section lacks
-    its parasitemia bins or the paired specificity entry.
-    """
+    """Render the report as a JSON-serializable document."""
     return _document(report, lambda name, c: c.points.tolist())
 
 
@@ -115,24 +108,12 @@ def _document(report: EvaluationReport, points) -> dict:
         doc["sensitivity_distribution"] = _summary_doc(report.sensitivity)
     if report.pooled_sensitivity is not None:
         doc["pooled_object_sensitivity"] = report.pooled_sensitivity
-    if report.patient_sensitivity is not None:
-        if not report.patient_sensitivity.bins:
-            raise ReportInvariantError(
-                "patient-level sensitivity requires the parasitemia bin definition"
-            )
-        if report.specificity is None and report.specificity_absent_reason is None:
-            raise ReportInvariantError(
-                "patient-level sensitivity requires the paired specificity "
-                "(or an explicit absence reason)"
-            )
-        doc["patient_level"] = {
-            "sensitivity": _stratified_doc(report.patient_sensitivity),
-            "specificity": report.specificity,
-        }
-        if report.specificity is None:
-            doc["patient_level"]["specificity_absent_reason"] = (
-                report.specificity_absent_reason
-            )
+    if report.patient_level is not None:
+        pl = report.patient_level
+        doc["patient_level"] = {"sensitivity": _stratified_doc(pl),
+                                "specificity": pl.specificity}
+        if pl.specificity is None:
+            doc["patient_level"]["specificity_absent_reason"] = "cohort has no negative patients"
     if report.lod_estimates:
         doc["lod_estimates"] = [
             {
@@ -218,7 +199,7 @@ def write_report(report: EvaluationReport, out_dir, fmt: str = "json") -> list[s
     out.mkdir(parents=True, exist_ok=True)
     curve_csvs = {name: out / f"curve_{name}.csv"
                   for name in (report.curves if fmt == "csv" else ())}
-    # validates invariants for either format; each curve's points are its name
+    # each curve's points are its name
     text = json.dumps(_document(report, lambda name, c: name), indent=2, sort_keys=True)
 
     json_path = out / "report.json"
@@ -242,9 +223,9 @@ def write_report(report: EvaluationReport, out_dir, fmt: str = "json") -> list[s
                 _write_csv(path, ("patient_id", column),
                            [(k, repr(v)) for k, v in sorted(md.per_patient.items())])
                 written.append(str(path))
-        if report.patient_sensitivity is not None:
+        if report.patient_level is not None:
             path = out / "stratified_sensitivity.csv"
-            sr = report.patient_sensitivity
+            sr = report.patient_level
             rows = [
                 (kind, st.label, st.n_patients, st.n_detected,
                  "" if st.value is None else repr(st.value))

@@ -73,9 +73,7 @@ def run_all() -> list[CheckResult]:
     ex = examples["patient-level"]
     want = ex["expected"]
     pooled = pooled_object_sensitivity(ex["cohort"], ex["C"]).value
-    strat, _ = patient_level_sens_spec(
-        ex["cohort"], OperatingPoint(C=ex["C"], T=ex["T"])
-    )
+    strat = patient_level_sens_spec(ex["cohort"], OperatingPoint(C=ex["C"], T=ex["T"]))
     checks.append(
         _check(
             "pooled_vs_patient_sensitivity",
@@ -238,9 +236,7 @@ def run_all() -> list[CheckResult]:
 
     # inclusive diagnosis rule: N = T counts as positive
     ex = examples["patient-level"]
-    diag_strat, _ = patient_level_sens_spec(
-        ex["cohort"], OperatingPoint(C=0.5, T=50_000.0)
-    )
+    diag_strat = patient_level_sens_spec(ex["cohort"], OperatingPoint(C=0.5, T=50_000.0))
     checks.append(
         _check(
             "inclusive_diagnosis_rule",

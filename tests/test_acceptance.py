@@ -26,11 +26,9 @@ from parasitometrics.curves import (
     object_roc,
     precision_with_reexpression,
 )
-from parasitometrics.datamodel import GroundTruth
 from parasitometrics.metrics import (
     MetricKind,
     fpr_distribution,
-    patient_diagnoses,
     patient_level_sens_spec,
     pooled_object_sensitivity,
     sensitivity_distribution,
@@ -67,7 +65,7 @@ def test_criterion_01_pooled_vs_patient_level_sensitivity():
     pooled = pooled_object_sensitivity(cohort, C).value
     assert pooled == pytest.approx(50_000 / 50_900, abs=1e-9)
 
-    strat, _ = patient_level_sens_spec(cohort, OperatingPoint(C=C, T=T))
+    strat = patient_level_sens_spec(cohort, OperatingPoint(C=C, T=T))
     assert strat.overall == 0.25
 
     elapsed = time.perf_counter() - start
@@ -194,10 +192,7 @@ def test_criterion_07_lod_empirical_meaning():
         seed=702, n_negative=0, n_positive=2_000, fpr_dist=fpr_spec,
         parasitemia_dist=Fixed(L), patient_sensitivity_dist=Fixed(s_fixed),
     ))
-    diagnosed = patient_diagnoses(positives, OperatingPoint(C=C, T=T))
-    sens_at_L = sum(
-        1 for gt in diagnosed.values() if gt is GroundTruth.POSITIVE
-    ) / len(diagnosed)
+    sens_at_L = patient_level_sens_spec(positives, OperatingPoint(C=C, T=T)).overall
     assert sens_at_L >= 0.80
 
     # P95: parasitemia where patient-level sensitivity hits 0.95, from a fast
@@ -247,8 +242,7 @@ def test_lod_is_detected_with_sensitivity_K_at_specificity_K(K):
         seed=702, n_negative=0, n_positive=2_000, fpr_dist=fpr_spec,
         parasitemia_dist=Fixed(L), patient_sensitivity_dist=Fixed(s_fixed),
     ))
-    diagnosed = patient_diagnoses(positives, OperatingPoint(C=C, T=T))
-    sens_at_L = sum(gt is GroundTruth.POSITIVE for gt in diagnosed.values()) / len(diagnosed)
+    sens_at_L = patient_level_sens_spec(positives, OperatingPoint(C=C, T=T)).overall
     assert abs(sens_at_L - K) <= 0.03, sens_at_L
 
 

@@ -17,10 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 import parasitometrics
 from parasitometrics import reproduce
-from parasitometrics.cli import _handle_errors, _parse_bins, main
+from parasitometrics.cli import _handle_errors, main
 from parasitometrics.datamodel import export_cohort, export_cohort_json, pooled_scores
 from parasitometrics.errors import DegenerateDataError, InputError, ReproductionFailure
-from parasitometrics.metrics import DEFAULT_PARASITEMIA_BINS
+from parasitometrics.metrics import DEFAULT_BIN_EDGES, check_bin_edges
 from parasitometrics.quant import CONSTANT_X_NOTE, LINEAR_R2_NOTE
 from parasitometrics.simulator import Fixed, SimConfig, generate_cohort
 
@@ -257,7 +257,35 @@ class TestEvaluate:
     def test_bins_default_is_the_metrics_default(self):
         bins = next(p for p in main.commands["evaluate"].params if p.name == "bins")
         assert bins.default == "50,200,1000"  # as --help shows it
-        assert _parse_bins(bins.default) == DEFAULT_PARASITEMIA_BINS
+        assert check_bin_edges([float(e) for e in bins.default.split(",")]) == DEFAULT_BIN_EDGES
+
+    def test_missing_parasite_objects_are_named_once_on_stderr(self, runner, tmp_path):
+        # the sensitivity's cause is the LoD's too: one stderr line, and
+        # report.json's warnings keep it
+        export_cohort_json(make_cohort(make_patient("neg1", distractor_scores=(0.8,)),
+                                       make_patient("pos1", positive=True, parasitemia=5.0)),
+                           tmp_path / "c.json")
+        out = tmp_path / "r"
+        result = runner.invoke(main, ["evaluate", "--json", str(tmp_path / "c.json"),
+                                      "--C", "0.5", "--T", "10", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.stderr.splitlines() == [
+            "warning: LoD skipped: no positive patients with parasite objects"]
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["warnings"] == ["no positive patients with parasite objects"]
+
+    @pytest.mark.parametrize("bins", ["100,50", "0,5", "nan"])
+    def test_bad_bins_exit_2_before_calibration_can_exit_3(self, runner, tmp_path, bins):
+        # without negatives, calibrating T would exit 3; the bins are checked first
+        export_cohort_json(make_cohort(make_patient("pos1", positive=True,
+                                                    parasite_scores=(0.9,))),
+                           tmp_path / "c.json")
+        result = runner.invoke(main, ["evaluate", "--json", str(tmp_path / "c.json"),
+                                      "--C", "0.5", "--spec-target", "0.95", "--bins", bins,
+                                      "--out", str(tmp_path / "r")])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (
+            "error: bin edges must be finite, positive and strictly ascending\n")
 
 
 class TestCalibrateAndLod:

@@ -2,11 +2,15 @@
 
 ``loop_patient_counts`` and ``loop_froc_points`` are the per-object loops
 that counting at a threshold and ``froc`` used before patients kept sorted
-score arrays. They stay here as the reference, and the fast code must match
-them exactly: same integers, same floats, same thresholds.
+score arrays; ``loop_patient_level_sens_spec`` is the patient-level
+sensitivity and specificity before they were counted from one diagnosis
+vector, with a dict of diagnoses and one member list per stratum. They stay
+here as the reference, and the fast code must match them exactly: same
+integers, same floats, same thresholds.
 """
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -15,9 +19,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from parasitometrics import curves
 from parasitometrics.curves import froc, object_roc, precision_with_reexpression
-from parasitometrics.datamodel import GroundTruth, counts_at, per_cv_counts
+from parasitometrics.datamodel import GroundTruth, Species, counts_at, per_cv_counts
 from parasitometrics.errors import DegenerateDataError, InputError
-from parasitometrics.metrics import patient_diagnoses, pooled_object_sensitivity
+from parasitometrics.metrics import (
+    StratifiedResult,
+    Stratum,
+    patient_level_sens_spec,
+    pooled_object_sensitivity,
+)
 from parasitometrics.quant import ExpectedRates, estimate_parasitemia, quant_report
 
 from conftest import curve_rows, make_cohort, make_patient, object_rows
@@ -92,6 +101,32 @@ def loop_patient_diagnoses(cohort, op):
         _, _, _, _, TP, FP = checked_loop_counts(p, op.C)
         out[p.patient_id] = GroundTruth.POSITIVE if TP + FP >= op.T else GroundTruth.NEGATIVE
     return out
+
+
+def loop_patient_level_sens_spec(cohort, op, bin_edges):
+    diag = loop_patient_diagnoses(cohort, op)
+    positives = [p for p in cohort if p.ground_truth is GroundTruth.POSITIVE]
+    negatives = [p for p in cohort if p.ground_truth is GroundTruth.NEGATIVE]
+
+    def stratum(label, members):
+        hits = sum(1 for p in members if diag[p.patient_id] is GroundTruth.POSITIVE)
+        return Stratum(label=label, n_patients=len(members), n_detected=hits,
+                       value=(hits / len(members)) if members else None)
+
+    bounds = [0.0, *bin_edges, math.inf]
+    bins = tuple(zip(bounds, bounds[1:]))
+    correct = sum(1 for p in negatives if diag[p.patient_id] is GroundTruth.NEGATIVE)
+    return StratifiedResult(
+        bins=bins,
+        parasitemia_strata=tuple(
+            stratum(f"({lo:g}, {'inf' if hi == math.inf else f'{hi:g}'}]",
+                    [p for p in positives if lo < p.true_parasitemia <= hi])
+            for lo, hi in bins),
+        species_strata=tuple(stratum(sp.value, members) for sp in Species
+                             if (members := [p for p in positives if p.species is sp])),
+        overall=stratum("all", positives).value if positives else math.nan,
+        specificity=correct / len(negatives) if negatives else None,
+    )
 
 
 def loop_precision(cohort, C, lod_parasitemia):
@@ -221,10 +256,37 @@ def test_single_threshold_metrics_match_loop(cohort, data):
         return list(got.per_patient.items()), got.clamped_patients  # in the order written
 
     assert outcome(pooled) == outcome(lambda: loop_pooled_object_sensitivity(cohort, C))
-    assert outcome(lambda: patient_diagnoses(cohort, op)) == \
-        outcome(lambda: loop_patient_diagnoses(cohort, op))
     assert outcome(precision) == outcome(lambda: loop_precision(cohort, C, lod))
     assert outcome(quant) == outcome(lambda: loop_quant_per_patient(cohort, op, rates))
+
+
+# strictly ascending, positive and finite; the sampled values are also drawn as
+# parasitemias, so patients sit exactly on an edge
+EDGES = st.lists(st.sampled_from([1.0, 2.0, 50.0, 200.0]) | st.floats(1e-3, 1e4),
+                 max_size=4, unique=True).map(lambda edges: tuple(sorted(edges)))
+SPECIES = st.sampled_from([sp for sp in Species if sp is not Species.NONE])
+
+
+@settings(deadline=None)
+@given(cohort=cohorts(), edges=EDGES, data=st.data())
+def test_patient_level_sens_spec_matches_loop(cohort, edges, data):
+    if cohort.negatives and data.draw(st.booleans()):  # no positives
+        cohort = make_cohort(*cohort.negatives)
+    cohort = make_cohort(*(
+        p if p.ground_truth is GroundTruth.NEGATIVE else
+        replace(p, species=data.draw(SPECIES),
+                true_parasitemia=data.draw(st.sampled_from([1.0, 2.0, 50.0, 200.0, *edges])
+                                           | st.floats(1e-3, 1e5)))
+        for p in data.draw(st.permutations(cohort.patients))))
+    on_score = [score for p in cohort for _, score, _ in object_rows(p)]
+    C = data.draw(st.one_of(SCORES, BAD_C, *([st.sampled_from(on_score)] if on_score else [])))
+    ns = [sum(loop_patient_counts(p, C)[4:]) for p in cohort] if 0.0 <= C <= 1.0 else []
+    T = data.draw(st.one_of(st.floats(0.0, 100.0), *([st.sampled_from(ns)] if ns else [])))
+    op = SimpleNamespace(C=C, T=T)  # not an OperatingPoint, so a bad C reaches the count
+    # by repr: every stratum, the overall sensitivity and the specificity, with
+    # their types (np.float64 and float differ in repr under numpy 2)
+    assert outcome(lambda: repr(patient_level_sens_spec(cohort, op, edges))) == \
+        outcome(lambda: repr(loop_patient_level_sens_spec(cohort, op, edges)))
 
 
 def test_precision_pools_volume_as_a_running_sum():

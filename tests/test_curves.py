@@ -156,8 +156,17 @@ class TestEasyDistractors:
 
     def test_froc_comparison_sees_distractors_above_real_scores(self, mixed_cohort):
         # easy scores up to 1.0 raise the FP rate at real thresholds, so the
-        # FROC interpolated at 1 FP/cV moves
+        # FROC moves
         assert not easy_distractor_experiment(mixed_cohort, 100, easy_score_max=1.0)[2]
+
+    def test_froc_comparison_sees_a_one_fp_per_cv_shift(self):
+        # full sensitivity needs 2 FP/cV before and 3 after: a small change
+        # that the FROC at 1, 10 and 100 FP/cV does not show
+        cohort = make_cohort(
+            make_patient("p1", positive=True, parasite_scores=(0.9, 0.65)),
+            make_patient("n1", distractor_scores=(0.8, 0.7, 0.6)),
+        )
+        assert not easy_distractor_experiment(cohort, n_easy=2, easy_score_max=1.0)[2]
 
 
 class TestFroc:
@@ -205,10 +214,8 @@ class TestPatientRoc:
         t_grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
         curve = patient_roc(mixed_cohort, C=0.3, T_grid=t_grid)
         for x, y, thr in curve_rows(curve):
-            strat, spec = patient_level_sens_spec(
-                mixed_cohort, OperatingPoint(C=0.3, T=thr)
-            )
-            assert x == 1.0 - spec
+            strat = patient_level_sens_spec(mixed_cohort, OperatingPoint(C=0.3, T=thr))
+            assert x == 1.0 - strat.specificity
             assert y == strat.overall
 
     def test_salient_flags_and_parasitemias(self, mixed_cohort):

@@ -6,7 +6,6 @@ from parasitometrics.datamodel import GroundTruth
 from parasitometrics.errors import DegenerateDataError, InputError
 from parasitometrics.metrics import (
     fpr_distribution,
-    patient_diagnoses,
     patient_level_sens_spec,
     pooled_object_sensitivity,
     sensitivity_distribution,
@@ -99,7 +98,7 @@ class TestPooledSensitivity:
         pooled = pooled_object_sensitivity(cohort, 0.5)
         assert pooled.value == pytest.approx(50_000 / 50_900, abs=1e-12)
         assert pooled.imbalance_warning is not None
-        strat, _ = patient_level_sens_spec(cohort, OperatingPoint(C=0.5, T=1.0))
+        strat = patient_level_sens_spec(cohort, OperatingPoint(C=0.5, T=1.0))
         assert strat.overall == 0.25
 
     def test_single_patient_equals_per_patient(self):
@@ -148,30 +147,29 @@ class TestPatientDiagnoses:
     def test_inclusive_rule(self):
         p = make_patient("p1", positive=True, parasite_scores=(0.9,) * 5)
         cohort = make_cohort(p)
-        diag = patient_diagnoses(cohort, OperatingPoint(C=0.5, T=5.0))
-        assert diag["p1"] is GroundTruth.POSITIVE
+        assert patient_level_sens_spec(cohort, OperatingPoint(C=0.5, T=5.0)).overall == 1.0
 
     def test_zero_threshold_all_positive(self, mixed_cohort):
-        diag = patient_diagnoses(mixed_cohort, OperatingPoint(C=0.5, T=0.0))
-        assert all(v is GroundTruth.POSITIVE for v in diag.values())
+        strat = patient_level_sens_spec(mixed_cohort, OperatingPoint(C=0.5, T=0.0))
+        assert (strat.overall, strat.specificity) == (1.0, 0.0)
 
     def test_empty_patient_negative(self):
         cohort = make_cohort(make_patient("n1"))
-        diag = patient_diagnoses(cohort, OperatingPoint(C=0.5, T=1.0))
-        assert diag["n1"] is GroundTruth.NEGATIVE
+        strat = patient_level_sens_spec(cohort, OperatingPoint(C=0.5, T=1.0))
+        assert strat.specificity == 1.0
 
 
 class TestPatientLevelSensSpec:
     def test_specificity_only_negatives(self, mixed_cohort):
         op = OperatingPoint(C=0.5, T=100.0)
-        _, spec = patient_level_sens_spec(mixed_cohort, op)
+        spec = patient_level_sens_spec(mixed_cohort, op).specificity
         assert spec == 1.0  # no negative reaches 100 FPs per cV
 
     def test_specificity_absent_without_negatives(self):
         cohort = make_cohort(
             make_patient("p1", positive=True, parasite_scores=(0.9,))
         )
-        _, spec = patient_level_sens_spec(cohort, OperatingPoint(C=0.5, T=1.0))
+        spec = patient_level_sens_spec(cohort, OperatingPoint(C=0.5, T=1.0)).specificity
         assert spec is None
 
     def test_stratified_bins(self):
@@ -186,49 +184,49 @@ class TestPatientLevelSensSpec:
                          parasite_scores=(0.9,) * 5),
         ]
         cohort = make_cohort(*patients)
-        bins = ((0.0, 200.0), (200.0, float("inf")))
-        strat, _ = patient_level_sens_spec(
-            cohort, OperatingPoint(C=0.5, T=1.0), bins
-        )
+        strat = patient_level_sens_spec(cohort, OperatingPoint(C=0.5, T=1.0), (200.0,))
+        assert strat.bins == ((0.0, 200.0), (200.0, float("inf")))
         by_label = {s.label: s for s in strat.parasitemia_strata}
         assert by_label["(0, 200]"].value == 1.0
         assert by_label["(200, inf]"].value == pytest.approx(1 / 3)
 
+    # the bins run from 0 to inf between the interior edges, so they tile only
+    # if the edges are finite, positive and strictly ascending
     @pytest.mark.parametrize("bins", [
-        ((0.0, 50.0), (60.0, float("inf"))),   # gap
-        ((10.0, 50.0), (50.0, float("inf"))),  # does not start at 0
-        ((0.0, 50.0), (50.0, 200.0)),          # does not end at inf
+        (100.0, 50.0),           # descending
+        (50.0, 50.0),            # repeated
+        (0.0, 5.0),              # not positive
+        (float("nan"),),         # not finite
+        (50.0, float("inf")),    # the last bin already ends at inf
     ])
     def test_bins_must_tile(self, mixed_cohort, bins):
         with pytest.raises(InputError,
-                           match="parasitemia bins must (tile|start at 0 and end at inf)"):
+                           match="bin edges must be finite, positive and strictly ascending"):
             patient_level_sens_spec(mixed_cohort, OperatingPoint(C=0.5, T=1.0), bins)
 
     def test_sens_spec_move_oppositely_in_T(self, mixed_cohort):
         prev_sens, prev_spec = None, None
         for t in (0.0, 1.0, 2.0, 5.0, 100.0):
-            strat, spec = patient_level_sens_spec(
-                mixed_cohort, OperatingPoint(C=0.3, T=t)
-            )
+            strat = patient_level_sens_spec(mixed_cohort, OperatingPoint(C=0.3, T=t))
             if prev_sens is not None:
                 assert strat.overall <= prev_sens
-                assert spec >= prev_spec
-            prev_sens, prev_spec = strat.overall, spec
+                assert strat.specificity >= prev_spec
+            prev_sens, prev_spec = strat.overall, strat.specificity
 
     def test_specificity_ignores_positives(self, mixed_cohort):
         op = OperatingPoint(C=0.3, T=2.0)
-        _, spec_before = patient_level_sens_spec(mixed_cohort, op)
+        spec_before = patient_level_sens_spec(mixed_cohort, op).specificity
         mutated = make_cohort(
             *[p for p in mixed_cohort if p.ground_truth is GroundTruth.NEGATIVE],
             make_patient("pos1", positive=True, parasitemia=1.0,
                          parasite_scores=(0.99,) * 30),
             make_patient("pos2", positive=True, parasitemia=1.0),
         )
-        _, spec_after = patient_level_sens_spec(mutated, op)
+        spec_after = patient_level_sens_spec(mutated, op).specificity
         assert spec_before == spec_after
 
     def test_species_strata(self, mixed_cohort):
-        strat, _ = patient_level_sens_spec(mixed_cohort, OperatingPoint(C=0.5, T=0.5))
+        strat = patient_level_sens_spec(mixed_cohort, OperatingPoint(C=0.5, T=0.5))
         labels = {s.label for s in strat.species_strata}
         assert labels == {"pf", "pv"}
 

@@ -1,11 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from parasitometrics.calibration import OperatingPoint
-from parasitometrics.errors import ReportInvariantError
 from parasitometrics.metrics import (
-    DEFAULT_PARASITEMIA_BINS,
     fpr_distribution,
     patient_level_sens_spec,
     sensitivity_distribution,
@@ -16,15 +15,13 @@ from parasitometrics.report import EvaluationReport, report_to_doc, write_report
 @pytest.fixture
 def full_report(mixed_cohort):
     op = OperatingPoint(C=0.5, T=2.0)
-    strat, spec = patient_level_sens_spec(mixed_cohort, op, DEFAULT_PARASITEMIA_BINS)
     return EvaluationReport(
         cv_description=mixed_cohort.cv_description,
         provenance="test fixture",
         operating_point=op,
         fpr=fpr_distribution(mixed_cohort, 0.5),
         sensitivity=sensitivity_distribution(mixed_cohort, 0.5),
-        patient_sensitivity=strat,
-        specificity=spec,
+        patient_level=patient_level_sens_spec(mixed_cohort, op),
     )
 
 
@@ -33,19 +30,16 @@ class TestStructuralInvariant:
         doc = report_to_doc(full_report)
         assert doc["schema_version"] == 1
         assert doc["patient_level"]["specificity"] is not None
+        assert "specificity_absent_reason" not in doc["patient_level"]
         assert doc["patient_level"]["sensitivity"]["parasitemia_bins"]
 
-    def test_sensitivity_without_specificity_rejected(self, full_report):
-        full_report.specificity = None
-        full_report.specificity_absent_reason = None
-        with pytest.raises(ReportInvariantError):
-            report_to_doc(full_report)
-
     def test_explicit_absence_reason_is_accepted(self, full_report):
-        full_report.specificity = None
-        full_report.specificity_absent_reason = "cohort has no negative patients"
+        # the result type carries the specificity; None is written with its reason
+        full_report.patient_level = replace(full_report.patient_level, specificity=None)
         doc = report_to_doc(full_report)
-        assert doc["patient_level"]["specificity_absent_reason"]
+        assert doc["patient_level"]["specificity"] is None
+        assert doc["patient_level"]["specificity_absent_reason"] == \
+            "cohort has no negative patients"
 
 
 class TestWriteReport:

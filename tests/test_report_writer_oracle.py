@@ -33,7 +33,6 @@ from parasitometrics.calibration import (
 from parasitometrics.curves import CurveKind, CurvePoints, froc, object_roc, patient_roc
 from parasitometrics.datamodel import distinct_sorted
 from parasitometrics.metrics import (
-    DEFAULT_PARASITEMIA_BINS,
     MetricDistribution,
     MetricKind,
     fpr_distribution,
@@ -83,7 +82,6 @@ def _base_report() -> EvaluationReport:
     op = OperatingPoint(C=0.5, T=2.0)
     fpr = fpr_distribution(cohort, op.C, negatives_only=True)
     sens = sensitivity_distribution(cohort, op.C)
-    strat, spec = patient_level_sens_spec(cohort, op, DEFAULT_PARASITEMIA_BINS)
     return EvaluationReport(
         cv_description=cohort.cv_description,
         provenance="simulated",
@@ -91,8 +89,7 @@ def _base_report() -> EvaluationReport:
         fpr=fpr,
         sensitivity=sens,
         pooled_sensitivity=pooled_object_sensitivity(cohort, op.C).value,
-        patient_sensitivity=strat,
-        specificity=spec,
+        patient_level=patient_level_sens_spec(cohort, op),
         lod_estimates=[estimate_lod(fpr, sens, CalibrationConfig(method=m))
                        for m in (CalibrationMethod.GAUSSIAN, CalibrationMethod.ROBUST)],
         curves={"object_roc": object_roc(cohort), "froc": froc(cohort),
@@ -168,8 +165,7 @@ def reports(draw):
         report.fpr = draw(distributions(MetricKind.FPR))
         report.sensitivity = draw(distributions(MetricKind.OBJECT_SENSITIVITY))
     if draw(st.booleans()):
-        report.specificity = None
-        report.specificity_absent_reason = draw(TEXT)
+        report.patient_level = replace(report.patient_level, specificity=None)
     for section in draw(st.lists(st.sampled_from(
             ["operating_point", "pooled_sensitivity", "quantitation"]),
             unique=True)):

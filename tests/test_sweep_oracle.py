@@ -4,7 +4,8 @@
 ``loop_estimate_lod``, ``loop_tuning_row`` and ``loop_tune`` are the tuner's
 per-C code before F and S came from one (threshold x patient) count matrix;
 ``loop_patient_roc`` is the patient ROC before it counted each patient's N
-once and swept T over the sorted N. They stay here as the reference, and the
+once and swept T over the sorted N, diagnosing every patient at each T with
+``loop_patient_diagnoses``. They stay here as the reference, and the
 sweeps must match them exactly: same rows, same floats, same value types,
 same exceptions. ``loop_estimate_lod`` scales its numerator with the target
 specificity K, as the LoD does since it follows K rather than a fixed 95%, and
@@ -38,14 +39,19 @@ from parasitometrics.metrics import (
     MetricKind,
     fpr_distribution,
     fpr_distributions,
-    patient_level_sens_spec,
     sensitivity_distribution,
     sensitivity_distributions,
 )
 from parasitometrics.stats import summarize
 
 from conftest import curve_rows, make_cohort, make_patient, object_rows
-from test_count_oracle import SCORES, VOLUMES, checked_loop_counts, loop_patient_counts
+from test_count_oracle import (
+    SCORES,
+    VOLUMES,
+    checked_loop_counts,
+    loop_patient_counts,
+    loop_patient_diagnoses,
+)
 
 
 def loop_fpr_distribution(cohort, C, negatives_only=True):
@@ -155,8 +161,11 @@ def loop_patient_roc(cohort, C, T_grid):
     ts = sorted(set(float(t) for t in T_grid), reverse=True)
     points, salient = [], []
     for t in ts:
-        strat, spec = patient_level_sens_spec(cohort, OperatingPoint(C=C, T=t))
-        points.append((1.0 - spec, strat.overall, t))
+        diag = loop_patient_diagnoses(cohort, OperatingPoint(C=C, T=t))
+        detected = [diag[p.patient_id] is GroundTruth.POSITIVE for p in cohort.positives]
+        rejected = [diag[p.patient_id] is GroundTruth.NEGATIVE for p in cohort.negatives]
+        spec = sum(rejected) / len(rejected)
+        points.append((1.0 - spec, sum(detected) / len(detected), t))
         salient.append(spec >= 0.9)
     return tuple(points), tuple(salient)
 
