@@ -137,20 +137,6 @@ def estimate_lod(
     )
 
 
-def lod_breakeven_check(L: float, F_mu: float, F_sigma: float, S_mu: float) -> float:
-    """Residual of the LoD derivation's breakeven condition.
-
-    At the LoD, a clean positive sample (5th-percentile FPR) must just reach
-    the diagnosis threshold: L*mu(S) + mu(F) - 1.65*sigma(F) = mu(F) +
-    1.65*sigma(F). The residual is zero exactly when L = 3.3*sigma(F)/mu(S).
-    """
-    if S_mu <= 0:
-        raise DegenerateDataError("S_mu must be > 0")
-    n_at_lod = L * S_mu + F_mu - 1.65 * F_sigma
-    threshold = F_mu + 1.65 * F_sigma
-    return n_at_lod - threshold
-
-
 @dataclass(frozen=True)
 class TuningRow:
     C: float

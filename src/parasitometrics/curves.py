@@ -58,10 +58,6 @@ class CurvePoints:
     points: np.ndarray
     auc: float | None = None
     notes: tuple[str, ...] = ()
-    # patient ROC: per-point flag marking the clinically salient region
-    # (specificity >= 0.9), and the cohort's positive-parasitemia values.
-    salient: tuple[bool, ...] | None = None
-    parasitemia_distribution: tuple[float, ...] | None = None
 
     def __post_init__(self):
         # len(), not -1: a (3, 2) array must fail rather than become (2, 3)
@@ -208,9 +204,7 @@ def patient_roc(cohort: CohortDataset, C: float, T_grid) -> CurvePoints:
     """Patient-level ROC: (1 - specificity, patient sensitivity) swept over T.
 
     Each patient's N at C is counted once; a patient is diagnosed positive at
-    every T <= N. Points with specificity >= 0.9 are flagged as the clinically
-    salient region, and the positive-parasitemia distribution is attached
-    because the curve depends on it.
+    every T <= N.
     """
     positives, negatives = cohort.positives, cohort.negatives
     if not positives or not negatives:
@@ -229,8 +223,6 @@ def patient_roc(cohort: CohortDataset, C: float, T_grid) -> CurvePoints:
     return CurvePoints(
         kind=CurveKind.PATIENT_ROC,
         points=np.column_stack((1.0 - spec, sens, ts)),
-        salient=tuple((spec >= 0.9).tolist()),
-        parasitemia_distribution=tuple(sorted(p.true_parasitemia for p in positives)),
         notes=(
             "only the region near clinically relevant operating points "
             "(e.g. specificity >= 0.9) is salient; the curve depends on the "

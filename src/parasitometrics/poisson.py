@@ -72,6 +72,8 @@ def min_volume_for_detection(P: float, k_min: int, confidence: float) -> float:
         raise InputError(f"parasitemia P={P} must be finite and > 0")
     if k_min < 1:
         raise InputError("k_min must be >= 1")
+    if k_min > 2**53:  # pdtrc takes the count as a float
+        raise InputError("k_min must be <= 2**53, the largest count a float holds exactly")
     if not (0.0 < confidence < 1.0):
         raise InputError(f"confidence={confidence} must be in (0, 1)")
 
@@ -79,8 +81,11 @@ def min_volume_for_detection(P: float, k_min: int, confidence: float) -> float:
         return float(pdtrc(k_min - 1, P * v))  # Pr[count > k_min - 1]
 
     lo, hi = 0.0, 1.0 / P
-    while attained(hi) < confidence:
+    while math.isfinite(hi) and attained(hi) < confidence:
         hi *= 2.0
+    if math.isinf(hi):
+        raise InputError(f"no finite volume reaches confidence={confidence} of "
+                         f">= {k_min} parasites at parasitemia P={P}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if attained(mid) >= confidence:

@@ -17,7 +17,6 @@ from parasitometrics.calibration import (
     OperatingPoint,
     calibrate_threshold,
     estimate_lod,
-    lod_breakeven_check,
     tune_operating_point,
 )
 from parasitometrics.cli import main as cli_main
@@ -151,14 +150,18 @@ def test_criterion_05_calibration_soundness():
 
 
 def test_criterion_06_lod_algebraic_identities():
+    # breakeven at K = 0.95: a clean positive sample (5th-percentile FPR) at
+    # the LoD just reaches T, L*mu(S) + mu(F) - 1.65*sigma(F) = mu(F) + 1.65*sigma(F)
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(100):
-        mu_f = rng.uniform(1.0, 500.0)
-        sigma_f = rng.uniform(0.1, 100.0)
-        mu_s = rng.uniform(0.05, 1.0)
-        L = 3.3 * sigma_f / mu_s
-        worst = max(worst, abs(lod_breakeven_check(L, mu_f, sigma_f, mu_s)))
+        F = make_dist(MetricKind.FPR, rng.uniform(1.0, 500.0, size=rng.integers(2, 20)))
+        S = make_dist(MetricKind.OBJECT_SENSITIVITY,
+                      rng.uniform(0.05, 1.0, size=rng.integers(1, 20)))
+        L = estimate_lod(F, S, CalibrationConfig()).L
+        f, s = F.summary, S.summary
+        residual = (L * s.mean + f.mean - 1.65 * f.std) - (f.mean + 1.65 * f.std)
+        worst = max(worst, abs(residual))
     assert worst <= 1e-12 * 3.3 * 100.0  # residual 0 up to float rounding
 
     # scale equivariance: scaling the FP distribution by c scales L by c

@@ -9,7 +9,6 @@ from parasitometrics.calibration import (
     default_c_grid,
     estimate_lod,
     fp_scatter,
-    lod_breakeven_check,
     tune_operating_point,
 )
 from parasitometrics.errors import DegenerateDataError, InputError
@@ -143,25 +142,33 @@ class TestEstimateLod:
         assert all(a >= b for a, b in zip(lods, lods[1:]))
 
 
+def breakeven_residual(L, F, S, z=1.65):
+    """The LoD derivation's breakeven condition at K = 0.95: a clean positive
+    sample (5th-percentile FPR) at the LoD just reaches the threshold,
+    L*mu(S) + mu(F) - z*sigma(F) = mu(F) + z*sigma(F)."""
+    f, s = F.summary, S.summary
+    return (L * s.mean + f.mean - z * f.std) - (f.mean + z * f.std)
+
+
 class TestBreakevenCheck:
     def test_identity_at_lod(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
-            mu_f = rng.uniform(0, 300)
-            sigma_f = rng.uniform(0, 80)
-            mu_s = rng.uniform(0.05, 1.0)
-            L = 3.3 * sigma_f / mu_s
-            assert abs(lod_breakeven_check(L, mu_f, sigma_f, mu_s)) < 1e-12
+            F = fdist(rng.uniform(0, 300, size=rng.integers(2, 12)))
+            S = sdist(rng.uniform(0.05, 1.0, size=rng.integers(1, 12)))
+            L = estimate_lod(F, S, CalibrationConfig()).L
+            assert abs(breakeven_residual(L, F, S)) < 1e-12 * (1.0 + F.summary.mean)
 
     def test_doubled_lod_residual(self):
-        mu_f, sigma_f, mu_s = 50.0, 20.0, 0.8
-        L = 3.3 * sigma_f / mu_s
-        assert lod_breakeven_check(2 * L, mu_f, sigma_f, mu_s) == pytest.approx(
-            L * mu_s, abs=1e-12
-        )
+        F, S = fdist([30.0, 50.0, 70.0]), sdist([0.7, 0.8, 0.9])
+        L = estimate_lod(F, S, CalibrationConfig()).L
+        assert breakeven_residual(2 * L, F, S) == pytest.approx(L * 0.8, abs=1e-12)
 
     def test_clean_sample_limit(self):
-        assert lod_breakeven_check(0.0, 10.0, 0.0, 0.5) == 0.0
+        F, S = fdist([10.0, 10.0, 10.0]), sdist([0.5, 0.5])
+        L = estimate_lod(F, S, CalibrationConfig()).L
+        assert L == 0.0
+        assert breakeven_residual(L, F, S) == 0.0
 
 
 def _tuning_fixture():

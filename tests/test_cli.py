@@ -651,6 +651,24 @@ class TestPoissonCommand:
         result = runner.invoke(main, ["poisson", "-p", "100", "--k-min", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("p, k_min, confidence", [
+        ("5e-324", "1", "0.5"),     # 1 / P is already inf
+        ("1e-308", "10", "0.99"),   # doubling the volume reaches inf
+    ])
+    def test_min_volume_past_the_float_range_is_input_error(self, runner, p, k_min, confidence):
+        result = runner.invoke(main, ["poisson", "-p", p, "--k-min", k_min,
+                                      "--confidence", confidence])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == (f"error: no finite volume reaches confidence={confidence} "
+                                 f"of >= {k_min} parasites at parasitemia P={p}\n")
+
+    def test_k_min_past_exact_float_counts_is_input_error(self, runner):
+        result = runner.invoke(main, ["poisson", "-p", "1", "--k-min", str(10**400),
+                                      "--confidence", "0.5"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == ("error: k_min must be <= 2**53, the largest count "
+                                 "a float holds exactly\n")
+
 
 class TestSimulateCommand:
     def test_deterministic_output(self, runner, tmp_path):
@@ -807,6 +825,11 @@ def test_readme_commands_use_only_real_options():
                    for opt in (*param.opts, *param.secondary_opts)}
         used = [t for t in tokens if t.startswith("-") and not t[1:2].isdigit()]
         assert used and set(used) <= options, (line, set(used) - options)
+
+
+def test_package_import_loads_no_submodule():
+    # library names are imported from the module that defines them
+    assert _fresh_import("parasitometrics", "parasitometrics") == ["parasitometrics"]
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -218,12 +218,6 @@ class TestPatientRoc:
             assert x == 1.0 - strat.specificity
             assert y == strat.overall
 
-    def test_salient_flags_and_parasitemias(self, mixed_cohort):
-        curve = patient_roc(mixed_cohort, C=0.5, T_grid=[0.0, 1e9])
-        # points ordered by descending T: the T=1e9 point has specificity 1.0
-        assert curve.salient == (True, False)
-        assert curve.parasitemia_distribution == (80.0, 400.0)
-
 
 class TestPrecisionReexpression:
     def test_paper_example(self):

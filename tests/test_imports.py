@@ -4,8 +4,8 @@ read somewhere in the package.
 
 No linter is a test dependency, so this walks each module's syntax tree:
 an import binds names, and a name the module never loads is a stray import.
-``__init__.py`` is left out, since its imports are the package's exports; so
-an export that no module reads is dead code, even if ``__init__`` names it.
+``__init__.py`` is checked like any other module: it re-exports nothing, so
+each library name is imported from the module that defines it.
 """
 
 import ast
@@ -15,8 +15,7 @@ import pytest
 
 import parasitometrics
 
-MODULES = sorted(p for p in Path(parasitometrics.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(Path(parasitometrics.__file__).parent.glob("*.py"))
 # No module reads report_to_doc: it is the reference document that
 # test_report_writer_oracle compares write_report's bytes against.
 UNREAD_BY_DESIGN = {"report.report_to_doc"}
@@ -61,12 +60,6 @@ def test_package_reads_every_function_and_class_it_defines():
     assert sorted(unread - UNREAD_BY_DESIGN) == []
 
 
-# Fields that ROADMAP item 6 plans to write into report.json; until then no
-# module reads them.
-UNREAD_FIELDS_BY_DESIGN = {"curves.CurvePoints.salient",
-                           "curves.CurvePoints.parasitemia_distribution"}
-
-
 def _decorators(node) -> set[str]:
     """The names of ``node``'s decorators, called (``@dataclass(...)``) or not."""
     return {(d.func if isinstance(d, ast.Call) else d).id for d in node.decorator_list
@@ -86,4 +79,4 @@ def test_package_reads_every_field_and_property_it_defines():
                if (isinstance(node, ast.AnnAssign) and "dataclass" in _decorators(cls))
                or (isinstance(node, ast.FunctionDef) and "property" in _decorators(node))}
     unread = {name for name in defined if name.rsplit(".", 1)[1] not in read}
-    assert sorted(unread - UNREAD_FIELDS_BY_DESIGN) == []
+    assert sorted(unread) == []

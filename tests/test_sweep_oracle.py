@@ -159,15 +159,14 @@ def loop_tune(train_positives, validation_negatives, validation_positives, K, C_
 
 def loop_patient_roc(cohort, C, T_grid):
     ts = sorted(set(float(t) for t in T_grid), reverse=True)
-    points, salient = [], []
+    points = []
     for t in ts:
         diag = loop_patient_diagnoses(cohort, OperatingPoint(C=C, T=t))
         detected = [diag[p.patient_id] is GroundTruth.POSITIVE for p in cohort.positives]
         rejected = [diag[p.patient_id] is GroundTruth.NEGATIVE for p in cohort.negatives]
         spec = sum(rejected) / len(rejected)
         points.append((1.0 - spec, sum(detected) / len(detected), t))
-        salient.append(spec >= 0.9)
-    return tuple(points), tuple(salient)
+    return tuple(points)
 
 
 def outcome(fn, *args):
@@ -291,13 +290,9 @@ def roc_inputs(draw):
 def test_patient_roc_matches_per_t_loop(inputs):
     cohort, C, t_grid = inputs
     curve = patient_roc(cohort, C, t_grid)
-    points, salient = loop_patient_roc(cohort, C, t_grid)
+    points = loop_patient_roc(cohort, C, t_grid)
     assert curve_rows(curve) == points
-    assert curve.salient == salient
     assert types(curve_rows(curve)) == types(points)
-    assert types(curve.salient) == types(salient)
-    assert curve.parasitemia_distribution == tuple(
-        sorted(p.true_parasitemia for p in cohort.positives))
 
 
 def test_one_negative_makes_every_c_degenerate():
