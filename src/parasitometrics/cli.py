@@ -33,7 +33,13 @@ from .calibration import (
     tune_operating_point,
 )
 from .curves import froc, object_roc, patient_roc
-from .datamodel import export_cohort, export_cohort_json, ingest_cohort, ingest_cohort_json
+from .datamodel import (
+    check_thresholds,
+    export_cohort,
+    export_cohort_json,
+    ingest_cohort,
+    ingest_cohort_json,
+)
 from .errors import DegenerateDataError, InputError, ReproductionFailure
 from .metrics import (
     DEFAULT_BIN_EDGES,
@@ -133,12 +139,13 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
              spec_target, calib_method, bins, out_dir, fmt, with_curves):
     """Full evaluation report at an operating point (explicit or calibrated)."""
     cohort = _load_cohort(json_path, patients, objects, cv_description)
-    # a malformed --bins exits 2 before any metric can exit 3
+    # a malformed --bins or --C exits 2 before any metric can exit 3
     bin_edges = check_bin_edges(_parse_floats(bins, "bin edges"))
     warnings: list[str] = []
 
     if c_threshold is None:
         raise InputError("--C is required")
+    check_thresholds([c_threshold])
     cfg = CalibrationConfig(K=0.95 if spec_target is None else spec_target,
                             method=_parse_method(calib_method))
     fpr = None
@@ -220,8 +227,10 @@ def calibrate(json_path, patients, objects, cv_description, c_threshold, spec_ta
               method, scatter_out):
     """Calibrate the count threshold T for a target specificity."""
     cohort = _load_cohort(json_path, patients, objects, cv_description)
-    fpr = fpr_distribution(cohort, c_threshold, negatives_only=True)
+    # a malformed --C, --spec-target or --method exits 2 before any metric can exit 3
+    check_thresholds([c_threshold])
     cfg = CalibrationConfig(K=spec_target, method=_parse_method(method))
+    fpr = fpr_distribution(cohort, c_threshold, negatives_only=True)
     if scatter_out:
         with open(scatter_out, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
@@ -247,9 +256,11 @@ def lod(json_path, patients, objects, cv_description, c_threshold, method, beta,
     """Estimate the limit of detection from a cohort's F and S distributions."""
     lod_method = _parse_method(method, _LOD_METHODS, "LoD")
     cohort = _load_cohort(json_path, patients, objects, cv_description)
+    # a malformed --C or --beta exits 2 before any metric can exit 3
+    check_thresholds([c_threshold])
+    cfg = CalibrationConfig(method=lod_method, beta=beta, plus_one=plus_one)
     fpr = fpr_distribution(cohort, c_threshold, negatives_only=True)
     sens = sensitivity_distribution(cohort, c_threshold)
-    cfg = CalibrationConfig(method=lod_method, beta=beta, plus_one=plus_one)
     est = estimate_lod(fpr, sens, cfg)
     click.echo(f"LoD = {est.L!r} parasites per cV ({est.method.value})")
 

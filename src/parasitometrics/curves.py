@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -42,19 +41,11 @@ from .errors import DegenerateDataError, InputError
 _FROC_BLOCK = 4096
 
 
-class CurveKind(Enum):
-    OBJECT_ROC = "object_roc"
-    SLIVER_ROC = "sliver_roc"
-    FROC = "froc"
-    PATIENT_ROC = "patient_roc"
-
-
 @dataclass(frozen=True, eq=False)  # no generated __eq__: arrays compare elementwise
 class CurvePoints:
     """An ordered curve: (x, y, threshold) rows of a read-only (n, 3) float64
     array, thresholds descending."""
 
-    kind: CurveKind
     points: np.ndarray
     auc: float | None = None
     notes: tuple[str, ...] = ()
@@ -94,9 +85,7 @@ def object_roc(cohort: CohortDataset) -> CurvePoints:
                               np.r_[math.inf, thresholds]))  # reject-all sentinel first
     if thresholds[-1] > 0.0:
         points = np.r_[points, [[1.0, 1.0, 0.0]]]  # accept-all sentinel (score >= 0 always)
-    return CurvePoints(
-        kind=CurveKind.OBJECT_ROC, points=points, auc=two_u / (2 * n_pos * n_neg)
-    )
+    return CurvePoints(points=points, auc=two_u / (2 * n_pos * n_neg))
 
 
 def sliver_roc(roc: CurvePoints, D: float) -> CurvePoints:
@@ -114,7 +103,6 @@ def sliver_roc(roc: CurvePoints, D: float) -> CurvePoints:
     if len(kept) and kept[-1, 0] < 1.0:
         kept = np.r_[kept, [[1.0, *kept[-1, 1:]]]]
     return CurvePoints(
-        kind=CurveKind.SLIVER_ROC,
         points=kept,
         notes=(
             f"x axis = original FP fraction in [0, {limit:g}] stretched by {D:g}; "
@@ -151,7 +139,7 @@ def froc(cohort: CohortDataset) -> CurvePoints:
                 for lo in range(0, len(thresholds), _FROC_BLOCK)]
     points = np.column_stack((np.concatenate([[0.0], *fp_rates]), np.r_[0.0, sens],
                               np.r_[math.inf, thresholds]))  # reject-all: nothing passes
-    return CurvePoints(kind=CurveKind.FROC, points=points, notes=notes)
+    return CurvePoints(points=points, notes=notes)
 
 
 def easy_distractor_experiment(
@@ -221,7 +209,6 @@ def patient_roc(cohort: CohortDataset, C: float, T_grid) -> CurvePoints:
     sens = n_diagnosed(positives) / len(positives)
     spec = (len(negatives) - n_diagnosed(negatives)) / len(negatives)
     return CurvePoints(
-        kind=CurveKind.PATIENT_ROC,
         points=np.column_stack((1.0 - spec, sens, ts)),
         notes=(
             "only the region near clinically relevant operating points "

@@ -54,12 +54,7 @@ class Species(Enum):
     NONE = "none"
 
 
-class TrueLabel(Enum):
-    PARASITE = "parasite"
-    DISTRACTOR = "distractor"
-
-
-_LABELS = (TrueLabel.DISTRACTOR, TrueLabel.PARASITE)  # indexed by is_parasite
+_LABELS = ("distractor", "parasite")  # indexed by is_parasite
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -267,12 +262,18 @@ def n_at_or_above(ascending: np.ndarray, thresholds):
     return len(ascending) - np.searchsorted(ascending, thresholds, side="left")
 
 
-def counts_at(patients, thresholds, attr: str) -> np.ndarray:
-    """(threshold x patient) counts of each patient's ``attr`` scores >= each threshold."""
+def check_thresholds(thresholds) -> np.ndarray:
+    """The score thresholds as floats; InputError naming the first outside [0, 1]."""
     t = np.asarray(thresholds, dtype=float)
     bad = np.flatnonzero(~((t >= 0.0) & (t <= 1.0)))
     if len(bad):
         raise InputError(f"score threshold C={thresholds[bad[0]]} outside [0, 1]")
+    return t
+
+
+def counts_at(patients, thresholds, attr: str) -> np.ndarray:
+    """(threshold x patient) counts of each patient's ``attr`` scores >= each threshold."""
+    t = check_thresholds(thresholds)
     return np.stack([n_at_or_above(getattr(p, attr), t) for p in patients], axis=1)
 
 
@@ -326,7 +327,7 @@ def _text(value) -> str:
 
 _GROUND_TRUTHS = {e.value: e for e in GroundTruth}
 _SPECIES = {e.value: e for e in Species}
-_IS_PARASITE = {TrueLabel.PARASITE.value: True, TrueLabel.DISTRACTOR.value: False}
+_IS_PARASITE = {"parasite": True, "distractor": False}
 
 
 def _member(members: dict, value, key: str, what: str):
@@ -605,7 +606,7 @@ def export_cohort(cohort: CohortDataset, objects_file, patients_file) -> None:
         w = csv.writer(fh)
         w.writerow(OBJECT_COLUMNS)
         for p in cohort.patients:
-            w.writerows((p.patient_id, oid, repr(score), _LABELS[parasite].value)
+            w.writerows((p.patient_id, oid, repr(score), _LABELS[parasite])
                         for oid, score, parasite in _object_columns(p))
 
 
@@ -614,7 +615,7 @@ def export_cohort(cohort: CohortDataset, objects_file, patients_file) -> None:
 # encode_basestring_ascii and scores through float.__repr__, as json does.
 _JSON_OBJECT = ('        {\n          "object_id": %s,\n          "score": %s,\n'
                 '          "true_label": %s\n        }')
-_JSON_LABELS = tuple(encode_basestring_ascii(label.value) for label in _LABELS)
+_JSON_LABELS = tuple(map(encode_basestring_ascii, _LABELS))
 
 
 def _patient_json(p: PatientRecord) -> str:

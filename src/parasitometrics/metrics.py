@@ -15,7 +15,6 @@ object pool while contributing one patient to clinical accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -29,11 +28,6 @@ from .stats import DistSummary, summarize
 DEFAULT_BIN_EDGES: tuple[float, ...] = (50.0, 200.0, 1000.0)
 
 
-class MetricKind(Enum):
-    FPR = "fpr"
-    OBJECT_SENSITIVITY = "object_sensitivity"
-
-
 @dataclass(frozen=True)
 class MetricDistribution:
     """A per-patient metric vector with its distribution summary.
@@ -42,7 +36,6 @@ class MetricDistribution:
     filtered out (e.g. positives whose examined volume sampled no parasites).
     """
 
-    kind: MetricKind
     per_patient: dict[str, float]
     summary: DistSummary
     excluded: tuple[str, ...] = ()
@@ -69,11 +62,11 @@ class StratifiedResult:
     specificity: float | None
 
 
-def _distributions(kind, ids, values: np.ndarray, **extra) -> list[MetricDistribution]:
+def _distributions(ids, values: np.ndarray, **extra) -> list[MetricDistribution]:
     """One distribution per row of the (threshold x patient) ``values``."""
     pers = [dict(zip(ids, row)) for row in values.tolist()]  # Python floats
-    return [MetricDistribution(kind=kind, per_patient=per, summary=summarize(per.values()),
-                               **extra) for per in pers]
+    return [MetricDistribution(per_patient=per, summary=summarize(per.values()), **extra)
+            for per in pers]
 
 
 def fpr_distributions(
@@ -93,8 +86,7 @@ def fpr_distributions(
         )
     fp = counts_at(patients, C_grid, "distractor_scores")
     volumes = np.array([p.examined_volume for p in patients])
-    return _distributions(MetricKind.FPR, [p.patient_id for p in patients], fp / volumes,
-                          warnings=warnings)
+    return _distributions([p.patient_id for p in patients], fp / volumes, warnings=warnings)
 
 
 def fpr_distribution(
@@ -118,7 +110,6 @@ def sensitivity_distributions(cohort: CohortDataset, C_grid) -> list[MetricDistr
     if not kept.any():
         raise DegenerateDataError("no positive patients with parasite objects")
     return _distributions(
-        MetricKind.OBJECT_SENSITIVITY,
         [p.patient_id for p, k in zip(positives, kept) if k],
         tp[:, kept] / n_parasites[kept],
         excluded=tuple(p.patient_id for p, k in zip(positives, kept) if not k),

@@ -44,10 +44,10 @@ class EvaluationReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _summary_doc(md: MetricDistribution) -> dict:
+def _summary_doc(md: MetricDistribution, kind: str) -> dict:
     s = md.summary
     return {
-        "kind": md.kind.value,
+        "kind": kind,
         "n": s.n,
         "mean": s.mean,
         "median": s.median,
@@ -81,13 +81,8 @@ def _stratified_doc(sr: StratifiedResult) -> dict:
     }
 
 
-def report_to_doc(report: EvaluationReport) -> dict:
-    """Render the report as a JSON-serializable document."""
-    return _document(report, lambda name, c: c.points.tolist())
-
-
 def _document(report: EvaluationReport, points) -> dict:
-    """``report_to_doc``'s document, with ``points(name, curve)`` as each curve's points."""
+    """The report as a JSON-ready document, ``points(name, curve)`` as each curve's points."""
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -103,9 +98,9 @@ def _document(report: EvaluationReport, points) -> dict:
         "warnings": list(report.warnings),
     }
     if report.fpr is not None:
-        doc["fpr_distribution"] = _summary_doc(report.fpr)
+        doc["fpr_distribution"] = _summary_doc(report.fpr, "fpr")
     if report.sensitivity is not None:
-        doc["sensitivity_distribution"] = _summary_doc(report.sensitivity)
+        doc["sensitivity_distribution"] = _summary_doc(report.sensitivity, "object_sensitivity")
     if report.pooled_sensitivity is not None:
         doc["pooled_object_sensitivity"] = report.pooled_sensitivity
     if report.patient_level is not None:
@@ -131,7 +126,7 @@ def _document(report: EvaluationReport, points) -> dict:
     if report.curves:
         doc["curves"] = {
             name: {
-                "kind": c.kind.value,
+                "kind": name,
                 "auc": c.auc,
                 "points": points(name, c),
                 "notes": list(c.notes),

@@ -26,12 +26,7 @@ from .curves import (
     sliver_roc,
 )
 from .datamodel import counts_at
-from .metrics import (
-    MetricDistribution,
-    MetricKind,
-    patient_level_sens_spec,
-    pooled_object_sensitivity,
-)
+from .metrics import MetricDistribution, patient_level_sens_spec, pooled_object_sensitivity
 from .poisson import count_pmf, min_volume_for_detection
 from .quant import ExpectedRates, estimate_parasitemia, quant_fom
 from .simulator import paper_worked_examples, generate_cohort, who56_preset
@@ -49,14 +44,14 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def _md(kind: MetricKind, values) -> MetricDistribution:
+def _md(values) -> MetricDistribution:
     per = {f"p{i}": float(v) for i, v in enumerate(values)}
-    return MetricDistribution(kind=kind, per_patient=per, summary=summarize(values))
+    return MetricDistribution(per_patient=per, summary=summarize(values))
 
 
 def run_all() -> list[CheckResult]:
     checks: list[CheckResult] = []
-    examples = {ex["name"]: ex for ex in paper_worked_examples()}
+    examples = paper_worked_examples()
 
     # normal quantile behind the 1.65-sigma specificity rule
     a = alpha_for_specificity(0.95)
@@ -136,28 +131,27 @@ def run_all() -> list[CheckResult]:
     )
 
     # LoD breakeven at K = 0.95: a clean positive sample (5th-percentile FPR)
-    # at the LoD just reaches T, L*mu(S) + mu(F) - 1.65*sigma(F) = mu(F) + 1.65*sigma(F)
+    # at estimate_lod's L just reaches T, L*mu(S) + mu(F) - 1.65*sigma(F) =
+    # mu(F) + 1.65*sigma(F); F's FP values f_lo and f_lo + 2*sigma_f have
+    # population sigma(F) = sigma_f
     rng = np.random.default_rng(20260826)
-    residual_ok = True
+    worst = 0.0
     for _ in range(100):
-        mu_f = rng.uniform(1, 200)
-        sigma_f = rng.uniform(0.1, 50)
-        mu_s = rng.uniform(0.2, 1.0)
-        L = 3.3 * sigma_f / mu_s
-        residual = (L * mu_s + mu_f - 1.65 * sigma_f) - (mu_f + 1.65 * sigma_f)
-        if abs(residual) > 1e-12:
-            residual_ok = False
-            break
+        f_lo, sigma_f, mu_s = rng.uniform(1, 200), rng.uniform(0.1, 50), rng.uniform(0.2, 1.0)
+        F, S = _md([f_lo, f_lo + 2 * sigma_f]), _md([mu_s, mu_s])
+        L = estimate_lod(F, S, CalibrationConfig()).L
+        f, s = F.summary, S.summary
+        worst = max(worst, abs((L * s.mean + f.mean - 1.65 * f.std) - (f.mean + 1.65 * f.std)))
     checks.append(
         _check(
             "lod_breakeven_identity",
-            residual_ok,
+            worst <= 1e-12,
             "breakeven residual = 0 to 1e-12 for 100 random parameter triples",
         )
     )
 
-    F = _md(MetricKind.FPR, [30.0, 50.0, 70.0])  # sigma = 16.3299, mean 50
-    S = _md(MetricKind.OBJECT_SENSITIVITY, [0.66, 0.66, 0.66])
+    F = _md([30.0, 50.0, 70.0])  # sigma = 16.3299, mean 50
+    S = _md([0.66, 0.66, 0.66])
     lod = estimate_lod(F, S, CalibrationConfig(method=CalibrationMethod.GAUSSIAN))
     expected = 3.3 * F.summary.std / 0.66
     checks.append(
@@ -188,8 +182,8 @@ def run_all() -> list[CheckResult]:
         )
     )
     fom = quant_fom(
-        _md(MetricKind.OBJECT_SENSITIVITY, [0.7, 0.8, 0.9]),
-        _md(MetricKind.FPR, [30.0, 50.0, 70.0]),
+        _md([0.7, 0.8, 0.9]),
+        _md([30.0, 50.0, 70.0]),
         1000.0,
     )
     sig_s = summarize([0.7, 0.8, 0.9]).std

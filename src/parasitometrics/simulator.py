@@ -226,69 +226,54 @@ def _poisson(rng: np.random.Generator, lam: float) -> int:
         raise InputError(f"cannot draw a Poisson count with mean {lam!r}: {exc}") from None
 
 
-def _distractors(cfg: SimConfig, patient_id: str, f: float, rng):
-    """The id group and the scores of one patient's high- then low-scoring distractors."""
-    v = cfg.examined_volume
-    n_high = _poisson(rng, f * v)
-    n_low = _poisson(rng, cfg.background_distractor_rate * v)
-    scores = np.concatenate(
-        [
-            _tail_scores(DISTRACTOR_SCORE_DIST, n_high, rng, upper=True),
-            _tail_scores(DISTRACTOR_SCORE_DIST, n_low, rng, upper=False),
-        ]
-    )
-    return (f"{patient_id}-d", len(scores), 5), scores
-
-
 def generate_cohort(cfg: SimConfig) -> CohortDataset:
-    """Generate a synthetic cohort; deterministic for a fixed config."""
+    """Generate a synthetic cohort; deterministic for a fixed config.
+
+    Negatives come first, then positives. A negative draws f; a positive
+    draws P, its species, s, f and its parasites. Each then draws its high-
+    and low-scoring distractors.
+    """
     species_labels = list(SPECIES_MIX.keys())
     species_weights = list(SPECIES_MIX.values())
+    v = cfg.examined_volume
 
     patients = []
-    for i in range(cfg.n_negative):
+    for i in range(cfg.n_negative + cfg.n_positive):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
-        pid = f"neg{i:04d}"
+        positive = i >= cfg.n_negative
+        if positive:
+            pid = f"pos{i - cfg.n_negative:04d}"
+            parasitemia = _draw_positive_rate(cfg.parasitemia_dist, rng)
+            if parasitemia <= 0:
+                parasitemia = 1e-9  # positive patients must have P > 0
+            sp = species_labels[int(rng.choice(len(species_labels), p=species_weights))]
+            s = _draw_sensitivity(cfg.patient_sensitivity_dist, rng)
+        else:
+            pid, parasitemia, sp = f"neg{i:04d}", 0.0, Species.NONE
         f = _draw_positive_rate(cfg.fpr_dist, rng)
-        id_group, scores = _distractors(cfg, pid, f, rng)
+        n_parasites, parasite_scores = 0, np.empty(0)
+        if positive:
+            n_parasites = _poisson(rng, parasitemia * v)
+            a = solve_beta_a(s, PARASITE_SCORE_B)
+            parasite_scores = np.clip(rng.beta(a, PARASITE_SCORE_B, size=n_parasites), 0.0, 1.0)
+        n_high = _poisson(rng, f * v)
+        n_low = _poisson(rng, cfg.background_distractor_rate * v)
+        scores = np.concatenate([
+            parasite_scores,
+            _tail_scores(DISTRACTOR_SCORE_DIST, n_high, rng, upper=True),
+            _tail_scores(DISTRACTOR_SCORE_DIST, n_low, rng, upper=False),
+        ])
+        groups = [(f"{pid}-p", n_parasites, 5)] if positive else []
         patients.append(
             PatientRecord(
                 patient_id=pid,
-                ground_truth=GroundTruth.NEGATIVE,
-                species=Species.NONE,
-                true_parasitemia=0.0,
-                examined_volume=cfg.examined_volume,
-                object_ids=SerialIds([id_group]),
-                scores=scores,
-                is_parasite=np.zeros(len(scores), dtype=bool),
-            )
-        )
-
-    for j in range(cfg.n_positive):
-        idx = cfg.n_negative + j
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(idx,)))
-        pid = f"pos{j:04d}"
-        parasitemia = _draw_positive_rate(cfg.parasitemia_dist, rng)
-        if parasitemia <= 0:
-            parasitemia = 1e-9  # positive patients must have P > 0
-        sp = species_labels[int(rng.choice(len(species_labels), p=species_weights))]
-        s = _draw_sensitivity(cfg.patient_sensitivity_dist, rng)
-        f = _draw_positive_rate(cfg.fpr_dist, rng)
-
-        n_parasites = _poisson(rng, parasitemia * cfg.examined_volume)
-        a = solve_beta_a(s, PARASITE_SCORE_B)
-        parasite_scores = np.clip(rng.beta(a, PARASITE_SCORE_B, size=n_parasites), 0.0, 1.0)
-        id_group, scores = _distractors(cfg, pid, f, rng)
-        patients.append(
-            PatientRecord(
-                patient_id=pid,
-                ground_truth=GroundTruth.POSITIVE,
+                ground_truth=GroundTruth.POSITIVE if positive else GroundTruth.NEGATIVE,
                 species=sp,
                 true_parasitemia=parasitemia,
-                examined_volume=cfg.examined_volume,
-                object_ids=SerialIds([(f"{pid}-p", n_parasites, 5), id_group]),
-                scores=np.concatenate([parasite_scores, scores]),
-                is_parasite=np.repeat([True, False], [n_parasites, len(scores)]),
+                examined_volume=v,
+                object_ids=SerialIds([*groups, (f"{pid}-d", n_high + n_low, 5)]),
+                scores=scores,
+                is_parasite=np.repeat([True, False], [n_parasites, n_high + n_low]),
             )
         )
 
@@ -331,13 +316,13 @@ def _uniform_patient(pid, gt, species, parasitemia, volume, *groups):
     )
 
 
-def paper_worked_examples() -> list[dict]:
-    """Deterministic fixture cohorts for the three worked examples.
+def paper_worked_examples() -> dict[str, dict]:
+    """Deterministic fixture cohorts for the three worked examples, by name.
 
     Each entry carries the cohort, the operating point or parameters to apply,
     and the expected values (computed by hand from the definitions).
     """
-    examples = []
+    examples = {}
 
     # 1. pooled vs patient-level sensitivity: one high-parasitemia patient
     #    fully detected, three low-parasitemia patients fully missed.
@@ -352,22 +337,19 @@ def paper_worked_examples() -> list[dict]:
         )
         for k in (2, 3, 4)
     ]
-    examples.append(
-        {
-            "name": "patient-level",
-            "cohort": CohortDataset(
-                cv_description="1 uL blood",
-                patients=(p1, *rest),
-                provenance="worked example: pooled vs patient-level sensitivity",
-            ),
-            "C": 0.5,
-            "T": 1.0,
-            "expected": {
-                "pooled_sensitivity": 50_000 / 50_900,
-                "patient_level_sensitivity": 0.25,
-            },
-        }
-    )
+    examples["patient-level"] = {
+        "cohort": CohortDataset(
+            cv_description="1 uL blood",
+            patients=(p1, *rest),
+            provenance="worked example: pooled vs patient-level sensitivity",
+        ),
+        "C": 0.5,
+        "T": 1.0,
+        "expected": {
+            "pooled_sensitivity": 50_000 / 50_900,
+            "patient_level_sensitivity": 0.25,
+        },
+    }
 
     # 2. precision re-expression: 10,000 TP/cV with 100 FP/cV looks like
     #    precision 0.99, but at LoD parasitemia 100 it is 0.5.
@@ -375,22 +357,19 @@ def paper_worked_examples() -> list[dict]:
         "q1", GroundTruth.POSITIVE, Species.FALCIPARUM, 10_000.0, 1.0,
         ("p", 10_000, 0.9, True), ("d", 100, 0.9, False),
     )
-    examples.append(
-        {
-            "name": "precision",
-            "cohort": CohortDataset(
-                cv_description="1 uL blood",
-                patients=(quant_patient,),
-                provenance="worked example: precision re-expression at LoD",
-            ),
-            "C": 0.5,
-            "lod_parasitemia": 100.0,
-            "expected": {
-                "precision": 10_000 / 10_100,
-                "precision_at_lod": 0.5,
-            },
-        }
-    )
+    examples["precision"] = {
+        "cohort": CohortDataset(
+            cv_description="1 uL blood",
+            patients=(quant_patient,),
+            provenance="worked example: precision re-expression at LoD",
+        ),
+        "C": 0.5,
+        "lod_parasitemia": 100.0,
+        "expected": {
+            "precision": 10_000 / 10_100,
+            "precision_at_lod": 0.5,
+        },
+    }
 
     # 3. AUC/imbalance coexistence: 50,000 distractors per parasite; at the
     #    full-sensitivity threshold there are 50 FPs per parasite, yet
@@ -399,20 +378,17 @@ def paper_worked_examples() -> list[dict]:
         "a1", GroundTruth.POSITIVE, Species.FALCIPARUM, 1.0, 1.0,
         ("p", 1, 0.9, True), ("hard", 50, 0.95, False), ("easy", 49_950, 0.1, False),
     )
-    examples.append(
-        {
-            "name": "auc-imbalance",
-            "cohort": CohortDataset(
-                cv_description="1 uL blood",
-                patients=(auc_patient,),
-                provenance="worked example: AUC under 50,000:1 imbalance",
-            ),
-            "full_sensitivity_threshold": 0.9,
-            "expected": {
-                "auc": 0.999,
-                "fp_per_parasite": 50,
-            },
-        }
-    )
+    examples["auc-imbalance"] = {
+        "cohort": CohortDataset(
+            cv_description="1 uL blood",
+            patients=(auc_patient,),
+            provenance="worked example: AUC under 50,000:1 imbalance",
+        ),
+        "full_sensitivity_threshold": 0.9,
+        "expected": {
+            "auc": 0.999,
+            "fp_per_parasite": 50,
+        },
+    }
 
     return examples

@@ -6,7 +6,7 @@ from parasitometrics.datamodel import (
     PatientRecord,
     Species,
 )
-from parasitometrics.metrics import MetricDistribution, MetricKind
+from parasitometrics.metrics import MetricDistribution
 from parasitometrics.stats import summarize
 
 
@@ -55,25 +55,19 @@ def make_cohort(*patients, cv="1 uL blood"):
     return CohortDataset(cv_description=cv, patients=tuple(patients), provenance="test")
 
 
-def make_dist(kind, values):
+def make_dist(values):
     per = {f"pt{i:03d}": float(v) for i, v in enumerate(values)}
-    return MetricDistribution(kind=kind, per_patient=per, summary=summarize(values))
+    return MetricDistribution(per_patient=per, summary=summarize(values))
 
 
 @pytest.fixture
 def fpr_dist():
-    def _build(values):
-        return make_dist(MetricKind.FPR, values)
-
-    return _build
+    return make_dist
 
 
 @pytest.fixture
 def sens_dist():
-    def _build(values):
-        return make_dist(MetricKind.OBJECT_SENSITIVITY, values)
-
-    return _build
+    return make_dist
 
 
 @pytest.fixture

@@ -6,11 +6,13 @@ them inline); a failing criterion shows up as a normal pytest failure.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from parasitometrics import reproduce
 from parasitometrics.calibration import (
     CalibrationConfig,
     CalibrationMethod,
@@ -26,7 +28,6 @@ from parasitometrics.curves import (
     precision_with_reexpression,
 )
 from parasitometrics.metrics import (
-    MetricKind,
     fpr_distribution,
     patient_level_sens_spec,
     pooled_object_sensitivity,
@@ -53,7 +54,7 @@ def _report(n: int, name: str, detail: str) -> None:
 
 
 def _example(name: str) -> dict:
-    return next(e for e in paper_worked_examples() if e["name"] == name)
+    return paper_worked_examples()[name]
 
 
 def test_criterion_01_pooled_vs_patient_level_sensitivity():
@@ -155,9 +156,8 @@ def test_criterion_06_lod_algebraic_identities():
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(100):
-        F = make_dist(MetricKind.FPR, rng.uniform(1.0, 500.0, size=rng.integers(2, 20)))
-        S = make_dist(MetricKind.OBJECT_SENSITIVITY,
-                      rng.uniform(0.05, 1.0, size=rng.integers(1, 20)))
+        F = make_dist(rng.uniform(1.0, 500.0, size=rng.integers(2, 20)))
+        S = make_dist(rng.uniform(0.05, 1.0, size=rng.integers(1, 20)))
         L = estimate_lod(F, S, CalibrationConfig()).L
         f, s = F.summary, S.summary
         residual = (L * s.mean + f.mean - 1.65 * f.std) - (f.mean + 1.65 * f.std)
@@ -165,17 +165,28 @@ def test_criterion_06_lod_algebraic_identities():
     assert worst <= 1e-12 * 3.3 * 100.0  # residual 0 up to float rounding
 
     # scale equivariance: scaling the FP distribution by c scales L by c
-    S = make_dist(MetricKind.OBJECT_SENSITIVITY, [0.7, 0.8, 0.9])
+    S = make_dist([0.7, 0.8, 0.9])
     values = [12.0, 30.0, 45.0, 80.0]
-    base = estimate_lod(make_dist(MetricKind.FPR, values), S, CalibrationConfig())
+    base = estimate_lod(make_dist(values), S, CalibrationConfig())
     for c in (0.25, 3.0, 117.0):
         scaled = estimate_lod(
-            make_dist(MetricKind.FPR, [c * v for v in values]), S,
+            make_dist([c * v for v in values]), S,
             CalibrationConfig(),
         )
         assert scaled.L == pytest.approx(c * base.L, rel=1e-12)
     _report(6, "LoD identities",
             f"breakeven residual <= {worst:.2e}; scale equivariance to 1e-12")
+
+
+def test_reproduced_breakeven_check_reads_the_library_lod(monkeypatch):
+    # an LoD off by one part in a million breaks the breakeven identity
+    def drifted(F, S, cfg):
+        lod = estimate_lod(F, S, cfg)
+        return replace(lod, L=lod.L * (1 + 1e-6))
+
+    monkeypatch.setattr(reproduce, "estimate_lod", drifted)
+    checks = {c.name: c for c in reproduce.run_all()}
+    assert not checks["lod_breakeven_identity"].passed
 
 
 def test_criterion_07_lod_empirical_meaning():
@@ -188,7 +199,7 @@ def test_criterion_07_lod_empirical_meaning():
     ))
     F = fpr_distribution(negatives, C)
     T = calibrate_threshold(F, CalibrationConfig(K=0.95))
-    S = make_dist(MetricKind.OBJECT_SENSITIVITY, [s_fixed, s_fixed])
+    S = make_dist([s_fixed, s_fixed])
     L = estimate_lod(F, S, CalibrationConfig()).L
 
     positives = generate_cohort(SimConfig(
@@ -238,7 +249,7 @@ def test_lod_is_detected_with_sensitivity_K_at_specificity_K(K):
     ))
     F = fpr_distribution(negatives, C)
     T = calibrate_threshold(F, cfg)
-    S = make_dist(MetricKind.OBJECT_SENSITIVITY, [s_fixed, s_fixed])
+    S = make_dist([s_fixed, s_fixed])
     L = estimate_lod(F, S, cfg).L
 
     positives = generate_cohort(SimConfig(
@@ -300,9 +311,8 @@ def test_criterion_09_quantitation_error_monte_carlo():
     details = []
     for p_true, predicted in [(200.0, 0.250), (2000.0, 0.138), (20000.0, 0.126)]:
         # figure-of-merit prediction, from the library
-        S = make_dist(MetricKind.OBJECT_SENSITIVITY,
-                      list(rng.normal(mu_s, sigma_s, 2000)))
-        F = make_dist(MetricKind.FPR, list(rng.normal(mu_f, sigma_f, 2000)))
+        S = make_dist(list(rng.normal(mu_s, sigma_s, 2000)))
+        F = make_dist(list(rng.normal(mu_f, sigma_f, 2000)))
         fom = quant_fom(S, F, p_true)
         assert fom == pytest.approx(predicted, abs=5e-3)
 
@@ -347,7 +357,7 @@ def test_criterion_11_robust_statistics():
         half = rng.uniform(0.5, 50.0, size=rng.integers(1, 8))
         mu = rng.uniform(10.0, 200.0)
         values = list(mu - half) + list(mu + half)
-        F = make_dist(MetricKind.FPR, values)
+        F = make_dist(values)
         t_gauss = calibrate_threshold(F, CalibrationConfig(K=0.95))
         t_robust = calibrate_threshold(
             F, CalibrationConfig(K=0.95, method=CalibrationMethod.ROBUST)

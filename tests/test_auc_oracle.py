@@ -111,7 +111,7 @@ def test_one_object_of_a_class_and_full_ties(parasites, distractors):
 
 
 def test_50000_to_1_worked_example():
-    ex = {e["name"]: e for e in paper_worked_examples()}["auc-imbalance"]
+    ex = paper_worked_examples()["auc-imbalance"]
     assert_roc_matches_oracle(ex["cohort"])
     assert object_roc(ex["cohort"]).auc == 0.999
 

@@ -12,18 +12,13 @@ from parasitometrics.calibration import (
     tune_operating_point,
 )
 from parasitometrics.errors import DegenerateDataError, InputError
-from parasitometrics.metrics import MetricKind, fpr_distribution, sensitivity_distribution
+from parasitometrics.metrics import fpr_distribution, sensitivity_distribution
 from parasitometrics.stats import alpha_for_specificity
 
 from conftest import make_cohort, make_dist, make_patient
 
 
-def fdist(values):
-    return make_dist(MetricKind.FPR, values)
-
-
-def sdist(values):
-    return make_dist(MetricKind.OBJECT_SENSITIVITY, values)
+fdist = sdist = make_dist
 
 
 class TestCalibrateThreshold:

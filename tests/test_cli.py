@@ -384,6 +384,27 @@ class TestCalibrateAndLod:
             assert result.stdout == ""
 
 
+@pytest.mark.parametrize("args, message", [
+    (["evaluate", "--C", "1.5", "--spec-target", "0.95"], "score threshold C=1.5 outside [0, 1]"),
+    (["evaluate", "--C", "nan", "--spec-target", "0.95"], "score threshold C=nan outside [0, 1]"),
+    (["calibrate", "--C", "1.5"], "score threshold C=1.5 outside [0, 1]"),
+    (["lod", "--C", "1.5"], "score threshold C=1.5 outside [0, 1]"),
+    (["calibrate", "--C", "0.5", "--spec-target", "1.5"],
+     "target specificity K=1.5 outside (0, 1)"),
+    (["lod", "--C", "0.5", "--beta", "nan"], "beta=nan must be finite and >= 0"),
+], ids=["evaluate", "evaluate-nan", "calibrate", "lod", "calibrate-K", "lod-beta"])
+def test_bad_argument_exits_2_before_a_metric_can_exit_3(runner, tmp_path, args, message):
+    # without negatives, the FPR distribution or calibration would exit 3;
+    # the arguments are checked first
+    path = tmp_path / "c.json"
+    export_cohort_json(make_cohort(make_patient("pos1", positive=True,
+                                                parasite_scores=(0.9,))), path)
+    result = runner.invoke(main, [*args, "--json", str(path), "--out", str(tmp_path / "r")]
+                           if args[0] == "evaluate" else [*args, "--json", str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("args", [
     ["lod", "--beta", "nan"],
     ["lod", "--beta", "inf"],

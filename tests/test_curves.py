@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from parasitometrics.curves import (
-    CurveKind,
     easy_distractor_experiment,
     froc,
     object_roc,

@@ -16,9 +16,6 @@ import pytest
 import parasitometrics
 
 MODULES = sorted(Path(parasitometrics.__file__).parent.glob("*.py"))
-# No module reads report_to_doc: it is the reference document that
-# test_report_writer_oracle compares write_report's bytes against.
-UNREAD_BY_DESIGN = {"report.report_to_doc"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -57,7 +54,7 @@ def test_package_reads_every_function_and_class_it_defines():
               # a click command is reached through its group, not by name
               and not any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
                           and d.func.attr == "command" for d in node.decorator_list)}
-    assert sorted(unread - UNREAD_BY_DESIGN) == []
+    assert sorted(unread) == []
 
 
 def _decorators(node) -> set[str]:

@@ -2,13 +2,13 @@
 
 ``oracle_cohort_from_rows`` and ``oracle_patient`` are the row validator
 and the ``PatientRecord`` checks from before patients kept their objects as
-columns: one ``ObjectRecord`` per row, validated one object at a time. They
-and the row type stay here as the reference, fed by ``csv.DictReader`` or
-by a plain ``json.loads`` of the whole document. On a valid cohort, or one
-with faults in up to two patients, the column ingest must give the same
-cohort (same patients, the rows' ids, scores and labels as columns, same
-sorted score arrays) or the same exception with the same message, which
-names the first fault in input order.
+columns: one ``ObjectRecord`` per row, validated one object at a time. They,
+the row type and its label enum stay here as the reference, fed by
+``csv.DictReader`` or by a plain ``json.loads`` of the whole document. On a
+valid cohort, or one with faults in up to two patients, the column ingest
+must give the same cohort (same patients, the rows' ids, scores and labels
+as columns, same sorted score arrays) or the same exception with the same
+message, which names the first fault in input order.
 """
 
 import csv
@@ -16,6 +16,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -27,11 +28,15 @@ from parasitometrics.datamodel import (
     GroundTruth,
     PatientRecord,
     Species,
-    TrueLabel,
     ingest_cohort,
     ingest_cohort_json,
 )
 from parasitometrics.errors import InputError
+
+
+class TrueLabel(Enum):
+    PARASITE = "parasite"
+    DISTRACTOR = "distractor"
 
 
 @dataclass(frozen=True, slots=True)

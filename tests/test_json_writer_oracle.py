@@ -36,7 +36,7 @@ def cohort_to_json_doc(cohort: CohortDataset) -> dict:
                 "examined_volume": p.examined_volume,
                 "wbc_count": p.wbc_count,
                 "objects": [
-                    {"object_id": oid, "score": score, "true_label": _LABELS[parasite].value}
+                    {"object_id": oid, "score": score, "true_label": _LABELS[parasite]}
                     for oid, score, parasite in _object_columns(p)
                 ],
             }

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from parasitometrics.calibration import OperatingPoint
 from parasitometrics.errors import DegenerateDataError, InputError
-from parasitometrics.metrics import MetricKind
 from parasitometrics.quant import (
     CONSTANT_X_NOTE,
     ExpectedRates,
@@ -60,26 +59,26 @@ class TestEstimateParasitemia:
 
 class TestQuantFom:
     def test_hand_arithmetic(self):
-        S = make_dist(MetricKind.OBJECT_SENSITIVITY, [0.7, 0.8, 0.9])
-        F = make_dist(MetricKind.FPR, [30.0, 50.0, 70.0])
+        S = make_dist([0.7, 0.8, 0.9])
+        F = make_dist([30.0, 50.0, 70.0])
         sigma_s, sigma_f = S.summary.std, F.summary.std
         expected = sigma_s / 0.8 + sigma_f / (0.8 * 1000.0)
         assert quant_fom(S, F, 1000.0) == pytest.approx(expected, abs=1e-12)
 
     def test_consistent_detector_zero(self):
-        S = make_dist(MetricKind.OBJECT_SENSITIVITY, [0.8, 0.8])
-        F = make_dist(MetricKind.FPR, [50.0, 50.0])
+        S = make_dist([0.8, 0.8])
+        F = make_dist([50.0, 50.0])
         assert quant_fom(S, F, 100.0) == 0.0
 
     def test_sensitivity_term_dominates_at_large_P(self):
-        S = make_dist(MetricKind.OBJECT_SENSITIVITY, [0.7, 0.9])
-        F = make_dist(MetricKind.FPR, [30.0, 70.0])
+        S = make_dist([0.7, 0.9])
+        F = make_dist([30.0, 70.0])
         limit = S.summary.std / S.summary.mean
         assert quant_fom(S, F, 1e9) == pytest.approx(limit, rel=1e-6)
 
     def test_nonpositive_parasitemia(self):
-        S = make_dist(MetricKind.OBJECT_SENSITIVITY, [0.8, 0.8])
-        F = make_dist(MetricKind.FPR, [50.0, 50.0])
+        S = make_dist([0.8, 0.8])
+        F = make_dist([50.0, 50.0])
         with pytest.raises(InputError, match="P=0.0 must be > 0"):
             quant_fom(S, F, 0.0)
 
@@ -176,8 +175,8 @@ def test_fom_is_taken_at_the_np_median_parasitemia(parasitemias):
     cohort = make_cohort(*(
         make_patient(f"pt{i:02d}", positive=True, parasitemia=p, parasite_scores=(0.9,))
         for i, p in enumerate(parasitemias)))
-    S = make_dist(MetricKind.OBJECT_SENSITIVITY, [0.7, 0.8, 0.9])
-    F = make_dist(MetricKind.FPR, [10.0, 20.0, 60.0])
+    S = make_dist([0.7, 0.8, 0.9])
+    F = make_dist([10.0, 20.0, 60.0])
     with warnings.catch_warnings():  # near-equal parasitemias make the R^2 fits ill-conditioned
         warnings.simplefilter("ignore")
         result = quant_report(cohort, OperatingPoint(C=0.5, T=0.0),

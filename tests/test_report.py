@@ -9,7 +9,7 @@ from parasitometrics.metrics import (
     patient_level_sens_spec,
     sensitivity_distribution,
 )
-from parasitometrics.report import EvaluationReport, report_to_doc, write_report
+from parasitometrics.report import EvaluationReport, _document, write_report
 
 
 @pytest.fixture
@@ -27,7 +27,7 @@ def full_report(mixed_cohort):
 
 class TestStructuralInvariant:
     def test_full_report_serializes(self, full_report):
-        doc = report_to_doc(full_report)
+        doc = _document(full_report, lambda name, c: c.points.tolist())
         assert doc["schema_version"] == 1
         assert doc["patient_level"]["specificity"] is not None
         assert "specificity_absent_reason" not in doc["patient_level"]
@@ -36,7 +36,7 @@ class TestStructuralInvariant:
     def test_explicit_absence_reason_is_accepted(self, full_report):
         # the result type carries the specificity; None is written with its reason
         full_report.patient_level = replace(full_report.patient_level, specificity=None)
-        doc = report_to_doc(full_report)
+        doc = _document(full_report, lambda name, c: c.points.tolist())
         assert doc["patient_level"]["specificity"] is None
         assert doc["patient_level"]["specificity_absent_reason"] == \
             "cohort has no negative patients"

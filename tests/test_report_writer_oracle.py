@@ -2,10 +2,11 @@
 
 ``old_report_json`` and ``old_curve_csv`` are what ``write_report`` wrote
 before each curve's points were formatted once for both files:
-``json.dump(report_to_doc(report), fh, indent=2, sort_keys=True)`` plus a
-newline, and ``csv.writer`` over ``(repr(thr), repr(x), repr(y))``. They stay
-here as the reference: for any report, in either format, ``report.json`` and
-every ``curve_<name>.csv`` must have the same bytes.
+``json.dump`` of ``_document`` with each curve's points as a list,
+``indent=2`` and ``sort_keys=True``, plus a newline, and ``csv.writer`` over
+``(repr(thr), repr(x), repr(y))``. They stay here as the reference: for any
+report, in either format, ``report.json`` and every ``curve_<name>.csv``
+must have the same bytes.
 
 ``sorted_median``, ``DistSummary.percentile`` and ``distinct_sorted``
 replace ``np.median``, ``np.percentile`` and ``np.unique``, which load
@@ -30,18 +31,17 @@ from parasitometrics.calibration import (
     OperatingPoint,
     estimate_lod,
 )
-from parasitometrics.curves import CurveKind, CurvePoints, froc, object_roc, patient_roc
+from parasitometrics.curves import CurvePoints, froc, object_roc, patient_roc
 from parasitometrics.datamodel import distinct_sorted
 from parasitometrics.metrics import (
     MetricDistribution,
-    MetricKind,
     fpr_distribution,
     patient_level_sens_spec,
     pooled_object_sensitivity,
     sensitivity_distribution,
 )
 from parasitometrics.quant import ExpectedRates, quant_report
-from parasitometrics.report import _CURVE_BLOCK, EvaluationReport, report_to_doc, write_report
+from parasitometrics.report import _CURVE_BLOCK, EvaluationReport, _document, write_report
 from parasitometrics.simulator import SimConfig, generate_cohort
 from parasitometrics.stats import sorted_median, summarize
 
@@ -50,7 +50,8 @@ from conftest import curve_rows
 
 def old_report_json(report) -> bytes:
     buf = io.StringIO()
-    json.dump(report_to_doc(report), buf, indent=2, sort_keys=True)
+    json.dump(_document(report, lambda name, c: c.points.tolist()), buf, indent=2,
+              sort_keys=True)
     buf.write("\n")
     return buf.getvalue().encode("utf-8")
 
@@ -127,29 +128,29 @@ NUMBERS = st.one_of(
     st.integers(0, 40),  # patient ROC's T grid is range(0, 41) when T <= 0
 )
 POINTS = st.lists(st.tuples(NUMBERS, NUMBERS, NUMBERS), max_size=12)
-CURVES = st.lists(st.sampled_from([k for k in CurveKind]), unique=True, max_size=4)
+CURVES = st.lists(st.sampled_from(["object_roc", "sliver_roc", "froc", "patient_roc"]),
+                  unique=True, max_size=4)
 
 
 @st.composite
 def curves(draw):
     out = {}
-    for kind in draw(CURVES):
+    for name in draw(CURVES):
         points = draw(POINTS)
         if points and draw(st.booleans()):
             points = [(0.0, 0.0, math.inf)] + points  # reject-all sentinel
-        out[kind.value] = CurvePoints(
-            kind=kind, points=tuple(points),
+        out[name] = CurvePoints(
+            points=tuple(points),
             auc=draw(st.none() | st.floats()), notes=tuple(draw(st.lists(TEXT, max_size=2))))
     return out
 
 
 @st.composite
-def distributions(draw, kind):
+def distributions(draw):
     ids = draw(st.lists(IDS, min_size=1, max_size=5, unique=True))
     values = draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e16]) | st.floats(0, 100),
                            min_size=len(ids), max_size=len(ids)))
-    return MetricDistribution(kind=kind, per_patient=dict(zip(ids, values)),
-                              summary=summarize(values),
+    return MetricDistribution(per_patient=dict(zip(ids, values)), summary=summarize(values),
                               excluded=tuple(draw(st.lists(IDS, max_size=2))),
                               warnings=tuple(draw(st.lists(TEXT, max_size=2))))
 
@@ -162,8 +163,8 @@ def reports(draw):
     report.provenance = draw(TEXT)
     report.warnings = draw(st.lists(TEXT, max_size=3))
     if draw(st.booleans()):
-        report.fpr = draw(distributions(MetricKind.FPR))
-        report.sensitivity = draw(distributions(MetricKind.OBJECT_SENSITIVITY))
+        report.fpr = draw(distributions())
+        report.sensitivity = draw(distributions())
     if draw(st.booleans()):
         report.patient_level = replace(report.patient_level, specificity=None)
     for section in draw(st.lists(st.sampled_from(
@@ -206,9 +207,9 @@ def test_curves_longer_than_a_block(fmt, tmp_path):
     odd = list(floats)
     odd[_CURVE_BLOCK + 5] = (1.0, 0.5, -math.inf)  # only the second block
     report = EvaluationReport(**{**vars(_base_report()), "curves": {
-        "froc": CurvePoints(CurveKind.FROC, ((0.0, 0.0, math.inf), *floats)),
-        "object_roc": CurvePoints(CurveKind.OBJECT_ROC, tuple(odd), auc=0.5),
-        "patient_roc": CurvePoints(CurveKind.PATIENT_ROC, ((0.0, 1.0, float("nan")),) * n),
+        "froc": CurvePoints(((0.0, 0.0, math.inf), *floats)),
+        "object_roc": CurvePoints(tuple(odd), auc=0.5),
+        "patient_roc": CurvePoints(((0.0, 1.0, float("nan")),) * n),
     }})
     assert_matches_old_writer(report, tmp_path, fmt)
 
@@ -218,7 +219,7 @@ def test_points_must_be_triples():
                    np.zeros((3, 2)),  # as many values as two triples
                    [0.0, 0.0, 1.0]):  # one triple, flat
         with pytest.raises(ValueError):
-            CurvePoints(CurveKind.FROC, points)
+            CurvePoints(points)
 
 
 # --- the helpers that replace np.median, np.percentile and np.unique --------

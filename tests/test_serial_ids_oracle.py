@@ -128,7 +128,8 @@ def test_worked_example_ids_match_the_f_string_builder():
         "q1": _old_uniform_ids("q1", ("p", 10_000), ("d", 100)),
         "a1": _old_uniform_ids("a1", ("p", 1), ("hard", 50), ("easy", 49_950)),
     }
-    got = {p.patient_id: p.object_ids for ex in paper_worked_examples() for p in ex["cohort"]}
+    got = {p.patient_id: p.object_ids for ex in paper_worked_examples().values()
+           for p in ex["cohort"]}
     assert got.keys() == want.keys()
     for pid, ids in got.items():
         assert type(ids) is SerialIds and tuple(ids) == want[pid], pid

@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from scipy.special import betainc
 
 from parasitometrics import simulator
-from parasitometrics.datamodel import GroundTruth, Species
+from parasitometrics.datamodel import GroundTruth, Species, export_cohort, export_cohort_json
 from parasitometrics.errors import InputError
 from parasitometrics.metrics import (
     fpr_distribution,
@@ -47,6 +49,30 @@ class TestDeterminism:
         small = generate_cohort(SimConfig(seed=7, n_negative=3, n_positive=0))
         for p_small, p_big in zip(small.patients, big.patients):
             assert p_small == p_big
+
+    # sha256 of the exported bytes: each patient's draw order from its own
+    # substream, and so every generated byte, is part of the contract
+    @pytest.mark.parametrize("export, cfg, digest", [
+        ("json", SimConfig(seed=3, n_negative=5, n_positive=5, examined_volume=0.35),
+         "f9d8764c41115b99066de19049f92a37efad4030de5ced2f7286dfbfb7a4fef2"),
+        ("csv", who56_preset(seed=1),
+         "47b69ddf799e9066b128c9b5d23b822f85ecffda5de02de8ef4670eeebd82df7"),
+        ("json", SimConfig(seed=7, n_negative=2, n_positive=4, fpr_dist=Fixed(0.0),
+                           patient_sensitivity_dist=Fixed(0.75),
+                           parasitemia_dist=Fixed(200.0)),
+         "357ca4384466e608dbf2a4d960a6bd5e906ef64a7aecf29c964fae77080a574e"),
+    ])
+    def test_exported_bytes_match_golden_digest(self, export, cfg, digest):
+        cohort = generate_cohort(cfg)
+        if export == "json":
+            buf = io.StringIO()
+            export_cohort_json(cohort, buf)
+            text = buf.getvalue()
+        else:  # the patients text, then the objects text
+            objects, patients = io.StringIO(), io.StringIO()
+            export_cohort(cohort, objects, patients)
+            text = patients.getvalue() + objects.getvalue()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestStructure:
@@ -206,7 +232,7 @@ class TestStatisticalOracles:
 
 class TestWorkedExampleFixtures:
     def test_fixture_names_and_shapes(self):
-        examples = {e["name"]: e for e in paper_worked_examples()}
+        examples = paper_worked_examples()
         assert set(examples) == {"patient-level", "precision", "auc-imbalance"}
         pl = examples["patient-level"]["cohort"]
         assert len(pl.patients) == 4
@@ -218,5 +244,6 @@ class TestWorkedExampleFixtures:
     def test_fixtures_are_deterministic(self):
         a = paper_worked_examples()
         b = paper_worked_examples()
-        for ea, eb in zip(a, b):
+        assert list(a) == list(b)
+        for ea, eb in zip(a.values(), b.values()):
             assert cohort_to_json_doc(ea["cohort"]) == cohort_to_json_doc(eb["cohort"])

@@ -36,7 +36,6 @@ from parasitometrics.datamodel import GroundTruth
 from parasitometrics.errors import DegenerateDataError, InputError
 from parasitometrics.metrics import (
     MetricDistribution,
-    MetricKind,
     fpr_distribution,
     fpr_distributions,
     sensitivity_distribution,
@@ -70,8 +69,8 @@ def loop_fpr_distribution(cohort, C, negatives_only=True):
             "can inflate these values",
         )
     per = {p.patient_id: checked_loop_counts(p, C)[5] for p in patients}
-    return MetricDistribution(kind=MetricKind.FPR, per_patient=per,
-                              summary=summarize(per.values()), warnings=warnings)
+    return MetricDistribution(per_patient=per, summary=summarize(per.values()),
+                              warnings=warnings)
 
 
 def loop_sensitivity_distribution(cohort, C):
@@ -85,8 +84,8 @@ def loop_sensitivity_distribution(cohort, C):
             per[p.patient_id] = tp / n_parasites
     if not per:
         raise DegenerateDataError("no positive patients with parasite objects")
-    return MetricDistribution(kind=MetricKind.OBJECT_SENSITIVITY, per_patient=per,
-                              summary=summarize(per.values()), excluded=tuple(excluded))
+    return MetricDistribution(per_patient=per, summary=summarize(per.values()),
+                              excluded=tuple(excluded))
 
 
 def loop_estimate_lod(F, S, cfg):
@@ -189,8 +188,7 @@ def types(value):
 
 
 def dist_fields(md):
-    return (md.kind, md.per_patient, types(md.per_patient), md.summary, md.excluded,
-            md.warnings)
+    return md.per_patient, types(md.per_patient), md.summary, md.excluded, md.warnings
 
 
 def positives_cohort(draw, prefix, min_size):
