@@ -10,9 +10,10 @@ File formats (CSV pair or a single JSON document) are documented in the
 module-level ``ingest_cohort`` / ``export_cohort`` functions. Both go through
 one validator that appends each object to its patient's columns, fed the
 CSV rows as they are read, or the columns that each JSON patient's objects
-were reduced to as it was parsed. It parses a JSON value as the CSV text it
-would be written as (``str`` of it, stripped); malformed input raises
-``InputError``.
+were reduced to as it was parsed; a JSON file is read a chunk at a time, one
+patient at a time, and its text is not held whole. It parses a JSON value as
+the CSV text it would be written as (``str`` of it, stripped); malformed
+input raises ``InputError``.
 Each patient keeps its objects as columns (ids, scores, an is-parasite mask)
 and its scores sorted, so a count at a threshold is a search.
 """
@@ -31,6 +32,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import accumulate, chain, repeat
+from json.decoder import WHITESPACE, JSONDecodeError
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -520,15 +522,76 @@ def _json_columns(objects: list) -> tuple:
     return ids, scores, labels
 
 
-def _load_cohort_json(text):
-    """``json.loads(text)``, with each patient's ``objects`` reduced to ``_json_columns``.
+_CHUNK = 1 << 18  # characters the JSON reader takes from its handle at a time
 
-    The reduction runs as each JSON object closes, so only one patient's
-    object dicts exist at a time. If it reduced a dict that is not an entry
-    of the final ``patients`` list (one nested in a value, or under a
-    duplicated key), the text is parsed again without it, so that every
-    other value stays as written.
-    """
+
+class _NotStreamed(ValueError):
+    """A JSON document that the streaming reader leaves to a plain ``json.loads``."""
+
+
+class _JsonChunks:
+    """The text that ``read(n)`` returns, taken ``_CHUNK`` characters at a
+    time and dropped once it is parsed."""
+
+    def __init__(self, read):
+        self.read, self.buf, self.at, self.eof = read, "", 0, False
+
+    def _more(self) -> None:
+        # a value longer than the buffer doubles it, so no text is scanned a
+        # growing number of times
+        chunk = self.read(max(_CHUNK, len(self.buf) - self.at))
+        self.buf, self.at, self.eof = self.buf[self.at:] + chunk, 0, not chunk
+
+    def peek(self) -> str:
+        """The next character after whitespace, or "" at end of file."""
+        while True:
+            self.at = WHITESPACE.match(self.buf, self.at).end()
+            if self.at < len(self.buf) or self.eof:
+                return self.buf[self.at:self.at + 1]
+            self._more()
+
+    def skip(self, char: str) -> bool:
+        """Whether ``char`` comes next after whitespace; if it does, it is read."""
+        if self.peek() == char:
+            self.at += 1
+            return True
+        return False
+
+    def next(self, decode, follow: str):
+        """(value, the character after it): the value at the read position,
+        decoded by ``decode(text, index)`` (None if ``decode`` is None), then
+        one of the ``follow`` characters after whitespace, read past.
+
+        The whole step must fit in the buffer: a decode error, or text that
+        ends before the ``follow`` character (a number such as ``12`` may go
+        on in the next chunk), reads more and tries again. At end of file it
+        raises ``_NotStreamed``.
+        """
+        # read ahead while half a chunk is left, so that a value that fits in
+        # half a chunk is parsed once
+        if len(self.buf) - self.at < _CHUNK // 2 and not self.eof:
+            self._more()
+        while True:
+            buf = self.buf
+            try:
+                value, i = (decode(buf, WHITESPACE.match(buf, self.at).end()) if decode
+                            else (None, self.at))
+                i = WHITESPACE.match(buf, i).end()
+                if i < len(buf) and buf[i] in follow:
+                    self.at = i + 1
+                    return value, buf[i]
+            except JSONDecodeError:
+                pass
+            if self.eof:
+                raise _NotStreamed
+            self._more()
+
+
+def _stream_cohort_json(read) -> dict:
+    """The JSON object in the text that ``read(n)`` returns, each ``patients``
+    entry's ``objects`` reduced to ``_json_columns`` as the entry is parsed;
+    ``_NotStreamed`` for any other document, or if the reduction hit a dict
+    that is not an entry."""
     reduced = 0
 
     def to_columns(d: dict) -> dict:
@@ -542,11 +605,67 @@ def _load_cohort_json(text):
                 pass
         return d
 
-    doc = json.loads(text, object_hook=to_columns)
-    patients = doc.get("patients") if type(doc) is dict else None
-    kept = (sum(type(pd) is dict and type(pd.get("objects")) is tuple for pd in patients)
-            if type(patients) is list else 0)
-    return doc if kept == reduced else json.loads(text)
+    plain = json.JSONDecoder().raw_decode
+    hooked = json.JSONDecoder(object_hook=to_columns).raw_decode
+
+    def patient(s: str, i: int):
+        nonlocal reduced
+        reduced = 0
+        return hooked(s, i)
+
+    text = _JsonChunks(read)
+    if not text.skip("{"):
+        raise _NotStreamed
+    doc = {}
+    end = text.skip("}")
+    while not end:
+        key, _ = text.next(plain, ":")
+        if type(key) is not str:
+            raise _NotStreamed
+        if key == "patients" and text.skip("["):
+            value, more = [], not text.skip("]")
+            while more:
+                pd, sep = text.next(patient, ",]")
+                if reduced != (type(pd) is dict and type(pd.get("objects")) is tuple):
+                    raise _NotStreamed  # an objects list nested in one of its values
+                value.append(pd)
+                more = sep == ","
+            _, sep = text.next(None, ",}")
+        else:
+            value, sep = text.next(plain, ",}")
+        doc[key] = value  # a key given twice keeps its last value, as in json.loads
+        end = sep == "}"
+    if text.peek():
+        raise _NotStreamed
+    return doc
+
+
+def _read_cohort_json(fh):
+    """The JSON document on ``fh``, streamed if ``_stream_cohort_json`` takes
+    it, else ``json.loads`` of the text from where the handle started.
+
+    A handle that cannot seek back, such as a pipe, is read whole first and
+    its text streamed from memory, so that it is parsed into one dict per
+    object only when the streaming reader does not take it.
+    """
+    if fh.seekable():
+        start = fh.tell()
+        try:
+            return _stream_cohort_json(fh.read)
+        except (ValueError, RecursionError):  # _NotStreamed, or bad UTF-8
+            fh.seek(start)
+        return json.loads(fh.read())
+    text, at = fh.read(), 0
+
+    def read(n: int) -> str:
+        nonlocal at
+        at += n
+        return text[at - n:at]
+
+    try:
+        return _stream_cohort_json(read)
+    except (ValueError, RecursionError):
+        return json.loads(text)
 
 
 def ingest_cohort_json(source) -> CohortDataset:
@@ -554,19 +673,28 @@ def ingest_cohort_json(source) -> CohortDataset:
 
     ``{"cv_description", "provenance" (optional), "patients": [...]}``; each
     patient holds the PATIENT_COLUMNS keys and a list of ``objects``.
+
+    The document is read from the handle ``_CHUNK`` characters at a time,
+    and each ``patients`` entry is parsed on its own, its ``objects`` reduced
+    to columns, so only about one chunk and one patient of text are held.
+    A document the streaming reader does not take (not an object, malformed,
+    or with an ``objects`` list nested in a patient's values) is read whole
+    by ``json.loads``, from where the handle started, so every outcome and
+    message is ``json.loads``'s. A handle that cannot seek is read whole
+    first.
     """
     is_handle = hasattr(source, "read")
     name = "JSON input" if is_handle else source
     try:
         with _file(source) as fh:
-            doc = _load_cohort_json(fh.read())
+            doc = _read_cohort_json(fh)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise InputError(f"{name}: not valid JSON: {exc}") from None
-    except RecursionError:  # the scanner, or the object hook on top of it, ran out of depth
+    except RecursionError:  # the scanner ran out of depth
         raise InputError(f"{name}: not valid JSON: nesting too deep") from None
     patient_docs = doc.get("patients") if isinstance(doc, dict) else None
     if not isinstance(patient_docs, list) or "cv_description" not in doc:
-        raise InputError("JSON cohort must have keys 'cv_description' and 'patients'")
+        raise InputError(f"{name}: JSON cohort must have keys 'cv_description' and 'patients'")
     patient_objects = []
     for pd in patient_docs:
         columns = pd.get("objects", []) if isinstance(pd, dict) else None
@@ -576,7 +704,7 @@ def ingest_cohort_json(source) -> CohortDataset:
             except AttributeError:
                 pass
         if type(columns) is not tuple:
-            raise InputError("each patient must be a JSON object with a list of objects")
+            raise InputError(f"{name}: each patient must be a JSON object with a list of objects")
         patient_objects.append((pd.get("patient_id"), columns))
     return _cohort_from_rows(
         patient_docs,

@@ -564,6 +564,24 @@ class TestTune:
         assert [line.split(",")[0] for line in table.read_text().splitlines()] == \
             ["C", "0.3", "0.5"]
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "JSON cohort must have keys 'cv_description' and 'patients'"),
+        ('{"cv_description": "x", "patients": [1]}',
+         "each patient must be a JSON object with a list of objects"),
+    ], ids=["not-a-cohort", "not-a-patient"])
+    def test_json_shape_error_names_its_file(self, runner, tmp_path, text, message):
+        good = tmp_path / "train.json"
+        export_cohort_json(generate_cohort(SimConfig(seed=13, n_negative=0, n_positive=3)),
+                           good)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        result = runner.invoke(main, [
+            "tune", "--train-positives", str(good), "--validation-negatives", str(bad),
+            "--out", str(tmp_path / "t.csv"),
+        ])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {bad}: {message}\n"
+
     def test_positives_without_parasites_name_the_cause(self, runner, tmp_path):
         sim = runner.invoke(main, ["simulate", "--seed", "2", "--n-positive", "0",
                                    "--n-negative", "5", "--format", "json",

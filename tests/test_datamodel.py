@@ -249,8 +249,10 @@ class TestJsonIngestion:
             assert ingest_cohort(o, p, "1 uL blood").patients == cohort.patients
 
     def test_ingest_keeps_no_object_dicts(self, tmp_path):
-        # the text read and its decoded str take 2x the file; one dict per
-        # object for the whole document took 3.4x
+        # the text is read a chunk at a time and each patient parsed on its
+        # own, so the peak is mostly the columns (1.34x the file); holding the
+        # text read and its decoded str took 2x, and one dict per object for
+        # the whole document 3.4x
         path = tmp_path / "c.json"
         export_cohort_json(generate_cohort(SimConfig(seed=0, n_negative=0, n_positive=50)),
                            path)
@@ -260,7 +262,7 @@ class TestJsonIngestion:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * path.stat().st_size
+        assert peak <= 1.6 * path.stat().st_size
 
 
 JSON_VALUES = st.recursive(

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -183,11 +184,12 @@ def oracle_ingest_json(text):
         raise InputError("JSON input: not valid JSON: nesting too deep") from None
     patient_docs = doc.get("patients") if isinstance(doc, dict) else None
     if not isinstance(patient_docs, list) or "cv_description" not in doc:
-        raise InputError("JSON cohort must have keys 'cv_description' and 'patients'")
+        raise InputError("JSON input: JSON cohort must have keys 'cv_description' and 'patients'")
     for pd in patient_docs:
         objects = pd.get("objects", []) if isinstance(pd, dict) else None
         if not isinstance(objects, list) or not all(isinstance(od, dict) for od in objects):
-            raise InputError("each patient must be a JSON object with a list of objects")
+            raise InputError(
+                "JSON input: each patient must be a JSON object with a list of objects")
     return oracle_cohort_from_rows(
         patient_docs,
         ((pd.get("patient_id"), od) for pd in patient_docs for od in pd.get("objects", [])),
@@ -446,6 +448,82 @@ READER_CASES = {
 def test_json_reader_matches_plain_json_loads(text):
     _assert_same_outcome(lambda: ingest_cohort_json(io.StringIO(text)),
                          lambda: oracle_ingest_json(text))
+
+
+# --- the JSON reader's chunk boundaries and handles --------------------------
+
+# values that may go on in the next chunk, whitespace around every , and :,
+# and a number that ends the document
+BOUNDARY_CASES = {
+    "scalars-and-number-at-end": '{"cv_description": "x", "t": true, "z": null, '
+    '"m": -Infinity, "f": [false, NaN, Infinity, 1.5e-3, -0.0], "patients": [%s], '
+    '"n": 12345}' % _patient(objects=_GOOD),
+    "whitespace-around-separators": ' \n{ "cv_description" \t:\r "x" ,\n "patients" : [ %s ,'
+    '\n %s ] , "n" : 12345 } \n' % (_patient(objects=_GOOD), _patient('"p1"', objects=[])),
+    "patients-first-and-empty-object": '{"patients": [%s], "cv_description": "x", '
+    '"provenance": {}}' % _patient(objects=_GOOD),
+}
+
+
+def _streamed_outcome(text, chunk, handle=None):
+    """(ingest outcome, whether the reader fell back to json.loads) at ``chunk``."""
+    with mock.patch.object(datamodel, "_CHUNK", chunk), \
+            mock.patch.object(datamodel.json, "loads", wraps=json.loads) as loads:
+        got = _outcome(lambda: ingest_cohort_json(handle or io.StringIO(text)))
+    return got, loads.called
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 64), st.sampled_from(sorted(READER_CASES) + sorted(BOUNDARY_CASES)))
+def test_json_reader_matches_oracle_at_any_chunk_size(chunk, name):
+    text = READER_CASES.get(name) or BOUNDARY_CASES[name]
+    got, fell_back = _streamed_outcome(text, chunk)
+    _assert_same_outcome(lambda: got, lambda: oracle_ingest_json(text))
+    if name in BOUNDARY_CASES:
+        assert not fell_back
+
+
+@settings(max_examples=300, deadline=None)
+@given(cohort_rows(json_values=True), st.integers(1, 64),
+       st.sampled_from([None, 0, 2]), st.sampled_from([", ", " ,\n ", "\t,"]),
+       st.sampled_from([": ", " : ", "\r:\n"]))
+def test_json_reader_streams_every_cohort_at_any_chunk_size(rows, chunk, indent, comma, colon):
+    patients, objects = rows
+    docs = {_text(p["patient_id"]): dict(p, objects=[]) for p in patients}
+    for pid, row in objects:
+        if _text(pid) in docs:
+            docs[_text(pid)]["objects"].append(row)
+    text = json.dumps({"cv_description": "1 uL blood", "patients": list(docs.values()),
+                       "n": 12345}, indent=indent, separators=(comma, colon))
+    got, fell_back = _streamed_outcome(text, chunk)
+    _assert_same_outcome(lambda: got, lambda: oracle_ingest_json(text))
+    assert not fell_back
+
+
+class _Unseekable(io.StringIO):
+    """A text handle that cannot seek, as a pipe."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 18])
+@pytest.mark.parametrize("name", ["valid", "truncated", "objects-dict-as-species"])
+def test_json_reader_handles_match_oracle(name, chunk):
+    text = READER_CASES[name]
+    # a handle read past a prefix falls back to where it started, not to 0
+    prefixed = io.StringIO('{"not": "this"} ' + text)
+    prefixed.read(16)
+    for handle in (_Unseekable(text), prefixed):
+        got, fell_back = _streamed_outcome(text, chunk, handle)
+        _assert_same_outcome(lambda: got, lambda: oracle_ingest_json(text))
+        assert fell_back == (name != "valid")
 
 
 def test_csv_object_with_two_faults_reports_the_oracles_first():
