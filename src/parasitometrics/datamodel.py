@@ -8,14 +8,15 @@ always ``count / examined_volume``.
 
 File formats (CSV pair or a single JSON document) are documented in the
 module-level ``ingest_cohort`` / ``export_cohort`` functions. Both go through
-one validator that appends each object to its patient's columns, fed the
-CSV rows as they are read, or the columns that each JSON patient's objects
-were reduced to as it was parsed; a JSON file is read a chunk at a time, one
-patient at a time, and its text is not held whole. It parses a JSON value as
-the CSV text it would be written as (``str`` of it, stripped); malformed
-input raises ``InputError``.
+one validator that appends each object to its patient's columns and builds
+the patients from them: fed the CSV rows as they are read, or one JSON
+patient at a time as each is parsed, so a JSON file is read a chunk at a
+time and neither its text nor its object dicts are held whole. It parses a
+JSON value as the CSV text it would be written as (``str`` of it, stripped);
+malformed input raises ``InputError``.
 Each patient keeps its objects as columns (ids, scores, an is-parasite mask)
-and its scores sorted, so a count at a threshold is a search.
+and its scores sorted, so a count at a threshold is a search; ids that run
+in serial ranges are kept as a ``SerialIds``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import operator
 import os
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
@@ -71,8 +72,8 @@ class SerialIds(Sequence):
     ``f"{prefix}{i:0{width}d}"`` for ``i`` in ``range(count)``, group after
     group: ``len``, indexing, slices (which return a tuple), iteration,
     ``==`` and ``hash`` as that tuple's, and ``+`` with a tuple or another
-    SerialIds. Generated cohorts keep their ids this way; ingested ids stay
-    tuples of ``str``.
+    SerialIds. Generated cohorts keep their ids this way, and ingest keeps a
+    patient's ids this way when ``compact_ids`` finds them in such groups.
     """
 
     __slots__ = ("groups", "_templates", "_ends")
@@ -130,6 +131,48 @@ class SerialIds(Sequence):
 
     def __repr__(self) -> str:
         return f"SerialIds({list(self.groups)!r})"
+
+
+def compact_ids(ids: Sequence[str], digits: dict[int, list[str]]) -> SerialIds | tuple:
+    """``ids`` as a SerialIds if they run in ``(prefix, count, width)`` groups
+    with prefix-free prefixes (none starts another, so every id is
+    distinct), else as a tuple; either way it equals ``tuple(ids)``.
+
+    A group starts at an id that ends in "0": the prefix is that id without
+    its trailing zeros, and the width is how many there are. The group runs
+    for as long as the ids go on counting, and all of its ids are checked
+    by one compare of their NUL-joined text, after its length. ``digits``
+    caches ``f"{i:0{width}d}"`` for i = 0, 1, ... per width, never more of
+    them than the ids checked; pass one dict for all the patients of a file.
+    """
+    groups, k, n = [], 0, len(ids)
+    while k < n:
+        first = ids[k]
+        prefix = first.rstrip("0")
+        width = len(first) - len(prefix)
+        if not width or "\0" in prefix:
+            return tuple(ids)
+        padded = digits.setdefault(width, [])
+        fmt = f"%0{width}d"
+        count = 1 + bisect_left(range(1, n - k), True, key=lambda j: ids[k + j] != prefix + (
+            padded[j] if j < len(padded) else fmt % j))
+        text = "\0".join(ids[k:k + count])
+        size, power = count * (len(prefix) + width + 1) - 1, 10 ** width
+        while power < count:  # one more digit from each id from the power on
+            size, power = size + count - power, power * 10
+        if len(text) != size:
+            return tuple(ids)
+        padded.extend(fmt % i for i in range(len(padded), count))
+        # the expected text has no NUL but the count - 1 separators, so equal
+        # texts are equal ids
+        if text != prefix + ("\0" + prefix).join(padded[:count]):
+            return tuple(ids)
+        groups.append((prefix, count, width))
+        k += count
+    prefixes = sorted(prefix for prefix, _, _ in groups)
+    if any(b.startswith(a) for a, b in zip(prefixes, prefixes[1:])):
+        return tuple(ids)
+    return SerialIds(groups)
 
 
 @dataclass(frozen=True, slots=True)
@@ -361,28 +404,20 @@ def _parse_float(row: dict, key: str, what: str) -> float:
         raise InputError(f"{what}: {key} {_text(row.get(key))!r} is not numeric") from None
 
 
-def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> CohortDataset:
-    """The column validator behind both file formats.
+def _patient_id(row: dict, seen) -> str:
+    """The patient_id text of ``row``; InputError if it is empty or in ``seen``."""
+    pid = _text(row.get("patient_id"))
+    if not pid:
+        raise InputError("patient with empty or missing patient_id")
+    if pid in seen:
+        raise InputError(f"duplicate patient_id {pid!r}")
+    return pid
 
-    ``patient_rows`` are dicts keyed by PATIENT_COLUMNS; ``object_rows`` are
-    ``(patient_id, object_id, score, true_label)`` tuples in input order,
-    with patients' rows in any order. Every value is read as its ``_text``;
-    a value that already is that text, or a float score, skips the
-    conversion. Each object is checked as it joins its patient's columns,
-    so an error names the first bad object in input order, and comes before
-    any patient is built.
-    """
-    rows: dict[str, dict] = {}
-    for row in patient_rows:
-        pid = _text(row.get("patient_id"))
-        if not pid:
-            raise InputError("patient with empty or missing patient_id")
-        if pid in rows:
-            raise InputError(f"duplicate patient_id {pid!r}")
-        rows[pid] = row
 
-    # per patient: object ids, scores and is-parasite flags, in input order
-    columns = {pid: ([], array("d"), bytearray()) for pid in rows}
+def _add_objects(columns: dict, object_rows) -> None:
+    """Each ``(patient_id, object_id, score, true_label)`` row checked and
+    appended to its patient's ``(ids, scores, flags)`` in ``columns``, which
+    are keyed by patient_id text; InputError names the first bad row."""
     for raw_pid, oid, score, label in object_rows:
         try:
             ids, scores, flags = columns[raw_pid]
@@ -412,37 +447,59 @@ def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> 
         scores.append(score)
         flags.append(flag)
 
-    patients = []
-    for pid, row in rows.items():
-        what = f"patient {pid!r}"
-        ids, scores, flags = columns[pid]
-        if len(set(ids)) != len(ids):
-            seen: set[str] = set()
-            for oid in ids:
-                if oid in seen:
-                    raise InputError(f"{what}: duplicate object_id {oid!r}")
-                seen.add(oid)
-        wbc = _text(row.get("wbc_count"))
-        try:
-            wbc_count = int(wbc) if wbc else None
-        except ValueError:
-            raise InputError(f"{what}: wbc_count {wbc!r} is not an integer") from None
-        patients.append(
-            PatientRecord(
-                patient_id=pid,
-                ground_truth=_member(_GROUND_TRUTHS, row.get("ground_truth"),
-                                     "ground_truth", what),
-                species=_member(_SPECIES, row.get("species"), "species", what),
-                true_parasitemia=_parse_float(row, "true_parasitemia", what),
-                examined_volume=_parse_float(row, "examined_volume", what),
-                wbc_count=wbc_count,
-                object_ids=ids,
-                scores=scores,
-                is_parasite=flags,
-            )
-        )
+
+def _patient_record(pid: str, row: dict, ids: list, scores, flags, digits: dict) -> PatientRecord:
+    """The PatientRecord of a patient row and its checked object columns;
+    ``digits`` as for ``compact_ids``."""
+    what = f"patient {pid!r}"
+    ids = compact_ids(ids, digits)
+    if type(ids) is tuple and len(set(ids)) != len(ids):  # serial ids are distinct
+        seen: set[str] = set()
+        for oid in ids:
+            if oid in seen:
+                raise InputError(f"{what}: duplicate object_id {oid!r}")
+            seen.add(oid)
+    wbc = _text(row.get("wbc_count"))
+    try:
+        wbc_count = int(wbc) if wbc else None
+    except ValueError:
+        raise InputError(f"{what}: wbc_count {wbc!r} is not an integer") from None
+    return PatientRecord(
+        patient_id=pid,
+        ground_truth=_member(_GROUND_TRUTHS, row.get("ground_truth"), "ground_truth", what),
+        species=_member(_SPECIES, row.get("species"), "species", what),
+        true_parasitemia=_parse_float(row, "true_parasitemia", what),
+        examined_volume=_parse_float(row, "examined_volume", what),
+        wbc_count=wbc_count,
+        object_ids=ids,
+        scores=scores,
+        is_parasite=flags,
+    )
+
+
+def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> CohortDataset:
+    """The column validator behind both file formats.
+
+    ``patient_rows`` are dicts keyed by PATIENT_COLUMNS; ``object_rows`` are
+    ``(patient_id, object_id, score, true_label)`` tuples in input order,
+    with patients' rows in any order. Every value is read as its ``_text``;
+    a value that already is that text, or a float score, skips the
+    conversion. Each object is checked as it joins its patient's columns,
+    so an error names the first bad object in input order, and comes before
+    any patient is built.
+    """
+    rows: dict[str, dict] = {}
+    for row in patient_rows:
+        rows[_patient_id(row, rows)] = row
+    # per patient: object ids, scores and is-parasite flags, in input order
+    columns = {pid: ([], array("d"), bytearray()) for pid in rows}
+    _add_objects(columns, object_rows)
+    digits: dict[int, list[str]] = {}
     return CohortDataset(
-        cv_description=cv_description, patients=tuple(patients), provenance=provenance
+        cv_description=cv_description,
+        patients=tuple(_patient_record(pid, row, *columns.pop(pid), digits)
+                       for pid, row in rows.items()),
+        provenance=provenance,
     )
 
 
@@ -501,25 +558,15 @@ def ingest_cohort(objects_file, patients_file, cv_description: str) -> CohortDat
     )
 
 
-# each exact label as one shared string, so a parsed document keeps no copy per object
-_LABEL_TEXTS = {text: text for text in _IS_PARASITE}
-
-
-def _json_columns(objects: list) -> tuple:
-    """(ids, scores, labels) of a list of JSON objects; AttributeError if one is not.
-
-    When every label is an exact label text, the labels become the shared
-    strings of ``_LABEL_TEXTS``; otherwise they stay as parsed, for the
-    column validator to check.
-    """
-    ids = [od.get("object_id") for od in objects]
-    scores = [od.get("score") for od in objects]
-    labels = [od.get("true_label") for od in objects]
-    try:
-        labels = list(map(_LABEL_TEXTS.__getitem__, labels))
-    except (KeyError, TypeError):
-        pass
-    return ids, scores, labels
+def _json_columns(pd) -> tuple:
+    """(ids, scores, labels) of a JSON patient's ``objects``; AttributeError
+    unless ``pd`` is a JSON object whose ``objects``, if given, are a list
+    of JSON objects."""
+    objects = pd.get("objects", [])
+    if type(objects) is not list:
+        raise AttributeError("objects is not a list")
+    return ([od.get("object_id") for od in objects], [od.get("score") for od in objects],
+            [od.get("true_label") for od in objects])
 
 
 _CHUNK = 1 << 18  # characters the JSON reader takes from its handle at a time
@@ -587,72 +634,70 @@ class _JsonChunks:
             self._more()
 
 
-def _stream_cohort_json(read) -> dict:
-    """The JSON object in the text that ``read(n)`` returns, each ``patients``
-    entry's ``objects`` reduced to ``_json_columns`` as the entry is parsed;
-    ``_NotStreamed`` for any other document, or if the reduction hit a dict
-    that is not an entry."""
-    reduced = 0
+def _stream_cohort_json(read, provenance: str | None) -> CohortDataset:
+    """The cohort in the JSON text that ``read(n)`` returns, each ``patients``
+    entry built into its PatientRecord as soon as it is parsed, so only one
+    patient's object dicts and id strings exist at a time. ``provenance``
+    None takes the document's own.
 
-    def to_columns(d: dict) -> dict:
-        nonlocal reduced
-        objects = d.get("objects")
-        if type(objects) is list:
-            try:
-                d["objects"] = _json_columns(objects)
-                reduced += 1
-            except AttributeError:
-                pass
-        return d
-
-    plain = json.JSONDecoder().raw_decode
-    hooked = json.JSONDecoder(object_hook=to_columns).raw_decode
-
-    def patient(s: str, i: int):
-        nonlocal reduced
-        reduced = 0
-        return hooked(s, i)
-
+    A document that is not an object with one ``cv_description`` and one
+    ``patients`` list, or that gives a key twice, raises ``_NotStreamed``;
+    an entry or cohort that does not validate raises InputError.
+    """
+    decode = json.JSONDecoder().raw_decode
     text = _JsonChunks(read)
     if not text.skip("{"):
         raise _NotStreamed
-    doc = {}
+    doc: dict = {}
+    patients: dict[str, PatientRecord] = {}
+    digits: dict[int, list[str]] = {}
     end = text.skip("}")
     while not end:
-        key, _ = text.next(plain, ":")
-        if type(key) is not str:
+        key, _ = text.next(decode, ":")
+        if type(key) is not str or key in doc:
             raise _NotStreamed
         if key == "patients" and text.skip("["):
-            value, more = [], not text.skip("]")
+            more = not text.skip("]")
             while more:
-                pd, sep = text.next(patient, ",]")
-                if reduced != (type(pd) is dict and type(pd.get("objects")) is tuple):
-                    raise _NotStreamed  # an objects list nested in one of its values
-                value.append(pd)
+                pd, sep = text.next(decode, ",]")
+                try:
+                    objects = _json_columns(pd)
+                except AttributeError:
+                    raise _NotStreamed from None
+                pid = _patient_id(pd, patients)
+                columns = ([], array("d"), bytearray())
+                _add_objects({pid: columns}, zip(repeat(pd.get("patient_id")), *objects))
+                patients[pid] = _patient_record(pid, pd, *columns, digits)
                 more = sep == ","
-            _, sep = text.next(None, ",}")
+            value, (_, sep) = patients, text.next(None, ",}")
         else:
-            value, sep = text.next(plain, ",}")
-        doc[key] = value  # a key given twice keeps its last value, as in json.loads
+            value, sep = text.next(decode, ",}")
+        doc[key] = value
         end = sep == "}"
-    if text.peek():
+    if text.peek() or doc.get("patients") is not patients or "cv_description" not in doc:
         raise _NotStreamed
-    return doc
+    return CohortDataset(
+        cv_description=str(doc["cv_description"]),
+        patients=tuple(patients.values()),
+        provenance=str(doc.get("provenance") or "") if provenance is None else provenance,
+    )
 
 
-def _read_cohort_json(fh):
-    """The JSON document on ``fh``, streamed if ``_stream_cohort_json`` takes
-    it, else ``json.loads`` of the text from where the handle started.
+def _read_cohort_json(fh, provenance: str | None) -> CohortDataset | dict:
+    """The cohort on ``fh`` as ``_stream_cohort_json`` builds it or, if that
+    raises, the ``json.loads`` of the text from where the handle started,
+    for the whole-document path to validate.
 
     A handle that cannot seek back, such as a pipe, is read whole first and
-    its text streamed from memory, so that it is parsed into one dict per
-    object only when the streaming reader does not take it.
+    its text streamed from memory.
     """
+    # _NotStreamed, bad UTF-8, or a patient or cohort that does not validate
+    fallback = (ValueError, RecursionError, InputError)
     if fh.seekable():
         start = fh.tell()
         try:
-            return _stream_cohort_json(fh.read)
-        except (ValueError, RecursionError):  # _NotStreamed, or bad UTF-8
+            return _stream_cohort_json(fh.read, provenance)
+        except fallback:
             fh.seek(start)
         return json.loads(fh.read())
     text, at = fh.read(), 0
@@ -663,8 +708,8 @@ def _read_cohort_json(fh):
         return text[at - n:at]
 
     try:
-        return _stream_cohort_json(read)
-    except (ValueError, RecursionError):
+        return _stream_cohort_json(read, provenance)
+    except fallback:
         return json.loads(text)
 
 
@@ -675,37 +720,35 @@ def ingest_cohort_json(source) -> CohortDataset:
     patient holds the PATIENT_COLUMNS keys and a list of ``objects``.
 
     The document is read from the handle ``_CHUNK`` characters at a time,
-    and each ``patients`` entry is parsed on its own, its ``objects`` reduced
-    to columns, so only about one chunk and one patient of text are held.
-    A document the streaming reader does not take (not an object, malformed,
-    or with an ``objects`` list nested in a patient's values) is read whole
-    by ``json.loads``, from where the handle started, so every outcome and
-    message is ``json.loads``'s. A handle that cannot seek is read whole
-    first.
+    and each ``patients`` entry is parsed on its own and built into its
+    PatientRecord, so only about one chunk of text and one patient's
+    objects are held besides the finished patients. A document the
+    streaming reader does not take (not an object, malformed, a key given
+    twice, or any validation error) is read whole by ``json.loads``, from
+    where the handle started, and validated as a whole, so every outcome and
+    message is that path's. A handle that cannot seek is read whole first.
     """
     is_handle = hasattr(source, "read")
     name = "JSON input" if is_handle else source
     try:
         with _file(source) as fh:
-            doc = _read_cohort_json(fh)
+            doc = _read_cohort_json(fh, None if is_handle else str(source))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise InputError(f"{name}: not valid JSON: {exc}") from None
     except RecursionError:  # the scanner ran out of depth
         raise InputError(f"{name}: not valid JSON: nesting too deep") from None
+    if type(doc) is CohortDataset:
+        return doc
     patient_docs = doc.get("patients") if isinstance(doc, dict) else None
     if not isinstance(patient_docs, list) or "cv_description" not in doc:
         raise InputError(f"{name}: JSON cohort must have keys 'cv_description' and 'patients'")
     patient_objects = []
     for pd in patient_docs:
-        columns = pd.get("objects", []) if isinstance(pd, dict) else None
-        if type(columns) is list:  # not reduced while parsing
-            try:
-                columns = _json_columns(columns)
-            except AttributeError:
-                pass
-        if type(columns) is not tuple:
-            raise InputError(f"{name}: each patient must be a JSON object with a list of objects")
-        patient_objects.append((pd.get("patient_id"), columns))
+        try:
+            patient_objects.append((pd.get("patient_id"), _json_columns(pd)))
+        except AttributeError:
+            raise InputError(
+                f"{name}: each patient must be a JSON object with a list of objects") from None
     return _cohort_from_rows(
         patient_docs,
         chain.from_iterable(zip(repeat(pid), *columns) for pid, columns in patient_objects),

@@ -15,7 +15,7 @@ object pool while contributing one patient to clinical accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -62,17 +62,21 @@ class StratifiedResult:
     specificity: float | None
 
 
-def _distributions(ids, values: np.ndarray, **extra) -> list[MetricDistribution]:
-    """One distribution per row of the (threshold x patient) ``values``."""
-    pers = [dict(zip(ids, row)) for row in values.tolist()]  # Python floats
-    return [MetricDistribution(per_patient=per, summary=summarize(per.values()), **extra)
-            for per in pers]
+def _distributions(ids, values: np.ndarray, **extra) -> Iterator[MetricDistribution]:
+    """One distribution per row of the (threshold x patient) ``values``,
+    each built when it is read."""
+    if not np.isfinite(values).all():
+        summarize(values.ravel())  # raises its InputError now, not at the row
+    pers = (dict(zip(ids, row.tolist())) for row in values)  # Python floats
+    return (MetricDistribution(per_patient=per, summary=summarize(per.values()), **extra)
+            for per in pers)
 
 
 def fpr_distributions(
     cohort: CohortDataset, C_grid, negatives_only: bool = True
-) -> list[MetricDistribution]:
-    """Per-patient false positives per cV at each score threshold in C_grid."""
+) -> Iterator[MetricDistribution]:
+    """Per-patient false positives per cV at each score threshold in C_grid,
+    one distribution at a time; the cohort and C_grid are checked on the call."""
     patients = cohort.negatives if negatives_only else cohort.patients
     if not patients:
         raise DegenerateDataError("no negative patients for FPR distribution")
@@ -93,11 +97,13 @@ def fpr_distribution(
     cohort: CohortDataset, C: float, negatives_only: bool = True
 ) -> MetricDistribution:
     """Per-patient false positives per cV at score threshold C."""
-    return fpr_distributions(cohort, [C], negatives_only)[0]
+    return next(fpr_distributions(cohort, [C], negatives_only))
 
 
-def sensitivity_distributions(cohort: CohortDataset, C_grid) -> list[MetricDistribution]:
-    """Per-patient object sensitivity tp/(tp+fn) over positive patients, at each C in C_grid.
+def sensitivity_distributions(cohort: CohortDataset, C_grid) -> Iterator[MetricDistribution]:
+    """Per-patient object sensitivity tp/(tp+fn) over positive patients, at
+    each C in C_grid, one distribution at a time; the cohort and C_grid are
+    checked on the call.
 
     Positives whose examined volume sampled zero parasite objects cannot have
     a sensitivity; they are excluded and listed in ``excluded``.
@@ -118,7 +124,7 @@ def sensitivity_distributions(cohort: CohortDataset, C_grid) -> list[MetricDistr
 
 def sensitivity_distribution(cohort: CohortDataset, C: float) -> MetricDistribution:
     """Per-patient object sensitivity tp/(tp+fn) at score threshold C."""
-    return sensitivity_distributions(cohort, [C])[0]
+    return next(sensitivity_distributions(cohort, [C]))
 
 
 @dataclass(frozen=True)

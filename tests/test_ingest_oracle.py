@@ -497,7 +497,8 @@ def test_json_reader_streams_every_cohort_at_any_chunk_size(rows, chunk, indent,
                        "n": 12345}, indent=indent, separators=(comma, colon))
     got, fell_back = _streamed_outcome(text, chunk)
     _assert_same_outcome(lambda: got, lambda: oracle_ingest_json(text))
-    assert not fell_back
+    # a cohort that does not validate is left to the whole-document path
+    assert fell_back == isinstance(got, InputError)
 
 
 class _Unseekable(io.StringIO):

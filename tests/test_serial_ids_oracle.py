@@ -1,11 +1,14 @@
-"""``SerialIds`` against the tuple of strings it stands for, and the id
-builders that used it against the f-string loops they replaced.
+"""``SerialIds`` against the tuple of strings it stands for, ``compact_ids``
+against ``tuple``, and the id builders that used it against the f-string
+loops they replaced.
 
 The simulator and ``easy_distractor_experiment`` used to format one id
 string per object; generated patients now keep ``(prefix, count, width)``
 groups. The old loops stay here as the reference: for every generated
-patient, ``tuple(object_ids)`` must be the tuple they built. Two
-tracemalloc guards keep the ids from turning back into strings.
+patient, ``tuple(object_ids)`` must be the tuple they built. Ingest keeps
+a patient's ids as a SerialIds when ``compact_ids`` finds them in serial
+groups; whatever it returns must equal the tuple of the ids it was given.
+Two tracemalloc guards keep the ids from turning back into strings.
 """
 
 import gc
@@ -22,7 +25,10 @@ from parasitometrics.datamodel import (
     PatientRecord,
     SerialIds,
     Species,
+    compact_ids,
+    export_cohort,
     export_cohort_json,
+    ingest_cohort,
     ingest_cohort_json,
 )
 from parasitometrics.errors import InputError
@@ -99,6 +105,75 @@ def test_a_bad_score_is_named_by_its_serial_id():
                       scores=[0.1, 1.5, 0.2], is_parasite=[0, 0, 0])
 
 
+# --- compact_ids against tuple ----------------------------------------------
+
+# prefixes that end in "0" or other digits, with "%", NUL and non-ASCII text;
+# counts past 10**width
+ID_PREFIXES = st.text(max_size=6) | st.text(alphabet="0123456789%-pé☃\x00", max_size=6)
+ID_GROUPS = st.lists(st.tuples(ID_PREFIXES, st.integers(0, 120), st.integers(0, 3)),
+                     max_size=4)
+
+
+@settings(max_examples=500, deadline=None)
+@given(groups=ID_GROUPS, edit=st.sampled_from([None, "perturb", "drop", "duplicate"]),
+       data=st.data())
+def test_compact_ids_equal_the_tuple(groups, edit, data):
+    ids = list(expected_ids(groups))
+    if edit and ids:
+        i = data.draw(st.integers(0, len(ids) - 1))
+        if edit == "perturb":
+            ids[i] = data.draw(st.sampled_from([ids[i][:-1], ids[i] + "0", "1" + ids[i],
+                                                ids[i][:-1] + "\x00"]))
+        elif edit == "drop":
+            del ids[i]
+        else:
+            ids.insert(data.draw(st.integers(0, len(ids))), ids[i])
+    want = tuple(ids)
+    got = compact_ids(ids, {})
+    assert type(got) in (SerialIds, tuple)
+    assert got == want and want == got and hash(got) == hash(want)
+    assert tuple(got) == want and [got[i] for i in range(len(want))] == ids
+    if type(got) is SerialIds:  # ingest skips the duplicate check for these
+        assert len(set(want)) == len(want)
+
+
+def test_compact_ids_do_not_read_a_nul_as_a_separator():
+    # joined with NULs, these ids read as the ids "a\x000" to "a\x007", and
+    # the bisection for the group's end only looks at the later ones
+    ids = ["a\x000", "a", "1\x00a\x002"] + [f"a\x00{i}" for i in range(3, 8)]
+    got = compact_ids(ids, {})
+    assert got == tuple(ids) and list(got) == ids
+
+
+ID_TAGS = st.lists(st.sampled_from(["p", "d", "hard", "easy"]), unique=True, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pid=st.from_regex(r"[a-z]{1,4}[0-9]{0,4}", fullmatch=True), tags=ID_TAGS,
+       data=st.data())
+def test_simulator_shaped_ids_stay_serial(pid, tags, data):
+    groups = [(f"{pid}-{tag}", data.draw(st.integers(1, 1200)), data.draw(st.integers(0, 6)))
+              for tag in tags]
+    ids = expected_ids(groups)
+    got = compact_ids(list(ids), {})
+    assert type(got) is SerialIds and got == ids
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ingested_simulator_cohorts_equal_the_generated_cohort(tmp_path, fmt):
+    for cohort in (generate_cohort(SimConfig(seed=5, n_negative=4, n_positive=4)),
+                   generate_cohort(who56_preset(seed=0))):
+        if fmt == "csv":
+            export_cohort(cohort, tmp_path / "o.csv", tmp_path / "p.csv")
+            ingested = ingest_cohort(tmp_path / "o.csv", tmp_path / "p.csv",
+                                     cohort.cv_description)
+        else:
+            export_cohort_json(cohort, tmp_path / "c.json")
+            ingested = ingest_cohort_json(tmp_path / "c.json")
+        assert ingested.patients == cohort.patients
+        assert all(type(p.object_ids) is SerialIds for p in ingested)
+
+
 # --- the f-string builders the simulator used -----------------------------
 
 def old_generated_ids(p: PatientRecord) -> tuple:
@@ -158,7 +233,7 @@ def test_easy_distractor_ids_match_the_f_string_builder(monkeypatch, tmp_path, i
         cohort = ingest_cohort_json(str(tmp_path / "cohort.json"))
     augmented = _augmented_cohort(monkeypatch, cohort, n_easy=12)
     for p, q in zip(cohort, augmented):
-        assert type(q.object_ids) is (tuple if ingested else SerialIds)
+        assert type(q.object_ids) is SerialIds
         assert q.object_ids == tuple(p.object_ids) + tuple(
             f"{p.patient_id}-easy{k}" for k in range(12))
 

@@ -248,7 +248,8 @@ def test_distributions_match_per_c_loop(inputs, negatives_only):
                            (sensitivity_distributions, loop_sensitivity_distribution)):
             extra = (negatives_only,) if fast is fpr_distributions else ()
             got = outcome(fast, cohort, grid, *extra)
-            if isinstance(got, list):
+            if not isinstance(got, tuple):  # errors come from the call, none from a row
+                got = list(got)
                 assert len(got) == len(grid)
                 for c, md in zip(grid, got):
                     assert dist_fields(md) == dist_fields(loop(cohort, c, *extra))
