@@ -115,7 +115,39 @@ def _parse_method(name: str, choices=tuple(CalibrationMethod),
     return by_value[name]
 
 
-@click.group()
+class _UsageError(click.UsageError):
+    """click's usage error, shown as one ``error:`` line without the usage block."""
+
+    def show(self, file=None):
+        click.echo(f"error: {self.format_message()}", err=True)
+
+
+class _Main(click.Group):
+    """The command group: a malformed command line, for the group or any of
+    its commands, raises ``_UsageError``. A bare ``parasitometrics`` still
+    prints the help."""
+
+    def make_context(self, *args, **kwargs):
+        return _one_line(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):  # parses the command's own arguments
+        return _one_line(super().invoke, ctx)
+
+
+# click >= 8.2 raises a bare group's help as a usage error (8.1 exits 0 with it)
+_BARE_GROUP_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
+def _one_line(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except _BARE_GROUP_HELP:
+        raise
+    except click.UsageError as exc:
+        raise _UsageError(exc.format_message(), exc.ctx) from None
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__)
 def main():
     """Clinically grounded evaluation metrics for parasitemia diagnosis."""

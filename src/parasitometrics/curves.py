@@ -36,8 +36,10 @@ from .datamodel import (
 )
 from .errors import DegenerateDataError, InputError
 
-# FROC counts are a (threshold x patient) matrix, built this many thresholds
-# at a time so that memory stays bounded when every object has its own score.
+# Outside FROC's exact case its counts are a (threshold x patient) matrix,
+# built this many thresholds at a time so that memory stays bounded when every
+# object has its own score; the block's matrices bound `evaluate --curves`'
+# peak memory together with report._CURVE_BLOCK.
 _FROC_BLOCK = 4096
 
 
@@ -133,11 +135,26 @@ def froc(cohort: CohortDataset) -> CurvePoints:
     if thresholds[-1] > 0.0:
         thresholds, sens = np.r_[thresholds, 0.0], np.r_[sens, 1.0]
 
+    # the FP patients' distractors at or above each threshold, all patients
+    # together: no patient's count changes where this total does not
+    total = n_at_or_above(np.sort(np.concatenate([p.distractor_scores for p in fp_patients])),
+                          thresholds)
     volumes = np.array([p.examined_volume for p in fp_patients])
-    fp_rates = [np.mean(counts_at(fp_patients, thresholds[lo:lo + _FROC_BLOCK],
-                                  "distractor_scores") / volumes, axis=1)
-                for lo in range(0, len(thresholds), _FROC_BLOCK)]
-    points = np.column_stack((np.concatenate([[0.0], *fp_rates]), np.r_[0.0, sens],
+    v = volumes[0]
+    if (volumes == v).all() and math.frexp(v)[0] == 0.5 and total[-1] < 2**53:
+        # one power-of-two volume: every count / v and every partial sum of
+        # them is exact, so np.mean's sum is total / v and its one rounding is
+        # the division by the number of patients
+        fp_rate = np.r_[0.0, total / v / len(fp_patients)]
+    else:
+        change = np.diff(total, prepend=0) != 0
+        rows = thresholds[change]
+        means = [np.mean(counts_at(fp_patients, rows[lo:lo + _FROC_BLOCK],
+                                   "distractor_scores") / volumes, axis=1)
+                 for lo in range(0, len(rows), _FROC_BLOCK)]
+        # each threshold takes the mean at the last row that changed, 0.0 before any
+        fp_rate = np.concatenate([[0.0], *means])[np.r_[0, np.cumsum(change)]]
+    points = np.column_stack((fp_rate, np.r_[0.0, sens],
                               np.r_[math.inf, thresholds]))  # reject-all: nothing passes
     return CurvePoints(points=points, notes=notes)
 

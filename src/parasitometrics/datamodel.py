@@ -215,6 +215,10 @@ class PatientRecord:
         _check_scores(self.object_ids, scores)
         if self.examined_volume <= 0 or not math.isfinite(self.examined_volume):
             raise InputError(f"patient {pid!r}: examined_volume must be > 0")
+        n = max(1, len(scores))  # every per-cV rate divides at most n objects by the volume
+        if not math.isfinite(n / float(self.examined_volume)):
+            raise InputError(f"patient {pid!r}: examined_volume {self.examined_volume!r} is "
+                             f"too small: {n} / examined_volume overflows")
         if self.true_parasitemia < 0 or not math.isfinite(self.true_parasitemia):
             raise InputError(f"patient {pid!r}: true_parasitemia must be >= 0")
         if self.wbc_count is not None and self.wbc_count < 0:

@@ -152,8 +152,10 @@ def _document(report: EvaluationReport, points) -> dict:
 
 # json's spelling of the non-finite floats, which repr (and so the CSV) spells inf, -inf, nan
 _JSON_SPELLING = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
-# curve points formatted and written at a time, so no whole curve's text is held
-_CURVE_BLOCK = 1024
+# curve points formatted and written at a time, so no whole curve's text is
+# held; one block's strings bound `evaluate --curves`' peak memory together
+# with curves._FROC_BLOCK
+_CURVE_BLOCK = 256
 
 
 def _write_curve(fh, curve: CurvePoints, csv_path: Path | None, indent: str) -> None:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import click
@@ -18,7 +19,12 @@ from hypothesis import given, settings, strategies as st
 import parasitometrics
 from parasitometrics import reproduce
 from parasitometrics.cli import _handle_errors, main
-from parasitometrics.datamodel import export_cohort, export_cohort_json, pooled_scores
+from parasitometrics.datamodel import (
+    export_cohort,
+    export_cohort_json,
+    ingest_cohort,
+    pooled_scores,
+)
 from parasitometrics.errors import DegenerateDataError, InputError, ReproductionFailure
 from parasitometrics.metrics import DEFAULT_BIN_EDGES, check_bin_edges
 from parasitometrics.quant import CONSTANT_X_NOTE, LINEAR_R2_NOTE
@@ -457,6 +463,74 @@ def test_manual_t_is_an_unknown_option(runner, tmp_path):
     ])
     assert result.exit_code == 2
     assert "No such option" in result.stderr and "--manual-t" in result.stderr
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("args", [["calibrate"], ["lod"], ["evaluate", "--T", "1", "--out", "r"],
+                                  ["quant", "--out", "q"]], ids=lambda a: a[0])
+def test_too_small_volume_is_one_line_input_error(runner, tmp_path, fmt, args):
+    # 3 distractors / 1e-310 cV overflows: no per-cV rate of neg1 would be finite
+    patients, objects = _write_mixed_cohort_csvs(tmp_path)
+    if fmt == "csv":
+        text = patients.read_text()
+        patients.write_text(text.replace("neg1,neg,none,0.0,0.5,", "neg1,neg,none,0.0,1e-310,"))
+        dataset = ["--patients", str(patients), "--objects", str(objects)]
+    else:
+        path = tmp_path / "c.json"
+        export_cohort_json(ingest_cohort(objects, patients, "1 uL blood"), path)
+        doc = json.loads(path.read_text())
+        doc["patients"][0]["examined_volume"] = 1e-310
+        path.write_text(json.dumps(doc))
+        dataset = ["--json", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would raise here
+        result = runner.invoke(main, [*args, *dataset, "--C", "0.5"])
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", (
+        "error: patient 'neg1': examined_volume 1e-310 is too small: "
+        "3 / examined_volume overflows\n"))
+
+
+# per command, besides an unknown option: a bad number, a bad choice or a
+# missing required option, as click reports them
+PARSE_ERRORS = {
+    "evaluate": [["--C", "abc", "--out", "r"], ["--format", "xml", "--out", "r"]],
+    "calibrate": [["--C", "abc"], []],
+    "lod": [["--C", "0.5", "--beta", "x"], []],
+    "tune": [["--train-positives", "p.json", "--out", "t.csv"]],
+    "quant": [["--C", "0.5", "--format", "xml", "--out", "r"]],
+    "poisson": [["-p", "abc"], ["-p", "1", "extra"]],
+    "simulate": [["--preset", "who57", "--out", "s"]],
+    "reproduce-paper": [[]],
+}
+
+
+@pytest.mark.parametrize("command", [None, *main.commands])
+def test_argument_parse_errors_are_one_error_line(runner, command):
+    cases = [["--bogus"], *PARSE_ERRORS[command]] if command else [["--bogus"], ["bogus"]]
+    for args in cases:
+        args = [command, *args] if command else args
+        result = runner.invoke(main, args)
+        assert isinstance(result.exception, SystemExit), args
+        assert (result.exit_code, result.stdout) == (2, ""), args
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, \
+            (args, result.stderr)
+
+
+def test_help_version_and_a_bare_command_keep_clicks_output(runner):
+    assert runner.invoke(main, ["--version"]).stdout == \
+        f"main, version {parasitometrics.__version__}\n"
+    for args in (["--help"], ["lod", "--help"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0 and result.stdout.startswith("Usage: ")
+    result = runner.invoke(main, [])  # the group's help, with click's exit code (2 from 8.2)
+    assert result.exit_code in (0, 2) and "Commands:" in result.stderr + result.stdout
+
+
+def test_parse_errors_still_raise_outside_standalone_mode():
+    # an in-process caller that passes standalone_mode=False gets click's error back
+    with pytest.raises(click.UsageError, match="'abc' is not a valid float"):
+        main.main(["evaluate", "--C", "abc", "--out", "r"], prog_name="parasitometrics",
+                  standalone_mode=False)
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -10,6 +10,7 @@ integers, same floats, same thresholds.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
@@ -28,6 +29,7 @@ from parasitometrics.metrics import (
     pooled_object_sensitivity,
 )
 from parasitometrics.quant import ExpectedRates, estimate_parasitemia, quant_report
+from parasitometrics.simulator import SimConfig, generate_cohort
 
 from conftest import curve_rows, make_cohort, make_patient, object_rows
 
@@ -185,24 +187,30 @@ VOLUMES = st.one_of(st.sampled_from([0.1, 0.3, 1.0, 2.5]), st.floats(0.01, 10.0)
 
 @st.composite
 def cohorts(draw, scores=SCORES):
-    """A cohort whose first patient is positive with at least one parasite."""
+    """A cohort whose first patient is positive with at least one parasite.
+
+    Either every patient has its own volume, or all share one: a power of two
+    (FROC's exact FP-axis case) or 0.35.
+    """
+    shared = draw(st.sampled_from([None, 0.5, 1.0, 2.0, 0.35]))
+    volumes = VOLUMES if shared is None else st.just(shared)
     patients = [
         make_patient(
-            "pos0", positive=True, volume=draw(VOLUMES),
+            "pos0", positive=True, volume=draw(volumes),
             parasite_scores=draw(st.lists(scores, min_size=1, max_size=12)),
             distractor_scores=draw(st.lists(scores, max_size=12)),
         )
     ]
     for i in range(draw(st.integers(0, 5))):  # positives, maybe with no objects
         patients.append(make_patient(
-            f"pos{i + 1}", positive=True, volume=draw(VOLUMES),
+            f"pos{i + 1}", positive=True, volume=draw(volumes),
             parasite_scores=draw(st.lists(scores, max_size=12)),
             distractor_scores=draw(st.lists(scores, max_size=12)),
         ))
     if draw(st.booleans()):  # else no negatives, so FP/cV falls back to all patients
         for i in range(draw(st.integers(1, 12))):
             patients.append(make_patient(
-                f"neg{i}", volume=draw(VOLUMES),
+                f"neg{i}", volume=draw(volumes),
                 distractor_scores=draw(st.lists(scores, max_size=12)),
             ))
     return make_cohort(*patients)
@@ -325,12 +333,12 @@ def test_froc_has_the_object_roc_thresholds_and_y(cohort):
     assert thresholds_and_y(froc(cohort)) == thresholds_and_y(object_roc(cohort))
 
 
-def test_froc_matches_loop_on_many_patients():
+def _assert_froc_matches_loop_on_300_negatives(volume=None):
     # 300 negatives: the per-threshold FP means sum hundreds of values, where
     # numpy's pairwise summation differs from a running sum
     rng = np.random.default_rng(7)
     negatives = [
-        make_patient(f"neg{i}", volume=float(rng.uniform(0.05, 3.0)),
+        make_patient(f"neg{i}", volume=volume or float(rng.uniform(0.05, 3.0)),
                      distractor_scores=tuple(np.round(rng.random(3), 2)))
         for i in range(300)
     ]
@@ -338,3 +346,49 @@ def test_froc_matches_loop_on_many_patients():
                             distractor_scores=(0.5,))
     cohort = make_cohort(positive, *negatives)
     assert curve_rows(froc(cohort)) == loop_froc_points(cohort)
+
+
+def test_froc_matches_loop_on_many_patients():
+    _assert_froc_matches_loop_on_300_negatives()
+
+
+def test_froc_matches_loop_on_many_patients_of_one_dyadic_volume():
+    # FROC's exact case: the FP axis is total / v / n, without a per-patient mean
+    _assert_froc_matches_loop_on_300_negatives(volume=0.5)
+
+
+@settings(max_examples=100)
+@given(cohort=cohorts(), volumes=st.sampled_from([(0.5,), (1.0,), (2.0,), (0.35,), (1.0, 2.0)]),
+       block=st.sampled_from([1, 2, 4096]))
+def test_froc_counts_patients_only_where_the_fp_total_changes(cohort, volumes, block):
+    fp_ids = {p.patient_id for p in (cohort.negatives or cohort.patients)}
+    assume(len(volumes) == 1 or len(fp_ids) > 1)  # mixed volumes need two FP patients
+    cohort = make_cohort(*(replace(p, examined_volume=volumes[i % len(volumes)])
+                           for i, p in enumerate(cohort.patients)))
+    with mock.patch.object(curves, "_FROC_BLOCK", block), \
+            mock.patch.object(curves, "counts_at", wraps=counts_at) as spy:
+        got = froc(cohort)
+    assert curve_rows(got) == loop_froc_points(cohort)
+    rows = [t for call in spy.call_args_list for t in call.args[1]]
+    if volumes in [(0.5,), (1.0,), (2.0,)]:  # one power-of-two volume: no per-patient count
+        assert rows == []
+    else:  # a total changes only at a threshold equal to some FP patient's distractor
+        assert rows == sorted({float(s) for p in cohort if p.patient_id in fp_ids
+                               for s in p.distractor_scores}, reverse=True)
+        assert all(len(call.args[1]) <= block for call in spy.call_args_list)
+
+
+def test_froc_memory_stays_within_a_few_curves():
+    # 200 + 200 patients at 1 cV, 86,620 points: one power-of-two volume needs
+    # no (threshold block x patient) count matrix, which would peak at about
+    # 8 times the 2.1 MB curve
+    cohort = generate_cohort(SimConfig(seed=0, n_negative=200, n_positive=200))
+    froc(cohort)  # numpy's first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        got = froc(cohort)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got.points) == 86_620
+    assert peak <= 6 * got.points.nbytes  # about 4.4 times
