@@ -10,10 +10,10 @@ File formats (CSV pair or a single JSON document) are documented in the
 module-level ``ingest_cohort`` / ``export_cohort`` functions. Both go through
 one validator that appends each object to its patient's columns and builds
 the patients from them: fed the CSV rows as they are read, or one JSON
-patient at a time as each is parsed, so a JSON file is read a chunk at a
-time and neither its text nor its object dicts are held whole. It parses a
-JSON value as the CSV text it would be written as (``str`` of it, stripped);
-malformed input raises ``InputError``.
+patient at a time as each is parsed, so a JSON file or pipe is read a chunk
+at a time and neither its text nor its object dicts are held whole. It parses
+a JSON value as the CSV text it would be written as (``str`` of it, stripped);
+malformed input raises ``InputError`` at the first fault the reader meets.
 Each patient keeps its objects as columns (ids, scores, an is-parasite mask)
 and its scores sorted, so a count at a threshold is a search; ids that run
 in serial ranges are kept as a ``SerialIds``.
@@ -21,6 +21,7 @@ in serial ranges are kept as a ``SerialIds``.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -33,7 +34,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import accumulate, chain, repeat
-from json.decoder import WHITESPACE, JSONDecodeError
+from json.decoder import WHITESPACE, JSONDecodeError, scanstring
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -481,38 +482,41 @@ def _patient_record(pid: str, row: dict, ids: list, scores, flags, digits: dict)
     )
 
 
-def _cohort_from_rows(patient_rows, object_rows, cv_description, provenance) -> CohortDataset:
-    """The column validator behind both file formats.
-
-    ``patient_rows`` are dicts keyed by PATIENT_COLUMNS; ``object_rows`` are
-    ``(patient_id, object_id, score, true_label)`` tuples in input order,
-    with patients' rows in any order. Every value is read as its ``_text``;
-    a value that already is that text, or a float score, skips the
-    conversion. Each object is checked as it joins its patient's columns,
-    so an error names the first bad object in input order, and comes before
-    any patient is built.
-    """
-    rows: dict[str, dict] = {}
-    for row in patient_rows:
-        rows[_patient_id(row, rows)] = row
-    # per patient: object ids, scores and is-parasite flags, in input order
-    columns = {pid: ([], array("d"), bytearray()) for pid in rows}
-    _add_objects(columns, object_rows)
-    digits: dict[int, list[str]] = {}
-    return CohortDataset(
-        cv_description=cv_description,
-        patients=tuple(_patient_record(pid, row, *columns.pop(pid), digits)
-                       for pid, row in rows.items()),
-        provenance=provenance,
-    )
-
-
 def _file(src, mode: str = "r", **kwargs):
     """``src`` as a context manager: a path is opened and closed on exit; an
     open handle is used as it is and left open."""
     if hasattr(src, "read" if mode == "r" else "write"):
         return nullcontext(src)
     return open(src, mode, encoding="utf-8", **kwargs)
+
+
+def _byte_offset(fh) -> int | None:
+    """Where the text handle ``fh`` reads next in its binary file, if it can tell."""
+    try:
+        start = fh.tell() if hasattr(fh, "buffer") and fh.seekable() else None
+    except OSError:  # telling is off while a handle is iterated
+        return None
+    return start if start is None or start < 1 << 64 else None  # else a decoder state
+
+
+def _message(fh, start: int | None, exc: Exception) -> str:
+    """``exc``'s message; for bad UTF-8 read from ``start`` on, with its byte
+    offset in the file, not in the text layer's last read, found by decoding
+    the file's bytes in blocks. A pipe has no ``start``."""
+    if start is not None and isinstance(exc, UnicodeDecodeError):
+        fh.buffer.seek(start)
+        data = b""  # bytes not yet decoded, from file offset ``start`` on
+        try:
+            for block in iter(lambda: fh.buffer.read(1 << 16), b""):
+                used = codecs.utf_8_decode(data + block, "strict", False)[1]
+                data, start = (data + block)[used:], start + used
+            codecs.utf_8_decode(data, "strict", True)
+        except UnicodeDecodeError as e:
+            first, last = e.start + start, e.end + start - 1
+            what = (f"byte 0x{e.object[e.start]:02x} in position {first}" if first == last
+                    else f"bytes in position {first}-{last}")
+            return f"'{e.encoding}' codec can't decode {what}: {e.reason}"
+    return str(exc)
 
 
 def _csv_rows(src, columns: Sequence[str], what: str):
@@ -525,6 +529,7 @@ def _csv_rows(src, columns: Sequence[str], what: str):
     spreadsheets write "CSV UTF-8", is skipped.
     """
     with _file(src, newline="") as fh:
+        start = _byte_offset(fh)
         try:
             lines = iter(fh)
             reader = csv.reader(chain([next(lines, "").removeprefix("\ufeff")], lines))
@@ -540,25 +545,32 @@ def _csv_rows(src, columns: Sequence[str], what: str):
                 elif row:
                     yield tuple(row[i] if i < len(row) else None for i in at)
         except (UnicodeDecodeError, csv.Error) as exc:
-            raise InputError(f"{what} file: {exc}") from None
+            raise InputError(f"{what} file: {_message(fh, start, exc)}") from None
 
 
 def ingest_cohort(objects_file, patients_file, cv_description: str) -> CohortDataset:
     """Ingest the CSV pair into a validated CohortDataset.
 
     ``objects_file`` / ``patients_file`` may be paths or open text handles.
-    Every object row must join to exactly one patient row, and object ids
-    must be non-empty and unique within a patient; a validation error
-    raises ``InputError``.
+    Every object row must join to exactly one patient row, in any order,
+    and object ids must be non-empty and unique within a patient. Each
+    object is checked as it joins its patient's columns, so an InputError
+    names the first bad row in input order, before any patient is built.
     """
+    rows: dict[str, dict] = {}
+    for cells in _csv_rows(patients_file, PATIENT_COLUMNS, "patients"):
+        row = dict(zip(PATIENT_COLUMNS, cells))
+        rows[_patient_id(row, rows)] = row
+    # per patient: object ids, scores and is-parasite flags, in input order
+    columns = {pid: ([], array("d"), bytearray()) for pid in rows}
+    _add_objects(columns, _csv_rows(objects_file, OBJECT_COLUMNS, "objects"))
+    digits: dict[int, list[str]] = {}
     provenance = patients_file if isinstance(patients_file, (str, os.PathLike)) else ""
-    object_rows = _csv_rows(objects_file, OBJECT_COLUMNS, "objects")
-    return _cohort_from_rows(
-        (dict(zip(PATIENT_COLUMNS, row))
-         for row in _csv_rows(patients_file, PATIENT_COLUMNS, "patients")),
-        object_rows,
-        cv_description,
-        str(provenance),
+    return CohortDataset(
+        cv_description=cv_description,
+        patients=tuple(_patient_record(pid, row, *columns.pop(pid), digits)
+                       for pid, row in rows.items()),
+        provenance=str(provenance),
     )
 
 
@@ -574,23 +586,34 @@ def _json_columns(pd) -> tuple:
 
 
 _CHUNK = 1 << 18  # characters the JSON reader takes from its handle at a time
+_DECODER = json.JSONDecoder()
+_NOT_A_COHORT = "JSON cohort must have keys 'cv_description' and 'patients'"
 
 
-class _NotStreamed(ValueError):
-    """A JSON document that the streaming reader leaves to a plain ``json.loads``."""
+def _key(text: str, i: int):
+    """(key, end) of the JSON string at ``text[i]``; JSONDecodeError if none starts there."""
+    if text.startswith('"', i):
+        return scanstring(text, i + 1)
+    raise JSONDecodeError("not a key", text, i)
 
 
 class _JsonChunks:
     """The text that ``read(n)`` returns, taken ``_CHUNK`` characters at a
-    time and dropped once it is parsed."""
+    time and dropped once it is parsed; the newlines dropped are counted
+    once, so that an error can give its line in the whole document."""
 
     def __init__(self, read):
         self.read, self.buf, self.at, self.eof = read, "", 0, False
+        # characters and newlines dropped; where the buffer's first line starts (index <= 0)
+        self.dropped = self.lines = self.line_start = 0
 
     def _more(self) -> None:
         # a value longer than the buffer doubles it, so no text is scanned a
         # growing number of times
         chunk = self.read(max(_CHUNK, len(self.buf) - self.at))
+        self.lines += self.buf.count("\n", 0, self.at)
+        self.line_start = (self.buf.rfind("\n", 0, self.at) + 1 or self.line_start) - self.at
+        self.dropped += self.at
         self.buf, self.at, self.eof = self.buf[self.at:] + chunk, 0, not chunk
 
     def peek(self) -> str:
@@ -608,7 +631,26 @@ class _JsonChunks:
             return True
         return False
 
-    def next(self, decode, follow: str):
+    def rest(self, state: str):
+        """The rest of the document, read to its end, decoded by json after
+        ``state``, a text that takes json's scanner to where this reader is:
+        the value, or json's error as a ValueError that places it by line,
+        column and character in the document, as ``json.loads`` would."""
+        while not self.eof:
+            self._more()
+        try:
+            if not (state or self.dropped) and self.buf.startswith("\ufeff"):
+                raise JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", "", 0)
+            return _DECODER.decode(state + self.buf[self.at:])
+        except JSONDecodeError as exc:
+            # at -1, the error is at the last character dropped, a comma
+            at = self.at + exc.pos - len(state)
+            line_start = self.buf.rfind("\n", 0, max(at, 0)) + 1 or self.line_start
+            line = self.lines + self.buf.count("\n", 0, max(at, 0)) + 1
+            raise ValueError(f"{exc.msg}: line {line} column {at - line_start + 1} "
+                             f"(char {self.dropped + at})") from None
+
+    def next(self, decode, follow: str, state: str):
         """(value, the character after it): the value at the read position,
         decoded by ``decode(text, index)`` (None if ``decode`` is None), then
         one of the ``follow`` characters after whitespace, read past.
@@ -616,7 +658,7 @@ class _JsonChunks:
         The whole step must fit in the buffer: a decode error, or text that
         ends before the ``follow`` character (a number such as ``12`` may go
         on in the next chunk), reads more and tries again. At end of file it
-        raises ``_NotStreamed``.
+        raises json's error, as ``rest(state)`` does.
         """
         # read ahead while half a chunk is left, so that a value that fits in
         # half a chunk is parsed once
@@ -634,87 +676,62 @@ class _JsonChunks:
             except JSONDecodeError:
                 pass
             if self.eof:
-                raise _NotStreamed
+                self.rest(state)
+                raise AssertionError(f"json took a step that the reader did not, after {state!r}")
             self._more()
 
 
-def _stream_cohort_json(read, provenance: str | None) -> CohortDataset:
+def _stream_cohort_json(read, name, provenance: str | None) -> CohortDataset:
     """The cohort in the JSON text that ``read(n)`` returns, each ``patients``
     entry built into its PatientRecord as soon as it is parsed, so only one
     patient's object dicts and id strings exist at a time. ``provenance``
-    None takes the document's own.
-
-    A document that is not an object with one ``cv_description`` and one
-    ``patients`` list, or that gives a key twice, raises ``_NotStreamed``;
-    an entry or cohort that does not validate raises InputError.
+    None takes the document's own; ``name`` names the input in errors.
+    json's own errors raise ValueError; every other fault, InputError.
     """
-    decode = json.JSONDecoder().raw_decode
     text = _JsonChunks(read)
-    if not text.skip("{"):
-        raise _NotStreamed
+    if not text.skip("{"):  # not an object: decoded whole, for json's error or the shape's
+        text.rest("")
+        raise InputError(f"{name}: {_NOT_A_COHORT}")
     doc: dict = {}
-    patients: dict[str, PatientRecord] = {}
+    patients: dict[str, PatientRecord] | None = None
     digits: dict[int, list[str]] = {}
-    end = text.skip("}")
+    # each step's state is a text that takes json's scanner to where the step starts
+    end, state = text.skip("}"), "{"
     while not end:
-        key, _ = text.next(decode, ":")
-        if type(key) is not str or key in doc:
-            raise _NotStreamed
-        if key == "patients" and text.skip("["):
-            more = not text.skip("]")
+        key, _ = text.next(_key, ":", state)
+        if key != "patients":
+            doc[key], sep = text.next(_DECODER.raw_decode, ",}", '{"":')
+        elif patients is not None:
+            raise InputError(f"{name}: JSON cohort gives key 'patients' twice")
+        elif not text.skip("["):
+            text.next(_DECODER.raw_decode, ",}", '{"":')
+            raise InputError(f"{name}: {_NOT_A_COHORT}")
+        else:
+            patients = {}
+            more, state = not text.skip("]"), '{"":['
             while more:
-                pd, sep = text.next(decode, ",]")
+                pd, sep = text.next(_DECODER.raw_decode, ",]", state)
                 try:
                     objects = _json_columns(pd)
                 except AttributeError:
-                    raise _NotStreamed from None
+                    raise InputError(f"{name}: each patient must be a JSON object with a "
+                                     "list of objects") from None
                 pid = _patient_id(pd, patients)
                 columns = ([], array("d"), bytearray())
                 _add_objects({pid: columns}, zip(repeat(pd.get("patient_id")), *objects))
                 patients[pid] = _patient_record(pid, pd, *columns, digits)
-                more = sep == ","
-            value, (_, sep) = patients, text.next(None, ",}")
-        else:
-            value, sep = text.next(decode, ",}")
-        doc[key] = value
-        end = sep == "}"
-    if text.peek() or doc.get("patients") is not patients or "cv_description" not in doc:
-        raise _NotStreamed
+                more, state = sep == ",", '{"":["",'
+            _, sep = text.next(None, ",}", '{"":""')
+        end, state = sep == "}", '{"":"",'
+    if patients is None or "cv_description" not in doc:
+        raise InputError(f"{name}: {_NOT_A_COHORT}")
+    if text.peek():
+        text.rest("{}")  # json's "Extra data"
     return CohortDataset(
         cv_description=str(doc["cv_description"]),
         patients=tuple(patients.values()),
         provenance=str(doc.get("provenance") or "") if provenance is None else provenance,
     )
-
-
-def _read_cohort_json(fh, provenance: str | None) -> CohortDataset | dict:
-    """The cohort on ``fh`` as ``_stream_cohort_json`` builds it or, if that
-    raises, the ``json.loads`` of the text from where the handle started,
-    for the whole-document path to validate.
-
-    A handle that cannot seek back, such as a pipe, is read whole first and
-    its text streamed from memory.
-    """
-    # _NotStreamed, bad UTF-8, or a patient or cohort that does not validate
-    fallback = (ValueError, RecursionError, InputError)
-    if fh.seekable():
-        start = fh.tell()
-        try:
-            return _stream_cohort_json(fh.read, provenance)
-        except fallback:
-            fh.seek(start)
-        return json.loads(fh.read())
-    text, at = fh.read(), 0
-
-    def read(n: int) -> str:
-        nonlocal at
-        at += n
-        return text[at - n:at]
-
-    try:
-        return _stream_cohort_json(read, provenance)
-    except fallback:
-        return json.loads(text)
 
 
 def ingest_cohort_json(source) -> CohortDataset:
@@ -723,42 +740,25 @@ def ingest_cohort_json(source) -> CohortDataset:
     ``{"cv_description", "provenance" (optional), "patients": [...]}``; each
     patient holds the PATIENT_COLUMNS keys and a list of ``objects``.
 
-    The document is read from the handle ``_CHUNK`` characters at a time,
-    and each ``patients`` entry is parsed on its own and built into its
-    PatientRecord, so only about one chunk of text and one patient's
-    objects are held besides the finished patients. A document the
-    streaming reader does not take (not an object, malformed, a key given
-    twice, or any validation error) is read whole by ``json.loads``, from
-    where the handle started, and validated as a whole, so every outcome and
-    message is that path's. A handle that cannot seek is read whole first.
+    The document is read ``_CHUNK`` characters at a time from a path or a
+    handle, seekable or not, and each ``patients`` entry is built into its
+    PatientRecord as soon as it is parsed. Each fault raises InputError when
+    the reader comes to it (bad UTF-8, when its chunk is read), so the first
+    in document order is reported, and one alone gets the message of a
+    whole-document ``json.loads`` and validation. A repeated
+    ``cv_description`` or ``provenance`` keeps its last value, as in
+    ``json.loads``; a repeated ``patients`` is an error.
     """
     is_handle = hasattr(source, "read")
     name = "JSON input" if is_handle else source
-    try:
-        with _file(source) as fh:
-            doc = _read_cohort_json(fh, None if is_handle else str(source))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise InputError(f"{name}: not valid JSON: {exc}") from None
-    except RecursionError:  # the scanner ran out of depth
-        raise InputError(f"{name}: not valid JSON: nesting too deep") from None
-    if type(doc) is CohortDataset:
-        return doc
-    patient_docs = doc.get("patients") if isinstance(doc, dict) else None
-    if not isinstance(patient_docs, list) or "cv_description" not in doc:
-        raise InputError(f"{name}: JSON cohort must have keys 'cv_description' and 'patients'")
-    patient_objects = []
-    for pd in patient_docs:
+    with _file(source) as fh:
+        start = _byte_offset(fh)
         try:
-            patient_objects.append((pd.get("patient_id"), _json_columns(pd)))
-        except AttributeError:
-            raise InputError(
-                f"{name}: each patient must be a JSON object with a list of objects") from None
-    return _cohort_from_rows(
-        patient_docs,
-        chain.from_iterable(zip(repeat(pid), *columns) for pid, columns in patient_objects),
-        str(doc["cv_description"]),
-        str(doc.get("provenance") or "") if is_handle else str(source),
-    )
+            return _stream_cohort_json(fh.read, name, None if is_handle else str(source))
+        except ValueError as exc:  # json's, bad UTF-8 or an integer too long to convert
+            raise InputError(f"{name}: not valid JSON: {_message(fh, start, exc)}") from None
+        except RecursionError:  # the scanner ran out of depth
+            raise InputError(f"{name}: not valid JSON: nesting too deep") from None
 
 
 def export_cohort(cohort: CohortDataset, objects_file, patients_file) -> None:

@@ -65,8 +65,6 @@ class StratifiedResult:
 def _distributions(ids, values: np.ndarray, **extra) -> Iterator[MetricDistribution]:
     """One distribution per row of the (threshold x patient) ``values``,
     each built when it is read."""
-    if not np.isfinite(values).all():
-        summarize(values.ravel())  # raises its InputError now, not at the row
     pers = (dict(zip(ids, row.tolist())) for row in values)  # Python floats
     return (MetricDistribution(per_patient=per, summary=summarize(per.values()), **extra)
             for per in pers)

@@ -2,6 +2,7 @@ import io
 import json
 import tracemalloc
 from array import array
+from unittest import mock
 from dataclasses import replace
 
 import numpy as np
@@ -126,6 +127,18 @@ class TestIngestion:
                           io.TextIOWrapper(io.BytesIO(b"\xff\xfe\x00"), encoding="utf-8"),
                           "1 uL blood")
 
+    def test_non_utf8_byte_is_reported_at_its_file_offset(self, tmp_path):
+        # the text layer decodes the file a block at a time, and its own
+        # offset counts from the start of the block; "é" is two bytes
+        rows = "".join(f"p{i}é,neg,none,0,1.0,\n" for i in range(3, 2000))
+        data = (PATIENTS_CSV + rows).encode() + b"\xff\n"
+        (tmp_path / "p.csv").write_bytes(data)
+        (tmp_path / "o.csv").write_text(OBJECTS_CSV)
+        with pytest.raises(InputError) as err:
+            ingest_cohort(tmp_path / "o.csv", tmp_path / "p.csv", "1 uL blood")
+        assert str(err.value) == ("patients file: 'utf-8' codec can't decode byte 0xff in "
+                                  f"position {len(data) - 2}: invalid start byte")
+
     def test_nonpositive_volume_rejected(self):
         patients = PATIENTS_CSV.replace("0.5,400", "0,400")
         with pytest.raises(InputError, match="examined_volume must be > 0"):
@@ -224,6 +237,24 @@ class TestJsonIngestion:
     def test_bad_json_text_rejected(self, text, message):
         with pytest.raises(InputError, match=message):
             _ingest_json(text)
+
+    def test_non_utf8_byte_is_reported_at_its_file_offset(self, tmp_path):
+        # the byte is in a later chunk than the first, after a two-byte "é",
+        # and a handle that starts past a prefix counts from the file's start
+        path = tmp_path / "c.json"
+        export_cohort_json(generate_cohort(SimConfig(seed=0, n_negative=0, n_positive=20)),
+                           path)
+        data = b'{"not": "this"} ' + path.read_bytes().replace(
+            b'"provenance": ""', b'"provenance": "\xc3\xa9"', 1)
+        at = data.index(b'"object_id": "', 600_000) + len(b'"object_id": "')
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        want = f"'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+        with open(path, encoding="utf-8") as fh, \
+                mock.patch.object(json, "loads", side_effect=AssertionError("json.loads")):
+            fh.read(16)
+            with pytest.raises(InputError) as err:
+                ingest_cohort_json(fh)
+        assert str(err.value) == f"JSON input: not valid JSON: {want}"
 
     def test_values_parse_like_csv_text(self):
         doc = _json_doc()

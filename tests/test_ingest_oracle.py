@@ -4,17 +4,20 @@
 and the ``PatientRecord`` checks from before patients kept their objects as
 columns: one ``ObjectRecord`` per row, validated one object at a time. They,
 the row type and its label enum stay here as the reference, fed by
-``csv.DictReader`` or by a plain ``json.loads`` of the whole document. On a
-valid cohort, or one with faults in up to two patients, the column ingest
-must give the same cohort (same patients, the rows' ids, scores and labels
-as columns, same sorted score arrays) or the same exception with the same
-message, which names the first fault in input order.
+``csv.DictReader`` or, patient by patient in document order, by a plain
+``json.loads`` of the whole document. On a valid cohort, or one with faults
+in up to two patients, the column ingest must give the same cohort (same
+patients, the rows' ids, scores and labels as columns, same sorted score
+arrays) or the same exception with the same message, which names the first
+fault in input order. The JSON reader must never call ``json.loads``, and a
+document with one fault must get ``json.loads``'s own message for it.
 """
 
 import csv
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 from enum import Enum
 from unittest import mock
@@ -29,10 +32,12 @@ from parasitometrics.datamodel import (
     GroundTruth,
     PatientRecord,
     Species,
+    export_cohort_json,
     ingest_cohort,
     ingest_cohort_json,
 )
 from parasitometrics.errors import InputError
+from parasitometrics.simulator import SimConfig, generate_cohort
 
 
 class TrueLabel(Enum):
@@ -174,28 +179,44 @@ def oracle_ingest_csv(objects_csv, patients_csv, cv_description):
                                    cv_description, "")
 
 
+class _Object(dict):
+    """A JSON object that notes whether it gives the key "patients" twice."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.patients_twice = [key for key, _ in pairs].count("patients") > 1
+
+
 def oracle_ingest_json(text):
-    """The JSON document read by plain ``json.loads`` into the oracle."""
+    """The JSON document read by plain ``json.loads`` into the oracle, one
+    patient at a time in document order; the cohort's objects by patient."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_Object)
     except ValueError as exc:
         raise InputError(f"JSON input: not valid JSON: {exc}") from None
     except RecursionError:
         raise InputError("JSON input: not valid JSON: nesting too deep") from None
+    if isinstance(doc, dict) and doc.patients_twice:
+        raise InputError("JSON input: JSON cohort gives key 'patients' twice")
     patient_docs = doc.get("patients") if isinstance(doc, dict) else None
     if not isinstance(patient_docs, list) or "cv_description" not in doc:
         raise InputError("JSON input: JSON cohort must have keys 'cv_description' and 'patients'")
+    patients, objects = [], {}
     for pd in patient_docs:
-        objects = pd.get("objects", []) if isinstance(pd, dict) else None
-        if not isinstance(objects, list) or not all(isinstance(od, dict) for od in objects):
+        rows = pd.get("objects", []) if isinstance(pd, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(od, dict) for od in rows):
             raise InputError(
                 "JSON input: each patient must be a JSON object with a list of objects")
-    return oracle_cohort_from_rows(
-        patient_docs,
-        ((pd.get("patient_id"), od) for pd in patient_docs for od in pd.get("objects", [])),
-        str(doc["cv_description"]),
-        str(doc.get("provenance") or ""),
-    )
+        pid = _text(pd.get("patient_id"))
+        if pid and pid in objects:
+            raise InputError(f"duplicate patient_id {pid!r}")
+        one, by_patient = oracle_cohort_from_rows(
+            [pd], ((pd.get("patient_id"), od) for od in rows), "", "")
+        patients += one.patients
+        objects.update(by_patient)
+    cohort = CohortDataset(cv_description=str(doc["cv_description"]), patients=tuple(patients),
+                           provenance=str(doc.get("provenance") or ""))
+    return cohort, objects
 
 
 def _outcome(ingest):
@@ -388,6 +409,7 @@ def _doc(*patients, head='"cv_description": "1 uL blood"'):
 
 _GOOD = [_OBJ % ('"o0"', "0.5", '"parasite"'), _OBJ % ('"o1"', "0.25", '"distractor"')]
 _NESTED = '{"objects": [{"object_id": "x", "score": 0.5, "true_label": "parasite"}]}'
+_P0, _P1 = _patient(objects=_GOOD), _patient('"p1"', objects=_GOOD[:1])
 
 READER_CASES = {
     "valid": _doc(_patient(objects=_GOOD), _patient('"p1"', objects=_GOOD[:1])),
@@ -441,13 +463,54 @@ READER_CASES = {
     "byte-order-mark": "\ufeff" + _doc(_patient(objects=_GOOD)),
     "deeply-nested": _doc(_patient(objects=_GOOD), head='"cv_description": "x", "deep": %s'
                           % ("[" * 10 ** 5 + "]" * 10 ** 5)),
+    # faults between the document's top-level values, and in its shape
+    "missing-colon": '{"cv_description" "x", "patients": [%s]}' % _P0,
+    "missing-comma": '{"cv_description": "x" "patients": [%s]}' % _P0,
+    "missing-comma-between-patients": '{"cv_description": "x", "patients": [%s %s]}' % (_P0, _P1),
+    "comma-after-brace": '{, "cv_description": "x", "patients": [%s]}' % _P0,
+    "number-key": _doc(_P0, head='"cv_description": "x", 7: 1'),
+    "bare-key": _doc(_P0, head='"cv_description": "x", n: 1'),
+    "bad-escape-in-key": _doc(_P0, head='"cv_description": "x", "\\q": 1'),
+    "unterminated-key": '{"cv_description": "x", "pati',
+    "trailing-comma-in-document": _doc(_P0)[:-1] + ",}",
+    "trailing-comma-in-patients": '{"cv_description": "x", "patients": [%s, ]}' % _P0,
+    "no-closing-bracket": '{"cv_description": "x", "patients": [%s' % _P0,
+    "no-closing-brace": _doc(_P0)[:-1],
+    "extra-data": _doc(_P0) + " x",
+    "second-document": _doc(_P0) + "\n" + _doc(_P1),
+    "empty-text": "",
+    "whitespace-only": " \n\t ",
+    "byte-order-mark-after-whitespace": " \ufeff" + _doc(_P0),
+    "array-document": "[1]",
+    "empty-object": "{}",
+    "patients-not-a-list": '{"cv_description": "x", "patients": {"p0": []}}',
+    "patients-not-a-list-and-malformed": '{"cv_description": "x", "patients": tru}',
+    "no-cv-description": '{"patients": [%s]}' % _P0,
+    "no-patients": '{"cv_description": "x", "provenance": "y"}',
+    "no-patient": _doc(),
+    "repeated-cv-description-and-provenance": _doc(
+        _P0, head='"provenance": "a", "cv_description": "a", "cv_description": "b", '
+        '"provenance": null'),
+    # newlines before the fault, which the reader counts in the text it drops
+    "missing-comma-on-a-later-line": '{\n  "cv_description": "x",\n  "patients": [\n    %s,'
+    '\n    %s\n  ]\n  "n": 1\n}' % (_P0, _P1),
+    "malformed-patient-on-a-later-line": '{\n  "cv_description": "x",\n  "patients": [\n'
+    '    %s,\n    %s\n  ]\n}' % (_P0, _P1.replace("500", "5.0.0")),
 }
+
+
+def _streamed_outcome(text, chunk=datamodel._CHUNK, handle=None):
+    """The ingest outcome at ``chunk``, which must not call json.loads."""
+    with mock.patch.object(datamodel, "_CHUNK", chunk), \
+            mock.patch.object(datamodel.json, "loads", wraps=json.loads) as loads:
+        got = _outcome(lambda: ingest_cohort_json(handle or io.StringIO(text)))
+    assert not loads.called
+    return got
 
 
 @pytest.mark.parametrize("text", READER_CASES.values(), ids=READER_CASES)
 def test_json_reader_matches_plain_json_loads(text):
-    _assert_same_outcome(lambda: ingest_cohort_json(io.StringIO(text)),
-                         lambda: oracle_ingest_json(text))
+    _assert_same_outcome(lambda: _streamed_outcome(text), lambda: oracle_ingest_json(text))
 
 
 # --- the JSON reader's chunk boundaries and handles --------------------------
@@ -465,22 +528,12 @@ BOUNDARY_CASES = {
 }
 
 
-def _streamed_outcome(text, chunk, handle=None):
-    """(ingest outcome, whether the reader fell back to json.loads) at ``chunk``."""
-    with mock.patch.object(datamodel, "_CHUNK", chunk), \
-            mock.patch.object(datamodel.json, "loads", wraps=json.loads) as loads:
-        got = _outcome(lambda: ingest_cohort_json(handle or io.StringIO(text)))
-    return got, loads.called
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 64), st.sampled_from(sorted(READER_CASES) + sorted(BOUNDARY_CASES)))
 def test_json_reader_matches_oracle_at_any_chunk_size(chunk, name):
-    text = READER_CASES.get(name) or BOUNDARY_CASES[name]
-    got, fell_back = _streamed_outcome(text, chunk)
+    text = {**READER_CASES, **BOUNDARY_CASES}[name]
+    got = _streamed_outcome(text, chunk)
     _assert_same_outcome(lambda: got, lambda: oracle_ingest_json(text))
-    if name in BOUNDARY_CASES:
-        assert not fell_back
 
 
 @settings(max_examples=300, deadline=None)
@@ -495,10 +548,29 @@ def test_json_reader_streams_every_cohort_at_any_chunk_size(rows, chunk, indent,
             docs[_text(pid)]["objects"].append(row)
     text = json.dumps({"cv_description": "1 uL blood", "patients": list(docs.values()),
                        "n": 12345}, indent=indent, separators=(comma, colon))
-    got, fell_back = _streamed_outcome(text, chunk)
+    got = _streamed_outcome(text, chunk)
     _assert_same_outcome(lambda: got, lambda: oracle_ingest_json(text))
-    # a cohort that does not validate is left to the whole-document path
-    assert fell_back == isinstance(got, InputError)
+
+
+@pytest.mark.parametrize("text, message", [
+    # patient 1's bad species comes before patient 2's bad score
+    (_doc(_patient(species='"x"', objects=_GOOD),
+          _patient('"p1"', objects=[_OBJ % ('"o0"', '"abc"', '"parasite"')])),
+     "patient 'p0': species 'x' not one of"),
+    # a bad patient comes before a later syntax error
+    ('{"cv_description": "x", "patients": [%s], "n": tru}' % _patient(species='"x"'),
+     "patient 'p0': species 'x' not one of"),
+    # a syntax error comes before a later bad patient
+    ('{"cv_description": "x", "patients": [%s %s]}' % (_P0, _patient(species='"x"')),
+     "not valid JSON: Expecting ',' delimiter"),
+    # a patients list that is not a list comes before a later syntax error
+    ('{"cv_description": "x", "patients": 3, "n": tru}',
+     "JSON cohort must have keys 'cv_description' and 'patients'"),
+], ids=["patient-before-later-patient", "patient-before-syntax", "syntax-before-patient",
+        "shape-before-syntax"])
+def test_json_reader_reports_the_first_fault_in_document_order(text, message):
+    with pytest.raises(InputError, match=message):
+        ingest_cohort_json(io.StringIO(text))
 
 
 class _Unseekable(io.StringIO):
@@ -518,13 +590,26 @@ class _Unseekable(io.StringIO):
 @pytest.mark.parametrize("name", ["valid", "truncated", "objects-dict-as-species"])
 def test_json_reader_handles_match_oracle(name, chunk):
     text = READER_CASES[name]
-    # a handle read past a prefix falls back to where it started, not to 0
+    # a handle read past a prefix is read from where it is
     prefixed = io.StringIO('{"not": "this"} ' + text)
     prefixed.read(16)
     for handle in (_Unseekable(text), prefixed):
-        got, fell_back = _streamed_outcome(text, chunk, handle)
+        got = _streamed_outcome(text, chunk, handle)
         _assert_same_outcome(lambda: got, lambda: oracle_ingest_json(text))
-        assert fell_back == (name != "valid")
+
+
+def test_unseekable_handle_is_streamed_in_bounded_memory(tmp_path):
+    # a handle that cannot seek, as a pipe, is streamed in a path's bound
+    path = tmp_path / "c.json"
+    export_cohort_json(generate_cohort(SimConfig(seed=0, n_negative=0, n_positive=50)), path)
+    handle = _Unseekable(path.read_text())
+    tracemalloc.start()
+    try:
+        ingest_cohort_json(handle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * path.stat().st_size
 
 
 def test_csv_object_with_two_faults_reports_the_oracles_first():
