@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import pdtrc
-
+from ._ufuncs import pdtrc
 from .errors import InputError
 
 

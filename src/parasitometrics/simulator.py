@@ -25,8 +25,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
+from ._ufuncs import betainc, betaincinv
 from .datamodel import CohortDataset, GroundTruth, PatientRecord, SerialIds, Species
 from .errors import InputError
 

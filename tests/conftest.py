@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import parasitometrics
 from parasitometrics.datamodel import (
     CohortDataset,
     GroundTruth,
@@ -8,6 +12,13 @@ from parasitometrics.datamodel import (
 )
 from parasitometrics.metrics import MetricDistribution
 from parasitometrics.stats import summarize
+
+
+def src_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = Path(parasitometrics.__file__).resolve().parents[1]
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
 
 
 def make_patient(

@@ -30,7 +30,7 @@ from parasitometrics.metrics import DEFAULT_BIN_EDGES, check_bin_edges
 from parasitometrics.quant import CONSTANT_X_NOTE, LINEAR_R2_NOTE
 from parasitometrics.simulator import Fixed, SimConfig, generate_cohort
 
-from conftest import make_cohort, make_patient
+from conftest import make_cohort, make_patient, src_env
 from test_datamodel import (
     JSON_VALUES,
     OBJECT_KEYS,
@@ -907,18 +907,11 @@ class TestReproducePaper:
             ["alpha", "drifted"]
 
 
-def _src_env() -> dict:
-    """The environment with this checkout's package first on PYTHONPATH."""
-    src = Path(parasitometrics.__file__).resolve().parents[1]
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-
-
 def _fresh_import(modules: str, package: str) -> list[str]:
     """The modules of ``package`` that a fresh interpreter holds after ``import <modules>``."""
     code = (f"import json, sys, {modules}; print(json.dumps(sorted(m for m in sys.modules "
             f"if (m + '.').startswith({package!r} + '.'))))")
-    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+    result = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                             text=True, check=True)
     return json.loads(result.stdout)
 
@@ -945,9 +938,9 @@ def test_package_import_loads_no_submodule():
     assert _fresh_import("parasitometrics", "parasitometrics") == ["parasitometrics"]
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy takes most of the CLI's import time; only simulate, poisson and
-    # reproduce-paper need it, and they import it when they run
+def test_cli_import_loads_no_scipy_module():
+    # only simulate, poisson and reproduce-paper need scipy's ufuncs, and they
+    # load them when they run: the load adds about 5 MB to every other command
     assert _fresh_import("parasitometrics.cli", "scipy") == []
 
 
@@ -975,7 +968,7 @@ def test_evaluate_curves_and_tune_load_neither_numpy_ma_nor_scipy(tmp_path):
     cohort = generate_cohort(SimConfig(seed=4, n_negative=6, n_positive=6, examined_volume=0.35))
     export_cohort(cohort, tmp_path / "objects.csv", tmp_path / "patients.csv")
     export_cohort_json(cohort, tmp_path / "cohort.json")
-    env = _src_env()
+    env = src_env()
     for args in (
         ["evaluate", "--patients", "patients.csv", "--objects", "objects.csv", "--C", "0.5",
          "--spec-target", "0.95", "--format", "csv", "--curves", "--out", "out"],
@@ -1009,7 +1002,7 @@ def test_quant_on_a_constant_parasitemia_reports_null_r2(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "parasitometrics.cli", "quant", "--json", "c.json",
          "--C", "0.5", "--out", "q"],
-        cwd=tmp_path, env=_src_env(), capture_output=True, text=True)
+        cwd=tmp_path, env=src_env(), capture_output=True, text=True)
     assert (result.returncode, result.stdout) == (0, str(Path("q") / "report.json") + "\n")
     assert "Traceback" not in result.stderr
     quant = json.loads((tmp_path / "q" / "report.json").read_text())["quantitation"]

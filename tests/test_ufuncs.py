@@ -1,0 +1,176 @@
+"""``parasitometrics._ufuncs``: scipy.special's three ufuncs without scipy's package import.
+
+pytest's own process has imported scipy already, so an import here takes the
+loader's fallback. Every check of the stub load therefore runs in a fresh
+interpreter.
+"""
+
+import hashlib
+import json
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+import scipy.special
+import scipy.stats
+from click.testing import CliRunner
+
+from conftest import src_env
+from parasitometrics.cli import main
+
+FAST = "scipy.special._ufuncs"
+FALLBACK = "scipy.special"
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def _fresh(code: str, *args: str) -> list:
+    """The JSON value that ``code`` prints last, run in a fresh interpreter."""
+    result = subprocess.run([sys.executable, "-c", code, *args], env=src_env(),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def _arguments(rng, n: int) -> tuple:
+    """Arrays for betainc(a, b, x), betaincinv(a, b, x) and pdtrc(k, m): every
+    combination of edge values, then ``n`` draws each."""
+    edges = [0.0, 1.0, np.nan, 0.5, 1e-300, 1e-3, 1e10, np.inf, -1.0]
+    grid = [g.ravel() for g in np.meshgrid(edges, edges, edges)]
+    a, b = (np.concatenate([g, 10 ** rng.uniform(-3, 8, n)]) for g in grid[:2])
+    x = np.concatenate([grid[2], rng.uniform(0, 1, n)])
+    k = np.concatenate([grid[0], rng.integers(0, 10**6, n).astype(float),
+                        [2.0**53, 1e300, -0.5, 3.5]])
+    m = np.concatenate([grid[1], 10 ** rng.uniform(-3, 6, n), [1e15, 1e300, 2.0, 2.0]])
+    return a, b, x, k, m
+
+
+_ORACLE = f"""
+import json, sys
+import numpy as np
+from parasitometrics import _ufuncs
+args = np.load(sys.argv[1])
+a, b, x, k, m = (args[name] for name in "abxkm")
+np.savez(sys.argv[2], betainc=_ufuncs.betainc(a, b, x), betaincinv=_ufuncs.betaincinv(a, b, x),
+         pdtrc=_ufuncs.pdtrc(k, m))
+print(json.dumps([_ufuncs._special.__name__, {_SCIPY_MODULES}]))
+"""
+
+
+def test_oracle_fast_path_ufuncs_equal_scipy_special_bit_for_bit(tmp_path):
+    # the fast path must be taken: a change in scipy's private layout fails
+    # here instead of silently costing 0.2 s a command
+    a, b, x, k, m = _arguments(np.random.default_rng(20261019), 50_000)
+    np.savez(tmp_path / "args.npz", a=a, b=b, x=x, k=k, m=m)
+    assert _fresh(_ORACLE, str(tmp_path / "args.npz"), str(tmp_path / "out.npz")) == [FAST, []]
+    got = np.load(tmp_path / "out.npz")
+    want = {"betainc": scipy.special.betainc(a, b, x),
+            "betaincinv": scipy.special.betaincinv(a, b, x),
+            "pdtrc": scipy.special.pdtrc(k, m)}
+    for name, values in want.items():
+        assert np.isfinite(values).sum() > 50_000 and np.isnan(values).any(), name
+        np.testing.assert_array_equal(got[name].view(np.uint64), values.view(np.uint64),
+                                      err_msg=name)
+
+
+def test_reproduce_import_leaves_no_scipy_module_and_loads_neither_f2py_nor_array_api():
+    # a finder first on sys.meta_path sees every module looked up, removed later or not
+    code = f"""
+import json, sys
+searched = []
+class Recorder:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        searched.append(name)
+sys.meta_path.insert(0, Recorder)
+import parasitometrics.reproduce
+print(json.dumps([{_SCIPY_MODULES}, sorted(set(searched))]))
+"""
+    left, searched = _fresh(code)
+    assert left == []
+    assert "scipy.special._ufuncs" in searched
+    assert not {"numpy.f2py", "numpy.testing", "scipy._lib._array_api"} & set(searched)
+
+
+def test_scipy_stats_imports_after_the_loader():
+    code = """
+import json
+import parasitometrics.reproduce
+from parasitometrics import _ufuncs
+import scipy.special, scipy.stats
+print(json.dumps([scipy.special.betainc is _ufuncs.betainc, scipy.stats.beta(2, 4).sf(0.5),
+                  float(1 - _ufuncs.betainc(2.0, 4.0, 0.5))]))
+"""
+    same, sf, complement = _fresh(code)
+    assert same and sf == scipy.stats.beta(2, 4).sf(0.5) and complement == sf
+
+
+def test_fallback_when_scipy_is_already_loaded():
+    # the loader neither runs nor removes a module the caller loaded
+    code = f"""
+import json, sys
+import scipy
+before = {{name: sys.modules[name] for name in {_SCIPY_MODULES}}}
+from parasitometrics import _ufuncs
+print(json.dumps([_ufuncs._special.__name__, _ufuncs.pdtrc is sys.modules["scipy.special"].pdtrc,
+                  all(sys.modules.get(name) is module for name, module in before.items())]))
+"""
+    assert _fresh(code) == [FALLBACK, True, True]
+
+
+@pytest.mark.parametrize("patch", [
+    # find_spec finds no scipy: the load raises AttributeError
+    "importlib.util.find_spec = lambda name, package=None: None",
+    # find_spec points at an empty directory: the load raises ImportError
+    "import importlib.machinery, tempfile\n"
+    "spec = importlib.machinery.ModuleSpec('scipy', None, is_package=True)\n"
+    "spec.submodule_search_locations = [tempfile.mkdtemp()]\n"
+    "importlib.util.find_spec = lambda name, package=None: spec",
+], ids=["no-spec", "empty-directory"])
+def test_fallback_when_the_stub_load_fails(patch):
+    # after a failed load no stub is left behind: the fallback imports the real packages
+    code = f"""
+import importlib.util, json, sys
+{patch}
+from parasitometrics import _ufuncs
+print(json.dumps([_ufuncs._special.__name__, hasattr(sys.modules["scipy"], "__file__"),
+                  _ufuncs.betainc is sys.modules["scipy.special"].betainc]))
+"""
+    assert _fresh(code) == [FALLBACK, True, True]
+
+
+_RUN_CLI = f"""
+import json, sys
+from parasitometrics.cli import main
+try:
+    main(sys.argv[1:])
+finally:
+    print(json.dumps({_SCIPY_MODULES}), file=sys.stderr)
+"""
+
+
+def _fresh_cli(args: list, cwd) -> bytes:
+    """``parasitometrics <args>``'s stdout in a fresh interpreter, which loads no scipy module."""
+    result = subprocess.run([sys.executable, "-c", _RUN_CLI, *args], cwd=cwd, env=src_env(),
+                            capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stderr.splitlines()[-1]) == []
+    return result.stdout
+
+
+def test_simulate_gives_the_golden_digest_through_the_fast_path(tmp_path):
+    # tests/test_simulator.py's who56 digest: the patients text, then the objects text
+    _fresh_cli(["simulate", "--preset", "who56", "--seed", "1", "--format", "csv",
+                "--out", "out"], tmp_path)
+    text = (tmp_path / "out" / "patients.csv").read_bytes() + \
+        (tmp_path / "out" / "objects.csv").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == \
+        "47b69ddf799e9066b128c9b5d23b822f85ecffda5de02de8ef4670eeebd82df7"
+
+
+def test_poisson_prints_the_same_bytes_through_the_fast_path(tmp_path):
+    args = ["poisson", "-p", "100", "-v", "0.01"]
+    in_process = CliRunner().invoke(main, args)
+    assert in_process.exit_code == 0
+    assert _fresh_cli(args, tmp_path) == in_process.stdout_bytes
