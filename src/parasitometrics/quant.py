@@ -93,6 +93,9 @@ def _r2(x: np.ndarray, y: np.ndarray) -> float | None:
     # None when x is constant, where the fit is undefined
     if not x.min() < x.max():
         return None
+    # polyfit squares x: scale x and y to below 1 by exact powers of two, which
+    # leaves R^2 unchanged and keeps the squares of a huge x finite
+    x, y = (np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1]) for v in (x, y))
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_res = float(np.sum(resid**2))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ufuncs import betainc, betaincinv
+from ._ufuncs import betainc, betaincinv, brentq
 from .datamodel import CohortDataset, GroundTruth, PatientRecord, SerialIds, Species
 from .errors import InputError
 
@@ -133,61 +133,6 @@ class SimConfig:
                              f"got {self.background_distractor_rate!r}")
 
 
-def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100):
-    """A root of f in [xa, xb] by Brent's method.
-
-    Brent (1973), *Algorithms for Minimization without Derivatives*, ch. 4,
-    in the step order of scipy's ``brentq``, so both return the same float.
-    Raises RuntimeError when f(xa) and f(xb) have the same sign, or when
-    ``maxiter`` steps do not converge.
-    """
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise RuntimeError("no sign change over the bracket")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                denom = dblk * dpre * (fblk - fpre)
-                # x / 0 is +-inf or NaN in C, and either one fails the test below
-                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a short enough step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(f"no convergence after {maxiter} iterations")
-
-
 def solve_beta_a(target_tail: float, b: float) -> float:
     """Solve a so that Pr[Beta(a, b) >= 0.5] = target_tail (monotone in a).
 
@@ -201,8 +146,8 @@ def solve_beta_a(target_tail: float, b: float) -> float:
 
     lo, hi = math.log(1e-8), math.log(1e8)
     try:
-        return math.exp(_brent(gap, lo, hi, xtol=1e-12, rtol=1e-12))
-    except RuntimeError as exc:
+        return math.exp(brentq(gap, lo, hi, xtol=1e-12, rtol=1e-12))
+    except (RuntimeError, ValueError) as exc:
         raise InputError(f"cannot solve Beta(a, b={b}) for Pr[score >= 0.5] = "
                          f"{target_tail} with a in [1e-8, 1e8]: {exc}") from None
 

@@ -1,11 +1,13 @@
-"""The simulator's Brent root finder against ``scipy.optimize.brentq``.
+"""``solve_beta_a`` against the ``scipy.optimize.brentq`` code it started from.
 
-``solve_beta_a`` solved for ``log a`` with ``brentq`` before the simulator
-carried its own Brent solver; ``oracle_solve_beta_a`` is that code and stays
-here as the reference. The two must return the same float, and where
-``brentq`` finds no sign change in the bracket, ``solve_beta_a`` must raise
-InputError. This is the only place the package's tests load
-``scipy.optimize``.
+``solve_beta_a`` solves for ``log a`` with ``parasitometrics._ufuncs.brentq``,
+the C routine under ``brentq``, wrapped in the simulator's InputError;
+``oracle_solve_beta_a`` is the original ``brentq`` code and stays here as the
+reference. In pytest's process, where scipy is already imported, both run the
+same routine, so this checks ``solve_beta_a``'s wrapping: the same float, and
+InputError where ``brentq`` finds no sign change in the bracket.
+``tests/test_ufuncs.py`` checks the same floats through the stub load in a
+fresh interpreter.
 """
 
 import math

@@ -10,6 +10,7 @@ from parasitometrics.errors import DegenerateDataError, InputError
 from parasitometrics.quant import (
     CONSTANT_X_NOTE,
     ExpectedRates,
+    _r2,
     estimate_parasitemia,
     quant_fom,
     quant_report,
@@ -188,3 +189,35 @@ def test_fom_is_taken_at_the_np_median_parasitemia(parasitemias):
     else:
         assert result.r2_linear is not None
     assert (CONSTANT_X_NOTE in result.notes) == (result.r2_log is None)
+
+
+def test_r2_of_a_huge_x_is_exact_without_warnings():
+    # np.polyfit on the unscaled x squares 1e200, warns twice and gives 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _r2(np.array([1.0, 1e200]), np.array([1.0, 2.0])) == 1.0
+
+
+def reference_r2(x: np.ndarray, y: np.ndarray) -> float | None:
+    """``quant._r2`` before it scaled x and y, exact while x * x stays finite."""
+    if not x.min() < x.max():
+        return None
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_res = float(np.sum(resid**2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if ss_tot == 0.0:
+        return 1.0 if ss_res == 0.0 else 0.0
+    return 1.0 - ss_res / ss_tot
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.floats(1e-3, 1e150), st.floats(1e-3, 1e150)),
+                min_size=2, max_size=20))
+@example([(1.0, 1.0), (2.0, 2.0)])
+@example([(1e-3, 1e150), (1e150, 1e-3), (1.0, 1.0)])
+def test_r2_matches_the_unscaled_fit_oracle(pairs):
+    x, y = (np.array(column) for column in zip(*pairs))
+    with warnings.catch_warnings():  # near-equal x make both fits ill-conditioned alike
+        warnings.simplefilter("ignore")
+        assert repr(_r2(x, y)) == repr(reference_r2(x, y))

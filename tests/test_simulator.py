@@ -155,12 +155,12 @@ class TestSolveBetaA:
         # no a in [1e-8, 1e8] puts a tail this small above 0.5 when b = 2
         cfg = SimConfig(n_negative=0, n_positive=1, patient_sensitivity_dist=Fixed(s))
         with pytest.raises(InputError, match=rf"b=2\.0\) for Pr\[score >= 0\.5\] = {s} "
-                                                r".*: no sign change"):
+                                                r".*: f\(a\) and f\(b\) must have different signs$"):
             generate_cohort(cfg)
 
     def test_no_convergence_is_invalid_config(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_brent", functools.partial(simulator._brent, maxiter=2))
-        with pytest.raises(InputError, match=r"= 0\.8 .*: no convergence after 2 iter"):
+        monkeypatch.setattr(simulator, "brentq", functools.partial(simulator.brentq, maxiter=2))
+        with pytest.raises(InputError, match=r"= 0\.8 .*: Failed to converge after 2 iterations\.$"):
             solve_beta_a(0.8, 2.0)
 
 

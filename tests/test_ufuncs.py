@@ -1,4 +1,4 @@
-"""``parasitometrics._ufuncs``: scipy.special's three ufuncs without scipy's package import.
+"""``parasitometrics._ufuncs``: scipy's three ufuncs and brentq without scipy's package import.
 
 pytest's own process has imported scipy already, so an import here takes the
 loader's fallback. Every check of the stub load therefore runs in a fresh
@@ -17,10 +17,12 @@ import scipy.stats
 from click.testing import CliRunner
 
 from conftest import src_env
+from test_brent_oracle import oracle_solve_beta_a
 from parasitometrics.cli import main
 
 FAST = "scipy.special._ufuncs"
 FALLBACK = "scipy.special"
+ZEROS = "scipy.optimize._zeros"
 
 _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
@@ -50,21 +52,53 @@ _ORACLE = f"""
 import json, sys
 import numpy as np
 from parasitometrics import _ufuncs
+from parasitometrics.errors import InputError
+from parasitometrics.simulator import solve_beta_a
 args = np.load(sys.argv[1])
 a, b, x, k, m = (args[name] for name in "abxkm")
+
+def shape(target, b):
+    try:
+        return solve_beta_a(target, b)
+    except InputError:
+        return np.nan
+
 np.savez(sys.argv[2], betainc=_ufuncs.betainc(a, b, x), betaincinv=_ufuncs.betaincinv(a, b, x),
-         pdtrc=_ufuncs.pdtrc(k, m))
-print(json.dumps([_ufuncs._special.__name__, {_SCIPY_MODULES}]))
+         pdtrc=_ufuncs.pdtrc(k, m),
+         shape=[shape(*pair) for pair in zip(args["target"].tolist(), args["shape_b"].tolist())])
+print(json.dumps([_ufuncs._special.__name__, _ufuncs._zeros.__name__, {_SCIPY_MODULES}]))
 """
 
 
-def test_oracle_fast_path_ufuncs_equal_scipy_special_bit_for_bit(tmp_path):
+def _shape_pairs(rng, n: int) -> tuple:
+    """(target, b) pairs for solve_beta_a: edge targets at three shapes, then
+    ``n`` draws across (0, 1) and near either end."""
+    edges = [0.0, 1e-12, 1e-9, 1e-3, 0.5, 1 - 1e-12, 1.0]
+    target = np.concatenate([np.repeat(edges, 3), rng.uniform(0, 1, n // 2),
+                             10 ** -rng.uniform(3, 15, n // 4),
+                             1 - 10 ** -rng.uniform(3, 15, n - n // 2 - n // 4)])
+    b = np.concatenate([np.tile([0.2, 2.0, 20.0], len(edges)),
+                        10 ** rng.uniform(np.log10(0.2), np.log10(20.0), n)])
+    return target, b
+
+
+@pytest.fixture(scope="module")
+def oracle_run(tmp_path_factory):
+    """The oracle's inputs, what it printed, and its arrays, from one fresh interpreter."""
+    tmp = tmp_path_factory.mktemp("oracle")
+    rng = np.random.default_rng(20261019)
+    a, b, x, k, m = _arguments(rng, 50_000)
+    target, shape_b = _shape_pairs(rng, 1_200)
+    np.savez(tmp / "args.npz", a=a, b=b, x=x, k=k, m=m, target=target, shape_b=shape_b)
+    printed = _fresh(_ORACLE, str(tmp / "args.npz"), str(tmp / "out.npz"))
+    return (a, b, x, k, m, target, shape_b), printed, np.load(tmp / "out.npz")
+
+
+def test_oracle_fast_path_ufuncs_equal_scipy_special_bit_for_bit(oracle_run):
     # the fast path must be taken: a change in scipy's private layout fails
     # here instead of silently costing 0.2 s a command
-    a, b, x, k, m = _arguments(np.random.default_rng(20261019), 50_000)
-    np.savez(tmp_path / "args.npz", a=a, b=b, x=x, k=k, m=m)
-    assert _fresh(_ORACLE, str(tmp_path / "args.npz"), str(tmp_path / "out.npz")) == [FAST, []]
-    got = np.load(tmp_path / "out.npz")
+    (a, b, x, k, m, _, _), printed, got = oracle_run
+    assert printed == [FAST, ZEROS, []]
     want = {"betainc": scipy.special.betainc(a, b, x),
             "betaincinv": scipy.special.betaincinv(a, b, x),
             "pdtrc": scipy.special.pdtrc(k, m)}
@@ -72,6 +106,25 @@ def test_oracle_fast_path_ufuncs_equal_scipy_special_bit_for_bit(tmp_path):
         assert np.isfinite(values).sum() > 50_000 and np.isnan(values).any(), name
         np.testing.assert_array_equal(got[name].view(np.uint64), values.view(np.uint64),
                                       err_msg=name)
+
+
+def test_oracle_fast_path_solve_beta_a_equals_scipy_brentq_bit_for_bit(oracle_run):
+    # _zeros._brentq is private, and its argument order is not scipy's public
+    # brentq's: the stub-loaded routine must give brentq's floats, and fail
+    # (NaN here) exactly where brentq finds no sign change
+    (*_, target, shape_b), printed, got = oracle_run
+    assert printed == [FAST, ZEROS, []]
+
+    def want(t: float, b: float) -> float:
+        try:
+            return oracle_solve_beta_a(t, b)
+        except ValueError as exc:
+            assert "different signs" in str(exc)
+            return np.nan
+
+    values = np.array([want(*pair) for pair in zip(target.tolist(), shape_b.tolist())])
+    assert np.isfinite(values).sum() >= 1_000 and np.isnan(values).any()
+    np.testing.assert_array_equal(got["shape"].view(np.uint64), values.view(np.uint64))
 
 
 def test_reproduce_import_leaves_no_scipy_module_and_loads_neither_f2py_nor_array_api():
@@ -89,7 +142,9 @@ print(json.dumps([{_SCIPY_MODULES}, sorted(set(searched))]))
 """
     left, searched = _fresh(code)
     assert left == []
-    assert "scipy.special._ufuncs" in searched
+    assert {"scipy.special._ufuncs", ZEROS} <= set(searched)
+    # scipy.optimize/__init__ imports _optimize first: it never runs
+    assert "scipy.optimize._optimize" not in searched
     assert not {"numpy.f2py", "numpy.testing", "scipy._lib._array_api"} & set(searched)
 
 
@@ -114,9 +169,11 @@ import scipy
 before = {{name: sys.modules[name] for name in {_SCIPY_MODULES}}}
 from parasitometrics import _ufuncs
 print(json.dumps([_ufuncs._special.__name__, _ufuncs.pdtrc is sys.modules["scipy.special"].pdtrc,
+                  _ufuncs._zeros is sys.modules["{ZEROS}"],
+                  hasattr(sys.modules["scipy.optimize"], "__file__"),
                   all(sys.modules.get(name) is module for name, module in before.items())]))
 """
-    assert _fresh(code) == [FALLBACK, True, True]
+    assert _fresh(code) == [FALLBACK, True, True, True, True]
 
 
 @pytest.mark.parametrize("patch", [
@@ -135,9 +192,11 @@ import importlib.util, json, sys
 {patch}
 from parasitometrics import _ufuncs
 print(json.dumps([_ufuncs._special.__name__, hasattr(sys.modules["scipy"], "__file__"),
-                  _ufuncs.betainc is sys.modules["scipy.special"].betainc]))
+                  _ufuncs.betainc is sys.modules["scipy.special"].betainc,
+                  _ufuncs._zeros is sys.modules["{ZEROS}"],
+                  hasattr(sys.modules["scipy.optimize"], "__file__")]))
 """
-    assert _fresh(code) == [FALLBACK, True, True]
+    assert _fresh(code) == [FALLBACK, True, True, True, True]
 
 
 _RUN_CLI = f"""
