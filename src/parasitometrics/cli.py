@@ -389,7 +389,7 @@ def quant(json_path, patients, objects, cv_description, c_threshold, t_threshold
 @_handle_errors
 def poisson(parasitemia, volumes, k_min, confidence, out_path):
     """Poisson count pmfs per examined volume, or the minimum-volume solution."""
-    # imported here: scipy's ufuncs and brentq add about 5 MB that other commands skip
+    # imported here: scipy's ufuncs and numpy's Generator add about 6 MB that others skip
     from .poisson import count_pmf, min_volume_for_detection
     if k_min is not None or confidence is not None:
         if k_min is None or confidence is None:
@@ -422,7 +422,7 @@ def poisson(parasitemia, volumes, k_min, confidence, out_path):
 @_handle_errors
 def simulate(seed, preset, n_negative, n_positive, volume, out_dir, fmt):
     """Generate a synthetic cohort (deterministic for a fixed seed)."""
-    # imported here: the simulator loads scipy's ufuncs and brentq (5 MB), which others skip
+    # imported here: the simulator loads scipy's ufuncs and numpy's Generator (6 MB)
     from .simulator import SimConfig, generate_cohort, who56_preset
     if seed is None:
         text = os.environ.get("PARASITOMETRICS_SEED", "0")
@@ -462,7 +462,7 @@ def simulate(seed, preset, n_negative, n_positive, volume, out_dir, fmt):
 @_handle_errors
 def reproduce_paper(out_dir):
     """Re-derive every headline number and write a pass/fail manifest."""
-    # imported here: reproduce loads scipy's ufuncs and brentq (5 MB) via simulator and poisson
+    # imported here: reproduce loads scipy's ufuncs and numpy's Generator (7 MB) via simulator
     from .reproduce import run_all
     checks = run_all()
     out = Path(out_dir)

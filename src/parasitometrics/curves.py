@@ -36,11 +36,11 @@ from .datamodel import (
 )
 from .errors import DegenerateDataError, InputError
 
-# Outside FROC's exact case its counts are a (threshold x patient) matrix,
-# built this many thresholds at a time so that memory stays bounded when every
-# object has its own score; the block's matrices bound `evaluate --curves`'
-# peak memory together with report._CURVE_BLOCK.
-_FROC_BLOCK = 4096
+# Outside FROC's exact case its per-cV counts are a (threshold x patient)
+# matrix, filled into one block of this many elements (at least one row) so
+# that memory stays bounded when every object has its own score; the block
+# bounds `evaluate --curves`' peak memory together with report._CURVE_BLOCK.
+_FROC_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)  # no generated __eq__: arrays compare elementwise
@@ -149,9 +149,14 @@ def froc(cohort: CohortDataset) -> CurvePoints:
     else:
         change = np.diff(total, prepend=0) != 0
         rows = thresholds[change]
-        means = [np.mean(counts_at(fp_patients, rows[lo:lo + _FROC_BLOCK],
-                                   "distractor_scores") / volumes, axis=1)
-                 for lo in range(0, len(rows), _FROC_BLOCK)]
+        # C order: an F-ordered block would change np.mean's summation order, so its bits
+        out = np.empty((max(1, min(len(rows), _FROC_BLOCK // len(volumes))), len(volumes)))
+        means = []
+        for lo in range(0, len(rows), len(out)):
+            t = rows[lo:lo + len(out)]
+            for j, p in enumerate(fp_patients):
+                out[:len(t), j] = n_at_or_above(p.distractor_scores, t) / volumes[j]
+            means.append(np.mean(out[:len(t)], axis=1))
         # each threshold takes the mean at the last row that changed, 0.0 before any
         fp_rate = np.concatenate([[0.0], *means])[np.r_[0, np.cumsum(change)]]
     points = np.column_stack((fp_rate, np.r_[0.0, sens],

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ufuncs import betainc, betaincinv, brentq
+from ._ufuncs import PCG64, Generator, SeedSequence, betainc, betaincinv, brentq
 from .datamodel import CohortDataset, GroundTruth, PatientRecord, SerialIds, Species
 from .errors import InputError
 
@@ -76,7 +76,7 @@ PARASITE_SCORE_B = 2.0                  # Beta(a, 2), a re-solved per patient
 DISTRACTOR_SCORE_DIST = Beta(2.0, 4.0)
 
 
-def _draw_positive_rate(spec, rng: np.random.Generator) -> float:
+def _draw_positive_rate(spec, rng: Generator) -> float:
     if isinstance(spec, Fixed):
         return max(spec.value, 0.0)
     if isinstance(spec, TruncatedNormal):
@@ -86,7 +86,7 @@ def _draw_positive_rate(spec, rng: np.random.Generator) -> float:
     raise InputError(f"unsupported distribution spec {spec!r}")
 
 
-def _draw_sensitivity(spec, rng: np.random.Generator) -> float:
+def _draw_sensitivity(spec, rng: Generator) -> float:
     if isinstance(spec, Fixed):
         if not (0.0 <= spec.value <= 1.0):
             raise InputError("fixed sensitivity must be in [0, 1]")
@@ -152,7 +152,7 @@ def solve_beta_a(target_tail: float, b: float) -> float:
                          f"{target_tail} with a in [1e-8, 1e8]: {exc}") from None
 
 
-def _tail_scores(spec: Beta, n: int, rng: np.random.Generator, upper: bool) -> np.ndarray:
+def _tail_scores(spec: Beta, n: int, rng: Generator, upper: bool) -> np.ndarray:
     """Draw n scores from Beta(a, b) conditioned to one side of 0.5."""
     if n == 0:
         return np.empty(0)
@@ -164,7 +164,7 @@ def _tail_scores(spec: Beta, n: int, rng: np.random.Generator, upper: bool) -> n
     return np.clip(betaincinv(spec.a, spec.b, u), 0.0, 1.0)
 
 
-def _poisson(rng: np.random.Generator, lam: float) -> int:
+def _poisson(rng: Generator, lam: float) -> int:
     try:
         return int(rng.poisson(lam))
     except ValueError as exc:  # numpy rejects a NaN, negative or too large mean
@@ -184,7 +184,7 @@ def generate_cohort(cfg: SimConfig) -> CohortDataset:
 
     patients = []
     for i in range(cfg.n_negative + cfg.n_positive):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+        rng = Generator(PCG64(SeedSequence(cfg.seed, spawn_key=(i,))))
         positive = i >= cfg.n_negative
         if positive:
             pid = f"pos{i - cfg.n_negative:04d}"

@@ -939,8 +939,9 @@ def test_package_import_loads_no_submodule():
 
 
 def test_cli_import_loads_no_scipy_module():
-    # only simulate, poisson and reproduce-paper need scipy's ufuncs, and they
-    # load them when they run: the load adds about 5 MB to every other command
+    # only simulate, poisson and reproduce-paper need scipy's ufuncs (and
+    # numpy's Generator), and they load them when they run: the load would add
+    # about 6 MB to every other command
     assert _fresh_import("parasitometrics.cli", "scipy") == []
 
 

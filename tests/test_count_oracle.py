@@ -20,7 +20,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from parasitometrics import curves
 from parasitometrics.curves import froc, object_roc, precision_with_reexpression
-from parasitometrics.datamodel import GroundTruth, Species, counts_at, per_cv_counts
+from parasitometrics.datamodel import (
+    GroundTruth,
+    Species,
+    counts_at,
+    n_at_or_above,
+    per_cv_counts,
+)
 from parasitometrics.errors import DegenerateDataError, InputError
 from parasitometrics.metrics import (
     StratifiedResult,
@@ -366,16 +372,24 @@ def test_froc_counts_patients_only_where_the_fp_total_changes(cohort, volumes, b
     cohort = make_cohort(*(replace(p, examined_volume=volumes[i % len(volumes)])
                            for i, p in enumerate(cohort.patients)))
     with mock.patch.object(curves, "_FROC_BLOCK", block), \
-            mock.patch.object(curves, "counts_at", wraps=counts_at) as spy:
+            mock.patch.object(curves, "n_at_or_above", wraps=n_at_or_above) as spy:
         got = froc(cohort)
     assert curve_rows(got) == loop_froc_points(cohort)
-    rows = [t for call in spy.call_args_list for t in call.args[1]]
+    # the first call counts the FP patients' total; then each block of
+    # thresholds counts every FP patient once, in cohort order
+    calls = [call.args for call in spy.call_args_list[1:]]
+    fp_scores = [p.distractor_scores for p in cohort if p.patient_id in fp_ids]
+    blocks = [t for _, t in calls[::len(fp_scores)]]
+    rows = [float(t) for block_rows in blocks for t in block_rows]
     if volumes in [(0.5,), (1.0,), (2.0,)]:  # one power-of-two volume: no per-patient count
-        assert rows == []
+        assert calls == []
     else:  # a total changes only at a threshold equal to some FP patient's distractor
-        assert rows == sorted({float(s) for p in cohort if p.patient_id in fp_ids
-                               for s in p.distractor_scores}, reverse=True)
-        assert all(len(call.args[1]) <= block for call in spy.call_args_list)
+        assert rows == sorted({float(s) for scores in fp_scores for s in scores}, reverse=True)
+        assert [id(scores) for scores, _ in calls] == [id(s) for s in fp_scores] * len(blocks)
+        assert all(np.array_equal(t, blocks[i // len(fp_scores)])
+                   for i, (_, t) in enumerate(calls))
+        # the block holds at most _FROC_BLOCK counts, and at least one threshold's row
+        assert all(len(t) <= max(1, block // len(fp_scores)) for t in blocks)
 
 
 def test_froc_memory_stays_within_a_few_curves():
@@ -392,3 +406,25 @@ def test_froc_memory_stays_within_a_few_curves():
         tracemalloc.stop()
     assert len(got.points) == 86_620
     assert peak <= 6 * got.points.nbytes  # about 4.4 times
+
+
+def test_froc_memory_outside_the_exact_case_stays_within_one_block():
+    # 1000 negatives at 0.35 cV with 5 distractors each: a mean over patients
+    # at each of their 5,000 scores, from one block of _FROC_BLOCK floats
+    # (8 MB); count matrices of 4096 thresholds by 1000 patients, stacked and
+    # then divided by the volumes, peaked at about 63 MB
+    rng = np.random.default_rng(3)
+    cohort = make_cohort(
+        make_patient("pos", positive=True, parasite_scores=(0.3, 0.7, 0.95),
+                     distractor_scores=(0.5,)),
+        *(make_patient(f"neg{i}", volume=0.35, distractor_scores=tuple(rng.random(5)))
+          for i in range(1000)))
+    froc(cohort)  # numpy's first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        got = froc(cohort)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got.points) == 5_006
+    assert peak <= 12 * 2**20  # about 8.6 MB

@@ -1,11 +1,14 @@
-"""``parasitometrics._ufuncs``: scipy's three ufuncs and brentq without scipy's package import.
+"""``parasitometrics._ufuncs``: scipy's three ufuncs and brentq, and numpy's seeded
+Generator, without scipy's or ``numpy.random``'s package import.
 
-pytest's own process has imported scipy already, so an import here takes the
-loader's fallback. Every check of the stub load therefore runs in a fresh
-interpreter.
+pytest's own process has imported scipy and ``numpy.random`` already, so an
+import here takes the loader's fallbacks. Every check of the stub load
+therefore runs in a fresh interpreter.
 """
 
+import functools
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -25,6 +28,8 @@ FALLBACK = "scipy.special"
 ZEROS = "scipy.optimize._zeros"
 
 _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+# numpy.random's package, and the stdlib modules its import pulls in up to OpenSSL
+_RANDOM_MODULES = "[m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules]"
 
 
 def _fresh(code: str, *args: str) -> list:
@@ -33,6 +38,12 @@ def _fresh(code: str, *args: str) -> list:
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
+
+
+@functools.cache
+def _numpy_imports_random_eagerly() -> bool:
+    """Whether ``import numpy`` alone loads ``numpy.random``, as numpy < 2 does."""
+    return _fresh("import json, sys, numpy\nprint(json.dumps('numpy.random' in sys.modules))")
 
 
 def _arguments(rng, n: int) -> tuple:
@@ -127,6 +138,79 @@ def test_oracle_fast_path_solve_beta_a_equals_scipy_brentq_bit_for_bit(oracle_ru
     np.testing.assert_array_equal(got["shape"].view(np.uint64), values.view(np.uint64))
 
 
+def _draws(rng) -> list:
+    """Draws by every Generator method the simulator and reproduce call, scalar and sized."""
+    return [*rng.uniform(0.0, 0.3, size=40), rng.uniform(1, 200), *rng.beta(3.5, 2.0, size=40),
+            rng.beta(8.0, 2.0), rng.normal(50.0, 20.0), int(rng.poisson(3.7)),
+            int(rng.poisson(2e4)), int(rng.choice(3, p=[0.6, 0.3, 0.1]))]
+
+
+_SEEDS = [0, 1, 3, 20260826, 2**70 + 11]
+
+_ORACLE_GENERATOR = f"""
+import json, sys
+from parasitometrics._ufuncs import PCG64, Generator, SeedSequence
+{inspect.getsource(_draws)}
+spawned = [_draws(Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))))
+           for seed in {_SEEDS} for i in range(25)]
+seeded = [_draws(Generator(PCG64(seed))) for seed in {_SEEDS}]
+print(json.dumps([{_RANDOM_MODULES}, spawned, seeded]))
+"""
+
+
+def test_oracle_loaded_generator_draws_equal_default_rng_bit_for_bit():
+    # the simulator's Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))) and
+    # reproduce's Generator(PCG64(seed)) are what default_rng builds from
+    # those arguments; where numpy < 2 imports numpy.random eagerly, the
+    # loader takes the package's classes instead
+    loaded, spawned, seeded = _fresh(_ORACLE_GENERATOR)
+    assert bool(loaded) == _numpy_imports_random_eagerly()
+    want = [_draws(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))))
+            for seed in _SEEDS for i in range(25)]
+    assert spawned == want  # JSON round-trips every float exactly
+    assert seeded == [_draws(np.random.default_rng(seed)) for seed in _SEEDS]
+    assert len({json.dumps(d) for d in spawned + seeded}) == len(_SEEDS) * 26
+
+
+@pytest.mark.parametrize("prelude", ["", "import secrets"], ids=["alone", "secrets-first"])
+def test_numpy_random_and_secrets_import_after_the_loader(prelude):
+    # the compiled modules stay loaded, so the package reuses them; unseeded
+    # entropy still comes from the stdlib's SystemRandom, 128 bits of it; a
+    # secrets module loaded first is used, not replaced by the stub
+    code = f"""
+import json, sys
+{prelude}
+from parasitometrics import _ufuncs
+before = 'numpy.random' in sys.modules
+import numpy.random, secrets
+print(json.dumps([before, numpy.random.Generator is _ufuncs.Generator,
+                  numpy.random.PCG64 is _ufuncs.PCG64,
+                  numpy.random.SeedSequence is _ufuncs.SeedSequence,
+                  numpy.random.default_rng(5).random() == _ufuncs.Generator(_ufuncs.PCG64(5)).random(),
+                  type(_ufuncs.SeedSequence().entropy).__name__,
+                  _ufuncs.SeedSequence().entropy.bit_length() > 64,
+                  0 <= secrets.randbits(8) < 256, len(secrets.token_hex(4)),
+                  hasattr(sys.modules['numpy.random'], '__file__')]))
+"""
+    assert _fresh(code) == [_numpy_imports_random_eagerly(), True, True, True, True, "int",
+                            True, True, 8, True]
+
+
+def test_fallback_when_numpy_random_is_already_loaded():
+    # the loader takes the package's classes and stubs neither it nor secrets
+    code = """
+import json, sys
+import numpy.random
+before = {name: sys.modules.get(name) for name in ('numpy.random', 'secrets')}
+from parasitometrics import _ufuncs
+print(json.dumps([_ufuncs.Generator is numpy.random.Generator, _ufuncs.PCG64 is numpy.random.PCG64,
+                  _ufuncs.SeedSequence is numpy.random.SeedSequence,
+                  all(sys.modules.get(name) is module for name, module in before.items()),
+                  hasattr(sys.modules['numpy.random'], '__file__')]))
+"""
+    assert _fresh(code) == [True, True, True, True, True]
+
+
 def test_reproduce_import_leaves_no_scipy_module_and_loads_neither_f2py_nor_array_api():
     # a finder first on sys.meta_path sees every module looked up, removed later or not
     code = f"""
@@ -186,7 +270,8 @@ print(json.dumps([_ufuncs._special.__name__, _ufuncs.pdtrc is sys.modules["scipy
     "importlib.util.find_spec = lambda name, package=None: spec",
 ], ids=["no-spec", "empty-directory"])
 def test_fallback_when_the_stub_load_fails(patch):
-    # after a failed load no stub is left behind: the fallback imports the real packages
+    # after a failed load no stub is left behind: the fallbacks import the real
+    # scipy packages and numpy.random, and numpy.random the real secrets
     code = f"""
 import importlib.util, json, sys
 {patch}
@@ -194,9 +279,12 @@ from parasitometrics import _ufuncs
 print(json.dumps([_ufuncs._special.__name__, hasattr(sys.modules["scipy"], "__file__"),
                   _ufuncs.betainc is sys.modules["scipy.special"].betainc,
                   _ufuncs._zeros is sys.modules["{ZEROS}"],
-                  hasattr(sys.modules["scipy.optimize"], "__file__")]))
+                  hasattr(sys.modules["scipy.optimize"], "__file__"),
+                  _ufuncs.Generator is sys.modules["numpy.random"].Generator,
+                  hasattr(sys.modules["numpy.random"], "__file__"),
+                  hasattr(sys.modules["secrets"], "__file__")]))
 """
-    assert _fresh(code) == [FALLBACK, True, True, True, True]
+    assert _fresh(code) == [FALLBACK, True, True, True, True, True, True, True]
 
 
 _RUN_CLI = f"""
@@ -205,16 +293,19 @@ from parasitometrics.cli import main
 try:
     main(sys.argv[1:])
 finally:
-    print(json.dumps({_SCIPY_MODULES}), file=sys.stderr)
+    print(json.dumps([{_SCIPY_MODULES}, {_RANDOM_MODULES}]), file=sys.stderr)
 """
 
 
 def _fresh_cli(args: list, cwd) -> bytes:
-    """``parasitometrics <args>``'s stdout in a fresh interpreter, which loads no scipy module."""
+    """``parasitometrics <args>``'s stdout in a fresh interpreter, which loads no scipy
+    module, and neither numpy.random nor OpenSSL where ``import numpy`` does not."""
     result = subprocess.run([sys.executable, "-c", _RUN_CLI, *args], cwd=cwd, env=src_env(),
                             capture_output=True)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stderr.splitlines()[-1]) == []
+    scipy_modules, random_modules = json.loads(result.stderr.splitlines()[-1])
+    assert scipy_modules == []
+    assert random_modules == [] or _numpy_imports_random_eagerly()
     return result.stdout
 
 
@@ -233,3 +324,10 @@ def test_poisson_prints_the_same_bytes_through_the_fast_path(tmp_path):
     in_process = CliRunner().invoke(main, args)
     assert in_process.exit_code == 0
     assert _fresh_cli(args, tmp_path) == in_process.stdout_bytes
+
+
+def test_reproduce_paper_loads_neither_numpy_random_nor_openssl(tmp_path):
+    if _numpy_imports_random_eagerly():
+        pytest.skip("import numpy alone loads numpy.random (numpy < 2)")
+    stdout = _fresh_cli(["reproduce-paper", "--out", "out"], tmp_path)
+    assert stdout.splitlines()[-1].startswith(b"15 checks passed")
