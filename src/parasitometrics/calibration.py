@@ -31,7 +31,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .datamodel import CohortDataset, distinct_sorted, pooled_scores
+import numpy as np
+
+from .datamodel import CohortDataset, distinct_sorted
 from .errors import DegenerateDataError, InputError
 from .metrics import MetricDistribution, fpr_distributions, sensitivity_distributions
 from .stats import alpha_for_specificity
@@ -152,7 +154,7 @@ class TuningRow:
 def default_c_grid(cohort: CohortDataset) -> list[float]:
     """101 evenly spaced thresholds, plus the cohort's scores when few enough."""
     grid = {round(i / 100.0, 2) for i in range(101)}
-    observed = distinct_sorted(pooled_scores(cohort.patients)[0])
+    observed = distinct_sorted(np.concatenate([p.scores for p in cohort.patients]))
     if len(observed) < 512:
         grid |= set(observed.tolist())
     return sorted(grid)

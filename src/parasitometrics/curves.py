@@ -11,9 +11,10 @@ imbalance, so alongside the standard constructions this module provides:
   stated limit-of-detection parasitemia, where it is usually far less
   attractive.
 
-An object ROC comes from one stable sort of the scores, which also gives the
-FROC its thresholds and y axis, and its AUC from the ROC's own integer TP/FP
-counts: the trapezoid area over them is the
+The object ROC and the FROC share one threshold column, every distinct
+pooled score between the reject-all and accept-all sentinels, and count the
+pooled sorted scores at it with ``n_at_or_above``. The AUC comes from the
+ROC's own integer TP/FP counts: the trapezoid area over them is the
 Mann-Whitney U statistic (Hanley & McNeil 1982), the rank AUC with midranks
 for ties, exactly.
 """
@@ -30,6 +31,7 @@ from .datamodel import (
     CohortDataset,
     SerialIds,
     counts_at,
+    distinct_sorted,
     n_at_or_above,
     per_cv_counts,
     pooled_scores,
@@ -59,35 +61,27 @@ class CurvePoints:
         object.__setattr__(self, "points", points)
 
 
-def _sweep(scores: np.ndarray, is_parasite: np.ndarray):
-    """Distinct scores, descending, with the parasite and distractor counts at or above each."""
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    # thresholds at distinct scores only: tied objects change state together
-    distinct = np.r_[np.nonzero(np.diff(sorted_scores))[0], len(sorted_scores) - 1]
-    tps = np.cumsum(is_parasite[order])[distinct]
-    return sorted_scores[distinct], tps, distinct + 1 - tps
+def _thresholds(parasites: np.ndarray, distractors: np.ndarray) -> np.ndarray:
+    """+inf (reject all), every distinct score descending, then 0.0 (accept
+    all) unless the lowest score is already a zero."""
+    distinct = distinct_sorted(np.concatenate([parasites, distractors]))[::-1]
+    return np.r_[math.inf, distinct, [0.0] if distinct[-1] > 0.0 else []]
 
 
 def object_roc(cohort: CohortDataset) -> CurvePoints:
     """Object ROC over all objects pooled: TP vs FP fraction at every distinct
     score, between the reject-all and accept-all sentinels, with its rank AUC."""
-    scores, is_parasite = pooled_scores(cohort.patients)
-    n_pos = int(is_parasite.sum())
-    n_neg = len(scores) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateDataError(
-            "ROC needs at least one parasite and one distractor object"
-        )
-    thresholds, tps, fps = _sweep(scores, is_parasite)
+    parasites, distractors = pooled_scores(cohort.patients)
+    if not len(parasites) or not len(distractors):
+        raise DegenerateDataError("ROC needs at least one parasite and one distractor object")
+    thresholds = _thresholds(parasites, distractors)
+    tps = n_at_or_above(parasites, thresholds)
+    fps = n_at_or_above(distractors, thresholds)
     # twice the trapezoid area in count units, i.e. 2U: an exact integer, so
     # the AUC is one correctly rounded division
-    two_u = int(np.dot(np.diff(fps, prepend=0), tps + np.r_[0, tps[:-1]]))
-    points = np.column_stack((np.r_[0.0, fps / n_neg], np.r_[0.0, tps / n_pos],
-                              np.r_[math.inf, thresholds]))  # reject-all sentinel first
-    if thresholds[-1] > 0.0:
-        points = np.r_[points, [[1.0, 1.0, 0.0]]]  # accept-all sentinel (score >= 0 always)
-    return CurvePoints(points=points, auc=two_u / (2 * n_pos * n_neg))
+    two_u = int(np.dot(np.diff(fps), tps[1:] + tps[:-1]))
+    points = np.column_stack((fps / len(distractors), tps / len(parasites), thresholds))
+    return CurvePoints(points=points, auc=two_u / (2 * len(parasites) * len(distractors)))
 
 
 def sliver_roc(roc: CurvePoints, D: float) -> CurvePoints:
@@ -120,8 +114,8 @@ def froc(cohort: CohortDataset) -> CurvePoints:
     positives, with a warning, when the cohort has no negatives). y is pooled
     object sensitivity.
     """
-    scores, is_parasite = pooled_scores(cohort.patients)
-    if not is_parasite.any():  # parasite objects sit on positive patients only
+    parasites, distractors = pooled_scores(cohort.patients)
+    if not len(parasites):  # parasite objects sit on positive patients only
         raise DegenerateDataError("FROC needs positive patients with parasite objects")
     fp_patients = cohort.negatives
     notes = ()
@@ -129,23 +123,18 @@ def froc(cohort: CohortDataset) -> CurvePoints:
         fp_patients = cohort.patients
         notes = ("no negative patients: FP/cV computed over all patients",)
 
-    # the object ROC's thresholds and y, then 0.0 (accept-all) unless already there
-    thresholds, tps, _ = _sweep(scores, is_parasite)
-    sens = tps / tps[-1]
-    if thresholds[-1] > 0.0:
-        thresholds, sens = np.r_[thresholds, 0.0], np.r_[sens, 1.0]
-
-    # the FP patients' distractors at or above each threshold, all patients
-    # together: no patient's count changes where this total does not
-    total = n_at_or_above(np.sort(np.concatenate([p.distractor_scores for p in fp_patients])),
-                          thresholds)
+    # the object ROC's thresholds, and the FP patients' distractors at or
+    # above each, all patients together: no patient's count changes where
+    # this total does not
+    thresholds = _thresholds(parasites, distractors)
+    total = n_at_or_above(pooled_scores(fp_patients)[1], thresholds)
     volumes = np.array([p.examined_volume for p in fp_patients])
     v = volumes[0]
     if (volumes == v).all() and math.frexp(v)[0] == 0.5 and total[-1] < 2**53:
         # one power-of-two volume: every count / v and every partial sum of
         # them is exact, so np.mean's sum is total / v and its one rounding is
         # the division by the number of patients
-        fp_rate = np.r_[0.0, total / v / len(fp_patients)]
+        fp_rate = total / v / len(fp_patients)
     else:
         change = np.diff(total, prepend=0) != 0
         rows = thresholds[change]
@@ -158,10 +147,9 @@ def froc(cohort: CohortDataset) -> CurvePoints:
                 out[:len(t), j] = n_at_or_above(p.distractor_scores, t) / volumes[j]
             means.append(np.mean(out[:len(t)], axis=1))
         # each threshold takes the mean at the last row that changed, 0.0 before any
-        fp_rate = np.concatenate([[0.0], *means])[np.r_[0, np.cumsum(change)]]
-    points = np.column_stack((fp_rate, np.r_[0.0, sens],
-                              np.r_[math.inf, thresholds]))  # reject-all: nothing passes
-    return CurvePoints(points=points, notes=notes)
+        fp_rate = np.concatenate([[0.0], *means])[np.cumsum(change)]
+    sens = n_at_or_above(parasites, thresholds) / len(parasites)
+    return CurvePoints(points=np.column_stack((fp_rate, sens, thresholds)), notes=notes)
 
 
 def easy_distractor_experiment(

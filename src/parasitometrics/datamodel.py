@@ -276,13 +276,15 @@ def _object_columns(p: PatientRecord):
 
 @dataclass(frozen=True, slots=True)
 class CohortDataset:
-    """Validated collection of patients sharing one clinical-volume convention."""
+    """Validated patients sharing one clinical-volume convention, sorted by patient_id."""
 
     cv_description: str
     patients: tuple[PatientRecord, ...]
     provenance: str = ""
 
     def __post_init__(self):
+        # one canonical order: sums over patients then do not depend on file order
+        object.__setattr__(self, "patients", tuple(sorted(self.patients, key=lambda p: p.patient_id)))
         if not self.patients:
             raise InputError("cohort must contain at least one patient")
         seen: set[str] = set()
@@ -338,11 +340,10 @@ def per_cv_counts(patients, C: float) -> np.ndarray:
 
 
 def pooled_scores(patients) -> tuple[np.ndarray, np.ndarray]:
-    """All the patients' scores in one array (parasites first) and its is-parasite mask."""
-    par = [p.parasite_scores for p in patients]
-    dis = [p.distractor_scores for p in patients]
-    is_parasite = np.repeat([True, False], [sum(map(len, par)), sum(map(len, dis))])
-    return np.concatenate(par + dis), is_parasite
+    """The patients' parasite scores and their distractor scores, each pooled
+    and sorted ascending."""
+    return (np.sort(np.concatenate([p.parasite_scores for p in patients])),
+            np.sort(np.concatenate([p.distractor_scores for p in patients])))
 
 
 def distinct_sorted(values: np.ndarray) -> np.ndarray:

@@ -129,7 +129,7 @@ def quant_report(
     optional (S, F) pair used to evaluate the counting figure of merit at the
     cohort's median true parasitemia.
     """
-    positives = sorted(cohort.positives, key=lambda q: q.patient_id)
+    positives = cohort.positives
     if len(positives) < 2:
         raise DegenerateDataError("quantitation report needs >= 2 positive patients")
 

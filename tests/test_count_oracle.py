@@ -330,13 +330,25 @@ def test_froc_matches_loop(cohort, block):
 @settings(max_examples=300)
 @given(cohort=cohorts(scores=SCORES | st.sampled_from([-0.0, 0.0])))
 def test_froc_has_the_object_roc_thresholds_and_y(cohort):
-    # both curves read one sweep, so even where the scores hold both -0.0 and
-    # 0.0 the FROC prints the zero threshold that the object ROC prints
+    # both curves build the same threshold column, so even where the scores
+    # hold both -0.0 and 0.0 the FROC prints the zero that the object ROC prints
     def thresholds_and_y(curve):
         return [(repr(y), repr(thr)) for _, y, thr in curve_rows(curve)]
 
     assume(any(len(p.distractor_scores) for p in cohort))  # the ROC needs a distractor
     assert thresholds_and_y(froc(cohort)) == thresholds_and_y(object_roc(cohort))
+
+
+def test_a_cohort_whose_only_zeros_are_negative_ends_both_curves_at_negative_zero():
+    # a lowest score of -0.0 is the accept-all threshold itself, printed as it
+    # was read, with no 0.0 row after it
+    cohort = make_cohort(
+        make_patient("neg", distractor_scores=(-0.0, 0.3)),
+        make_patient("pos", positive=True, parasite_scores=(0.5, -0.0)),
+    )
+    for curve in (object_roc(cohort), froc(cohort)):
+        assert [repr(thr) for _, _, thr in curve_rows(curve)] == ["inf", "0.5", "0.3", "-0.0"]
+        assert curve_rows(curve)[-1][1] == 1.0
 
 
 def _assert_froc_matches_loop_on_300_negatives(volume=None):
@@ -375,9 +387,10 @@ def test_froc_counts_patients_only_where_the_fp_total_changes(cohort, volumes, b
             mock.patch.object(curves, "n_at_or_above", wraps=n_at_or_above) as spy:
         got = froc(cohort)
     assert curve_rows(got) == loop_froc_points(cohort)
-    # the first call counts the FP patients' total; then each block of
-    # thresholds counts every FP patient once, in cohort order
-    calls = [call.args for call in spy.call_args_list[1:]]
+    # the first call counts the FP patients' total and the last the parasites
+    # for the y axis; between them each block of thresholds counts every FP
+    # patient once, in cohort order
+    calls = [call.args for call in spy.call_args_list[1:-1]]
     fp_scores = [p.distractor_scores for p in cohort if p.patient_id in fp_ids]
     blocks = [t for _, t in calls[::len(fp_scores)]]
     rows = [float(t) for block_rows in blocks for t in block_rows]

@@ -160,10 +160,11 @@ class TestEasyDistractors:
 
     def test_froc_comparison_sees_a_one_fp_per_cv_shift(self):
         # full sensitivity needs 2 FP/cV before and 3 after: a small change
-        # that the FROC at 1, 10 and 100 FP/cV does not show
+        # that the FROC at 1, 10 and 100 FP/cV does not show; the easy scores
+        # are dealt in patient id order, so "b-neg" gets 0.6 and 0.8
         cohort = make_cohort(
-            make_patient("p1", positive=True, parasite_scores=(0.9, 0.65)),
-            make_patient("n1", distractor_scores=(0.8, 0.7, 0.6)),
+            make_patient("a-pos", positive=True, parasite_scores=(0.9, 0.65)),
+            make_patient("b-neg", distractor_scores=(0.8, 0.7, 0.6)),
         )
         assert not easy_distractor_experiment(cohort, n_easy=2, easy_score_max=1.0)[2]
 
