@@ -1,5 +1,6 @@
 """scipy's ``betainc``, ``betaincinv``, ``pdtrc`` and ``brentq``, and numpy's seeded
-``Generator``, without scipy's or ``numpy.random``'s package import.
+``Generator`` (from ``load_generator()``, so only its callers load it), without scipy's
+or ``numpy.random``'s package import.
 
 ``scipy/__init__`` and ``scipy/special/__init__`` load ``numpy.testing`` and
 ``numpy.f2py`` (about 0.2 s and 20 MB); ``numpy/random/__init__`` loads ``mtrand``,
@@ -58,7 +59,7 @@ def _load_scipy() -> tuple[types.ModuleType, types.ModuleType]:
     return scipy.special, _zeros
 
 
-def _load_generator() -> tuple[type, type, type]:
+def load_generator() -> tuple[type, type, type]:
     """numpy's ``Generator``, ``PCG64`` and ``SeedSequence``: loaded alone, else from the package."""
     if "numpy.random" not in sys.modules:
         try:
@@ -78,7 +79,6 @@ _special, _zeros = _load_scipy()
 betainc = _special.betainc
 betaincinv = _special.betaincinv
 pdtrc = _special.pdtrc
-Generator, PCG64, SeedSequence = _load_generator()
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:

@@ -10,10 +10,8 @@ in ``errors``), and an unreadable file exits 2.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
-import os
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -40,7 +38,7 @@ from .datamodel import (
     ingest_cohort,
     ingest_cohort_json,
 )
-from .errors import DegenerateDataError, InputError, ReproductionFailure
+from .errors import DegenerateDataError, InputError, ParasitometricsError, ReproductionFailure
 from .metrics import (
     DEFAULT_BIN_EDGES,
     check_bin_edges,
@@ -51,21 +49,6 @@ from .metrics import (
 )
 from .quant import ExpectedRates, quant_report
 from .report import EvaluationReport, write_report
-
-
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (InputError, DegenerateDataError, ReproductionFailure) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(exc.exit_code)
-        except OSError as exc:
-            click.echo(f"io error: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
 
 
 def _dataset_options(fn):
@@ -105,14 +88,7 @@ def _parse_floats(spec: str, what: str) -> list[float]:
 
 # the LoD has a Gaussian and a robust formula; percentile calibration has none
 _LOD_METHODS = (CalibrationMethod.GAUSSIAN, CalibrationMethod.ROBUST)
-
-
-def _parse_method(name: str, choices=tuple(CalibrationMethod),
-                  what: str = "calibration") -> CalibrationMethod:
-    by_value = {m.value: m for m in choices}
-    if name not in by_value:
-        raise InputError(f"unknown {what} method {name!r}; choose from {list(by_value)}")
-    return by_value[name]
+_CALIBRATION_CHOICE = click.Choice([m.value for m in CalibrationMethod])
 
 
 class _UsageError(click.UsageError):
@@ -123,15 +99,24 @@ class _UsageError(click.UsageError):
 
 
 class _Main(click.Group):
-    """The command group: a malformed command line, for the group or any of
-    its commands, raises ``_UsageError``. A bare ``parasitometrics`` still
-    prints the help."""
+    """The command group, and the one place where an error becomes its line: a
+    malformed command line, for the group or any of its commands, raises
+    ``_UsageError``; a library error prints ``error: <message>`` and exits with
+    its ``exit_code``, and an unreadable file prints ``io error: <message>`` and
+    exits 2. A bare ``parasitometrics`` still prints the help."""
 
     def make_context(self, *args, **kwargs):
         return _one_line(super().make_context, *args, **kwargs)
 
-    def invoke(self, ctx):  # parses the command's own arguments
-        return _one_line(super().invoke, ctx)
+    def invoke(self, ctx):  # parses the command's own arguments, then runs it
+        try:
+            return _one_line(super().invoke, ctx)
+        except ParasitometricsError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(exc.exit_code)
+        except OSError as exc:
+            click.echo(f"io error: {exc}", err=True)
+            sys.exit(2)
 
 
 # click >= 8.2 raises a bare group's help as a usage error (8.1 exits 0 with it)
@@ -155,10 +140,10 @@ def main():
 
 @main.command()
 @_dataset_options
-@click.option("--C", "c_threshold", type=float, default=None, help="object-score threshold")
+@click.option("--C", "c_threshold", type=float, required=True, help="object-score threshold")
 @click.option("--T", "t_threshold", type=float, default=None, help="per-cV count threshold")
 @click.option("--spec-target", type=float, default=None, help="target specificity K for calibration")
-@click.option("--calib-method", default="gaussian", show_default=True)
+@click.option("--calib-method", type=_CALIBRATION_CHOICE, default="gaussian", show_default=True)
 @click.option("--bins", default=",".join(f"{e:g}" for e in DEFAULT_BIN_EDGES),
               show_default=True, help="interior parasitemia bin edges (per cV)")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
@@ -166,7 +151,6 @@ def main():
               show_default=True)
 @click.option("--curves/--no-curves", "with_curves", default=False,
               help="include object ROC / FROC / patient ROC in the report")
-@_handle_errors
 def evaluate(json_path, patients, objects, cv_description, c_threshold, t_threshold,
              spec_target, calib_method, bins, out_dir, fmt, with_curves):
     """Full evaluation report at an operating point (explicit or calibrated)."""
@@ -175,11 +159,9 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
     bin_edges = check_bin_edges(_parse_floats(bins, "bin edges"))
     warnings: list[str] = []
 
-    if c_threshold is None:
-        raise InputError("--C is required")
     check_thresholds([c_threshold])
     cfg = CalibrationConfig(K=0.95 if spec_target is None else spec_target,
-                            method=_parse_method(calib_method))
+                            method=CalibrationMethod(calib_method))
     fpr = None
     if cohort.negatives:
         fpr = fpr_distribution(cohort, c_threshold, negatives_only=True)
@@ -251,17 +233,16 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
 @_dataset_options
 @click.option("--C", "c_threshold", type=float, required=True)
 @click.option("--spec-target", type=float, default=0.95, show_default=True)
-@click.option("--method", default="gaussian", show_default=True)
+@click.option("--method", type=_CALIBRATION_CHOICE, default="gaussian", show_default=True)
 @click.option("--scatter-out", type=click.Path(), default=None,
               help="write the per-patient FP scatter CSV here (to choose T by hand, as --T)")
-@_handle_errors
 def calibrate(json_path, patients, objects, cv_description, c_threshold, spec_target,
               method, scatter_out):
     """Calibrate the count threshold T for a target specificity."""
     cohort = _load_cohort(json_path, patients, objects, cv_description)
-    # a malformed --C, --spec-target or --method exits 2 before any metric can exit 3
+    # a malformed --C or --spec-target exits 2 before any metric can exit 3
     check_thresholds([c_threshold])
-    cfg = CalibrationConfig(K=spec_target, method=_parse_method(method))
+    cfg = CalibrationConfig(K=spec_target, method=CalibrationMethod(method))
     fpr = fpr_distribution(cohort, c_threshold, negatives_only=True)
     if scatter_out:
         with open(scatter_out, "w", newline="", encoding="utf-8") as fh:
@@ -279,18 +260,16 @@ def calibrate(json_path, patients, objects, cv_description, c_threshold, spec_ta
 @main.command()
 @_dataset_options
 @click.option("--C", "c_threshold", type=float, required=True)
-@click.option("--method", default="gaussian", show_default=True,
-              help="LoD formula: gaussian or robust")
+@click.option("--method", type=click.Choice([m.value for m in _LOD_METHODS]),
+              default="gaussian", show_default=True, help="LoD formula")
 @click.option("--beta", type=float, default=None, help="pessimistic denominator knob")
 @click.option("--plus-one", is_flag=True, default=False)
-@_handle_errors
 def lod(json_path, patients, objects, cv_description, c_threshold, method, beta, plus_one):
     """Estimate the limit of detection from a cohort's F and S distributions."""
-    lod_method = _parse_method(method, _LOD_METHODS, "LoD")
     cohort = _load_cohort(json_path, patients, objects, cv_description)
     # a malformed --C or --beta exits 2 before any metric can exit 3
     check_thresholds([c_threshold])
-    cfg = CalibrationConfig(method=lod_method, beta=beta, plus_one=plus_one)
+    cfg = CalibrationConfig(method=CalibrationMethod(method), beta=beta, plus_one=plus_one)
     fpr = fpr_distribution(cohort, c_threshold, negatives_only=True)
     sens = sensitivity_distribution(cohort, c_threshold)
     est = estimate_lod(fpr, sens, cfg)
@@ -306,13 +285,11 @@ def lod(json_path, patients, objects, cv_description, c_threshold, method, beta,
 @click.option("--spec-target", type=float, default=0.95, show_default=True)
 @click.option("--c-grid", default=None,
               help="comma-separated C values (default: 101-point sweep)")
-@click.option("--calib-method", default="gaussian", show_default=True)
+@click.option("--calib-method", type=_CALIBRATION_CHOICE, default="gaussian", show_default=True)
 @click.option("--out", "out_path", type=click.Path(), required=True,
               help="tuning table CSV")
-@_handle_errors
 def tune(train_pos, val_neg, val_pos, spec_target, c_grid, calib_method, out_path):
     """Sweep C, calibrate T at each, and pick the operating point with lowest LoD."""
-    method = _parse_method(calib_method)
     train = ingest_cohort_json(train_pos)
     negatives = ingest_cohort_json(val_neg)
     if not negatives.negatives:
@@ -321,7 +298,7 @@ def tune(train_pos, val_neg, val_pos, spec_target, c_grid, calib_method, out_pat
         )
     positives = ingest_cohort_json(val_pos) if val_pos else None
     grid = _parse_floats(c_grid, "C grid") if c_grid is not None else default_c_grid(train)
-    cfg = CalibrationConfig(K=spec_target, method=method)
+    cfg = CalibrationConfig(K=spec_target, method=CalibrationMethod(calib_method))
     best, table, skipped = tune_operating_point(train, negatives, positives, grid, cfg)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("C,T,LoD,mu_F,sigma_F,sigma_L,sigma_R,mu_S\n")
@@ -347,7 +324,6 @@ def tune(train_pos, val_neg, val_pos, spec_target, c_grid, calib_method, out_pat
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json",
               show_default=True)
-@_handle_errors
 def quant(json_path, patients, objects, cv_description, c_threshold, t_threshold,
           f_hat, s_hat, out_dir, fmt):
     """Quantitation report: per-patient parasitemia estimates vs ground truth."""
@@ -386,10 +362,9 @@ def quant(json_path, patients, objects, cv_description, c_threshold, t_threshold
 @click.option("--confidence", type=float, default=None)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="pmf CSV destination (default stdout)")
-@_handle_errors
 def poisson(parasitemia, volumes, k_min, confidence, out_path):
     """Poisson count pmfs per examined volume, or the minimum-volume solution."""
-    # imported here: scipy's ufuncs and numpy's Generator add about 6 MB that others skip
+    # imported here: scipy's ufuncs add about 4.6 MB that others skip
     from .poisson import count_pmf, min_volume_for_detection
     if k_min is not None or confidence is not None:
         if k_min is None or confidence is None:
@@ -408,8 +383,8 @@ def poisson(parasitemia, volumes, k_min, confidence, out_path):
 
 
 @main.command()
-@click.option("--seed", type=int, default=None,
-              help="RNG seed (PARASITOMETRICS_SEED env var overrides the default)")
+@click.option("--seed", type=int, default=0, envvar="PARASITOMETRICS_SEED", show_envvar=True,
+              show_default=True, help="RNG seed")
 @click.option("--preset", type=click.Choice(["default", "who56"]), default="default",
               show_default=True)
 @click.option("--n-negative", type=int, default=None, help="for --preset default [default: 20]")
@@ -419,17 +394,10 @@ def poisson(parasitemia, volumes, k_min, confidence, out_path):
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-@_handle_errors
 def simulate(seed, preset, n_negative, n_positive, volume, out_dir, fmt):
     """Generate a synthetic cohort (deterministic for a fixed seed)."""
     # imported here: the simulator loads scipy's ufuncs and numpy's Generator (6 MB)
     from .simulator import SimConfig, generate_cohort, who56_preset
-    if seed is None:
-        text = os.environ.get("PARASITOMETRICS_SEED", "0")
-        try:
-            seed = int(text)
-        except ValueError:
-            raise InputError(f"PARASITOMETRICS_SEED {text!r} is not an integer") from None
     if preset == "who56":
         if (n_negative, n_positive, volume) != (None, None, None):
             raise InputError("--n-negative, --n-positive and --volume apply to --preset "
@@ -459,7 +427,6 @@ def simulate(seed, preset, n_negative, n_positive, volume, out_dir, fmt):
 
 @main.command("reproduce-paper")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@_handle_errors
 def reproduce_paper(out_dir):
     """Re-derive every headline number and write a pass/fail manifest."""
     # imported here: reproduce loads scipy's ufuncs and numpy's Generator (7 MB) via simulator

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._ufuncs import PCG64, Generator
 from .calibration import (
     CalibrationConfig,
     CalibrationMethod,
@@ -28,7 +27,7 @@ from .datamodel import counts_at
 from .metrics import MetricDistribution, patient_level_sens_spec, pooled_object_sensitivity
 from .poisson import count_pmf, min_volume_for_detection
 from .quant import ExpectedRates, estimate_parasitemia, quant_fom
-from .simulator import paper_worked_examples, generate_cohort, who56_preset
+from .simulator import PCG64, Generator, paper_worked_examples, generate_cohort, who56_preset
 from .stats import alpha_for_specificity, summarize
 
 

@@ -26,9 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ufuncs import PCG64, Generator, SeedSequence, betainc, betaincinv, brentq
+from ._ufuncs import betainc, betaincinv, brentq, load_generator
 from .datamodel import CohortDataset, GroundTruth, PatientRecord, SerialIds, Species
 from .errors import InputError
+
+Generator, PCG64, SeedSequence = load_generator()
 
 REFERENCE_THRESHOLD = 0.5
 

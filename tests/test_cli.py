@@ -17,8 +17,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import parasitometrics
-from parasitometrics import reproduce
-from parasitometrics.cli import _handle_errors, main
+from parasitometrics import cli, reproduce
+from parasitometrics.cli import main
 from parasitometrics.datamodel import (
     export_cohort,
     export_cohort_json,
@@ -385,8 +385,8 @@ class TestCalibrateAndLod:
                 "--method", method,
             ])
             assert result.exit_code == 2, result.output
-            assert result.stderr == (f"error: unknown LoD method {method!r}; "
-                                     "choose from ['gaussian', 'robust']\n")
+            assert result.stderr == (f"error: Invalid value for '--method': {method!r} "
+                                     "is not one of 'gaussian', 'robust'.\n")
             assert result.stdout == ""
 
 
@@ -428,21 +428,21 @@ def test_unusable_number_is_one_line_input_error(runner, tmp_path, args):
     assert result.stdout == ""
 
 
-CALIBRATION_CHOICES = "['gaussian', 'robust', 'percentile']"
+CALIBRATION_CHOICES = "'gaussian', 'robust', 'percentile'"
 
 
 @pytest.mark.parametrize("args, message", [
     (["evaluate", "--patients", "P", "--objects", "O", "--C", "0.5", "--T", "3.5",
       "--calib-method", "manual", "--out", "OUT"],
-     f"unknown calibration method 'manual'; choose from {CALIBRATION_CHOICES}"),
+     f"Invalid value for '--calib-method': 'manual' is not one of {CALIBRATION_CHOICES}."),
     (["calibrate", "--patients", "P", "--objects", "O", "--C", "0.5", "--method", "manual"],
-     f"unknown calibration method 'manual'; choose from {CALIBRATION_CHOICES}"),
+     f"Invalid value for '--method': 'manual' is not one of {CALIBRATION_CHOICES}."),
     # tune checks the method before it reads a file, so the CSVs never reach its JSON reader
     (["tune", "--train-positives", "P", "--validation-negatives", "O",
       "--calib-method", "manual", "--out", "OUT"],
-     f"unknown calibration method 'manual'; choose from {CALIBRATION_CHOICES}"),
+     f"Invalid value for '--calib-method': 'manual' is not one of {CALIBRATION_CHOICES}."),
     (["lod", "--patients", "P", "--objects", "O", "--C", "0.5", "--method", "manual"],
-     "unknown LoD method 'manual'; choose from ['gaussian', 'robust']"),
+     "Invalid value for '--method': 'manual' is not one of 'gaussian', 'robust'."),
 ], ids=["evaluate", "calibrate", "tune", "lod"])
 def test_manual_method_is_unknown(runner, tmp_path, args, message):
     # a T chosen by hand from calibrate --scatter-out is passed as --T; no method echoes it
@@ -452,6 +452,17 @@ def test_manual_method_is_unknown(runner, tmp_path, args, message):
     assert result.exit_code == 2, result.output
     assert result.stderr == f"error: {message}\n"
     assert result.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_without_c_exits_2_before_reading_the_cohort(runner, tmp_path):
+    # click checks --C before the command runs, so the missing file is never opened
+    result = runner.invoke(main, [
+        "evaluate", "--json", str(tmp_path / "missing.json"), "--T", "1",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert (result.exit_code, result.stdout, result.stderr) == \
+        (2, "", "error: Missing option '--C'.\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -568,16 +579,36 @@ def test_cv_names_the_unit_of_a_csv_cohort(runner, tmp_path):
     (FileNotFoundError(2, "No such file or directory", "c.json"), 2,
      "io error: [Errno 2] No such file or directory: 'c.json'\n"),
 ], ids=["input", "degenerate", "reproduction", "os"])
-def test_each_error_exits_with_its_code_and_one_line(runner, exc, code, stderr):
-    @click.command()
-    @_handle_errors
-    def fail():
+def test_each_error_exits_with_its_code_and_one_line(runner, monkeypatch, exc, code, stderr):
+    # the command group turns an error raised anywhere inside a command into its line
+    def fail(path):
         raise exc
 
+    monkeypatch.setattr(cli, "ingest_cohort_json", fail)
     assert getattr(exc, "exit_code", 2) == code
-    result = runner.invoke(fail, [])
-    assert (result.exit_code, result.stdout, result.stderr) == (code, "", stderr)
-    assert isinstance(result.exception, SystemExit)
+    for args in (["lod", "--json", "c.json", "--C", "0.5"],
+                 ["tune", "--train-positives", "c.json", "--validation-negatives", "c.json",
+                  "--out", "t.csv"]):
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.stdout, result.stderr) == (code, "", stderr), args
+        assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("cohort, code, message", [
+    ("positives.json", 3, "error: no negative patients for FPR distribution\n"),
+    ("missing.json", 2, "io error: [Errno 2] No such file or directory: '{path}'\n"),
+], ids=["degenerate", "io"])
+def test_library_errors_exit_with_their_code_outside_standalone_mode(tmp_path, capsys, cohort,
+                                                                    code, message):
+    # an in-process caller that passes standalone_mode=False gets the same line and code
+    export_cohort_json(make_cohort(make_patient("pos1", positive=True, parasite_scores=(0.9,))),
+                       tmp_path / "positives.json")
+    path = str(tmp_path / cohort)
+    with pytest.raises(SystemExit) as info:
+        main.main(["calibrate", "--json", path, "--C", "0.5"], prog_name="parasitometrics",
+                  standalone_mode=False)
+    assert info.value.code == code
+    assert capsys.readouterr() == ("", message.format(path=path))
 
 
 class TestTune:
@@ -806,6 +837,22 @@ class TestSimulateCommand:
         assert r_env.exit_code == 0 and r_explicit.exit_code == 0
         assert (tmp_path / "env" / "objects.csv").read_bytes() == \
             (tmp_path / "explicit" / "objects.csv").read_bytes()
+
+    def test_empty_seed_env_var_is_unset(self, runner, tmp_path, monkeypatch):
+        # click reads an empty variable as unset: the default seed 0, where a bad
+        # value exits 2; --seed still beats the variable
+        args = ["simulate", "--n-negative", "3", "--n-positive", "3", "--format", "json"]
+        outputs = []
+        for env, extra in ((None, []), ("", []), ("7", ["--seed", "0"])):
+            if env is None:
+                monkeypatch.delenv("PARASITOMETRICS_SEED", raising=False)
+            else:
+                monkeypatch.setenv("PARASITOMETRICS_SEED", env)
+            out = tmp_path / f"env-{env}"
+            result = runner.invoke(main, [*args, *extra, "--out", str(out)])
+            assert (result.exit_code, result.stderr) == (0, ""), result.output
+            outputs.append((out / "cohort.json").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_json_output_roundtrips_through_evaluate(self, runner, tmp_path):
         sim = runner.invoke(main, [

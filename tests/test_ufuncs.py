@@ -1,5 +1,5 @@
 """``parasitometrics._ufuncs``: scipy's three ufuncs and brentq, and numpy's seeded
-Generator, without scipy's or ``numpy.random``'s package import.
+Generator from ``load_generator()``, without scipy's or ``numpy.random``'s package import.
 
 pytest's own process has imported scipy and ``numpy.random`` already, so an
 import here takes the loader's fallbacks. Every check of the stub load
@@ -149,7 +149,8 @@ _SEEDS = [0, 1, 3, 20260826, 2**70 + 11]
 
 _ORACLE_GENERATOR = f"""
 import json, sys
-from parasitometrics._ufuncs import PCG64, Generator, SeedSequence
+from parasitometrics._ufuncs import load_generator
+Generator, PCG64, SeedSequence = load_generator()
 {inspect.getsource(_draws)}
 spawned = [_draws(Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))))
            for seed in {_SEEDS} for i in range(25)]
@@ -180,15 +181,16 @@ def test_numpy_random_and_secrets_import_after_the_loader(prelude):
     code = f"""
 import json, sys
 {prelude}
-from parasitometrics import _ufuncs
+from parasitometrics._ufuncs import load_generator
+Generator, PCG64, SeedSequence = load_generator()
 before = 'numpy.random' in sys.modules
 import numpy.random, secrets
-print(json.dumps([before, numpy.random.Generator is _ufuncs.Generator,
-                  numpy.random.PCG64 is _ufuncs.PCG64,
-                  numpy.random.SeedSequence is _ufuncs.SeedSequence,
-                  numpy.random.default_rng(5).random() == _ufuncs.Generator(_ufuncs.PCG64(5)).random(),
-                  type(_ufuncs.SeedSequence().entropy).__name__,
-                  _ufuncs.SeedSequence().entropy.bit_length() > 64,
+print(json.dumps([before, numpy.random.Generator is Generator,
+                  numpy.random.PCG64 is PCG64,
+                  numpy.random.SeedSequence is SeedSequence,
+                  numpy.random.default_rng(5).random() == Generator(PCG64(5)).random(),
+                  type(SeedSequence().entropy).__name__,
+                  SeedSequence().entropy.bit_length() > 64,
                   0 <= secrets.randbits(8) < 256, len(secrets.token_hex(4)),
                   hasattr(sys.modules['numpy.random'], '__file__')]))
 """
@@ -202,9 +204,10 @@ def test_fallback_when_numpy_random_is_already_loaded():
 import json, sys
 import numpy.random
 before = {name: sys.modules.get(name) for name in ('numpy.random', 'secrets')}
-from parasitometrics import _ufuncs
-print(json.dumps([_ufuncs.Generator is numpy.random.Generator, _ufuncs.PCG64 is numpy.random.PCG64,
-                  _ufuncs.SeedSequence is numpy.random.SeedSequence,
+from parasitometrics._ufuncs import load_generator
+Generator, PCG64, SeedSequence = load_generator()
+print(json.dumps([Generator is numpy.random.Generator, PCG64 is numpy.random.PCG64,
+                  SeedSequence is numpy.random.SeedSequence,
                   all(sys.modules.get(name) is module for name, module in before.items()),
                   hasattr(sys.modules['numpy.random'], '__file__')]))
 """
@@ -280,7 +283,7 @@ print(json.dumps([_ufuncs._special.__name__, hasattr(sys.modules["scipy"], "__fi
                   _ufuncs.betainc is sys.modules["scipy.special"].betainc,
                   _ufuncs._zeros is sys.modules["{ZEROS}"],
                   hasattr(sys.modules["scipy.optimize"], "__file__"),
-                  _ufuncs.Generator is sys.modules["numpy.random"].Generator,
+                  _ufuncs.load_generator()[0] is sys.modules["numpy.random"].Generator,
                   hasattr(sys.modules["numpy.random"], "__file__"),
                   hasattr(sys.modules["secrets"], "__file__")]))
 """
@@ -324,6 +327,20 @@ def test_poisson_prints_the_same_bytes_through_the_fast_path(tmp_path):
     in_process = CliRunner().invoke(main, args)
     assert in_process.exit_code == 0
     assert _fresh_cli(args, tmp_path) == in_process.stdout_bytes
+
+
+def test_poisson_loads_no_generator():
+    # poisson calls only pdtrc: numpy's Generator is loaded by the simulator alone
+    if _numpy_imports_random_eagerly():
+        pytest.skip("import numpy alone loads numpy.random (numpy < 2)")
+    code = """
+import json, sys
+from parasitometrics.cli import main
+main(["poisson", "-p", "100", "-v", "0.01"], standalone_mode=False)
+print(json.dumps([m for m in ("numpy.random._generator", "parasitometrics.simulator")
+                  if m in sys.modules]))
+"""
+    assert _fresh(code) == []
 
 
 def test_reproduce_paper_loads_neither_numpy_random_nor_openssl(tmp_path):
