@@ -3,14 +3,15 @@
 or ``numpy.random``'s package import.
 
 ``scipy/__init__`` and ``scipy/special/__init__`` load ``numpy.testing`` and
-``numpy.f2py`` (about 0.2 s and 20 MB); ``numpy/random/__init__`` loads ``mtrand``,
-four unused bit generators and ``secrets``, which loads OpenSSL (about 7 MB). The
-compiled modules are imported under stub packages and a stub ``secrets`` whose
-``randbits`` is the real one's, ``random.SystemRandom().getrandbits``. Every ``scipy``
-module the import adds is removed again, but of numpy's load only the two stubs, so a
-later ``import numpy.random`` has the same ``Generator``. When ``numpy.random`` (which numpy
-< 2 imports eagerly) or a ``scipy`` module is loaded already, or a load fails, the
-whole package is imported instead.
+``numpy.f2py`` (about 0.2 s and 20 MB), and ``scipy/_lib/__init__``, reached through
+``_ccallback``, loads ``subprocess`` and ``sysconfig`` for scipy's test utilities;
+``numpy/random/__init__`` loads ``mtrand``, four unused bit generators and ``secrets``,
+which loads OpenSSL (about 7 MB). The compiled modules are imported under stub packages
+and a stub ``secrets`` whose ``randbits`` is the real one's,
+``random.SystemRandom().getrandbits``. Every ``scipy`` module the import adds is removed
+again, but of numpy's load only the two stubs, so a later ``import numpy.random`` has the
+same ``Generator``. When ``numpy.random`` (which numpy < 2 imports eagerly) or a ``scipy``
+module is loaded already, or a load fails, the whole package is imported instead.
 """
 
 import importlib
@@ -49,8 +50,9 @@ def _load_scipy() -> tuple[types.ModuleType, types.ModuleType]:
     """A module holding the three ufuncs, and ``_zeros``: loaded alone, else from the packages."""
     if "scipy" not in {name.split(".")[0] for name in sys.modules}:
         try:
+            stubs = ("scipy", "scipy._lib", "scipy.special", "scipy.optimize")
             return _import_under_stubs(
-                [_stub_package(name) for name in ("scipy", "scipy.special", "scipy.optimize")],
+                [_stub_package(name) for name in stubs],
                 ("scipy.special._ufuncs", "scipy.optimize._zeros"), drop="scipy")
         except (ImportError, AttributeError):
             pass

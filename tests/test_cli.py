@@ -992,6 +992,22 @@ def test_cli_import_loads_no_scipy_module():
     assert _fresh_import("parasitometrics.cli", "scipy") == []
 
 
+def test_cli_import_freezes_its_objects_and_a_command_prints_the_same_bytes(runner):
+    # frozen objects are skipped by the collector's passes at interpreter exit, so
+    # a command does not tear down what its imports built
+    code = ("import gc, json, parasitometrics.cli; "
+            "print(json.dumps([gc.get_freeze_count(), len(gc.get_objects())]))")
+    result = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                            text=True, check=True)
+    frozen, tracked = json.loads(result.stdout)
+    assert frozen > 0 and tracked < frozen / 100
+    args = ["poisson", "-p", "100", "-v", "0.01"]
+    result = subprocess.run([sys.executable, "-m", "parasitometrics.cli", *args],
+                            env=src_env(), capture_output=True)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == runner.invoke(main, args).stdout_bytes
+
+
 def test_simulator_and_reproduce_leave_out_scipy_optimize():
     # the simulator solves its beta shapes itself; scipy.optimize took 0.2 s to load
     assert _fresh_import("parasitometrics.simulator, parasitometrics.reproduce",

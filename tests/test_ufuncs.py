@@ -225,14 +225,20 @@ class Recorder:
         searched.append(name)
 sys.meta_path.insert(0, Recorder)
 import parasitometrics.reproduce
-print(json.dumps([{_SCIPY_MODULES}, sorted(set(searched))]))
+from parasitometrics import _ufuncs
+print(json.dumps([{_SCIPY_MODULES}, sorted(set(searched)), _ufuncs._special.__name__,
+                  [m for m in ("subprocess", "sysconfig") if m in sys.modules]]))
 """
-    left, searched = _fresh(code)
+    left, searched, special, stdlib = _fresh(code)
     assert left == []
     assert {"scipy.special._ufuncs", ZEROS} <= set(searched)
     # scipy.optimize/__init__ imports _optimize first: it never runs
     assert "scipy.optimize._optimize" not in searched
     assert not {"numpy.f2py", "numpy.testing", "scipy._lib._array_api"} & set(searched)
+    # scipy/_lib/__init__ imports _testutils, which imports subprocess and sysconfig:
+    # the stub scipy._lib under which _ufuncs loads _ccallback never runs it
+    assert "scipy._lib._testutils" not in searched
+    assert special != FAST or stdlib == []
 
 
 def test_scipy_stats_imports_after_the_loader():
