@@ -21,8 +21,8 @@ in serial ranges are kept as a ``SerialIds``.
 
 from __future__ import annotations
 
-import codecs
 import csv
+import io
 import json
 import math
 import operator
@@ -287,11 +287,9 @@ class CohortDataset:
         object.__setattr__(self, "patients", tuple(sorted(self.patients, key=lambda p: p.patient_id)))
         if not self.patients:
             raise InputError("cohort must contain at least one patient")
-        seen: set[str] = set()
-        for p in self.patients:
-            if p.patient_id in seen:
+        for p, q in zip(self.patients, self.patients[1:]):
+            if p.patient_id == q.patient_id:
                 raise InputError(f"duplicate patient_id {p.patient_id!r}")
-            seen.add(p.patient_id)
 
     def __iter__(self):
         return iter(self.patients)
@@ -483,40 +481,42 @@ def _patient_record(pid: str, row: dict, ids: list, scores, flags, digits: dict)
     )
 
 
+class _Counted(io.BufferedReader):
+    """A binary reader whose ``tell()`` counts the bytes ``read1`` returned, a pipe's too."""
+    count = 0
+
+    def read1(self, size=-1):
+        data = super().read1(size)
+        self.count += len(data)
+        return data
+
+    def tell(self) -> int:
+        return self.count
+
+
 def _file(src, mode: str = "r", **kwargs):
-    """``src`` as a context manager: a path is opened and closed on exit; an
-    open handle is used as it is and left open."""
+    """``src`` as a context manager: a path is opened (to read, through ``_Counted``)
+    and closed on exit; an open handle is used as it is and left open."""
     if hasattr(src, "read" if mode == "r" else "write"):
         return nullcontext(src)
+    if mode == "r":
+        return io.TextIOWrapper(_Counted(io.FileIO(src)), encoding="utf-8", **kwargs)
     return open(src, mode, encoding="utf-8", **kwargs)
 
 
-def _byte_offset(fh) -> int | None:
-    """Where the text handle ``fh`` reads next in its binary file, if it can tell."""
-    try:
-        start = fh.tell() if hasattr(fh, "buffer") and fh.seekable() else None
-    except OSError:  # telling is off while a handle is iterated
-        return None
-    return start if start is None or start < 1 << 64 else None  # else a decoder state
-
-
-def _message(fh, start: int | None, exc: Exception) -> str:
-    """``exc``'s message; for bad UTF-8 read from ``start`` on, with its byte
-    offset in the file, not in the text layer's last read, found by decoding
-    the file's bytes in blocks. A pipe has no ``start``."""
-    if start is not None and isinstance(exc, UnicodeDecodeError):
-        fh.buffer.seek(start)
-        data = b""  # bytes not yet decoded, from file offset ``start`` on
+def _message(fh, exc: Exception) -> str:
+    """``exc``'s message; bad UTF-8 is placed by its byte offset in the file: the
+    error holds the text layer's last read, whose bytes end where ``fh.buffer``
+    stands. A handle whose buffer cannot tell keeps the codec's own message."""
+    if isinstance(exc, UnicodeDecodeError):
         try:
-            for block in iter(lambda: fh.buffer.read(1 << 16), b""):
-                used = codecs.utf_8_decode(data + block, "strict", False)[1]
-                data, start = (data + block)[used:], start + used
-            codecs.utf_8_decode(data, "strict", True)
-        except UnicodeDecodeError as e:
-            first, last = e.start + start, e.end + start - 1
-            what = (f"byte 0x{e.object[e.start]:02x} in position {first}" if first == last
-                    else f"bytes in position {first}-{last}")
-            return f"'{e.encoding}' codec can't decode {what}: {e.reason}"
+            read_start = fh.buffer.tell() - len(exc.object)
+        except (AttributeError, OSError):
+            return str(exc)
+        first, last = read_start + exc.start, read_start + exc.end - 1
+        what = (f"byte 0x{exc.object[exc.start]:02x} in position {first}" if first == last
+                else f"bytes in position {first}-{last}")
+        return f"'{exc.encoding}' codec can't decode {what}: {exc.reason}"
     return str(exc)
 
 
@@ -530,7 +530,6 @@ def _csv_rows(src, columns: Sequence[str], what: str):
     spreadsheets write "CSV UTF-8", is skipped.
     """
     with _file(src, newline="") as fh:
-        start = _byte_offset(fh)
         try:
             lines = iter(fh)
             reader = csv.reader(chain([next(lines, "").removeprefix("\ufeff")], lines))
@@ -546,7 +545,7 @@ def _csv_rows(src, columns: Sequence[str], what: str):
                 elif row:
                     yield tuple(row[i] if i < len(row) else None for i in at)
         except (UnicodeDecodeError, csv.Error) as exc:
-            raise InputError(f"{what} file: {_message(fh, start, exc)}") from None
+            raise InputError(f"{what} file: {_message(fh, exc)}") from None
 
 
 def ingest_cohort(objects_file, patients_file, cv_description: str) -> CohortDataset:
@@ -753,11 +752,10 @@ def ingest_cohort_json(source) -> CohortDataset:
     is_handle = hasattr(source, "read")
     name = "JSON input" if is_handle else source
     with _file(source) as fh:
-        start = _byte_offset(fh)
         try:
             return _stream_cohort_json(fh.read, name, None if is_handle else str(source))
         except ValueError as exc:  # json's, bad UTF-8 or an integer too long to convert
-            raise InputError(f"{name}: not valid JSON: {_message(fh, start, exc)}") from None
+            raise InputError(f"{name}: not valid JSON: {_message(fh, exc)}") from None
         except RecursionError:  # the scanner ran out of depth
             raise InputError(f"{name}: not valid JSON: nesting too deep") from None
 

@@ -1074,6 +1074,30 @@ def test_quant_on_a_constant_parasitemia_reports_null_r2(tmp_path):
     assert quant["notes"] == [LINEAR_R2_NOTE, CONSTANT_X_NOTE]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bad_byte_piped_to_ingest_is_placed_at_its_offset(tmp_path, fmt):
+    # a pipe is read in blocks of at most its buffer's size and cannot be read
+    # again, so the byte must be placed from the reads already made
+    cohort = generate_cohort(SimConfig(seed=0, n_negative=20, n_positive=20))
+    if fmt == "json":
+        export_cohort_json(cohort, tmp_path / "in.json")
+        path, at, args = tmp_path / "in.json", 300_000, ["--json", "/dev/stdin"]
+        prefix = "/dev/stdin: not valid JSON: "
+    else:
+        export_cohort(cohort, tmp_path / "in.csv", tmp_path / "patients.csv")
+        path, at = tmp_path / "in.csv", 150_001
+        args = ["--objects", "/dev/stdin", "--patients", "patients.csv"]
+        prefix = "objects file: "
+    data = bytearray(path.read_bytes())
+    data[at] = 0xff
+    result = subprocess.run([sys.executable, "-m", "parasitometrics.cli", "lod", *args,
+                             "--C", "0.5"], input=bytes(data), cwd=tmp_path, env=src_env(),
+                            capture_output=True)
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.decode() == (f"error: {prefix}'utf-8' codec can't decode byte 0xff in "
+                                      f"position {at}: invalid start byte\n")
+
+
 EVALUATE_ARGS = st.sampled_from([
     ["--C", "0.5", "--T", "1.0"],
     ["--C", "0.5", "--spec-target", "0.95", "--curves"],

@@ -313,6 +313,71 @@ class TestJsonIngestion:
         assert retained <= 0.25 * path.stat().st_size
 
 
+# each reader on the objects file's or the document's text handle, with the
+# prefix of its error line for a handle
+READERS = {
+    "csv": (lambda fh: ingest_cohort(fh, io.StringIO(PATIENTS_CSV), "1 uL blood"),
+            "objects file: "),
+    "json": (ingest_cohort_json, "JSON input: not valid JSON: "),
+}
+
+
+def _text(reader: str) -> str:
+    """A valid objects file or document of tens of KB, which a handle reads in several blocks."""
+    if reader == "csv":
+        return OBJECTS_CSV + "".join(f"p2,é{i},0.5,distractor\n" for i in range(2000))
+    doc = _json_doc()
+    doc["patients"][1]["objects"] += [{"object_id": f"é{i}", "score": 0.5,
+                                       "true_label": "distractor"} for i in range(1000)]
+    return json.dumps(doc, ensure_ascii=False)
+
+
+class _SummingBytesIO(io.BytesIO):
+    """A BytesIO that sums the bytes its read methods return."""
+    returned = 0
+
+    def read(self, size=-1):
+        return self._sum(super().read(size))
+
+    def read1(self, size=-1):
+        return self._sum(super().read1(size))
+
+    def _sum(self, data: bytes) -> bytes:
+        self.returned += len(data)
+        return data
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_bad_byte_is_placed_without_a_second_read(reader):
+    # the error holds the bytes of the text layer's last read, which place it
+    data = bytearray(_text(reader).encode())
+    at = data.index("é1500".encode() if reader == "csv" else "é700".encode())
+    data[at] = 0xff
+    buffer = _SummingBytesIO(data)
+    ingest, prefix = READERS[reader]
+    with pytest.raises(InputError) as err:
+        ingest(io.TextIOWrapper(buffer, encoding="utf-8", newline=""))
+    assert str(err.value) == (f"{prefix}'utf-8' codec can't decode byte 0xff in position "
+                              f"{at}: invalid start byte")
+    assert buffer.returned <= len(data)
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_character_cut_at_end_of_file_is_placed_by_its_bytes(tmp_path, reader):
+    data = _text(reader).encode() + "€".encode()[:2]
+    path = tmp_path / "cut"
+    path.write_bytes(data)
+    ingest, prefix = READERS[reader]
+    want = (f"'utf-8' codec can't decode bytes in position {len(data) - 2}-{len(data) - 1}: "
+            "unexpected end of data")
+    for source, name in ((io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""),
+                          prefix),
+                         (path, prefix if reader == "csv" else f"{path}: not valid JSON: ")):
+        with pytest.raises(InputError) as err:
+            ingest(source)
+        assert str(err.value) == name + want
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
