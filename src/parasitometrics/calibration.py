@@ -69,6 +69,9 @@ class CalibrationConfig:
     def __post_init__(self):
         if not (0.0 < self.K < 1.0):
             raise InputError(f"target specificity K={self.K} outside (0, 1)")
+        if self.K <= 0.5:
+            raise InputError(f"target specificity K={self.K} must be above 0.5: at or "
+                             "below it, the normal quantile of K and every LoD are <= 0")
         if self.beta is not None and not (self.beta >= 0 and math.isfinite(self.beta)):
             raise InputError(f"beta={self.beta} must be finite and >= 0")
 

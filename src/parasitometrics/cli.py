@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -335,17 +335,18 @@ def quant(json_path, patients, objects, cv_description, c_threshold, t_threshold
         fpr = fpr_distribution(cohort, c_threshold, negatives_only=bool(cohort.negatives))
         sens = sensitivity_distribution(cohort, c_threshold)
         f_hat = fpr.summary.mean if f_hat is None else f_hat
+        if s_hat is None and sens.summary.mean == 0:  # degenerate data; --s-hat 0 is an input error
+            raise DegenerateDataError(f"no parasite object scores >= C={c_threshold!r}, so "
+                                      "S_hat, the mean sensitivity, is 0")
         s_hat = sens.summary.mean if s_hat is None else s_hat
         fom_inputs = (sens, fpr)
     rates = ExpectedRates(F_hat=f_hat, S_hat=s_hat)
-    result = quant_report(
-        cohort, OperatingPoint(C=c_threshold, T=t_threshold), rates, fom_inputs
-    )
+    op = OperatingPoint(C=c_threshold, T=t_threshold)
     report = EvaluationReport(
         cv_description=cohort.cv_description,
         provenance=cohort.provenance,
-        operating_point=OperatingPoint(C=c_threshold, T=t_threshold),
-        quantitation=result,
+        operating_point=op,
+        quantitation=quant_report(cohort, op, rates, fom_inputs),
         warnings=list(fpr.warnings) if fpr is not None else [],
     )
     for path in write_report(report, out_dir, fmt=fmt):
@@ -390,27 +391,23 @@ def poisson(parasitemia, volumes, k_min, confidence, out_path):
               show_default=True)
 @click.option("--n-negative", type=int, default=None, help="for --preset default [default: 20]")
 @click.option("--n-positive", type=int, default=None, help="for --preset default [default: 20]")
-@click.option("--volume", type=float, default=None,
+@click.option("--volume", "examined_volume", type=float, default=None,
               help="examined volume per patient in cV, for --preset default [default: 1.0]")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-def simulate(seed, preset, n_negative, n_positive, volume, out_dir, fmt):
+def simulate(seed, preset, out_dir, fmt, **sim_options):
     """Generate a synthetic cohort (deterministic for a fixed seed)."""
     # imported here: the simulator loads scipy's ufuncs and numpy's Generator (5.3 MB)
     from .simulator import SimConfig, generate_cohort, who56_preset
+    given = {name: value for name, value in sim_options.items() if value is not None}
     if preset == "who56":
-        if (n_negative, n_positive, volume) != (None, None, None):
+        if given:
             raise InputError("--n-negative, --n-positive and --volume apply to --preset "
                              "default; who56 sets its own cohort size and volume")
         cfg = who56_preset(seed=seed)
     else:
-        cfg = SimConfig(
-            seed=seed,
-            n_negative=20 if n_negative is None else n_negative,
-            n_positive=20 if n_positive is None else n_positive,
-            examined_volume=1.0 if volume is None else volume,
-        )
+        cfg = SimConfig(seed=seed, **given)  # SimConfig's defaults for the options not given
     cohort = generate_cohort(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -435,11 +432,8 @@ def reproduce_paper(out_dir):
     checks = run_all()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = [
-        {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-    ]
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+        json.dump([asdict(c) for c in checks], fh, indent=2)
         fh.write("\n")
     for c in checks:
         click.echo(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}")

@@ -367,6 +367,12 @@ PATIENT_COLUMNS = (
     "wbc_count",
 )
 OBJECT_COLUMNS = ("patient_id", "object_id", "score", "true_label")
+_PATIENT_VALUES = operator.attrgetter(*PATIENT_COLUMNS)
+
+
+def _patient_values(p: PatientRecord) -> list:
+    """``p``'s values in PATIENT_COLUMNS order, an enum as its text."""
+    return [v.value if isinstance(v, Enum) else v for v in _PATIENT_VALUES(p)]
 
 
 def _text(value) -> str:
@@ -507,17 +513,19 @@ def _file(src, mode: str = "r", **kwargs):
 def _message(fh, exc: Exception) -> str:
     """``exc``'s message; bad UTF-8 is placed by its byte offset in the file: the
     error holds the text layer's last read, whose bytes end where ``fh.buffer``
-    stands. A handle whose buffer cannot tell keeps the codec's own message."""
-    if isinstance(exc, UnicodeDecodeError):
-        try:
-            read_start = fh.buffer.tell() - len(exc.object)
-        except (AttributeError, OSError):
-            return str(exc)
-        first, last = read_start + exc.start, read_start + exc.end - 1
-        what = (f"byte 0x{exc.object[exc.start]:02x} in position {first}" if first == last
-                else f"bytes in position {first}-{last}")
-        return f"'{exc.encoding}' codec can't decode {what}: {exc.reason}"
-    return str(exc)
+    stands. A handle whose buffer cannot tell (a caller's over a pipe) gets no
+    offset, since the codec's own counts from the start of that read."""
+    if not isinstance(exc, UnicodeDecodeError):
+        return str(exc)
+    n = exc.end - exc.start
+    what = f"byte 0x{exc.object[exc.start]:02x}" if n == 1 else "bytes"
+    try:
+        first = fh.buffer.tell() - len(exc.object) + exc.start
+    except (AttributeError, OSError):
+        pass
+    else:
+        what += f" in position {first}" + (f"-{first + n - 1}" if n > 1 else "")
+    return f"'{exc.encoding}' codec can't decode {what}: {exc.reason}"
 
 
 def _csv_rows(src, columns: Sequence[str], what: str):
@@ -581,8 +589,7 @@ def _json_columns(pd) -> tuple:
     objects = pd.get("objects", [])
     if type(objects) is not list:
         raise AttributeError("objects is not a list")
-    return ([od.get("object_id") for od in objects], [od.get("score") for od in objects],
-            [od.get("true_label") for od in objects])
+    return tuple([od.get(key) for od in objects] for key in OBJECT_COLUMNS[1:])
 
 
 _CHUNK = 1 << 18  # characters the JSON reader takes from its handle at a time
@@ -765,17 +772,7 @@ def export_cohort(cohort: CohortDataset, objects_file, patients_file) -> None:
     with _file(patients_file, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(PATIENT_COLUMNS)
-        for p in cohort.patients:
-            w.writerow(
-                [
-                    p.patient_id,
-                    p.ground_truth.value,
-                    p.species.value,
-                    repr(p.true_parasitemia),
-                    repr(p.examined_volume),
-                    "" if p.wbc_count is None else p.wbc_count,
-                ]
-            )
+        w.writerows(map(_patient_values, cohort.patients))  # a float by repr, None as ""
     with _file(objects_file, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(OBJECT_COLUMNS)
@@ -787,8 +784,8 @@ def export_cohort(cohort: CohortDataset, objects_file, patients_file) -> None:
 # The layout of json.dump(doc, fh, indent=2) for the cohort document, filled
 # in from the columns: strings go through the encoder's own
 # encode_basestring_ascii and scores through float.__repr__, as json does.
-_JSON_OBJECT = ('        {\n          "object_id": %s,\n          "score": %s,\n'
-                '          "true_label": %s\n        }')
+_JSON_OBJECT = ("        {\n" + ",\n".join(f'          "{key}": %s' for key in OBJECT_COLUMNS[1:])
+                + "\n        }")
 _JSON_LABELS = tuple(map(encode_basestring_ascii, _LABELS))
 
 
@@ -799,17 +796,8 @@ def _patient_json(p: PatientRecord) -> str:
                         _JSON_LABELS[parasite])
         for oid, score, parasite in _object_columns(p)
     ])
-    header = ",\n".join(
-        f'      "{key}": {json.dumps(value)}'
-        for key, value in (
-            ("patient_id", p.patient_id),
-            ("ground_truth", p.ground_truth.value),
-            ("species", p.species.value),
-            ("true_parasitemia", p.true_parasitemia),
-            ("examined_volume", p.examined_volume),
-            ("wbc_count", p.wbc_count),
-        )
-    )
+    header = ",\n".join(f'      "{key}": {json.dumps(value)}'
+                         for key, value in zip(PATIENT_COLUMNS, _patient_values(p)))
     objects = f"[\n{objects}\n      ]" if objects else "[]"
     return f'    {{\n{header},\n      "objects": {objects}\n    }}'
 

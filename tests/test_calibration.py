@@ -266,3 +266,19 @@ def test_operating_point_validation():
         OperatingPoint(C=1.2, T=0.0)
     with pytest.raises(InputError, match="T=-1.0 must be finite and >= 0"):
         OperatingPoint(C=0.5, T=-1.0)
+
+
+@pytest.mark.parametrize("K", [0.5, 0.3, 0.05, 1e-300])
+def test_specificity_target_at_or_below_half_is_input_error(K):
+    # alpha(K) <= 0 there, so every LoD is <= 0 and a calibrated T can be < 0;
+    # the normal quantile itself keeps its (0, 1) domain
+    assert alpha_for_specificity(K) <= 0
+    for method in CalibrationMethod:
+        with pytest.raises(InputError) as err:
+            CalibrationConfig(K=K, method=method)
+        assert str(err.value) == (f"target specificity K={K} must be above 0.5: at or below "
+                                  "it, the normal quantile of K and every LoD are <= 0")
+    cfg = CalibrationConfig(K=0.5000001)
+    assert estimate_lod(fdist([1.0, 3.0]), sdist([0.5, 0.7]), cfg).L > 0
+    with pytest.raises(InputError, match=r"K=1.5 outside \(0, 1\)"):
+        CalibrationConfig(K=1.5)

@@ -26,8 +26,8 @@ from parasitometrics.datamodel import (
     pooled_scores,
 )
 from parasitometrics.errors import DegenerateDataError, InputError, ReproductionFailure
-from parasitometrics.metrics import DEFAULT_BIN_EDGES, check_bin_edges
-from parasitometrics.quant import CONSTANT_X_NOTE, LINEAR_R2_NOTE
+from parasitometrics.metrics import DEFAULT_BIN_EDGES, check_bin_edges, sensitivity_distribution
+from parasitometrics.quant import CONSTANT_X_NOTE, LINEAR_R2_NOTE, ExpectedRates
 from parasitometrics.simulator import Fixed, SimConfig, generate_cohort
 
 from conftest import make_cohort, make_patient, src_env
@@ -409,6 +409,54 @@ def test_bad_argument_exits_2_before_a_metric_can_exit_3(runner, tmp_path, args,
                            if args[0] == "evaluate" else [*args, "--json", str(path)])
     assert result.exit_code == 2, result.output
     assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("K", ["0.05", "0.3", "0.5"])
+@pytest.mark.parametrize("command", ["evaluate", "calibrate", "tune"])
+def test_specificity_target_at_or_below_half_exits_2(runner, tmp_path, command, K):
+    # at K <= 0.5 every LoD is <= 0, and on this cohort the Gaussian T at
+    # K = 0.05 is -45.79...: an input error before any metric, in every command
+    path = tmp_path / "c.json"
+    export_cohort_json(make_cohort(
+        *(make_patient(f"neg{i}") for i in range(4)),
+        make_patient("neg4", distractor_scores=(0.9,) * 100),
+        make_patient("pos0", positive=True, parasite_scores=(0.9, 0.8)),
+        make_patient("pos1", positive=True, parasite_scores=(0.95,)),
+    ), path)
+    args = {"evaluate": ["--json", path, "--C", "0.5", "--curves", "--out", tmp_path / "r"],
+            "calibrate": ["--json", path, "--C", "0.5"],
+            "tune": ["--train-positives", path, "--validation-negatives", path,
+                     "--out", tmp_path / "t.csv"]}[command]
+    result = runner.invoke(main, [command, *map(str, args), "--spec-target", K])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == (f"error: target specificity K={float(K)} must be above 0.5: "
+                             "at or below it, the normal quantile of K and every LoD are <= 0\n")
+    assert result.stdout == ""
+    assert not (tmp_path / "r").exists() and not (tmp_path / "t.csv").exists()
+
+
+def test_quant_s_hat_of_0_from_the_cohort_exits_3(runner, tmp_path):
+    # no object scores >= C, so the cohort's mean sensitivity is 0: degenerate
+    # data, where an --s-hat of 0 is a bad argument
+    cohort = make_cohort(make_patient("neg", distractor_scores=(0.2,)),
+                         make_patient("pos1", positive=True, parasite_scores=(0.9, 0.4)),
+                         make_patient("pos2", positive=True, parasite_scores=(0.7,)))
+    path = tmp_path / "c.json"
+    export_cohort_json(cohort, path)
+    args = ["quant", "--json", str(path), "--C", "0.95", "--out", str(tmp_path / "q")]
+    for extra, code, stderr in (
+            ([], 3, "error: no parasite object scores >= C=0.95, so S_hat, the mean "
+                    "sensitivity, is 0\n"),
+            (["--s-hat", "0"], 2, "error: S_hat=0.0 must be in (0, 1]\n"),
+            (["--f-hat", "1", "--s-hat", "0"], 2, "error: S_hat=0.0 must be in (0, 1]\n"),
+            # the figure of merit still takes the cohort's mean sensitivity
+            (["--s-hat", "0.5"], 3, "error: mean sensitivity must be > 0\n"),
+            (["--f-hat", "1", "--s-hat", "0.5"], 0, "")):
+        result = runner.invoke(main, [*args, *extra])
+        assert (result.exit_code, result.stderr) == (code, stderr), result.output
+    assert sensitivity_distribution(cohort, 0.95).summary.mean == 0.0
+    with pytest.raises(InputError, match=r"^S_hat=0.0 must be in \(0, 1\]$"):
+        ExpectedRates(F_hat=0.0, S_hat=0.0)
 
 
 @pytest.mark.parametrize("args", [

@@ -362,6 +362,37 @@ def test_bad_byte_is_placed_without_a_second_read(reader):
     assert buffer.returned <= len(data)
 
 
+class _Pipe(io.RawIOBase):
+    """A raw stream over ``data`` that, like a pipe, cannot seek or tell."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        return self._data.readinto(b)
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["bad-byte", "cut-at-end"])
+@pytest.mark.parametrize("reader", READERS)
+def test_bad_utf8_in_a_handle_that_cannot_tell_gets_no_offset(reader, cut):
+    # the codec's position counts from the start of the text layer's last
+    # read, not from the input's, so none is given; a path is always placed
+    data = bytearray(_text(reader).encode())
+    if cut:
+        data += "€".encode()[:2]
+    else:
+        data[data.index("é1500".encode() if reader == "csv" else "é700".encode())] = 0xff
+    ingest, prefix = READERS[reader]
+    with pytest.raises(InputError) as err:
+        ingest(io.TextIOWrapper(io.BufferedReader(_Pipe(bytes(data))), encoding="utf-8",
+                                newline=""))
+    want = "bytes: unexpected end of data" if cut else "byte 0xff: invalid start byte"
+    assert str(err.value) == f"{prefix}'utf-8' codec can't decode {want}"
+
+
 @pytest.mark.parametrize("reader", READERS)
 def test_character_cut_at_end_of_file_is_placed_by_its_bytes(tmp_path, reader):
     data = _text(reader).encode() + "€".encode()[:2]

@@ -1,14 +1,18 @@
-"""The columnar cohort-JSON writer against ``json.dumps(..., indent=2)``.
+"""The cohort writers against references that spell out each field.
 
 ``cohort_to_json_doc`` is the dict that ``export_cohort_json`` used to hand
-to ``json.dump(doc, fh, indent=2)``, one dict per object. It stays here as
-the reference: for any cohort, the writer must produce the same text, byte
+to ``json.dump(doc, fh, indent=2)``, one dict per object, and
+``cohort_to_csv`` writes the CSV pair with one explicit ``csv.writer`` row
+per patient and per object, as ``export_cohort`` once did. They stay here as
+the references: for any cohort, the writers must produce the same text, byte
 for byte, into a path or into an open text handle.
 """
 
+import csv
 import io
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from parasitometrics.datamodel import (
@@ -18,6 +22,7 @@ from parasitometrics.datamodel import (
     PatientRecord,
     Species,
     _object_columns,
+    export_cohort,
     export_cohort_json,
     ingest_cohort_json,
 )
@@ -43,6 +48,24 @@ def cohort_to_json_doc(cohort: CohortDataset) -> dict:
             for p in cohort.patients
         ],
     }
+
+
+def cohort_to_csv(cohort: CohortDataset) -> tuple[str, str]:
+    """(objects.csv, patients.csv) text, every field written by name."""
+    objects, patients = io.StringIO(), io.StringIO()
+    w = csv.writer(objects)
+    w.writerow(("patient_id", "object_id", "score", "true_label"))
+    for p in cohort.patients:
+        w.writerows((p.patient_id, oid, repr(score), _LABELS[parasite])
+                    for oid, score, parasite in _object_columns(p))
+    w = csv.writer(patients)
+    w.writerow(("patient_id", "ground_truth", "species", "true_parasitemia",
+                "examined_volume", "wbc_count"))
+    for p in cohort.patients:
+        w.writerow([p.patient_id, p.ground_truth.value, p.species.value,
+                    repr(p.true_parasitemia), repr(p.examined_volume),
+                    "" if p.wbc_count is None else p.wbc_count])
+    return objects.getvalue(), patients.getvalue()
 
 
 # quotes, backslashes, non-ASCII, control characters and lone surrogates
@@ -99,6 +122,27 @@ def test_writer_matches_json_dumps(cohort, tmp_path_factory):
     path = tmp_path_factory.mktemp("json") / "cohort.json"
     export_cohort_json(cohort, path)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(cohort=cohorts())
+def test_csv_writer_matches_explicit_rows(cohort, tmp_path_factory):
+    # integer wbc_count, -0.0, 5e-324 and 1e16, quoted and non-ASCII ids: the
+    # simulator's cohorts, which the golden digests cover, have none of them
+    expected = cohort_to_csv(cohort)
+    objects, patients = io.StringIO(), io.StringIO()
+    export_cohort(cohort, objects, patients)
+    assert (objects.getvalue(), patients.getvalue()) == expected
+    out = tmp_path_factory.mktemp("csv")
+    paths = out / "objects.csv", out / "patients.csv"
+    try:
+        want = [text.encode("utf-8") for text in expected]
+    except UnicodeEncodeError:  # a lone surrogate, which no UTF-8 file holds
+        with pytest.raises(UnicodeEncodeError):
+            export_cohort(cohort, *paths)
+        return
+    export_cohort(cohort, *paths)
+    assert [path.read_bytes() for path in paths] == want
 
 
 def test_edge_values_round_trip(tmp_path):
