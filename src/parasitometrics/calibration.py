@@ -29,20 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .datamodel import CohortDataset, distinct_sorted
+from .datamodel import CalibrationMethod, CohortDataset, distinct_sorted
 from .errors import DegenerateDataError, InputError
 from .metrics import MetricDistribution, fpr_distributions, sensitivity_distributions
 from .stats import alpha_for_specificity
-
-
-class CalibrationMethod(Enum):
-    GAUSSIAN = "gaussian"
-    ROBUST = "robust"
-    PERCENTILE = "percentile"
 
 
 @dataclass(frozen=True)
@@ -61,6 +54,7 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class CalibrationConfig:
+    """Target specificity K, the method that computes T, and the LoD's beta and +1 knobs."""
     K: float = 0.95
     method: CalibrationMethod = CalibrationMethod.GAUSSIAN
     beta: float | None = None            # pessimistic LoD denominator knob
@@ -144,6 +138,7 @@ def estimate_lod(
 
 @dataclass(frozen=True)
 class TuningRow:
+    """One swept C: its calibrated T and LoD, and the F and S summaries they came from."""
     C: float
     T: float
     lod: float

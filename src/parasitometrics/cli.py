@@ -21,18 +21,9 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .calibration import (
-    CalibrationConfig,
-    CalibrationMethod,
-    OperatingPoint,
-    calibrate_threshold,
-    default_c_grid,
-    estimate_lod,
-    fp_scatter,
-    tune_operating_point,
-)
-from .curves import froc, object_roc, patient_roc
 from .datamodel import (
+    DEFAULT_BIN_EDGES,
+    CalibrationMethod,
     check_thresholds,
     export_cohort,
     export_cohort_json,
@@ -40,16 +31,9 @@ from .datamodel import (
     ingest_cohort_json,
 )
 from .errors import DegenerateDataError, InputError, ParasitometricsError, ReproductionFailure
-from .metrics import (
-    DEFAULT_BIN_EDGES,
-    check_bin_edges,
-    fpr_distribution,
-    patient_level_sens_spec,
-    pooled_object_sensitivity,
-    sensitivity_distribution,
-)
-from .quant import ExpectedRates, quant_report
-from .report import EvaluationReport, write_report
+
+# each command imports in its body the modules it runs, so `simulate` starts without
+# the analysis stack, and only the commands that need scipy's ufuncs load them
 
 
 def _dataset_options(fn):
@@ -155,6 +139,11 @@ def main():
 def evaluate(json_path, patients, objects, cv_description, c_threshold, t_threshold,
              spec_target, calib_method, bins, out_dir, fmt, with_curves):
     """Full evaluation report at an operating point (explicit or calibrated)."""
+    from .calibration import CalibrationConfig, OperatingPoint, calibrate_threshold, estimate_lod
+    from .curves import froc, object_roc, patient_roc
+    from .metrics import (check_bin_edges, fpr_distribution, patient_level_sens_spec,
+                          pooled_object_sensitivity, sensitivity_distribution)
+    from .report import EvaluationReport, write_report
     cohort = _load_cohort(json_path, patients, objects, cv_description)
     # a malformed --bins or --C exits 2 before any metric can exit 3
     bin_edges = check_bin_edges(_parse_floats(bins, "bin edges"))
@@ -240,6 +229,8 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
 def calibrate(json_path, patients, objects, cv_description, c_threshold, spec_target,
               method, scatter_out):
     """Calibrate the count threshold T for a target specificity."""
+    from .calibration import CalibrationConfig, calibrate_threshold, fp_scatter
+    from .metrics import fpr_distribution
     cohort = _load_cohort(json_path, patients, objects, cv_description)
     # a malformed --C or --spec-target exits 2 before any metric can exit 3
     check_thresholds([c_threshold])
@@ -267,6 +258,8 @@ def calibrate(json_path, patients, objects, cv_description, c_threshold, spec_ta
 @click.option("--plus-one", is_flag=True, default=False)
 def lod(json_path, patients, objects, cv_description, c_threshold, method, beta, plus_one):
     """Estimate the limit of detection from a cohort's F and S distributions."""
+    from .calibration import CalibrationConfig, estimate_lod
+    from .metrics import fpr_distribution, sensitivity_distribution
     cohort = _load_cohort(json_path, patients, objects, cv_description)
     # a malformed --C or --beta exits 2 before any metric can exit 3
     check_thresholds([c_threshold])
@@ -291,6 +284,7 @@ def lod(json_path, patients, objects, cv_description, c_threshold, method, beta,
               help="tuning table CSV")
 def tune(train_pos, val_neg, val_pos, spec_target, c_grid, calib_method, out_path):
     """Sweep C, calibrate T at each, and pick the operating point with lowest LoD."""
+    from .calibration import CalibrationConfig, default_c_grid, tune_operating_point
     train = ingest_cohort_json(train_pos)
     negatives = ingest_cohort_json(val_neg)
     if not negatives.negatives:
@@ -328,16 +322,23 @@ def tune(train_pos, val_neg, val_pos, spec_target, c_grid, calib_method, out_pat
 def quant(json_path, patients, objects, cv_description, c_threshold, t_threshold,
           f_hat, s_hat, out_dir, fmt):
     """Quantitation report: per-patient parasitemia estimates vs ground truth."""
+    from .calibration import OperatingPoint
+    from .metrics import fpr_distribution, sensitivity_distribution
+    from .quant import ExpectedRates, quant_report
+    from .report import EvaluationReport, write_report
     cohort = _load_cohort(json_path, patients, objects, cv_description)
+    # a malformed --f-hat or --s-hat exits 2 before the cohort's rates can exit 3
+    ExpectedRates(F_hat=0.0 if f_hat is None else f_hat, S_hat=1.0 if s_hat is None else s_hat)
     fom_inputs = None
     fpr = sens = None
     if f_hat is None or s_hat is None:
         fpr = fpr_distribution(cohort, c_threshold, negatives_only=bool(cohort.negatives))
         sens = sensitivity_distribution(cohort, c_threshold)
         f_hat = fpr.summary.mean if f_hat is None else f_hat
-        if s_hat is None and sens.summary.mean == 0:  # degenerate data; --s-hat 0 is an input error
-            raise DegenerateDataError(f"no parasite object scores >= C={c_threshold!r}, so "
-                                      "S_hat, the mean sensitivity, is 0")
+        if sens.summary.mean == 0:
+            raise DegenerateDataError(f"no parasite object scores >= C={c_threshold!r}, so the "
+                                      "cohort's mean sensitivity is 0; the figure of merit uses "
+                                      "it, and so does S_hat unless --s-hat is given")
         s_hat = sens.summary.mean if s_hat is None else s_hat
         fom_inputs = (sens, fpr)
     rates = ExpectedRates(F_hat=f_hat, S_hat=s_hat)
@@ -366,7 +367,6 @@ def quant(json_path, patients, objects, cv_description, c_threshold, t_threshold
               help="pmf CSV destination (default stdout)")
 def poisson(parasitemia, volumes, k_min, confidence, out_path):
     """Poisson count pmfs per examined volume, or the minimum-volume solution."""
-    # imported here: scipy's ufuncs add about 4.2 MB that others skip
     from .poisson import count_pmf, min_volume_for_detection
     if k_min is not None or confidence is not None:
         if k_min is None or confidence is None:
@@ -398,7 +398,6 @@ def poisson(parasitemia, volumes, k_min, confidence, out_path):
               show_default=True)
 def simulate(seed, preset, out_dir, fmt, **sim_options):
     """Generate a synthetic cohort (deterministic for a fixed seed)."""
-    # imported here: the simulator loads scipy's ufuncs and numpy's Generator (5.3 MB)
     from .simulator import SimConfig, generate_cohort, who56_preset
     given = {name: value for name, value in sim_options.items() if value is not None}
     if preset == "who56":
@@ -427,7 +426,6 @@ def simulate(seed, preset, out_dir, fmt, **sim_options):
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def reproduce_paper(out_dir):
     """Re-derive every headline number and write a pass/fail manifest."""
-    # imported here: reproduce loads scipy's ufuncs and numpy's Generator (5.4 MB) via simulator
     from .reproduce import run_all
     checks = run_all()
     out = Path(out_dir)
@@ -443,6 +441,6 @@ def reproduce_paper(out_dir):
     click.echo(f"{len(checks)} checks passed; manifest at {out / 'manifest.json'}")
 
 
-gc.freeze()  # everything loaded so far lives until the process exits
+gc.freeze()  # what is loaded so far lives until exit; a command's own imports are not frozen
 if __name__ == "__main__":
     main()

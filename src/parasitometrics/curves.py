@@ -230,6 +230,7 @@ def patient_roc(cohort: CohortDataset, C: float, T_grid) -> CurvePoints:
 
 @dataclass(frozen=True)
 class PrecisionReport:
+    """Pooled object precision at C, and the precision re-expressed at a LoD parasitemia."""
     precision: float
     precision_at_lod: float
 

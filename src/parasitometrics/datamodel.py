@@ -58,6 +58,17 @@ class Species(Enum):
     NONE = "none"
 
 
+class CalibrationMethod(Enum):
+    GAUSSIAN = "gaussian"
+    ROBUST = "robust"
+    PERCENTILE = "percentile"
+
+
+# Interior parasitemia bin edges (per cV). The bins run from 0 to inf and are
+# half-open on the left: a bin (lo, hi] holds patients with lo < P <= hi.
+DEFAULT_BIN_EDGES: tuple[float, ...] = (50.0, 200.0, 1000.0)
+
+
 _LABELS = ("distractor", "parasite")  # indexed by is_parasite
 
 

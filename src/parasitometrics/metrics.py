@@ -19,13 +19,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .datamodel import CohortDataset, GroundTruth, Species, counts_at, per_cv_counts
+from .datamodel import (DEFAULT_BIN_EDGES, CohortDataset, GroundTruth, Species, counts_at,
+                        per_cv_counts)
 from .errors import DegenerateDataError, InputError
 from .stats import DistSummary, summarize
-
-# Interior parasitemia bin edges (per cV). The bins run from 0 to inf and are
-# half-open on the left: a bin (lo, hi] holds patients with lo < P <= hi.
-DEFAULT_BIN_EDGES: tuple[float, ...] = (50.0, 200.0, 1000.0)
 
 
 @dataclass(frozen=True)
@@ -44,6 +41,7 @@ class MetricDistribution:
 
 @dataclass(frozen=True)
 class Stratum:
+    """One stratum's patient count, how many were diagnosed, and that share (None if empty)."""
     label: str
     n_patients: int
     n_detected: int
@@ -127,6 +125,7 @@ def sensitivity_distribution(cohort: CohortDataset, C: float) -> MetricDistribut
 
 @dataclass(frozen=True)
 class PooledSensitivity:
+    """Object sensitivity pooled over the positives, and a warning if one patient dominates."""
     value: float
     imbalance_warning: str | None
 

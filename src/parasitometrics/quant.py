@@ -62,6 +62,7 @@ class ExpectedRates:
 
 @dataclass(frozen=True)
 class ParasitemiaEstimate:
+    """A patient's estimated parasitemia per cV, and whether a negative estimate became 0."""
     P_hat: float
     negative_clamped: bool  # raw estimate was < 0 (n/V below expected FPR)
 
@@ -107,6 +108,7 @@ def _r2(x: np.ndarray, y: np.ndarray) -> float | None:
 
 @dataclass(frozen=True)
 class QuantResult:
+    """Per-patient estimates against ground truth, with their figure of merit and fits."""
     per_patient: dict[str, tuple[float, float, float]]  # P_hat, P_true, rel_error
     fom: float | None
     bland_altman: tuple[tuple[float, float], ...]  # (mean_log10, diff_log10)

@@ -31,6 +31,7 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class EvaluationReport:
+    """What one report writes: the cohort's provenance and each metric it was given."""
     cv_description: str
     provenance: str
     operating_point: OperatingPoint | None = None

@@ -33,6 +33,7 @@ from .stats import alpha_for_specificity, summarize
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One reproduction check: its name, whether it passed, and what it compared."""
     name: str
     passed: bool
     detail: str

@@ -39,11 +39,13 @@ REFERENCE_THRESHOLD = 0.5
 
 @dataclass(frozen=True)
 class Fixed:
+    """A distribution that always draws ``value``."""
     value: float
 
 
 @dataclass(frozen=True)
 class LogUniform:
+    """A distribution whose log is uniform between log(lo) and log(hi)."""
     lo: float
     hi: float
 
@@ -66,6 +68,7 @@ class TruncatedNormal:
 
 @dataclass(frozen=True)
 class Beta:
+    """The Beta(a, b) distribution."""
     a: float
     b: float
 
@@ -110,6 +113,7 @@ SPECIES_MIX = {
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A simulated cohort: seed, patient counts, examined volume and the distributions it draws."""
     seed: int = 0
     n_negative: int = 20
     n_positive: int = 20

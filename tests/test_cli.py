@@ -1,10 +1,12 @@
 import copy
 import csv
+import dataclasses
 import functools
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -444,13 +446,14 @@ def test_quant_s_hat_of_0_from_the_cohort_exits_3(runner, tmp_path):
     path = tmp_path / "c.json"
     export_cohort_json(cohort, path)
     args = ["quant", "--json", str(path), "--C", "0.95", "--out", str(tmp_path / "q")]
+    degenerate = ("error: no parasite object scores >= C=0.95, so the cohort's mean sensitivity "
+                  "is 0; the figure of merit uses it, and so does S_hat unless --s-hat is given\n")
     for extra, code, stderr in (
-            ([], 3, "error: no parasite object scores >= C=0.95, so S_hat, the mean "
-                    "sensitivity, is 0\n"),
+            ([], 3, degenerate),
             (["--s-hat", "0"], 2, "error: S_hat=0.0 must be in (0, 1]\n"),
             (["--f-hat", "1", "--s-hat", "0"], 2, "error: S_hat=0.0 must be in (0, 1]\n"),
             # the figure of merit still takes the cohort's mean sensitivity
-            (["--s-hat", "0.5"], 3, "error: mean sensitivity must be > 0\n"),
+            (["--s-hat", "0.5"], 3, degenerate),
             (["--f-hat", "1", "--s-hat", "0.5"], 0, "")):
         result = runner.invoke(main, [*args, *extra])
         assert (result.exit_code, result.stderr) == (code, stderr), result.output
@@ -1038,6 +1041,45 @@ def test_cli_import_loads_no_scipy_module():
     # numpy's Generator), and they load them when they run: the load would add
     # about 6 MB to every other command
     assert _fresh_import("parasitometrics.cli", "scipy") == []
+
+
+def test_cli_import_loads_only_the_data_model_and_errors():
+    # each command imports the analysis modules it runs; statistics (with
+    # decimal and fractions) comes with stats
+    assert _fresh_import("parasitometrics.cli", "parasitometrics") == [
+        "parasitometrics", "parasitometrics.cli", "parasitometrics.datamodel",
+        "parasitometrics.errors"]
+    assert _fresh_import("parasitometrics.cli", "statistics") == []
+
+
+def test_simulate_runs_without_the_analysis_modules(tmp_path):
+    # simulate is the set-up of every benchmark workload, and uses none of them
+    code = ("import json, sys\nfrom parasitometrics.cli import main\n"
+            "main(sys.argv[1:], standalone_mode=False)\n"
+            "print(json.dumps(sorted(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code, "simulate", "--format", "json",
+                             "--out", "sim"], cwd=tmp_path, env=src_env(), capture_output=True,
+                            text=True, check=True)
+    loaded = set(json.loads(result.stdout.splitlines()[-1]))
+    analysis = {f"parasitometrics.{m}" for m in ("calibration", "metrics", "stats", "curves",
+                                                 "quant", "report", "reproduce")}
+    assert "parasitometrics.simulator" in loaded
+    assert sorted(loaded & (analysis | {"statistics"})) == []
+    assert (tmp_path / "sim" / "cohort.json").exists()
+
+
+def test_simulate_help_shows_simconfigs_defaults(runner):
+    # the help restates them by hand: taking them from SimConfig would load the
+    # simulator, scipy's ufuncs and numpy's Generator into every command
+    text = " ".join(runner.invoke(main, ["simulate", "--help"]).stdout.split())
+    defaults = {f.name: f.default for f in dataclasses.fields(SimConfig)}
+    shown = {}
+    for param in main.commands["simulate"].params:
+        if param.default is None and "[default: " in (param.help or ""):
+            opt = max(param.opts, key=len)
+            shown[param.name] = re.search(rf"{opt} \S+ .*?\[default: ([^\]]+)\]", text)[1]
+    assert shown == {name: str(defaults[name]) for name in
+                     ("n_negative", "n_positive", "examined_volume")}
 
 
 def test_cli_import_freezes_its_objects_and_a_command_prints_the_same_bytes(runner):
