@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import CalibrationMethod, CohortDataset, distinct_sorted
+from .datamodel import CalibrationMethod, CohortDataset, check_thresholds, distinct_sorted
 from .errors import DegenerateDataError, InputError
 from .metrics import MetricDistribution, fpr_distributions, sensitivity_distributions
 from .stats import alpha_for_specificity
@@ -46,8 +46,7 @@ class OperatingPoint:
     T: float
 
     def __post_init__(self):
-        if not (0.0 <= self.C <= 1.0) or not math.isfinite(self.C):
-            raise InputError(f"C={self.C} outside [0, 1]")
+        check_thresholds([self.C])
         if self.T < 0 or not math.isfinite(self.T):
             raise InputError(f"T={self.T} must be finite and >= 0")
 
@@ -176,8 +175,6 @@ def tune_operating_point(
     grid = sorted(set(float(c) for c in C_grid))
     if not grid:
         raise InputError("C_grid must be non-empty")
-    if grid[0] < 0.0 or grid[-1] > 1.0:
-        raise InputError("C_grid values must lie in [0, 1]")
 
     s_cohort = validation_positives if validation_positives is not None else train_positives
     table: list[TuningRow] = []

@@ -243,7 +243,7 @@ def calibrate(json_path, patients, objects, cv_description, c_threshold, spec_ta
             quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
             w.writerow(("patient_id", "fp_count_per_cv"))
             for pid, v in fp_scatter(fpr):
-                (quoted if "\r" in pid else w).writerow((pid, repr(v)))
+                (quoted if "\r" in pid else w).writerow((pid, v))
         click.echo(scatter_out)
     t = calibrate_threshold(fpr, cfg)
     click.echo(f"T = {t!r}")
@@ -296,12 +296,10 @@ def tune(train_pos, val_neg, val_pos, spec_target, c_grid, calib_method, out_pat
     cfg = CalibrationConfig(K=spec_target, method=CalibrationMethod(calib_method))
     best, table, skipped = tune_operating_point(train, negatives, positives, grid, cfg)
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("C,T,LoD,mu_F,sigma_F,sigma_L,sigma_R,mu_S\n")
-        for row in table:
-            fh.write(
-                f"{row.C!r},{row.T!r},{row.lod!r},{row.mu_F!r},{row.sigma_F!r},"
-                f"{row.sigma_left_F!r},{row.sigma_right_F!r},{row.mu_S!r}\n"
-            )
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(("C", "T", "LoD", "mu_F", "sigma_F", "sigma_L", "sigma_R", "mu_S"))
+        w.writerows((row.C, row.T, row.lod, row.mu_F, row.sigma_F, row.sigma_left_F,
+                     row.sigma_right_F, row.mu_S) for row in table)
     click.echo(out_path)
     click.echo(f"best C = {best.C!r}, T = {best.T!r}")
     for c, reason in skipped:
@@ -377,9 +375,9 @@ def poisson(parasitemia, volumes, k_min, confidence, out_path):
     # every pmf first, so a bad volume fails before a row is written
     pmfs = [(v, count_pmf(parasitemia, v)) for v in volumes or (0.001, 0.01, 0.1)]
     with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
-        fh.write("volume,k,probability\n")
-        for v, pmf in pmfs:
-            fh.writelines(f"{v!r},{k},{p!r}\n" for k, p in pmf)
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(("volume", "k", "probability"))
+        w.writerows((v, k, p) for v, pmf in pmfs for k, p in pmf)
     if out_path:
         click.echo(out_path)
 

@@ -788,7 +788,7 @@ def export_cohort(cohort: CohortDataset, objects_file, patients_file) -> None:
         w = csv.writer(fh)
         w.writerow(OBJECT_COLUMNS)
         for p in cohort.patients:
-            w.writerows((p.patient_id, oid, repr(score), _LABELS[parasite])
+            w.writerows((p.patient_id, oid, score, _LABELS[parasite])
                         for oid, score, parasite in _object_columns(p))
 
 

@@ -6,10 +6,13 @@ parasitemia bin definition and the paired specificity; the report's
 section is written whole or not at all.
 
 ``report.json`` has the bytes of ``json.dump(doc, fh, indent=2,
-sort_keys=True)`` plus a newline. The text is ``json.dumps``'s, with each
-curve's points as its name; each curve's point block is written in place of
-that placeholder, a block of points at a time, from the same number strings
-that fill the curve's CSV (``inf`` there, ``Infinity`` in JSON).
+sort_keys=True)`` plus a newline, and each CSV table has ``csv.writer``'s
+bytes: a value's text is the encoder's own (a float by ``repr``, ``None`` as
+``null`` or an empty cell). The curve points are the one exception,
+formatted once for both files: each curve's points are its name in the
+document, and its point block is written in place of that placeholder, a
+block of points at a time, from the number strings that fill the curve's
+CSV (``inf`` there, ``Infinity`` in JSON).
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ def _summary_doc(md: MetricDistribution, kind: str) -> dict:
         "std": s.std,
         "sigma_left": s.sigma_left,
         "sigma_right": s.sigma_right,
-        "per_patient": {k: md.per_patient[k] for k in sorted(md.per_patient)},
-        "excluded": list(md.excluded),
-        "warnings": list(md.warnings),
+        "per_patient": md.per_patient,
+        "excluded": md.excluded,
+        "warnings": md.warnings,
     }
 
 
@@ -96,7 +99,7 @@ def _document(report: EvaluationReport, points) -> dict:
                 else {"C": report.operating_point.C, "T": report.operating_point.T}
             ),
         },
-        "warnings": list(report.warnings),
+        "warnings": report.warnings,
     }
     if report.fpr is not None:
         doc["fpr_distribution"] = _summary_doc(report.fpr, "fpr")
@@ -130,7 +133,7 @@ def _document(report: EvaluationReport, points) -> dict:
                 "kind": name,
                 "auc": c.auc,
                 "points": points(name, c),
-                "notes": list(c.notes),
+                "notes": c.notes,
             }
             for name, c in report.curves.items()
         }
@@ -142,11 +145,11 @@ def _document(report: EvaluationReport, points) -> dict:
                 for pid, v in q.per_patient.items()
             },
             "fom": q.fom,
-            "bland_altman": [list(pair) for pair in q.bland_altman],
+            "bland_altman": q.bland_altman,
             "r2_linear": q.r2_linear,
             "r2_log": q.r2_log,
-            "clamped_patients": list(q.clamped_patients),
-            "notes": list(q.notes),
+            "clamped_patients": q.clamped_patients,
+            "notes": q.notes,
         }
     return doc
 
@@ -179,11 +182,12 @@ def _write_curve(fh, curve: CurvePoints, csv_path: Path | None, indent: str) -> 
     fh.write(f"\n{indent}]" if len(points) else "[]")
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header, rows) -> str:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+    return str(path)
 
 
 def write_report(report: EvaluationReport, out_dir, fmt: str = "json") -> list[str]:
@@ -217,42 +221,25 @@ def write_report(report: EvaluationReport, out_dir, fmt: str = "json") -> list[s
                                  (report.sensitivity, "per_patient_sensitivity.csv",
                                   "object_sensitivity")):
             if md is not None:
-                path = out / name
-                _write_csv(path, ("patient_id", column),
-                           [(k, repr(v)) for k, v in sorted(md.per_patient.items())])
-                written.append(str(path))
+                written.append(_write_csv(out / name, ("patient_id", column),
+                                          sorted(md.per_patient.items())))
         if report.patient_level is not None:
-            path = out / "stratified_sensitivity.csv"
             sr = report.patient_level
-            rows = [
-                (kind, st.label, st.n_patients, st.n_detected,
-                 "" if st.value is None else repr(st.value))
-                for kind, strata in (("parasitemia", sr.parasitemia_strata),
-                                     ("species", sr.species_strata))
-                for st in strata
-            ]
-            _write_csv(
-                path, ("stratum_type", "label", "n_patients", "n_detected", "sensitivity"), rows
-            )
-            written.append(str(path))
+            written.append(_write_csv(
+                out / "stratified_sensitivity.csv",
+                ("stratum_type", "label", "n_patients", "n_detected", "sensitivity"),
+                [(kind, st.label, st.n_patients, st.n_detected, st.value)
+                 for kind, strata in (("parasitemia", sr.parasitemia_strata),
+                                      ("species", sr.species_strata))
+                 for st in strata],
+            ))
         written += map(str, curve_csvs.values())
         if report.quantitation is not None:
             q = report.quantitation
-            path = out / "quantitation.csv"
-            _write_csv(
-                path,
-                ("patient_id", "P_true", "P_hat", "rel_error"),
-                [
-                    (pid, repr(v[1]), repr(v[0]), repr(v[2]))
-                    for pid, v in sorted(q.per_patient.items())
-                ],
-            )
-            written.append(str(path))
-            path = out / "bland_altman.csv"
-            _write_csv(
-                path,
-                ("mean_log10", "diff_log10"),
-                [(repr(a), repr(b)) for a, b in q.bland_altman],
-            )
-            written.append(str(path))
+            written.append(_write_csv(
+                out / "quantitation.csv", ("patient_id", "P_true", "P_hat", "rel_error"),
+                [(pid, v[1], v[0], v[2]) for pid, v in sorted(q.per_patient.items())],
+            ))
+            written.append(_write_csv(out / "bland_altman.csv", ("mean_log10", "diff_log10"),
+                                      q.bland_altman))
     return written

@@ -397,18 +397,27 @@ class TestCalibrateAndLod:
     (["evaluate", "--C", "nan", "--spec-target", "0.95"], "score threshold C=nan outside [0, 1]"),
     (["calibrate", "--C", "1.5"], "score threshold C=1.5 outside [0, 1]"),
     (["lod", "--C", "1.5"], "score threshold C=1.5 outside [0, 1]"),
+    (["quant", "--C", "1.5", "--f-hat", "1", "--s-hat", "0.5"],
+     "score threshold C=1.5 outside [0, 1]"),
+    (["tune", "--c-grid", "0.5,1.5"], "score threshold C=1.5 outside [0, 1]"),
     (["calibrate", "--C", "0.5", "--spec-target", "1.5"],
      "target specificity K=1.5 outside (0, 1)"),
     (["lod", "--C", "0.5", "--beta", "nan"], "beta=nan must be finite and >= 0"),
-], ids=["evaluate", "evaluate-nan", "calibrate", "lod", "calibrate-K", "lod-beta"])
+], ids=["evaluate", "evaluate-nan", "calibrate", "lod", "quant-rates", "tune-grid",
+        "calibrate-K", "lod-beta"])
 def test_bad_argument_exits_2_before_a_metric_can_exit_3(runner, tmp_path, args, message):
     # without negatives, the FPR distribution or calibration would exit 3;
-    # the arguments are checked first
+    # the arguments are checked first; tune reads the C grid only after it
+    # has found validation negatives, so its cohort has one
     path = tmp_path / "c.json"
+    negatives = [make_patient("neg1")] if args[0] == "tune" else []
     export_cohort_json(make_cohort(make_patient("pos1", positive=True,
-                                                parasite_scores=(0.9,))), path)
-    result = runner.invoke(main, [*args, "--json", str(path), "--out", str(tmp_path / "r")]
-                           if args[0] == "evaluate" else [*args, "--json", str(path)])
+                                                parasite_scores=(0.9,)), *negatives), path)
+    data = {"tune": ["--train-positives", str(path), "--validation-negatives", str(path),
+                     "--out", str(tmp_path / "t.csv")],
+            "evaluate": ["--json", str(path), "--out", str(tmp_path / "r")],
+            "quant": ["--json", str(path), "--out", str(tmp_path / "r")]}
+    result = runner.invoke(main, [*args, *data.get(args[0], ["--json", str(path)])])
     assert result.exit_code == 2, result.output
     assert result.stderr == f"error: {message}\n"
 

@@ -1,6 +1,8 @@
+import csv
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from parasitometrics.calibration import OperatingPoint
@@ -60,3 +62,18 @@ class TestWriteReport:
         write_report(full_report, tmp_path / "r", fmt="json")
         doc = json.loads((tmp_path / "r" / "report.json").read_text())
         assert list(doc) == sorted(doc)
+
+    def test_numpy_floats_read_the_same_in_csv_as_in_json(self, full_report, tmp_path):
+        # a library caller's distribution may hold numpy floats, whose repr is
+        # not a float's; each CSV cell is the text of its report.json value
+        fpr = full_report.fpr
+        full_report.fpr = replace(fpr, per_patient={k: np.float64(v)
+                                                    for k, v in fpr.per_patient.items()})
+        write_report(full_report, tmp_path / "r", fmt="csv")
+        doc = json.loads((tmp_path / "r" / "report.json").read_text(), parse_float=str)
+        in_json = doc["fpr_distribution"]["per_patient"]
+        with open(tmp_path / "r" / "per_patient_fpr.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["patient_id", "fp_per_cv"] and len(rows) == len(in_json) > 1
+        for pid, cell in rows:
+            assert cell == in_json[pid]

@@ -331,5 +331,6 @@ def test_out_of_range_c_raises(mixed_cohort, C):
     (0.5, -1.0), (0.5, math.nan), (0.5, math.inf), (1.5, 1.0), (math.nan, 1.0),
 ])
 def test_patient_roc_rejects_bad_c_or_t(mixed_cohort, C, T):
-    with pytest.raises(InputError, match="T=" if C == 0.5 else r"^C=.* outside \[0, 1\]$"):
+    with pytest.raises(InputError, match="T=" if C == 0.5
+                       else r"^score threshold C=.* outside \[0, 1\]$"):
         patient_roc(mixed_cohort, C, [0.0, T, 2.0])
