@@ -9,8 +9,14 @@ in ``errors``), and an unreadable file exits 2.
 
 from __future__ import annotations
 
-import csv
 import gc
+
+# what the imports below build lives until exit, so a collection pass while they
+# run frees almost nothing: the collector is off until gc.freeze() at the end
+_COLLECTING = gc.isenabled()
+gc.disable()
+
+import csv
 import json
 import math
 import sys
@@ -140,7 +146,6 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
              spec_target, calib_method, bins, out_dir, fmt, with_curves):
     """Full evaluation report at an operating point (explicit or calibrated)."""
     from .calibration import CalibrationConfig, OperatingPoint, calibrate_threshold, estimate_lod
-    from .curves import froc, object_roc, patient_roc
     from .metrics import (check_bin_edges, fpr_distribution, patient_level_sens_spec,
                           pooled_object_sensitivity, sensitivity_distribution)
     from .report import EvaluationReport, write_report
@@ -201,6 +206,7 @@ def evaluate(json_path, patients, objects, cv_description, c_threshold, t_thresh
         warnings=warnings,
     )
     if with_curves:
+        from .curves import froc, object_roc, patient_roc
         t_grid = ([t for t in (op.T * k / 10.0 for k in range(0, 41)) if math.isfinite(t)]
                   if op.T > 0 else list(range(0, 41)))  # a huge T's multiples overflow
         # each curve on its own: one undefined on the cohort leaves the others
@@ -239,8 +245,9 @@ def calibrate(json_path, patients, objects, cv_description, c_threshold, spec_ta
     if scatter_out:
         with open(scatter_out, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
-            # csv quotes only the line terminator's "\n", so an id with "\r" is quoted here
-            quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+            # csv before Python 3.13 quotes only the line terminator's "\n", so an id
+            # with "\r" is quoted here, as 3.13's plain writer quotes it, and its number is not
+            quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
             w.writerow(("patient_id", "fp_count_per_cv"))
             for pid, v in fp_scatter(fpr):
                 (quoted if "\r" in pid else w).writerow((pid, v))
@@ -440,5 +447,7 @@ def reproduce_paper(out_dir):
 
 
 gc.freeze()  # what is loaded so far lives until exit; a command's own imports are not frozen
+if _COLLECTING:
+    gc.enable()
 if __name__ == "__main__":
     main()

@@ -22,12 +22,15 @@ import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .calibration import LodEstimate, OperatingPoint
-from .curves import CurvePoints
-from .metrics import MetricDistribution, StratifiedResult
-from .quant import QuantResult
+
+if TYPE_CHECKING:  # annotations only: evaluate writes a report without loading quant
+    from .calibration import LodEstimate, OperatingPoint
+    from .curves import CurvePoints
+    from .metrics import MetricDistribution, StratifiedResult
+    from .quant import QuantResult
 
 SCHEMA_VERSION = 1
 

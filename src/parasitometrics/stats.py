@@ -16,14 +16,12 @@ Conventions, applied uniformly across the package:
 from __future__ import annotations
 
 import math
+from _statistics import _normal_dist_inv_cdf
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
 from .errors import InputError
-
-_STD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -91,10 +89,12 @@ def sorted_median(ascending: np.ndarray) -> float:
 def alpha_for_specificity(K: float) -> float:
     """Standard normal quantile alpha with Phi(alpha) = K.
 
-    Uses the stdlib NormalDist().inv_cdf, a rational approximation of the
-    inverse CDF (Wichura's algorithm AS241) accurate well beyond 6 decimal
-    places. K = 0.95 gives 1.6449 (commonly rounded to 1.65).
+    A rational approximation of the inverse CDF (Wichura's algorithm AS241)
+    accurate well beyond 6 decimal places. K = 0.95 gives 1.6449 (commonly
+    rounded to 1.65). It is the call that the stdlib's NormalDist().inv_cdf(K)
+    makes, from CPython's private ``_statistics`` module, without importing
+    ``statistics`` and with it ``fractions`` and ``decimal``.
     """
     if not (0.0 < K < 1.0) or not math.isfinite(K):
         raise InputError(f"target specificity K={K} outside (0, 1)")
-    return _STD_NORMAL.inv_cdf(K)
+    return _normal_dist_inv_cdf(K, 0.0, 1.0)

@@ -352,10 +352,11 @@ class TestCalibrateAndLod:
             rows = list(csv.reader(fh))
         assert rows == [["patient_id", "fp_count_per_cv"]] + [
             [pid, repr(float(k + 1))] for k, pid in enumerate(ids)]
-        # only the ids with "\r" gain quotes; the other rows keep csv.writer's bytes
+        # the ids with "\r" gain quotes and their numbers do not: Python 3.13's plain
+        # csv.writer bytes; the other rows keep csv.writer's bytes
         assert scatter.read_bytes() == (
-            b'patient_id,fp_count_per_cv\n"n\r1","1.0"\n"n\n2",2.0\n"n\r\n3","3.0"\n'
-            b'"n,4",4.0\n"n""5",5.0\n"n\r""6","6.0"\nplain,7.0\n')
+            b'patient_id,fp_count_per_cv\n"n\r1",1.0\n"n\n2",2.0\n"n\r\n3",3.0\n'
+            b'"n,4",4.0\n"n""5",5.0\n"n\r""6",6.0\nplain,7.0\n')
 
     def test_no_negatives_is_degenerate(self, runner, tmp_path):
         cohort = make_cohort(
@@ -1054,7 +1055,7 @@ def test_cli_import_loads_no_scipy_module():
 
 def test_cli_import_loads_only_the_data_model_and_errors():
     # each command imports the analysis modules it runs; statistics (with
-    # decimal and fractions) comes with stats
+    # decimal and fractions) is loaded by none of them
     assert _fresh_import("parasitometrics.cli", "parasitometrics") == [
         "parasitometrics", "parasitometrics.cli", "parasitometrics.datamodel",
         "parasitometrics.errors"]
@@ -1107,6 +1108,28 @@ def test_cli_import_freezes_its_objects_and_a_command_prints_the_same_bytes(runn
     assert result.stdout == runner.invoke(main, args).stdout_bytes
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_cli_import_runs_no_collection_and_restores_the_collectors_state(tmp_path, enabled):
+    # what the imports build lives until exit, so a pass while they run would
+    # free almost nothing; the compile of cli.py itself comes before its first
+    # line, so the first run writes the bytecode an installed package ships
+    # with, and the second run is measured
+    code = ("import gc, json\n"
+            f"{'' if enabled else 'gc.disable()'}\n"
+            "passes = []\n"
+            "gc.callbacks.append(lambda phase, info: passes.append(info) if phase == 'start' "
+            "else None)\n"
+            "import parasitometrics.cli\n"
+            "gc.callbacks.clear()\n"
+            "print(json.dumps([passes, gc.isenabled()]))")
+    env = {**src_env(), "PYTHONPYCACHEPREFIX": str(tmp_path)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    for _ in range(2):
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True)
+    assert json.loads(result.stdout) == [[], enabled]
+
+
 def test_simulator_and_reproduce_leave_out_scipy_optimize():
     # the simulator solves its beta shapes itself; scipy.optimize took 0.2 s to load
     assert _fresh_import("parasitometrics.simulator, parasitometrics.reproduce",
@@ -1120,9 +1143,16 @@ try:
     main(sys.argv[1:])
 except SystemExit as exc:
     assert not exc.code, exc.code
-print(json.dumps(sorted(m for m in sys.modules if m == "numpy.ma"
-                        or m.startswith(("numpy.ma.", "scipy")))))
+print(json.dumps(sorted(sys.modules)))
 """
+
+
+def _run_and_list_modules(cwd, args) -> set[str]:
+    """The modules a fresh interpreter holds after running the CLI command ``args``."""
+    result = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES, *args],
+                            cwd=cwd, env=src_env(), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout.splitlines()[-1]))
 
 
 def test_evaluate_curves_and_tune_load_neither_numpy_ma_nor_scipy(tmp_path):
@@ -1131,7 +1161,6 @@ def test_evaluate_curves_and_tune_load_neither_numpy_ma_nor_scipy(tmp_path):
     cohort = generate_cohort(SimConfig(seed=4, n_negative=6, n_positive=6, examined_volume=0.35))
     export_cohort(cohort, tmp_path / "objects.csv", tmp_path / "patients.csv")
     export_cohort_json(cohort, tmp_path / "cohort.json")
-    env = src_env()
     for args in (
         ["evaluate", "--patients", "patients.csv", "--objects", "objects.csv", "--C", "0.5",
          "--spec-target", "0.95", "--format", "csv", "--curves", "--out", "out"],
@@ -1143,14 +1172,30 @@ def test_evaluate_curves_and_tune_load_neither_numpy_ma_nor_scipy(tmp_path):
          "--calib-method", "percentile", "--out", "tune_percentile.csv"],
         ["quant", "--json", "cohort.json", "--C", "0.5", "--out", "out_quant"],
     ):
-        result = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES, *args],
-                                cwd=tmp_path, env=env, capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout.splitlines()[-1]) == [], args
+        loaded = _run_and_list_modules(tmp_path, args)
+        assert sorted(m for m in loaded if m == "numpy.ma"
+                      or m.startswith(("numpy.ma.", "scipy"))) == [], args
     assert (tmp_path / "out" / "curve_froc.csv").exists() and (tmp_path / "tune.csv").exists()
     assert (tmp_path / "tune_percentile.csv").exists()
     assert "fom" in json.loads((tmp_path / "out_quant" / "report.json").read_text())[
         "quantitation"]
+
+
+def test_evaluate_loads_only_the_modules_it_runs(tmp_path):
+    # report names quant's result in an annotation alone, and the normal
+    # quantile is read from _statistics, so evaluate loads neither quant nor
+    # statistics (with decimal and fractions); the curves only with --curves
+    cohort = generate_cohort(SimConfig(seed=4, n_negative=6, n_positive=6, examined_volume=0.35))
+    export_cohort_json(cohort, tmp_path / "cohort.json")
+    args = ["evaluate", "--json", "cohort.json", "--C", "0.5", "--spec-target", "0.95"]
+    with_curves = _run_and_list_modules(tmp_path, [*args, "--curves", "--out", "curves"])
+    without = _run_and_list_modules(tmp_path, [*args, "--out", "plain"])
+    assert {"parasitometrics.curves", "parasitometrics.report"} <= with_curves
+    assert sorted(with_curves & {"parasitometrics.quant", "statistics"}) == []
+    assert sorted(without & {"parasitometrics.quant", "statistics",
+                             "parasitometrics.curves"}) == []
+    assert "curves" in json.loads((tmp_path / "curves" / "report.json").read_text())
+    assert "curves" not in json.loads((tmp_path / "plain" / "report.json").read_text())
 
 
 def test_quant_on_a_constant_parasitemia_reports_null_r2(tmp_path):

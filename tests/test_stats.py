@@ -1,3 +1,5 @@
+import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -101,6 +103,17 @@ class TestAlphaForSpecificity:
         ks = np.linspace(0.01, 0.99, 99)
         alphas = [alpha_for_specificity(k) for k in ks]
         assert all(a < b for a, b in zip(alphas, alphas[1:]))
+
+    # the quantile is read from CPython's private _statistics module, so it must
+    # stay the stdlib NormalDist's, bit for bit
+    @pytest.mark.parametrize("K", [k for centre in (0.95, 0.5) for k in (
+        math.nextafter(centre, 0.0), centre, math.nextafter(centre, 1.0))])
+    def test_is_normaldists_inv_cdf_at_the_calibration_targets(self, K):
+        assert alpha_for_specificity(K).hex() == NormalDist().inv_cdf(K).hex()
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    def test_is_normaldists_inv_cdf(self, K):
+        assert alpha_for_specificity(K).hex() == NormalDist().inv_cdf(K).hex()
 
     def test_monte_carlo_coverage(self):
         draws = np.random.default_rng(7).standard_normal(100_000)
