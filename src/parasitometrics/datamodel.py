@@ -250,8 +250,10 @@ class PatientRecord:
                 raise InputError(f"patient {pid!r}: positive patient must have a species")
             if self.true_parasitemia <= 0:
                 raise InputError(f"patient {pid!r}: positive patient must have parasitemia > 0")
-        object.__setattr__(self, "parasite_scores", _read_only(np.sort(scores[is_parasite])))
-        object.__setattr__(self, "distractor_scores", _read_only(np.sort(scores[~is_parasite])))
+        for name, mask in (("parasite_scores", is_parasite), ("distractor_scores", ~is_parasite)):
+            selected = scores[mask]  # a copy already, so sorted in place, where np.sort copies it
+            selected.sort()
+            object.__setattr__(self, name, _read_only(selected))
 
     def __eq__(self, other):
         """Field equality, with the array columns compared as whole arrays."""

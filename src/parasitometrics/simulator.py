@@ -79,6 +79,8 @@ class Beta:
 
 PARASITE_SCORE_B = 2.0                  # Beta(a, 2), a re-solved per patient
 DISTRACTOR_SCORE_DIST = Beta(2.0, 4.0)
+_DISTRACTOR_CDF_HALF = float(betainc(DISTRACTOR_SCORE_DIST.a, DISTRACTOR_SCORE_DIST.b,
+                                     REFERENCE_THRESHOLD))  # Pr[distractor score < 0.5]
 
 
 def _draw_positive_rate(spec, rng: Generator) -> float:
@@ -158,16 +160,15 @@ def solve_beta_a(target_tail: float, b: float) -> float:
                          f"{target_tail} with a in [1e-8, 1e8]: {exc}") from None
 
 
-def _tail_scores(spec: Beta, n: int, rng: Generator, upper: bool) -> np.ndarray:
-    """Draw n scores from Beta(a, b) conditioned to one side of 0.5."""
+def _tail_scores(n: int, rng: Generator, upper: bool) -> np.ndarray:
+    """Draw n distractor scores conditioned to one side of 0.5."""
     if n == 0:
         return np.empty(0)
-    cdf_half = float(betainc(spec.a, spec.b, REFERENCE_THRESHOLD))
     if upper:
-        u = rng.uniform(cdf_half, 1.0, size=n)
+        u = rng.uniform(_DISTRACTOR_CDF_HALF, 1.0, size=n)
     else:
-        u = rng.uniform(0.0, cdf_half, size=n)
-    return np.clip(betaincinv(spec.a, spec.b, u), 0.0, 1.0)
+        u = rng.uniform(0.0, _DISTRACTOR_CDF_HALF, size=n)
+    return np.clip(betaincinv(DISTRACTOR_SCORE_DIST.a, DISTRACTOR_SCORE_DIST.b, u), 0.0, 1.0)
 
 
 def _poisson(rng: Generator, lam: float) -> int:
@@ -211,8 +212,8 @@ def generate_cohort(cfg: SimConfig) -> CohortDataset:
         n_low = _poisson(rng, cfg.background_distractor_rate * v)
         scores = np.concatenate([
             parasite_scores,
-            _tail_scores(DISTRACTOR_SCORE_DIST, n_high, rng, upper=True),
-            _tail_scores(DISTRACTOR_SCORE_DIST, n_low, rng, upper=False),
+            _tail_scores(n_high, rng, upper=True),
+            _tail_scores(n_low, rng, upper=False),
         ])
         groups = [(f"{pid}-p", n_parasites, 5)] if positive else []
         patients.append(

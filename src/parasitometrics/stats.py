@@ -66,24 +66,34 @@ def summarize(values) -> DistSummary:
         raise InputError("summarize requires all-finite values")
     ascending = np.sort(arr)
     med = sorted_median(ascending)
-    right = arr[arr >= med] - med
-    left = arr[arr <= med] - med
+    mean = _mean(arr)
     return DistSummary(
         n=int(arr.size),
-        mean=float(arr.mean()),
+        mean=float(mean),
         median=med,
-        std=float(arr.std()),  # population convention
-        sigma_left=float(np.sqrt(np.mean(left**2))),
-        sigma_right=float(np.sqrt(np.mean(right**2))),
+        std=_rms(arr - mean),  # population convention
+        sigma_left=_rms(arr[arr <= med] - med),
+        sigma_right=_rms(arr[arr >= med] - med),
         _sorted=tuple(ascending.tolist()),
     )
+
+
+def _mean(arr: np.ndarray) -> np.float64:
+    """``arr.mean()`` of a 1-D float array without its wrapper: the same pairwise
+    ``np.add.reduce`` over the count, as a numpy scalar (nan for an empty array)."""
+    return np.add.reduce(arr) / len(arr)
+
+
+def _rms(deviations: np.ndarray) -> float:
+    """sqrt(mean(deviations**2)): ``np.std``'s steps after its subtraction."""
+    return math.sqrt(_mean(np.square(deviations)))
 
 
 def sorted_median(ascending: np.ndarray) -> float:
     """``np.median`` of a sorted array: the mean of its middle one or two values,
     which np.median averages too, without its lazy import of ``numpy.ma``."""
     n = len(ascending)
-    return float(ascending[(n - 1) // 2:n // 2 + 1].mean())
+    return float(_mean(ascending[(n - 1) // 2:n // 2 + 1]))
 
 
 def alpha_for_specificity(K: float) -> float:

@@ -530,6 +530,30 @@ def test_replace_derives_and_validates_again():
         replace(p, is_parasite=[False, True])
 
 
+@pytest.mark.parametrize("truth, scores, is_parasite", [
+    (GroundTruth.POSITIVE, [0.5, 0.0, 1.0, -0.0, 0.5, 0.25], [True, False, True, False, True, False]),
+    (GroundTruth.POSITIVE, [0.7, -0.0, 0.7, 0.0, 0.1], [True] * 5),
+    (GroundTruth.NEGATIVE, [0.3, 0.0, 0.9, -0.0, 0.3], [False] * 5),
+    (GroundTruth.NEGATIVE, [], []),
+], ids=["mixed", "all-parasites", "all-distractors", "no-objects"])
+def test_sorted_columns_own_their_memory(truth, scores, is_parasite):
+    scores, is_parasite = np.array(scores, dtype=float), np.array(is_parasite, dtype=bool)
+    kept_scores, kept_flags = scores.copy(), is_parasite.copy()
+    positive = truth is GroundTruth.POSITIVE
+    p = PatientRecord("p", truth, Species.FALCIPARUM if positive else Species.NONE,
+                      1.0 if positive else 0.0, 1.0,
+                      object_ids=[f"o{i}" for i in range(len(scores))],
+                      scores=scores, is_parasite=is_parasite)
+    for column, mask in ((p.parasite_scores, is_parasite), (p.distractor_scores, ~is_parasite)):
+        want = np.sort(scores[mask])
+        assert column.dtype == want.dtype and column.tobytes() == want.tobytes()
+        assert not column.flags.writeable
+        for other in (p.scores, scores, is_parasite):
+            assert not np.shares_memory(column, other)
+    assert scores.tobytes() == kept_scores.tobytes() and scores.flags.writeable
+    assert np.array_equal(is_parasite, kept_flags) and is_parasite.flags.writeable
+
+
 def test_objects_are_given_only_as_columns():
     args = ("x", GroundTruth.NEGATIVE, Species.NONE, 0.0, 1.0)
     with pytest.raises(TypeError):

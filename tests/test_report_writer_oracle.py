@@ -11,6 +11,10 @@ must have the same bytes.
 ``sorted_median``, ``DistSummary.percentile`` and ``distinct_sorted``
 replace ``np.median``, ``np.percentile`` and ``np.unique``, which load
 ``numpy.ma``; they are checked against all three.
+
+``old_summarize`` is ``summarize`` as it was when it called ``arr.mean()``,
+``arr.std()`` and ``np.mean``; ``summarize`` now takes the same
+``np.add.reduce`` sums itself, and must give every field the same bits.
 """
 
 import csv
@@ -300,3 +304,36 @@ def test_percentile_cases(values, q):
     st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=1, max_size=40), QS)
 def test_percentile_matches_np_percentile(values, q):
     _check_percentile(values, q)
+
+
+# --- summarize against the numpy calls it replaced ---------------------------
+
+def old_summarize(values) -> tuple:
+    arr = np.asarray(list(values), dtype=float)
+    ascending = np.sort(arr)
+    n = len(ascending)
+    med = float(ascending[(n - 1) // 2:n // 2 + 1].mean())
+    right = arr[arr >= med] - med
+    left = arr[arr <= med] - med
+    return (int(arr.size), float(arr.mean()), med, float(arr.std()),
+            float(np.sqrt(np.mean(left**2))), float(np.sqrt(np.mean(right**2))),
+            tuple(ascending.tolist()))
+
+
+PER_CV = st.builds(lambda k, v: k / v, st.integers(0, 5000), st.sampled_from([0.1, 0.35, 1.0, 3.0]))
+SUMMARY_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e12, -1e12]),
+    st.floats(-1e12, 1e12, allow_nan=False),
+    PER_CV,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(SUMMARY_VALUES, min_size=1, max_size=300)
+       | st.lists(PER_CV, min_size=1, max_size=300)
+       | st.lists(st.sampled_from([0.0, -0.0, 2.5, -7.0, 1e12]), min_size=1, max_size=300))
+def test_summarize_keeps_the_bits_of_numpys_mean_and_std(values):
+    s = summarize(values)
+    fields = ("n", "mean", "median", "std", "sigma_left", "sigma_right", "_sorted")
+    for field, want in zip(fields, old_summarize(values)):
+        assert repr(getattr(s, field)) == repr(want), field  # repr tells 0.0 from -0.0
